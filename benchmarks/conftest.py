@@ -37,6 +37,7 @@ import time
 
 import pytest
 
+from repro.api import resolve_config
 from repro.obs import metrics
 from repro.perf import cache as perf_cache
 
@@ -80,11 +81,11 @@ def _obs_capture(request):
     """Reset metrics and the perf cache per test; collect counters after."""
     metrics.reset()
     perf_cache.clear()
-    perf_cache.configure(enabled=None)
+    resolve_config().apply()
     start = time.perf_counter()
     yield
     perf_cache.clear()
-    perf_cache.configure(enabled=None)
+    resolve_config().apply()
     snapshot = metrics.snapshot()
     if snapshot["counters"] or snapshot["histograms"]:
         _RUNS[request.node.nodeid] = {

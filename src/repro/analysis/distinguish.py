@@ -96,7 +96,7 @@ def best_distinguisher(
 
     The (environment, scheduler) grid is fanned across
     :func:`repro.perf.parallel.parallel_map` (``workers`` argument, else
-    the configured execution backend — ``REPRO_BACKEND``, else serial).
+    the configured execution backend, else serial).
     The winner is reduced **in enumeration order** with a
     strictly-greater comparison, so the result — advantage, witnessing
     environment and scheduler — is identical at every parallelism and on

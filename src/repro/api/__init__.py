@@ -15,11 +15,6 @@ three can never disagree about what a run means:
   ``run_suite`` additionally exposes records and the exit code.
 * :func:`load_report` — read and validate a saved ``--metrics-out`` file.
 * :func:`list_experiments` — known experiment ids and their claims.
-
-Deep imports of runner internals (``from repro.experiments.runner import
-build_report``, ...) are deprecated; they still resolve through a
-:class:`DeprecationWarning` shim but new code should import from here or
-from the canonical defining modules.
 """
 
 from __future__ import annotations
@@ -57,7 +52,7 @@ def run_experiment(
 
     The experiment runs exactly as the suite would run it: crash-isolated
     (unless the config says otherwise), timeout-guarded, seeded and with
-    the environment gates exported for its children.
+    the config applied to this process and its children.
     """
     from repro.experiments.common import ALL_EXPERIMENTS, run_experiment_guarded
 

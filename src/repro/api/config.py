@@ -1,11 +1,7 @@
 """The unified run configuration: every runner knob in one frozen bundle.
 
-Historically each toggle (``--cache``, ``--backend``, ``--supervise``,
-``REPRO_CACHE_DIR``, ...) was resolved ad hoc at its own call site, which
-made the effective precedence differ between the CLI process, its forked
-experiment children and standalone socket workers.  :class:`RunConfig`
-replaces that with **one documented resolution order**, applied in exactly
-one place (:func:`resolve_config`):
+:class:`RunConfig` is the only carrier of run settings.  It is resolved in
+exactly one place (:func:`resolve_config`), by **one documented order**:
 
 1. **Explicit overrides** — CLI flags the user actually passed, or the
    fields of a service job submission.  A flag the user did *not* pass is
@@ -16,13 +12,23 @@ one place (:func:`resolve_config`):
    ``REPRO_PROFILE``, ``REPRO_TRACE``, ``REPRO_PROGRESS``.
 3. **Defaults** — the dataclass field defaults below.
 
-The resolved config is *total*: :meth:`RunConfig.apply` re-exports every
-gate into ``os.environ`` (children fork with it, sweep backends ship it to
-socket workers) and configures the in-process subsystems, so a fork child
-and a fresh worker interpreter resolve the **same** effective settings the
-parent did.  :meth:`RunConfig.describe` renders the config as a JSON-safe
-dict — embedded verbatim in service job submissions and recorded in the
-run report's ``summary.config`` block.
+The environment is read once, at the entry points, and nowhere else:
+
+* the runner CLI (``python -m repro.experiments.runner``) and
+  :func:`repro.api.run_suite` called with ``config=None``;
+* the service's submit handler, for each submission's open fields;
+* the worker CLI (``python -m repro.perf.worker``), for its own defaults
+  (its backend is always ``serial``).
+
+:meth:`RunConfig.apply` then sets each subsystem's in-process switch (cache,
+store directory, backend, base supervision policy, tracer, profiler,
+progress) and writes nothing to ``os.environ``.  Forked experiment children
+and fork-backend chunks inherit those switches through memory; socket and
+pool workers receive them per chunk in the run frame's ``ctx``.  So a
+setting depends only on the config that asked for it: one service job can
+never leak its settings into the next.  :meth:`RunConfig.describe` renders
+the config as a JSON-safe dict — embedded verbatim in service job
+submissions and recorded in the run report's ``summary.config`` block.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ class RunConfig:
     parallel: int = 1
     #: memoization layer: ``"on"``, ``"off"``, or ``"stats"`` (on + stats line)
     cache: str = "on"
-    #: disk-backed content-addressed store directory (``REPRO_CACHE_DIR``)
+    #: disk-backed content-addressed store directory
     cache_dir: Optional[str] = None
     #: sweep execution backend spec; ``None`` = serial
     backend: Optional[str] = None
@@ -93,15 +99,15 @@ class RunConfig:
     supervise: bool = False
     #: wall-clock bound per sweep chunk; ``None`` = policy default, ``0`` = off
     chunk_deadline: Optional[float] = None
-    #: export Chrome-trace spans (``REPRO_TRACE``)
+    #: record Chrome-trace spans
     trace: bool = False
     #: save one trace JSON per experiment into this directory
     trace_dir: Optional[str] = None
-    #: deterministic phase profiler (``REPRO_PROFILE``)
+    #: deterministic phase profiler
     profile: bool = False
     #: save one collapsed-stack ``.folded`` file per experiment (implies profile)
     profile_dir: Optional[str] = None
-    #: live stderr progress heartbeats (``REPRO_PROGRESS``)
+    #: live stderr progress heartbeats
     progress: bool = False
 
     def __post_init__(self) -> None:
@@ -168,64 +174,38 @@ class RunConfig:
     # -- applying ----------------------------------------------------------------
 
     def apply(self) -> None:
-        """Export every gate to ``os.environ`` and configure this process.
+        """Set this process's subsystem switches from the config.
 
-        After this call, forked experiment children, fork sweep children
-        and freshly-spawned socket workers all resolve the same effective
-        settings this process did — the environment *is* the resolved
-        config, so there is no second resolution that could drift.
+        Writes nothing to ``os.environ``: forked children inherit the
+        switches through memory, and socket workers get them per chunk
+        from the run frame.
         """
         from repro.obs import profile as obs_profile
         from repro.obs import progress as obs_progress
+        from repro.obs import trace as obs_trace
         from repro.perf import backends as perf_backends
         from repro.perf import cache as perf_cache
+        from repro.perf import store as perf_store
+        from repro.perf import supervise as perf_supervise
 
-        cache_enabled = self.cache != "off"
-        os.environ["REPRO_CACHE"] = "on" if cache_enabled else "off"
-        perf_cache.configure(enabled=cache_enabled)
-
-        if self.cache_dir:
-            os.environ["REPRO_CACHE_DIR"] = self.cache_dir
-        else:
-            os.environ.pop("REPRO_CACHE_DIR", None)
-
-        if self.backend is not None:
-            os.environ["REPRO_BACKEND"] = self.backend
-            perf_backends.configure_backend(self.backend)
-        else:
-            os.environ.pop("REPRO_BACKEND", None)
-            perf_backends.configure_backend(None)
-
-        if self.supervise:
-            os.environ["REPRO_SUPERVISE"] = "on"
-            if self.seed is not None and "REPRO_SUPERVISE_SEED" not in os.environ:
-                os.environ["REPRO_SUPERVISE_SEED"] = str(self.seed)
-        else:
-            os.environ.pop("REPRO_SUPERVISE", None)
+        perf_cache.configure(enabled=self.cache != "off")
+        perf_store.configure(self.cache_dir)
+        perf_backends.configure_backend(self.backend)
+        policy = perf_supervise.SupervisionPolicy(
+            enabled=self.supervise, seed=self.seed or 0
+        )
         if self.chunk_deadline is not None:
-            os.environ["REPRO_CHUNK_DEADLINE"] = str(self.chunk_deadline)
-        else:
-            os.environ.pop("REPRO_CHUNK_DEADLINE", None)
-
-        if self.profile:
-            os.environ["REPRO_PROFILE"] = "on"
-            obs_profile.enable()
-        else:
-            os.environ.pop("REPRO_PROFILE", None)
-
-        if self.trace:
-            os.environ["REPRO_TRACE"] = "on"
-        else:
-            os.environ.pop("REPRO_TRACE", None)
-
-        if self.progress:
-            # A user-set REPRO_PROGRESS=plain keeps its forced rendering mode.
-            if not obs_progress.env_plain():
-                os.environ["REPRO_PROGRESS"] = "on"
-            obs_progress.enable()
-        else:
-            os.environ.pop("REPRO_PROGRESS", None)
-            obs_progress.disable()
+            policy = policy.with_options({"deadline": self.chunk_deadline})
+        perf_supervise.configure_policy(policy)
+        for switch, on in (
+            (obs_trace, self.trace),
+            (obs_profile, self.profile),
+            (obs_progress, self.progress),
+        ):
+            if on:
+                switch.enable()
+            else:
+                switch.disable()
 
 
 def resolve_config(

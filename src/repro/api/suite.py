@@ -24,7 +24,6 @@ from repro.experiments.common import (
 )
 from repro.obs import analyze as obs_analyze
 from repro.obs import distributed as obs_distributed
-from repro.obs import profile as obs_profile
 from repro.obs import progress as obs_progress
 from repro.obs.report import (
     ReportSchemaError,
@@ -39,7 +38,7 @@ from repro.obs.report import (
 )
 from repro.perf import backends as perf_backends
 from repro.perf import store as perf_store
-from repro.perf.supervise import SupervisionPolicy
+from repro.perf import supervise as perf_supervise
 
 from repro.api.config import RunConfig
 
@@ -131,14 +130,11 @@ def run_suite(
         if emit is not None:
             emit(line)
 
-    # One resolution, one application: children and workers inherit the
-    # exported environment, this process configures its live subsystems.
+    # One resolution, one application: this process's switches are set,
+    # children inherit them through fork, workers get them per run frame.
     config.apply()
     cache_enabled = config.cache != "off"
-    # The profiler may have been enabled programmatically by an embedding
-    # caller (without the flag or REPRO_PROFILE); honor the live switch.
-    profiling = config.profile or obs_profile.PROFILER.enabled
-    supervision_policy = SupervisionPolicy.from_env()
+    supervision_policy = perf_supervise.base_policy()
     backend_block = perf_backends.make_backend(perf_backends.current_spec()).describe()
 
     suite_start = time.perf_counter()
@@ -281,7 +277,7 @@ def run_suite(
 
     # Same only-when-active contract for the phase-profile block.
     profile_block = None
-    if profiling:
+    if config.profile:
         profile_block = profile_summary(
             profile_lanes,
             enabled=True,

@@ -268,6 +268,8 @@ def _guarded_child(
         payload: Tuple[str, Any] = ("report", report)
     except BaseException:  # noqa: BLE001 - the boundary exists to catch everything
         payload = ("error", traceback.format_exc())
+    # Workers a pool:N backend started for this child must not outlive it.
+    _perf_backends.close_active()
     extras = _observability_extras(trace_path, profile_path)
     try:
         conn.send(payload + (extras,))
@@ -417,9 +419,9 @@ def run_experiment_guarded(
         When set, phase profiling is enabled for the attempt and the
         collapsed-stack ``*.folded`` file is written there (same
         last-attempt semantics as ``trace_path``).  Profiling also runs —
-        without a folded file — when the profiler is already enabled
-        (``REPRO_PROFILE``); either way the outcome carries the per-pid
-        phase lanes.
+        without a folded file — when the profiler is already enabled (the
+        run config's ``profile``); either way the outcome carries the
+        per-pid phase lanes.
     """
     start = time.perf_counter()
     attempts = 0

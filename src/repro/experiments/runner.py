@@ -31,10 +31,10 @@ Observability (see ``docs/observability.md``)::
 
 This module is a thin CLI over :mod:`repro.api`: flags parse into one
 frozen :class:`repro.api.RunConfig` (explicit flags win over the
-``REPRO_*`` environment gates, which win over defaults — resolved in
-exactly one place, :func:`repro.api.resolve_config`, so the CLI, its
-forked children, socket workers and the job service can never disagree
-about the effective settings), and the suite itself runs through
+``REPRO_*`` environment gates, which win over defaults — resolved once,
+here, by :func:`repro.api.resolve_config`; forked children inherit the
+applied settings and socket workers receive them per chunk), and the
+suite itself runs through
 :func:`repro.api.run_suite`.  The resolved configuration is recorded in
 the report's ``summary.config`` block.  Flag semantics are unchanged —
 see ``docs/performance.md`` / ``docs/resilience.md`` /
@@ -57,44 +57,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 from repro import api
-
-#: Names importable from this module before the repro.api split, mapped to
-#: the module that canonically defines them now.  Resolving one emits a
-#: DeprecationWarning but keeps working (module __getattr__ below).
-_DEPRECATED_REEXPORTS = {
-    "ALL_EXPERIMENTS": "repro.experiments.common",
-    "DEFAULT_SEED": "repro.experiments.common",
-    "run_experiment_guarded": "repro.experiments.common",
-    "ReportSchemaError": "repro.obs.report",
-    "build_report": "repro.obs.report",
-    "cache_summary": "repro.obs.report",
-    "format_record": "repro.obs.report",
-    "format_suite_summary": "repro.obs.report",
-    "format_summary_table": "repro.obs.report",
-    "outcome_record": "repro.obs.report",
-    "profile_summary": "repro.obs.report",
-    "resilience_summary": "repro.obs.report",
-    "validate_report": "repro.obs.report",
-    "SupervisionPolicy": "repro.perf.supervise",
-}
-
-
-def __getattr__(name):
-    target = _DEPRECATED_REEXPORTS.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name!r} from repro.experiments.runner is deprecated; "
-        f"import it from {target} (or use the repro.api facade)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(target), name)
 
 
 def _summarize_existing_report(path: str) -> int:
@@ -179,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "disk-backed content-addressed cache (exported as REPRO_CACHE_DIR; "
+            "disk-backed content-addressed cache (default: REPRO_CACHE_DIR; "
             "unfoldings and sweep results persist across runs and processes)"
         ),
     )

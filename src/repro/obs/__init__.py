@@ -19,14 +19,14 @@ ROADMAP's performance work builds on:
 * :mod:`repro.obs.profile` — a deterministic ``sys.setprofile`` phase
   profiler attributing inclusive/exclusive time and call counts to
   semantic phases (unfold/compose/decide/transition/cache/transport),
-  off by default behind ``REPRO_PROFILE`` with collapsed-stack
+  off by default (``--profile``) with collapsed-stack
   (flamegraph) export; profile payloads ride the backends like spans do;
 * :mod:`repro.obs.analyze` — trace analytics (critical-path extraction,
   per-lane straggler/skew detection) and cross-run regression
   attribution (``python -m repro.obs compare A B``);
 * :mod:`repro.obs.progress` — live chunk/experiment heartbeats rendered as
-  a ``\\r``-rewritten stderr status line (off by default, ``REPRO_PROGRESS``
-  or the runner's ``--progress``; plain newline mode on non-TTY streams);
+  a ``\\r``-rewritten stderr status line (off by default, the runner's
+  ``--progress``; plain newline mode on non-TTY streams);
 * :mod:`repro.obs.report` — the machine-readable run-report schema the
   experiment runner emits (``--metrics-out``), its validator, and the
   formatting helpers all human runner output flows through;
@@ -84,7 +84,6 @@ from repro.obs.profile import (
     save_folded,
 )
 from repro.obs.report import (
-    LEGACY_SCHEMAS,
     REPORT_SCHEMA,
     ReportSchemaError,
     build_report,
@@ -151,7 +150,6 @@ __all__ = [
     "subtract_counters",
     # report
     "REPORT_SCHEMA",
-    "LEGACY_SCHEMAS",
     "ReportSchemaError",
     "outcome_record",
     "build_report",

@@ -26,8 +26,7 @@ Gating and sinks
 The logger is enabled by pointing it at a sink: programmatically via
 :func:`configure` (the service's ``--log-dir`` does this) or through the
 ``REPRO_LOG`` environment variable (a directory, or a path ending in
-``.jsonl``), checked once at import time — parity with ``REPRO_TRACE`` /
-``REPRO_CACHE``.  :func:`configure` re-exports ``REPRO_LOG`` so forked
+``.jsonl``), checked once at import time.  :func:`configure` re-exports ``REPRO_LOG`` so forked
 children and spawned workers inherit the sink and append to the **same**
 file.  Concurrent appenders are safe: each record is a single
 ``os.write`` on an ``O_APPEND`` descriptor, so lines never interleave.
@@ -74,7 +73,7 @@ __all__ = [
     "set_correlation",
 ]
 
-#: Environment gates (parity with REPRO_TRACE / REPRO_CACHE_DIR).
+#: Environment variables of the log sink, level and correlation id.
 ENV_SINK = "REPRO_LOG"
 ENV_LEVEL = "REPRO_LOG_LEVEL"
 ENV_JOB = "REPRO_JOB_ID"

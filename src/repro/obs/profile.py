@@ -13,10 +13,10 @@ registry** — everything else costs one negative-cache dictionary lookup.
 Like the tracer, profiling is **off by default** and the disabled path is
 free in the strictest sense: no profile hook is installed at all
 (``sys.getprofile()`` stays ``None``), so hot paths run at exactly their
-unprofiled speed.  The ``REPRO_PROFILE`` environment variable
-(``on``/``off``, parity with ``REPRO_TRACE``) enables the process profiler
-at import time, so forked chunk children and standalone socket workers
-profile without any caller-side call.
+unprofiled speed.  The run config's ``profile`` switch (``RunConfig.apply``;
+the ``REPRO_PROFILE`` gate at entry points) turns the process profiler on;
+forked chunk children inherit it and socket workers receive it per chunk
+in the run frame.
 
 Phase registry
 --------------
@@ -77,7 +77,6 @@ __all__ = [
     "enable",
     "disable",
     "is_enabled",
-    "env_enabled",
     "clear",
     "snapshot",
     "lanes",
@@ -87,11 +86,6 @@ __all__ = [
     "save_folded",
     "format_lanes",
 ]
-
-
-def env_enabled() -> bool:
-    """True when the ``REPRO_PROFILE`` environment gate asks for profiling."""
-    return os.environ.get("REPRO_PROFILE", "").strip().lower() in ("1", "on", "true", "yes")
 
 
 #: The built-in semantic phase registry: (module, function name) -> phase.
@@ -274,8 +268,9 @@ class Profiler:
 
     def disable(self) -> None:
         """Remove the profile hook; accumulated totals stay readable."""
-        sys.setprofile(None)
-        threading.setprofile(None)
+        if self.enabled:  # never uninstall a hook this profiler did not set
+            sys.setprofile(None)
+            threading.setprofile(None)
         self.enabled = False
 
     def clear(self) -> None:
@@ -372,12 +367,6 @@ def merge_lane_phases(
 
 #: The process-global profiler all instrumentation rides on.
 PROFILER = Profiler()
-
-# Environment gate, parity with the tracer: forked children inherit the
-# live hook; socket workers are fresh interpreters, so the gate is how a
-# whole worker pool gets profiled.
-if env_enabled():
-    PROFILER.enable()
 
 
 def register_phase(phase: str, module: str, function: str) -> None:

@@ -9,16 +9,17 @@ redraws a single ``\\r``-rewritten stderr status line::
 Like the tracer (:mod:`repro.obs.trace`), the facility is **off by
 default** and the disabled path is near-free: ``advance`` is a single flag
 test, and backends/``parallel_map`` call these hooks unconditionally.
-Enable per process via :func:`enable` or the ``REPRO_PROGRESS`` environment
-variable (``on``/``off``/``plain``), which the runner exports to experiment
-children when invoked with ``--progress``.
+Enable per process via :func:`enable`, which ``RunConfig.apply`` calls for
+``--progress`` (or the ``REPRO_PROGRESS`` gate at entry points); forked
+experiment children inherit the switch.
 
 When stderr is **not a TTY** (piped, redirected, CI log capture) the
 ``\\r``-rewrite would concatenate every redraw into one giant mangled
 line, so the renderer auto-detects ``stream.isatty()`` and falls back to
 *plain mode*: newline-terminated heartbeat lines with no escape codes,
 rate-limited much more coarsely so logs stay short.  ``REPRO_PROGRESS=plain``
-both enables heartbeats and forces plain rendering even on a real TTY.
+forces plain rendering even on a real TTY (and, at entry points, also
+enables heartbeats).
 
 Heartbeats are *caller-side*: backends report a chunk done when its
 results payload lands (serial: after the in-process call; fork: when the
@@ -42,28 +43,12 @@ __all__ = [
     "enable",
     "disable",
     "is_enabled",
-    "env_enabled",
-    "env_plain",
     "begin",
     "advance",
     "finish",
     "add_listener",
     "remove_listener",
 ]
-
-
-def env_enabled() -> bool:
-    """True when the ``REPRO_PROGRESS`` environment gate asks for heartbeats.
-
-    ``plain`` counts as enabling: it is "on, and force plain rendering".
-    """
-    value = os.environ.get("REPRO_PROGRESS", "").strip().lower()
-    return value in ("1", "on", "true", "yes", "plain")
-
-
-def env_plain() -> bool:
-    """True when ``REPRO_PROGRESS=plain`` forces newline-mode rendering."""
-    return os.environ.get("REPRO_PROGRESS", "").strip().lower() == "plain"
 
 
 class Progress:
@@ -193,9 +178,9 @@ class Progress:
 #: The process-global progress renderer all heartbeat hooks use.
 PROGRESS = Progress()
 
-if env_enabled():
-    PROGRESS.enable()
-if env_plain():
+# A terminal-rendering override, not a run setting: the switch itself
+# comes from the run config.
+if os.environ.get("REPRO_PROGRESS", "").strip().lower() == "plain":
     PROGRESS.mode = "plain"
 
 

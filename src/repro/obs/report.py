@@ -6,10 +6,8 @@ of truth: the runner's human-readable output is rendered *from the record*
 ``--metrics-out`` JSON report is the same records wrapped by
 :func:`build_report` — the two cannot drift.
 
-The report schema (``repro.obs.run-report/4``; the validator still accepts
-``/3`` payloads written before ``summary.profile``/``summary.analysis``,
-``/2`` payloads written before records carried ``attempt_history`` and
-``/1`` payloads from before ``histograms``)::
+The report schema (``repro.obs.run-report/4``; the only one the validator
+accepts)::
 
     {
       "schema": "repro.obs.run-report/4",
@@ -73,8 +71,8 @@ The report schema (``repro.obs.run-report/4``; the validator still accepts
         },
         "profile": {                                           # optional:
           "enabled": true,                                     # only when
-          "lanes": [{"pid": 1, "lane": "E15: runner",          # REPRO_PROFILE /
-                     "phases": {"measure.unfold":              # --profile ran
+          "lanes": [{"pid": 1, "lane": "E15: runner",          # --profile
+                     "phases": {"measure.unfold":              # ran
                         {"calls": 120, "inclusive_us": 9000.0,
                          "exclusive_us": 1500.0}, ...}}, ...],
           "folded_files": ["profiles/E15.folded"]              # flamegraph input
@@ -139,21 +137,11 @@ __all__ = [
 
 REPORT_SCHEMA = "repro.obs.run-report/4"
 
-#: Older schema versions validate_report still accepts (read compatibility
-#: for saved reports; /3 predates ``summary.profile``/``summary.analysis``,
-#: /2 records predate ``attempt_history``, /1 also predates ``histograms``).
-LEGACY_SCHEMAS = (
-    "repro.obs.run-report/1",
-    "repro.obs.run-report/2",
-    "repro.obs.run-report/3",
-)
-
 _STATUSES = ("pass", "fail", "error", "timeout")
 
 
 class ReportSchemaError(ValueError):
-    """The payload does not conform to ``repro.obs.run-report/4`` (or a
-    legacy ``/1`` / ``/2`` / ``/3`` report)."""
+    """The payload does not conform to ``repro.obs.run-report/4``."""
 
 
 def outcome_record(
@@ -407,13 +395,6 @@ _RECORD_FIELDS = {
     "trace_file": (str, type(None)),
 }
 
-#: Record fields absent from older schema versions, keyed by the legacy
-#: schemas they are optional in (read compatibility for saved reports).
-_OPTIONAL_IN_LEGACY = {
-    "histograms": ("repro.obs.run-report/1",),
-    "attempt_history": ("repro.obs.run-report/1", "repro.obs.run-report/2"),
-}
-
 #: The fields every ``attempt_history`` entry must carry.
 _ATTEMPT_FIELDS = {
     "attempt": (int,),
@@ -436,9 +417,8 @@ def validate_report(payload: Any) -> None:
     """Raise :class:`ReportSchemaError` unless ``payload`` is a valid report."""
     _require(isinstance(payload, dict), "report must be a JSON object")
     schema = payload.get("schema")
-    _require(schema == REPORT_SCHEMA or schema in LEGACY_SCHEMAS,
-             f"schema must be {REPORT_SCHEMA!r} "
-             f"(or legacy {', '.join(LEGACY_SCHEMAS)}), got {schema!r}")
+    _require(schema == REPORT_SCHEMA,
+             f"schema must be {REPORT_SCHEMA!r}, got {schema!r}")
     _require(isinstance(payload.get("created_unix"), (int, float)),
              "created_unix must be a number")
     _require(payload.get("argv") is None or isinstance(payload["argv"], list),
@@ -450,8 +430,6 @@ def validate_report(payload: Any) -> None:
         where = f"experiments[{index}]"
         _require(isinstance(record, dict), f"{where} must be an object")
         for name, types in _RECORD_FIELDS.items():
-            if schema in _OPTIONAL_IN_LEGACY.get(name, ()) and name not in record:
-                continue
             _require(name in record, f"{where} missing field {name!r}")
             _require(
                 isinstance(record[name], types)

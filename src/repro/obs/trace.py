@@ -13,13 +13,11 @@ live in :mod:`repro.obs.metrics` instead — spans are for phase-level
 structure (an experiment, one ``execution_measure`` unfolding), not for
 per-transition work.
 
-The ``REPRO_TRACE`` environment variable (``on``/``off``, default off —
-parity with ``REPRO_CACHE``/``REPRO_BACKEND``) enables the process tracer
-at import time, so forked children and standalone socket workers
-(:mod:`repro.perf.worker`) trace without any caller-side call: set it once
-and every process in the tree records spans.  Cross-process span
-collection, clock alignment and lane merging live in
-:mod:`repro.obs.distributed`.
+The run config's ``trace`` switch (``RunConfig.apply``; the ``REPRO_TRACE``
+gate at entry points) turns the process tracer on.  Forked children
+inherit the switch through memory, and socket workers receive it per
+chunk in the run frame.  Cross-process span collection, clock alignment
+and lane merging live in :mod:`repro.obs.distributed`.
 
 Usage::
 
@@ -50,13 +48,7 @@ __all__ = [
     "enable",
     "disable",
     "is_enabled",
-    "env_enabled",
 ]
-
-
-def env_enabled() -> bool:
-    """True when the ``REPRO_TRACE`` environment gate asks for tracing."""
-    return os.environ.get("REPRO_TRACE", "").strip().lower() in ("1", "on", "true", "yes")
 
 
 class _NullSpan:
@@ -239,12 +231,6 @@ class Tracer:
 
 #: The process-global tracer all instrumentation points use.
 TRACER = Tracer()
-
-# The environment gate applies to every fresh process (forked experiment
-# children inherit the live flag through memory instead; socket workers are
-# fresh interpreters, so the gate is how a whole worker pool gets traced).
-if env_enabled():
-    TRACER.enable()
 
 
 def span(name: str, **args):

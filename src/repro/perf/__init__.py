@@ -7,10 +7,10 @@ enforcement arm):
 * :mod:`repro.perf.cache` — transparent memoization of transitions,
   scheduler decisions and whole unfoldings, plus hash-consing (interning)
   of :class:`~repro.core.executions.Fragment` and exact
-  :class:`~repro.probability.measures.DiscreteMeasure` objects.  Gated by
-  ``REPRO_CACHE`` (default on).  Entries are keyed by the canonical
-  structural fingerprints of :mod:`repro.perf.fingerprint` once those are
-  paid for (identity until then), and ``REPRO_CACHE_DIR`` /
+  :class:`~repro.probability.measures.DiscreteMeasure` objects.  Switched
+  by the run config's ``cache`` (default on).  Entries are keyed by the
+  canonical structural fingerprints of :mod:`repro.perf.fingerprint` once
+  those are paid for (identity until then), and ``cache_dir`` /
   ``--cache-dir`` layers the disk-backed :mod:`repro.perf.store` on top:
   unfoldings and whole sweep results persist across processes and
   restarts, and fork/socket workers dedupe against the same tree.

@@ -29,9 +29,8 @@ A backend is named by a **spec string**::
     socket:host1:9001;deadline=30;supervise=on   # ;key=value supervision options
     pool:4                                  # 4 self-launched loopback workers
 
-Resolution order for the process-wide default:
-:func:`configure_backend` argument, else the ``REPRO_BACKEND`` environment
-variable, else ``serial``.
+The process-wide default is whatever :func:`configure_backend` installed
+(``RunConfig.apply`` installs the resolved ``backend``), else ``serial``.
 
 Fork hygiene
 ------------
@@ -200,8 +199,7 @@ def configure_backend(spec: Union[None, str, "ExecutionBackend"]) -> None:
 
     ``spec`` is a spec string (validated immediately), an
     :class:`ExecutionBackend` instance (used as-is by this process; forked
-    children rebuild from its spec), or ``None`` to drop the explicit
-    configuration and re-read the environment (``REPRO_BACKEND``)."""
+    children rebuild from its spec), or ``None`` for ``serial``."""
     global _CONFIGURED, _CONFIGURED_PID
     if isinstance(spec, str):
         spec = normalize_spec(spec)  # raise now, not at first sweep
@@ -209,17 +207,11 @@ def configure_backend(spec: Union[None, str, "ExecutionBackend"]) -> None:
     _CONFIGURED_PID = os.getpid()
 
 
-def _spec_from_environment() -> str:
-    return os.environ.get("REPRO_BACKEND", "").strip() or "serial"
-
-
 def current_spec() -> str:
     """The spec the *next* :func:`get_backend` call will resolve to."""
     if isinstance(_CONFIGURED, ExecutionBackend):
         return _CONFIGURED.spec
-    if _CONFIGURED is not None:
-        return _CONFIGURED
-    return normalize_spec(_spec_from_environment())
+    return _CONFIGURED or "serial"
 
 
 def get_backend() -> "ExecutionBackend":
@@ -240,6 +232,18 @@ def get_backend() -> "ExecutionBackend":
     _ACTIVE = make_backend(spec)
     _ACTIVE_KEY = (pid, spec)
     return _ACTIVE
+
+
+def close_active() -> None:
+    """Close the backend this process built (a no-op for inherited ones).
+
+    The guarded experiment child calls this before it exits, so a
+    ``pool:N`` it started does not outlive it."""
+    global _ACTIVE, _ACTIVE_KEY
+    if _ACTIVE is not None and _ACTIVE_KEY is not None and _ACTIVE_KEY[0] == os.getpid():
+        _ACTIVE.close()
+        _ACTIVE = None
+        _ACTIVE_KEY = None
 
 
 def abandon_inherited() -> None:
@@ -276,4 +280,5 @@ __all__ += [
     "SocketBackend",
     "LocalPoolBackend",
     "abandon_inherited",
+    "close_active",
 ]

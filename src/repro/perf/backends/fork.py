@@ -20,7 +20,7 @@ import os
 import pickle
 import struct
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import distributed as _distributed
 from repro.obs import log as _obs_log
@@ -29,6 +29,8 @@ from repro.obs import profile as _profile
 from repro.obs import progress as _progress
 from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
+from repro.perf import cache as _perf_cache
+from repro.perf import store as _perf_store
 from repro.perf.backends import (
     BackendSpecError,
     Chunk,
@@ -63,14 +65,26 @@ def _read_exact(fd: int, size: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
+def _install_run_settings(ctx: Mapping[str, Any]) -> None:
+    """Install a run frame's settings (see :mod:`repro.perf.backends.sockets`)
+    in this chunk child.  ``trace`` and ``profile`` only switch recording
+    on: a worker started with its own tracing keeps tracing."""
+    if ctx.get("job") is not None:
+        _obs_log.set_correlation(ctx["job"])
+    if "cache" in ctx:
+        _perf_cache.configure(enabled=ctx["cache"])
+    if "cache_dir" in ctx:
+        _perf_store.configure(ctx["cache_dir"])
+    if ctx.get("trace"):
+        _trace.TRACER.enable()
+
+
 def _chunk_child(
     write_fd: int,
     fn: Callable[[Any], Any],
     chunk: Chunk,
-    trace: Optional[bool] = None,
     lane: str = "fork",
-    profile: Optional[bool] = None,
-    job: Optional[str] = None,
+    ctx: Optional[Mapping[str, Any]] = None,
 ) -> None:
     """Child body: compute the chunk, ship ``(results, metrics, trace,
     profile)`` back.
@@ -78,34 +92,22 @@ def _chunk_child(
     Runs under ``os._exit`` discipline — no atexit hooks, no parent test
     harness teardown.  The inherited metrics registry is zeroed and the
     inherited span buffer cleared so the shipped payloads are exactly this
-    child's contribution.  ``trace`` overrides the inherited tracer switch
-    (``True``/``False``; ``None`` keeps whatever the parent had — the fork
-    backend's children inherit the caller's setting through memory, the
-    socket worker's children take the caller's wish from the run frame).
-    ``profile`` is the same three-way switch for the phase profiler; when
-    profiling is (or stays) on, the hook is re-installed post-fork — a
-    ``sys.setprofile`` hook does not survive into a forked child's new
-    frames reliably, and the accumulated parent totals are not this
-    chunk's work either.
+    child's contribution.  Fork-backend children inherit the caller's run
+    settings through memory; a socket worker's children get the caller's
+    settings from the run frame's ``ctx``.  When profiling is on, the hook
+    is re-installed post-fork — a ``sys.setprofile`` hook does not survive
+    into a forked child's new frames reliably, and the accumulated parent
+    totals are not this chunk's work either.
     """
     exit_code = 0
     try:
-        if job is not None:
-            # Socket workers pass the run frame's correlation id down here so
-            # the chunk's trace payload comes back job-tagged; fork-backend
-            # children inherit the caller's id through memory instead.
-            _obs_log.set_correlation(job)
+        ctx = ctx or {}
+        _install_run_settings(ctx)
         _metrics.reset()
         _trace.TRACER.clear()  # buffered parent events are not this chunk's work
-        if trace is True:
-            _trace.TRACER.enable()
-        elif trace is False:
-            _trace.TRACER.disable()
-        if profile is True or (profile is None and _profile.PROFILER.enabled):
+        if ctx.get("profile") or _profile.PROFILER.enabled:
             _profile.PROFILER.clear()
             _profile.PROFILER.enable()
-        elif profile is False:
-            _profile.PROFILER.disable()
         # Chaos hook (tests/CI only): REPRO_CHAOS_FORK arms seeded mid-chunk
         # kill/hang/delay faults so the supervision layer's lost-chunk and
         # deadline paths can be driven deterministically.  Unset, this is
@@ -167,10 +169,8 @@ def _collect(read_fd: int, pid: int):
 def run_chunk_in_fork(
     fn: Callable[[Any], Any],
     chunk: Chunk,
-    trace: Optional[bool] = None,
     lane: str = "fork",
-    profile: Optional[bool] = None,
-    job: Optional[str] = None,
+    ctx: Optional[Mapping[str, Any]] = None,
 ) -> Optional[
     Tuple[
         List[Tuple[int, Optional[str], Any]],
@@ -183,18 +183,18 @@ def run_chunk_in_fork(
 
     Returns the child's ``(results, metrics snapshot, trace payload,
     profile payload)``, or ``None`` when the child died without reporting.
-    The trace payload is ``None`` unless the child traced (see ``trace`` on
-    :func:`_chunk_child`) and carries no clock domain yet — the transport
-    that ships it onward stamps ``shared`` or ``remote``.  The profile
-    payload is ``None`` unless the child profiled (``profile`` switch, same
-    contract); phase totals are durations, so they need no clock domain at
-    all.  Requires ``os.fork``.
+    ``ctx`` holds run settings to install in the child only.  The trace
+    payload is ``None`` unless the child traced and carries no clock domain
+    yet — the transport that ships it onward stamps ``shared`` or
+    ``remote``.  The profile payload is ``None`` unless the child profiled;
+    phase totals are durations, so they need no clock domain at all.
+    Requires ``os.fork``.
     """
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         os.close(read_fd)
-        _chunk_child(write_fd, fn, chunk, trace=trace, lane=lane, profile=profile, job=job)
+        _chunk_child(write_fd, fn, chunk, lane=lane, ctx=ctx)
         # _chunk_child never returns
     _FORKS.inc()
     os.close(write_fd)

@@ -10,14 +10,14 @@ the pool.  The wire protocol is deliberately small:
 
 * **framing** — every message is an 8-byte big-endian length followed by a
   pickle of a tuple; requests are ``("ping",)`` and
-  ``("run", fn_blob, chunk_blob, ctx)`` where ``ctx`` carries the caller's
-  trace wish (``{"trace": bool}``), its persistent cache directory when one
-  is active (``{"cache_dir": str}``), the active job correlation id when
-  one is set (``{"job": str}`` — see :mod:`repro.obs.log`) and, for
-  supervised v3 pools, the heartbeat cadence
-  (``{"heartbeat_s": float}``); replies are
-  ``("pong", info)``, ``("ok", results, metrics_snapshot, trace_payload)``,
-  ``("lost", detail)``, ``("fatal", traceback)`` and — protocol v3 —
+  ``("run", fn_blob, chunk_blob, ctx)``.  ``ctx`` carries the caller's run
+  settings for that one chunk: ``cache`` (the cache switch), ``trace`` and
+  ``profile`` (whether to record spans and phases), ``cache_dir`` (the
+  caller's persistent store, when one is active), ``job`` (the correlation
+  id, when one is set — see :mod:`repro.obs.log`) and, for supervised
+  pools, ``heartbeat_s`` (the heartbeat cadence).  Replies are
+  ``("pong", info)``, ``("ok", results, metrics_snapshot, trace_payload,
+  profile_payload)``, ``("lost", detail)``, ``("fatal", traceback)`` and
   ``("hb", seq)`` liveness frames interleaved while a chunk runs.  The
   trace payload (:func:`repro.obs.distributed.chunk_payload` or ``None``)
   rides in the same frame as the results, so a chunk's spans are exactly
@@ -30,15 +30,15 @@ the pool.  The wire protocol is deliberately small:
   latency (each chunk has a dedicated receive thread, so the stamp is
   prompt);
 * **handshake** — on connect the client pings and verifies the worker's
-  protocol version (v3 and v2 workers are both accepted; v2 workers simply
-  never heartbeat) and Python ``major.minor`` (marshal'd code objects are
+  protocol version (exactly :data:`PROTOCOL_VERSION`) and Python
+  ``major.minor`` (marshal'd code objects are
   not portable across interpreter versions; a mismatched pool fails loudly
   at connect, never with a corrupt sweep);
 * **deadlines** — the receive path is never unbounded: each reply waits at
   most the per-chunk wall-clock deadline
   (:class:`~repro.perf.supervise.SupervisionPolicy.chunk_deadline_s`,
-  default 600 s, ``REPRO_CHUNK_DEADLINE`` / ``;deadline=`` to change,
-  ``0``/``off`` to disable), and a supervised v3 worker that stops
+  default 600 s, the run config's ``chunk_deadline`` / ``;deadline=`` to
+  change, ``0``/``off`` to disable), and a supervised worker that stops
   heartbeating is declared dead after a few missed beats — a worker that
   accepts a chunk and never replies can no longer hang a sweep;
 * **retry on another worker** — a connection that dies, hangs past its
@@ -67,7 +67,6 @@ trust, and bind them to loopback or private interfaces.
 
 from __future__ import annotations
 
-import os
 import pickle
 import socket
 import struct
@@ -81,7 +80,9 @@ from repro.obs import profile as _profile
 from repro.obs import progress as _progress
 from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
+from repro.perf import cache as _perf_cache
 from repro.perf import pickling
+from repro.perf import store as _perf_store
 from repro.perf.backends import (
     BackendSpecError,
     Chunk,
@@ -91,7 +92,6 @@ from repro.perf.backends import (
 )
 
 __all__ = [
-    "ACCEPTED_PROTOCOLS",
     "PROTOCOL_VERSION",
     "BackendProtocolError",
     "FrameError",
@@ -105,9 +105,6 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 3  # v3: heartbeat frames while a chunk runs
-#: Protocol versions this client can drive (v2 workers never heartbeat, so
-#: only the chunk deadline bounds their silence).
-ACCEPTED_PROTOCOLS = (2, 3)
 
 #: A frame longer than this is treated as garbage, not allocated.
 MAX_FRAME_BYTES = 1 << 30
@@ -238,8 +235,7 @@ def parse_socket_spec(rest: Optional[str]) -> Tuple[List[Tuple[str, int]], Dict[
 class _WorkerConnection:
     """One worker endpoint: its address, live socket (if any), a lock
     serializing the send/receive round-trip of a chunk, and the endpoint's
-    supervision state (negotiated protocol, circuit breaker, next allowed
-    reconnect time)."""
+    supervision state (circuit breaker, next allowed reconnect time)."""
 
     __slots__ = (
         "index",
@@ -248,7 +244,6 @@ class _WorkerConnection:
         "alive",
         "attempted",
         "lock",
-        "protocol",
         "breaker",
         "next_attempt_at",
     )
@@ -260,7 +255,6 @@ class _WorkerConnection:
         self.alive = False
         self.attempted = False
         self.lock = threading.Lock()
-        self.protocol = PROTOCOL_VERSION
         self.breaker = breaker
         self.next_attempt_at = 0.0
 
@@ -280,7 +274,7 @@ class SocketBackend(ExecutionBackend):
             raise BackendSpecError("socket backend needs at least one worker address")
         supervise = _supervision()
         self._options = dict(options or {})
-        self._policy = supervise.SupervisionPolicy.from_env(self._options)
+        self._policy = supervise.base_policy().with_options(self._options)
         self._log = supervise.SupervisionLog()
         self._connections = [
             _WorkerConnection(
@@ -394,23 +388,19 @@ class SocketBackend(ExecutionBackend):
             )
         info = reply[1] if len(reply) > 1 else {}
         mine = worker_info()
-        if (
-            info.get("protocol") not in ACCEPTED_PROTOCOLS
-            or info.get("python") != mine["python"]
-        ):
+        if info != mine:
             sock.close()
             raise BackendProtocolError(
                 f"worker {conn.address} is incompatible: it runs "
                 f"protocol {info.get('protocol')!r} on Python {info.get('python')!r}, "
-                f"this client accepts protocols {ACCEPTED_PROTOCOLS} on Python {mine['python']!r}"
+                f"this client needs protocol {mine['protocol']} on Python {mine['python']!r}"
             )
         sock.settimeout(self._policy.connect_timeout_s)
-        conn.protocol = int(info["protocol"])
         conn.sock = sock
         conn.alive = True
         conn.breaker.record_success()
         self._log.record(
-            "connected", worker=self._worker_key(conn), protocol=conn.protocol
+            "connected", worker=self._worker_key(conn), protocol=PROTOCOL_VERSION
         )
         return True
 
@@ -511,7 +501,7 @@ class SocketBackend(ExecutionBackend):
         """Read frames until a non-heartbeat reply arrives, under both the
         per-frame silence window and the total chunk deadline."""
         deadline = self._policy.chunk_deadline_s
-        frame_timeout = self._policy.frame_timeout_s(conn.protocol)
+        frame_timeout = self._policy.frame_timeout_s()
         started = time.monotonic()
         while True:
             timeout = frame_timeout
@@ -538,6 +528,28 @@ class SocketBackend(ExecutionBackend):
                 _HEARTBEATS.inc()
                 continue
             return reply, recv_ns
+
+    def _run_ctx(self) -> Dict[str, Any]:
+        """This process's run settings, shipped with every chunk.
+
+        Workers are fresh interpreters (possibly on other hosts), so the
+        settings ride the run frame; the worker installs them only in the
+        chunk's forked child.  ``cache_dir`` is meaningful for loopback
+        pools and shared filesystems."""
+        ctx: Dict[str, Any] = {
+            "cache": _perf_cache.CACHE.enabled,
+            "trace": _trace.TRACER.enabled,
+            "profile": _profile.PROFILER.enabled,
+        }
+        store = _perf_store.active_store()
+        if store is not None:
+            ctx["cache_dir"] = store.base
+        job = _obs_log.correlation()
+        if job is not None:
+            ctx["job"] = job
+        if self._policy.enabled:
+            ctx["heartbeat_s"] = self._policy.heartbeat_s
+        return ctx
 
     def _quarantine(self, chunk_index: int, killers: set) -> ChunkOutcome:
         _QUARANTINED.inc()
@@ -575,24 +587,7 @@ class SocketBackend(ExecutionBackend):
                 )
                 _progress.advance()
                 return
-            ctx: Dict[str, Any] = {
-                "trace": _trace.TRACER.enabled,
-                "profile": _profile.PROFILER.enabled,
-            }
-            job = _obs_log.correlation()
-            if job is not None:
-                # Workers are fresh interpreters (possibly other hosts), so
-                # the correlation id rides the run frame instead of the
-                # environment; the worker re-installs it around the chunk.
-                ctx["job"] = job
-            cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip()
-            if cache_dir:
-                # Ship the caller's persistent cache directory; meaningful
-                # for loopback pools and shared filesystems.  A worker with
-                # its own --cache-dir (or inherited env) ignores it.
-                ctx["cache_dir"] = cache_dir
-            if self._policy.enabled and conn.protocol >= 3:
-                ctx["heartbeat_s"] = self._policy.heartbeat_s
+            ctx = self._run_ctx()
             try:
                 with conn.lock:
                     sock = conn.sock

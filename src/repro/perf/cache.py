@@ -44,8 +44,8 @@ clears the cache at the start of every experiment child.
 
 Configuration
 -------------
-The environment variable ``REPRO_CACHE`` (``on``/``off``, default ``on``)
-sets the initial state; :func:`configure` overrides it at runtime.  All
+The cache starts enabled; :func:`configure` switches it (``RunConfig.apply``
+calls it with the resolved ``cache`` setting).  All
 stores publish ``perf.cache.<store>.{hits,misses,evictions}`` counters and
 ``perf.intern.<kind>.{hits,misses}`` counters on the global
 :mod:`repro.obs.metrics` registry, so cache behaviour shows up in run
@@ -54,7 +54,6 @@ reports and bench trajectories without extra plumbing.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from fractions import Fraction
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
@@ -95,15 +94,6 @@ DEFAULT_BOUNDS = {
     "intern_fragments": 65536,
     "intern_measures": 16384,
 }
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE", "on").strip().lower() not in (
-        "off",
-        "0",
-        "false",
-        "no",
-    )
 
 
 class _BoundedStore:
@@ -285,7 +275,7 @@ class PerfCache:
         b = dict(DEFAULT_BOUNDS)
         if bounds:
             b.update(bounds)
-        self.enabled: bool = _env_enabled()
+        self.enabled = True
         self.transitions = _BoundedStore(
             "transition", b["transition_owners"], b["transition_entries"]
         )
@@ -344,9 +334,9 @@ def cache_enabled() -> bool:
     return CACHE.enabled
 
 
-def configure(*, enabled: Optional[bool] = None) -> None:
-    """Override the cache switch; ``enabled=None`` re-reads ``REPRO_CACHE``."""
-    CACHE.enabled = _env_enabled() if enabled is None else bool(enabled)
+def configure(*, enabled: bool) -> None:
+    """Switch the cache on or off for this process (and its forks)."""
+    CACHE.enabled = bool(enabled)
 
 
 def clear() -> None:

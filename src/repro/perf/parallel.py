@@ -39,13 +39,13 @@ Backend resolution, in order: the ``backend`` argument (an
 :class:`~repro.perf.backends.ExecutionBackend` instance or a spec string),
 the legacy ``workers`` argument (mapped to ``fork:N``), then the
 process-wide default (:func:`repro.perf.backends.configure_backend`, else
-``REPRO_BACKEND``, else serial).  The experiment runner's ``--parallel``
+serial).  The experiment runner's ``--parallel``
 flag deliberately does *not* configure a backend: runner parallelism fans
 whole experiments, and nesting both layers oversubscribes the host (see
 ``docs/performance.md``).
 
 **Sweep memoization** — with the cache enabled *and* a persistent store
-active (``REPRO_CACHE_DIR``; :mod:`repro.perf.store`), a whole sweep whose
+active (:mod:`repro.perf.store`), a whole sweep whose
 ``(fn, items)`` pair has a canonical structural fingerprint is memoized on
 disk: an identical sweep (same closure structure, same captured automata
 and parameters, same items — seeds ride in the items, so seed rotation

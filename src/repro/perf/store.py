@@ -6,21 +6,20 @@ cross-restart one: entries are keyed by the content hashes of
 fresh interpreter computing the same unfolding (or the same whole sweep)
 finds the result on disk instead of recomputing it.
 
-Activation is purely environmental: ``REPRO_CACHE_DIR`` names the cache
-directory (the runner's ``--cache-dir`` flag exports it, and both the
-fork backend — via copy-on-write — and the socket transport — via the
-worker CLI and the run-frame context — propagate it to workers).  When
-the variable is unset, :func:`active_store` returns ``None`` and the perf
-layer behaves exactly as before; nothing else in the process needs
-configuring, which is what keeps experiment child processes and remote
-workers in agreement without a handshake.
+Activation is one module-level directory, set by :func:`configure`
+(``RunConfig.apply`` calls it with the resolved ``cache_dir``).  Forked
+experiment children and fork-backend chunks inherit it through memory;
+socket and pool workers receive it per chunk in the run-frame ``ctx``
+(a worker started with its own ``--cache-dir`` keeps that one).  While no
+directory is configured, :func:`active_store` returns ``None`` and the
+perf layer runs without a disk tier.
 
 On-disk format
 --------------
 
 ::
 
-    <REPRO_CACHE_DIR>/
+    <cache_dir>/
       v<STORE_FORMAT>.<FINGERPRINT_VERSION>-py<major>.<minor>/
         unfold/<automaton-fingerprint>/<entry-fingerprint>.pkl
         sweep/<shard>/<entry-fingerprint>.pkl
@@ -38,7 +37,7 @@ sharded by the *dependency* fingerprint (the automaton), which is what
 makes :func:`invalidate` cheap; ``sweep`` entries have no single
 dependency, so invalidation conservatively drops that whole kind.
 
-Entries are trusted input: only point ``REPRO_CACHE_DIR`` at directories
+Entries are trusted input: only point the store at directories
 written by processes you trust, as entries are unpickled on read.
 """
 
@@ -58,7 +57,7 @@ __all__ = [
     "STORE_FORMAT",
     "PersistentStore",
     "active_store",
-    "cache_dir",
+    "configure",
     "version_tag",
 ]
 
@@ -71,10 +70,14 @@ _WRITES = _metrics.counter("perf.cache.persistent.writes")
 _INVALIDATIONS = _metrics.counter("perf.cache.persistent.invalidations")
 
 
-def cache_dir() -> Optional[str]:
-    """The persistent cache directory from ``REPRO_CACHE_DIR``, or None."""
-    raw = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    return raw or None
+#: The configured store directory (``None``: no disk tier).
+_DIRECTORY: Optional[str] = None
+
+
+def configure(directory: Optional[str]) -> None:
+    """Point this process's store at ``directory`` (``None`` disables it)."""
+    global _DIRECTORY
+    _DIRECTORY = directory or None
 
 
 def version_tag() -> str:
@@ -88,16 +91,13 @@ def version_tag() -> str:
 
 
 def active_store() -> Optional["PersistentStore"]:
-    """A store over ``REPRO_CACHE_DIR``, or ``None`` when unset.
+    """A store over the configured directory, or ``None`` when unset.
 
-    Reads the environment on every call — construction does no I/O, so
-    this is cheap enough for memo-boundary checks and means children that
-    inherited (or were handed) the variable need no further setup.
-    """
-    base = cache_dir()
-    if base is None:
+    Construction does no I/O, so this is cheap enough for memo-boundary
+    checks."""
+    if _DIRECTORY is None:
         return None
-    return PersistentStore(base)
+    return PersistentStore(_DIRECTORY)
 
 
 class PersistentStore:

@@ -7,9 +7,10 @@ may die, hang, or rejoin while a sweep stays deterministic.  It supplies
 the policy and mechanisms the socket transport consults:
 
 * :class:`SupervisionPolicy` — one frozen bundle of knobs (deadlines,
-  heartbeat cadence, backoff shape, breaker thresholds, poison limits),
-  resolved from the environment and overridden per-backend by spec options
-  (``socket:host:port;deadline=30;supervise=on``);
+  heartbeat cadence, backoff shape, breaker thresholds, poison limits).
+  ``RunConfig.apply`` installs a process-wide base policy
+  (:func:`configure_policy`) and each backend overlays its spec options
+  on it (``socket:host:port;deadline=30;supervise=on``);
 * :func:`backoff_delay` — seeded-deterministic exponential backoff with
   jitter.  The delay is a pure function of ``(seed, worker key, attempt)``
   (string seeding of :class:`random.Random` hashes with SHA-512, so it is
@@ -56,19 +57,11 @@ __all__ = [
     "SupervisionPolicy",
     "WorkerProcess",
     "backoff_delay",
+    "base_policy",
+    "configure_policy",
 ]
 
 _RESPAWNS = _counter("perf.supervise.respawns")
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
 
 
 def _parse_deadline(raw: Any, default: Optional[float]) -> Optional[float]:
@@ -133,30 +126,10 @@ class SupervisionPolicy:
     #: times a LocalPoolBackend will respawn each worker slot
     max_respawns: int = 2
 
-    @classmethod
-    def from_env(
-        cls, options: Optional[Mapping[str, Any]] = None
-    ) -> "SupervisionPolicy":
-        """Resolve the policy: defaults <- environment <- spec ``options``.
-
-        Environment: ``REPRO_SUPERVISE`` (on/off), ``REPRO_SUPERVISE_SEED``,
-        ``REPRO_CHUNK_DEADLINE`` (seconds; ``0``/``off`` unbounded) and
-        ``REPRO_SOCKET_TIMEOUT`` (connect/handshake seconds).  Spec options
-        (``supervise``, ``seed``, ``deadline``, ``timeout``, ``heartbeat``,
-        plus any policy field name) win over the environment.
-        """
-        policy = cls(
-            enabled=_parse_switch(os.environ.get("REPRO_SUPERVISE", ""), cls.enabled),
-            seed=int(_env_float("REPRO_SUPERVISE_SEED", cls.seed)),
-            connect_timeout_s=_env_float("REPRO_SOCKET_TIMEOUT", cls.connect_timeout_s),
-            chunk_deadline_s=_parse_deadline(
-                os.environ.get("REPRO_CHUNK_DEADLINE"), cls.chunk_deadline_s
-            ),
-        )
-        return policy.with_options(options or {})
-
     def with_options(self, options: Mapping[str, Any]) -> "SupervisionPolicy":
-        """A copy updated from backend-spec ``key=value`` options."""
+        """A copy updated from backend-spec ``key=value`` options
+        (``supervise``, ``seed``, ``deadline``, ``timeout``, ``heartbeat``,
+        plus any policy field name)."""
         aliases = {
             "supervise": "enabled",
             "deadline": "chunk_deadline_s",
@@ -192,17 +165,33 @@ class SupervisionPolicy:
                     )
         return replace(self, **updates) if updates else self
 
-    def frame_timeout_s(self, protocol: int) -> Optional[float]:
+    def frame_timeout_s(self) -> Optional[float]:
         """Longest silence tolerated between frames of one reply.
 
-        A supervised v3 worker heartbeats while the chunk runs, so silence
-        longer than a few heartbeat periods means the worker is gone; a v2
-        worker is legitimately silent for the whole chunk, so only the
-        chunk deadline bounds the wait.
+        A supervised worker heartbeats while the chunk runs, so silence
+        longer than a few heartbeat periods means the worker is gone; an
+        unsupervised chunk gets no heartbeats, so only the chunk deadline
+        bounds the wait.
         """
-        if self.enabled and protocol >= 3:
+        if self.enabled:
             return max(self.heartbeat_s * self.heartbeat_grace, 0.1)
         return self.chunk_deadline_s
+
+
+#: The process-wide base policy backends overlay their spec options on.
+_BASE_POLICY = SupervisionPolicy()
+
+
+def configure_policy(policy: SupervisionPolicy) -> None:
+    """Install the base policy (``RunConfig.apply`` builds it from the
+    config's ``supervise``, ``chunk_deadline`` and ``seed``)."""
+    global _BASE_POLICY
+    _BASE_POLICY = policy
+
+
+def base_policy() -> SupervisionPolicy:
+    """The installed base policy (defaults until one is configured)."""
+    return _BASE_POLICY
 
 
 def backoff_delay(policy: SupervisionPolicy, worker: str, attempt: int) -> float:

@@ -1,7 +1,7 @@
 """TCP worker for the socket execution backend.
 
-Stand one up per core (or per machine) and point ``REPRO_BACKEND`` / the
-runner's ``--backend`` at the pool::
+Stand one up per core (or per machine) and point the runner's
+``--backend`` (or ``REPRO_BACKEND``) at the pool::
 
     python -m repro.perf.worker --listen 127.0.0.1:9001
     python -m repro.perf.worker --listen 0.0.0.0:9001      # other hosts may connect
@@ -19,9 +19,12 @@ the chunk as lost instead of dying.  Multiple clients (e.g. several
 crash-isolated experiment children of one ``--parallel`` runner) are served
 concurrently.
 
-The worker forces ``REPRO_BACKEND=serial`` for its own process tree: a
-sweep nested inside a shipped chunk must never dial back into the pool the
-chunk came from.
+The worker resolves its own settings once at start-up, from its flags and
+the ``REPRO_*`` environment (:func:`repro.api.resolve_config`), with the
+backend forced to ``serial``: a sweep nested inside a shipped chunk must
+never dial back into the pool the chunk came from.  Each run frame's
+``ctx`` then carries the caller's settings for that chunk; they are
+installed only in the chunk's forked child.
 
 Per-connection request log lines go to stderr (CI captures them as
 artifacts).  POSIX only (``os.fork``); frames are pickles, so bind only to
@@ -37,11 +40,10 @@ import sys
 import threading
 import time
 import traceback
+from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
 from repro.obs import log as _obs_log
-from repro.obs import profile as _profile
-from repro.obs import trace as _trace
 from repro.perf import pickling
 from repro.perf.backends.fork import run_chunk_in_fork
 from repro.perf.backends.sockets import FrameError, recv_frame, send_frame, worker_info
@@ -70,6 +72,7 @@ def _handle_run(
     fn_blob: bytes,
     chunk_blob: bytes,
     ctx: dict,
+    pinned_store: bool,
 ) -> str:
     try:
         fn = pickling.loads(fn_blob)
@@ -81,26 +84,16 @@ def _handle_run(
             ("fatal", f"worker could not unpickle the chunk:\n{traceback.format_exc()}"),
         )
         return "fatal: unpicklable chunk"
-    # The caller's trace wish rides in the run frame's ctx; a worker whose
-    # own REPRO_TRACE gate is on traces even for an untraced caller.  The
-    # profile wish works exactly the same way (REPRO_PROFILE gate).
-    trace = True if (ctx.get("trace") or _trace.is_enabled()) else None
-    profile = True if (ctx.get("profile") or _profile.PROFILER.enabled) else None
-    # The caller's persistent cache directory also rides in the ctx (the
-    # path must be meaningful on this host — loopback pools and shared
-    # filesystems).  Exported to the environment so the forked chunk child
-    # below inherits it and dedupes against the same store; an explicit
-    # --cache-dir on this worker wins.
-    cache_dir = ctx.get("cache_dir")
-    if cache_dir and "REPRO_CACHE_DIR" not in os.environ:
-        os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
-    # The caller's job correlation id (repro.obs.log) also rides the ctx.
-    # It is installed only inside the forked chunk child, never in this
-    # worker process: connection threads serve many clients concurrently,
-    # and a process-global id would bleed across their chunks.
+    # The caller's settings are installed only inside the forked chunk
+    # child, never in this worker process: connection threads serve many
+    # clients concurrently, and process-global settings would bleed across
+    # their chunks.  A store pinned with --cache-dir wins over the caller's.
+    settings = dict(ctx)
+    if pinned_store:
+        settings.pop("cache_dir", None)
     job = ctx.get("job")
     started = time.perf_counter()
-    # Protocol v3: a supervised client asks for liveness frames while the
+    # A supervised client asks for liveness frames while the
     # chunk runs (ctx["heartbeat_s"]); the chunk executes in a helper
     # thread and this thread beats until it finishes.  The heartbeat and
     # the reply share one send lock so frames never interleave.
@@ -113,9 +106,7 @@ def _handle_run(
         def _run() -> None:
             try:
                 collected_box.append(
-                    run_chunk_in_fork(
-                        fn, chunk, trace=trace, lane="worker", profile=profile, job=job
-                    )
+                    run_chunk_in_fork(fn, chunk, lane="worker", ctx=settings)
                 )
             finally:
                 done.set()
@@ -131,9 +122,7 @@ def _handle_run(
         runner.join()
         collected = collected_box[0] if collected_box else None
     else:
-        collected = run_chunk_in_fork(
-            fn, chunk, trace=trace, lane="worker", profile=profile, job=job
-        )
+        collected = run_chunk_in_fork(fn, chunk, lane="worker", ctx=settings)
     elapsed = time.perf_counter() - started
     beaten = f", {beats} heartbeats" if beats else ""
     if collected is None:
@@ -166,7 +155,9 @@ def _handle_run(
     return f"{status} ({len(chunk)} items, {elapsed:.2f}s{traced}{profiled}{beaten})"
 
 
-def _serve_connection(conn: socket.socket, peer: Tuple[str, int]) -> None:
+def _serve_connection(
+    conn: socket.socket, peer: Tuple[str, int], pinned_store: bool
+) -> None:
     _log(f"client {peer[0]}:{peer[1]} connected")
     send_lock = threading.Lock()
     try:
@@ -187,7 +178,9 @@ def _serve_connection(conn: socket.socket, peer: Tuple[str, int]) -> None:
                 _locked_send(conn, send_lock, ("pong", worker_info()))
             elif kind == "run":
                 ctx = message[3] if len(message) > 3 else {}
-                outcome = _handle_run(conn, send_lock, message[1], message[2], ctx)
+                outcome = _handle_run(
+                    conn, send_lock, message[1], message[2], ctx, pinned_store
+                )
                 _log(f"client {peer[0]}:{peer[1]} chunk -> {outcome}")
             elif kind == "shutdown":
                 _log(f"client {peer[0]}:{peer[1]} requested shutdown")
@@ -205,8 +198,17 @@ def _serve_connection(conn: socket.socket, peer: Tuple[str, int]) -> None:
         _log(f"client {peer[0]}:{peer[1]} disconnected")
 
 
-def serve(host: str, port: int, *, ready: Optional[threading.Event] = None) -> None:
-    """Bind, announce, and serve forever (thread per connection)."""
+def serve(
+    host: str,
+    port: int,
+    *,
+    ready: Optional[threading.Event] = None,
+    pinned_store: bool = False,
+) -> None:
+    """Bind, announce, and serve forever (thread per connection).
+
+    ``pinned_store``: this process's store wins over the ``cache_dir``
+    run frames carry (the worker was started with ``--cache-dir``)."""
     server = socket.create_server((host, port))
     bound_host, bound_port = server.getsockname()[:2]
     print(f"repro-perf-worker listening on {bound_host}:{bound_port}", flush=True)
@@ -215,7 +217,9 @@ def serve(host: str, port: int, *, ready: Optional[threading.Event] = None) -> N
         ready.set()
     while True:
         conn, peer = server.accept()
-        thread = threading.Thread(target=_serve_connection, args=(conn, peer), daemon=True)
+        thread = threading.Thread(
+            target=_serve_connection, args=(conn, peer, pinned_store), daemon=True
+        )
         thread.start()
 
 
@@ -235,10 +239,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="DIR",
         help=(
-            "persistent perf-cache directory (exports REPRO_CACHE_DIR so "
-            "chunk children dedupe unfoldings and sweeps against it; "
-            "defaults to the inherited environment, else the directory a "
-            "client ships in its run frames)"
+            "persistent perf-cache directory chunk children dedupe "
+            "unfoldings and sweeps against, whatever clients ship (default: "
+            "the directory each run frame carries, else REPRO_CACHE_DIR)"
         ),
     )
     args = parser.parse_args(argv)
@@ -255,17 +258,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"--listen must be HOST:PORT, got {args.listen!r}", file=sys.stderr)
         return 2
 
+    from repro.api import ConfigError, resolve_config
+
+    try:
+        config = resolve_config(cache_dir=args.cache_dir)
+    except ConfigError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
     # A sweep nested inside a chunk must run serially, never dial back into
     # the pool this worker belongs to (that would deadlock the pool).
-    os.environ["REPRO_BACKEND"] = "serial"
-    if args.cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = os.path.abspath(args.cache_dir)
+    replace(config, backend=None).apply()
     # Marker for shipped closures that must behave differently inside a
     # worker than in the caller's fallback path (chaos tests lean on this).
     os.environ["REPRO_PERF_WORKER"] = "1"
 
     try:
-        serve(host, port)
+        serve(host, port, pinned_store=args.cache_dir is not None)
     except KeyboardInterrupt:
         _log("interrupted, exiting")
     return 0

@@ -15,19 +15,20 @@ One :class:`JobService` owns four things:
   fallback — the chunk is recomputed in the service process and the job
   still completes,
 * a single **dispatcher thread** executing queued jobs strictly one at a
-  time.  Serial execution is load-bearing, not a simplification:
-  :meth:`repro.api.RunConfig.apply` exports the resolved configuration
-  into the process environment (that is how children and workers inherit
-  it), so two concurrently-applied configs would race; within one job,
-  ``parallel``/backend fan-out still provides the concurrency.
+  time.  :meth:`repro.api.RunConfig.apply` sets this process's subsystem
+  switches (cache, store, backend, tracer, ...), so two concurrently
+  applied configs would race; within one job, ``parallel``/backend
+  fan-out still provides the concurrency.  Each job's config is resolved
+  at submission from its own fields plus the service's start-up
+  environment — never from what an earlier job applied.
 
 Result reuse is layered, cheapest first: an *identical active* submission
 coalesces onto the in-flight job (one execution, every submitter gets the
 report); a submission with ``"reuse": true`` is served a completed
 identical job's report without running at all; and an ordinary warm
 resubmission re-runs the suite but its sweeps are answered from the
-persistent content-addressed store (``REPRO_CACHE_DIR`` shared across the
-pool), so nothing is re-dispatched — the report's
+persistent content-addressed store (the job's ``cache_dir``, shipped to
+the pool in every run frame), so nothing is re-dispatched — the report's
 ``summary.cache.counters`` shows ``perf.cache.sweep.hits`` > 0, which is
 also how the CI smoke asserts warmness.
 

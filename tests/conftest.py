@@ -4,8 +4,9 @@ The observability registry and the perf cache are process-global; resetting
 both before every test keeps per-test counter assertions and cache-hit
 behaviour independent of execution order (instrument objects are zeroed in
 place, so module-level bindings stay valid — see :mod:`repro.obs.metrics`).
-The cache's enabled flag is re-read from ``REPRO_CACHE`` so the tier-1
-suite can run under either cache mode (the CI matrix exercises both).
+Every test then starts from the invoking shell's ``REPRO_*`` gates,
+resolved and applied the way every entry point does it, so the CI cache
+(on/off) and socket-backend matrices govern every test.
 """
 
 import os
@@ -15,12 +16,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import resolve_config
 from repro.obs import log as obs_log
 from repro.obs import metrics, profile, progress, trace
-from repro.perf import backends as perf_backends
 from repro.perf import cache as perf_cache
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# A store inherited from the invoking shell would make unrelated tests share
+# a warm disk cache; tests that want one configure their own.
+os.environ.pop("REPRO_CACHE_DIR", None)
 
 
 def subprocess_env():
@@ -59,38 +64,11 @@ def spawn_worker():
 @pytest.fixture(autouse=True)
 def _clean_observability():
     metrics.reset()
-    trace.disable()
     trace.TRACER.clear()
-    profile.disable()
     profile.clear()
-    progress.disable()
     del progress._LISTENERS[:]
     perf_cache.clear()
-    perf_cache.configure(enabled=None)
-    # Drop any explicitly configured execution backend so each test resolves
-    # from the environment (REPRO_BACKEND — the CI matrix exercises specs).
-    perf_backends.configure_backend(None)
-    # The persistent store resolves from REPRO_CACHE_DIR per call; a value
-    # inherited from the invoking shell would make unrelated tests share a
-    # warm disk cache.  Tests opt in with monkeypatch.setenv (monkeypatch
-    # runs after this autouse fixture, so opting in still works).
-    inherited_cache_dir = os.environ.pop("REPRO_CACHE_DIR", None)
-    # RunConfig.apply() exports the resolved REPRO_CACHE so children inherit
-    # it; restore the invoking shell's value after each test so the CI cache
-    # matrix (on/off) governs every test, not just the ones before the first
-    # runner invocation.
-    inherited_cache = os.environ.get("REPRO_CACHE")
-    # apply() exports these gates the same way.  A service job executed
-    # in-process leaves them behind (e.g. REPRO_BACKEND pointing at a pool
-    # that died with its test), and the env gate would beat a later test's
-    # defaults — so restore the invoking shell's value after each test,
-    # keeping the CI backend/supervise matrices in force throughout.
-    applied_gates = {
-        name: os.environ.get(name)
-        for name in ("REPRO_BACKEND", "REPRO_SUPERVISE", "REPRO_SUPERVISE_SEED",
-                     "REPRO_CHUNK_DEADLINE", "REPRO_PROFILE", "REPRO_TRACE",
-                     "REPRO_PROGRESS")
-    }
+    resolve_config().apply()
     # The structured log sink and the job correlation id are process-global
     # (and env-exported by configure/set_correlation); start every test with
     # both cleared so records/tags never leak across tests, and restore the
@@ -104,16 +82,3 @@ def _clean_observability():
     obs_log.set_correlation(None)
     if inherited_log is not None:
         os.environ["REPRO_LOG"] = inherited_log
-    if inherited_cache_dir is not None:
-        os.environ["REPRO_CACHE_DIR"] = inherited_cache_dir
-    else:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    if inherited_cache is not None:
-        os.environ["REPRO_CACHE"] = inherited_cache
-    else:
-        os.environ.pop("REPRO_CACHE", None)
-    for name, value in applied_gates.items():
-        if value is not None:
-            os.environ[name] = value
-        else:
-            os.environ.pop(name, None)

@@ -5,12 +5,13 @@ The resolver's contract is one documented precedence — explicit overrides
 pin that order, the normalizations (spec canonicalization, abspath,
 ``profile_dir`` implies ``profile``), the historic precedence bug it
 fixes (``REPRO_CACHE=off`` used to be clobbered by the CLI flag default),
-and the facade wrappers + deprecation shims the CLI/service build on.
+the facade wrappers the CLI/service build on, and that applying a config
+never touches the environment.
 """
 
 import json
 import os
-import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -110,29 +111,50 @@ class TestRunConfigShape:
         with pytest.raises(ConfigError):
             RunConfig(seed="lucky")
 
-    def test_apply_exports_the_resolved_gates(self, tmp_path, monkeypatch):
-        # apply() honors a pre-set seed (chaos CI pins one); clear it with
-        # restore registered so the assertion sees apply()'s own export.
-        monkeypatch.setenv("REPRO_SUPERVISE_SEED", "placeholder")
-        monkeypatch.delenv("REPRO_SUPERVISE_SEED")
-        store = str(tmp_path / "store")
-        config = resolve_config(
-            env={}, cache="off", cache_dir=store, backend="fork:2",
-            supervise=True, seed=11, chunk_deadline=45.0,
-        )
-        config.apply()
-        assert os.environ["REPRO_CACHE"] == "off"
-        assert os.environ["REPRO_CACHE_DIR"] == os.path.abspath(store)
-        assert os.environ["REPRO_BACKEND"] == "fork:2"
-        assert os.environ["REPRO_SUPERVISE"] == "on"
-        assert os.environ["REPRO_SUPERVISE_SEED"] == "11"
-        assert os.environ["REPRO_CHUNK_DEADLINE"] == "45.0"
-        # A default config clears what it does not ask for, so children
-        # never inherit a stale gate from a previous apply.
+    def test_apply_configures_subsystems_without_exporting(self, tmp_path):
+        from repro.obs import trace
+        from repro.perf import backends, cache, store, supervise
+
+        before = dict(os.environ)
+        store_dir = str(tmp_path / "store")
+        resolve_config(
+            env={}, cache="off", cache_dir=store_dir, backend="fork:2",
+            supervise=True, seed=11, chunk_deadline=45.0, trace=True,
+        ).apply()
+        assert dict(os.environ) == before
+        assert not cache.CACHE.enabled
+        assert store.active_store().base == os.path.abspath(store_dir)
+        assert backends.current_spec() == "fork:2"
+        policy = supervise.base_policy()
+        assert policy.enabled and policy.seed == 11
+        assert policy.chunk_deadline_s == 45.0
+        assert trace.is_enabled()
+        # A default config resets every switch it does not ask for, so
+        # nothing from a previous apply survives.
         resolve_config(env={}).apply()
-        assert os.environ["REPRO_CACHE"] == "on"
-        assert "REPRO_BACKEND" not in os.environ
-        assert "REPRO_SUPERVISE" not in os.environ
+        assert cache.CACHE.enabled and store.active_store() is None
+        assert backends.current_spec() == "serial"
+        assert supervise.base_policy() == supervise.SupervisionPolicy()
+        assert not trace.is_enabled()
+
+    def test_run_suite_leaves_environment_untouched(self, tmp_path):
+        from repro.obs import profile
+
+        before = dict(os.environ)
+        settings = dict(
+            full=True, timeout=120.0, retries=1, seed=5, isolated=True,
+            keep_going=False, parallel=2, cache="stats",
+            cache_dir=str(tmp_path / "store"), backend="fork:2", supervise=True,
+            chunk_deadline=30.0, trace=True, trace_dir=str(tmp_path / "traces"),
+            profile=True, profile_dir=str(tmp_path / "profiles"), progress=True,
+        )
+        assert set(settings) == {f.name for f in fields(RunConfig)}
+        try:
+            result = api.run_suite(["E9"], config=RunConfig(**settings))
+        finally:
+            profile.disable()
+        assert result.ok
+        assert dict(os.environ) == before
 
 
 class TestCacheEnvPrecedenceFix:
@@ -212,23 +234,12 @@ class TestFacade:
         assert listed["E1"] == ALL_EXPERIMENTS["E1"][1]
 
 
+
 class TestDeprecationShims:
-    def test_runner_deep_imports_warn_but_resolve(self):
-        from repro.experiments import runner
-        from repro.obs import report as obs_report
-
-        with pytest.warns(DeprecationWarning, match="repro.obs.report"):
-            shimmed = runner.build_report
-        assert shimmed is obs_report.build_report
-        with pytest.warns(DeprecationWarning):
-            assert runner.ALL_EXPERIMENTS is not None
-        with pytest.warns(DeprecationWarning):
-            assert runner.SupervisionPolicy is not None
-
     def test_unknown_runner_attribute_still_raises(self):
+        # The deep-import re-exports are gone: the runner module is the CLI.
         from repro.experiments import runner
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        for name in ("definitely_not_a_thing", "build_report", "SupervisionPolicy"):
             with pytest.raises(AttributeError):
-                runner.definitely_not_a_thing
+                getattr(runner, name)

@@ -298,17 +298,18 @@ class TestReportSchema:
     def test_schema_constant_is_versioned(self):
         assert REPORT_SCHEMA.endswith("/4")
 
-    def test_legacy_v3_report_still_validates(self):
+    def test_legacy_v3_report_is_rejected(self):
         payload = build_report(
             [outcome_record(_outcome(), "claim", default_seed=1)], fast=True
         )
         legacy = json.loads(json.dumps(payload))
         legacy["schema"] = "repro.obs.run-report/3"
-        validate_report(legacy)  # raises on violation
+        with pytest.raises(ReportSchemaError, match="run-report/4"):
+            validate_report(legacy)
 
     def test_histogram_p99_and_mean_are_optional(self):
-        # /4 exports carry p99/mean; older artifacts without them (and the
-        # committed /3-era fixtures) must keep validating unchanged.
+        # /4 exports carry p99/mean; artifacts without them must keep
+        # validating unchanged.
         record = outcome_record(_outcome(), "claim", default_seed=1)
         payload = build_report([record], fast=True)
         with_stats = json.loads(json.dumps(payload))
@@ -327,16 +328,10 @@ class TestReportSchema:
         with pytest.raises(ReportSchemaError):
             validate_report(bad)
 
-    def test_legacy_v1_report_without_histograms_validates(self):
+    def test_report_without_histograms_is_rejected(self):
         payload = build_report(
             [outcome_record(_outcome(), "claim", default_seed=1)], fast=True
         )
-        legacy = json.loads(json.dumps(payload))
-        legacy["schema"] = "repro.obs.run-report/1"
-        for record in legacy["experiments"]:
-            record.pop("histograms")  # /1 records predate the field
-        validate_report(legacy)  # raises on violation
-        # ... but a /2 report may not drop it.
         current = json.loads(json.dumps(payload))
         current["experiments"][0].pop("histograms")
         with pytest.raises(ReportSchemaError):

@@ -356,8 +356,10 @@ class TestSocketTransport:
 
 class TestEnvGates:
     def test_repro_trace_enables_fresh_process(self):
+        # Importing never reads the gate; the entry-point resolution does.
         script = (
-            "from repro.obs import trace; "
+            "from repro.obs import trace; assert not trace.is_enabled(); "
+            "from repro.api import resolve_config; resolve_config().apply(); "
             "print('enabled' if trace.is_enabled() else 'disabled')"
         )
         for value, expected in (("on", "enabled"), ("", "disabled"), ("off", "disabled")):
@@ -370,7 +372,8 @@ class TestEnvGates:
 
     def test_repro_progress_enables_fresh_process(self):
         script = (
-            "from repro.obs import progress; "
+            "from repro.obs import progress; assert not progress.is_enabled(); "
+            "from repro.api import resolve_config; resolve_config().apply(); "
             "print('enabled' if progress.is_enabled() else 'disabled')"
         )
         env = _subprocess_env()
@@ -466,10 +469,11 @@ class TestProgress:
         assert "\r" not in stream.getvalue()
 
     def test_plain_env_value_enables_and_forces_plain(self):
+        # The rendering mode is set at import; the switch at the entry point.
         script = (
-            "from repro.obs import progress; "
-            "print('enabled' if progress.is_enabled() else 'disabled', "
-            "progress.PROGRESS.mode)"
+            "from repro.obs import progress; mode = progress.PROGRESS.mode; "
+            "from repro.api import resolve_config; resolve_config().apply(); "
+            "print('enabled' if progress.is_enabled() else 'disabled', mode)"
         )
         env = _subprocess_env()
         env["REPRO_PROGRESS"] = "plain"

@@ -210,8 +210,11 @@ class TestDisabledContract:
         )
 
     def test_repro_profile_gates_a_fresh_process(self):
+        # Importing never reads the gate; the entry-point resolution does.
         script = (
             "import sys; from repro.obs import profile; "
+            "assert not profile.is_enabled() and sys.getprofile() is None; "
+            "from repro.api import resolve_config; resolve_config().apply(); "
             "print('enabled' if profile.is_enabled() else 'disabled', "
             "'hooked' if sys.getprofile() is not None else 'unhooked')"
         )

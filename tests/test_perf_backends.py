@@ -102,13 +102,13 @@ class TestSpecs:
 
 class TestResolution:
     def test_configure_spec_wins_over_environment(self, monkeypatch):
+        # The environment is read only by resolve_config at entry points.
         monkeypatch.setenv("REPRO_BACKEND", "fork:7")
         configure_backend("fork:3")
         assert current_spec() == "fork:3"
         assert get_backend().parallelism == 3
         configure_backend(None)
-        assert current_spec() == "fork:7"
-        assert get_backend().parallelism == 7
+        assert current_spec() == "serial"
 
     def test_configure_instance_used_directly(self):
         instance = SerialBackend()
@@ -119,8 +119,8 @@ class TestResolution:
         with pytest.raises(BackendSpecError):
             configure_backend("warp:9")
 
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_default_is_serial(self):
+        configure_backend(None)
         assert current_spec() == "serial"
 
     def test_describe_shape(self):
@@ -322,6 +322,15 @@ class TestSocketBackend:
             backend.close()
             server.close()
 
+    def test_protocol_v2_worker_refused(self, fake_worker):
+        port = fake_worker(lambda conn: _handshake(conn, protocol=2))
+        backend = make_backend(f"socket:127.0.0.1:{port}")
+        try:
+            with pytest.raises(BackendProtocolError, match="protocol 2"):
+                backend.submit_chunks(lambda x: x, [[(0, 1)]])
+        finally:
+            backend.close()
+
     def test_shutdown_request_stops_worker(self, spawn_worker):
         proc, port = spawn_worker()
         sock = socket_module.create_connection(("127.0.0.1", port), timeout=10)
@@ -381,7 +390,7 @@ class TestMisbehavingWorkers:
         hung = threading.Event()
 
         def stall(conn):
-            _handshake(conn, protocol=2)
+            _handshake(conn)
             recv_frame(conn)  # the run request...
             hung.wait(30)  # ...then dead silence, never a reply
 
@@ -414,7 +423,7 @@ class TestMisbehavingWorkers:
         self, fake_worker, corruption
     ):
         def corrupt(conn):
-            _handshake(conn, protocol=2)
+            _handshake(conn)
             recv_frame(conn)
             if corruption == "garbage":
                 # A length header promising an absurd frame: FrameError.

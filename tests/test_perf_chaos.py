@@ -312,8 +312,8 @@ class TestE15ChaosAcceptance:
     ):
         monkeypatch.setenv("REPRO_CACHE", "on")
         monkeypatch.setenv("REPRO_BACKEND", "serial")
-        for var in ("REPRO_SUPERVISE", "REPRO_SUPERVISE_SEED", "REPRO_CHUNK_DEADLINE"):
-            monkeypatch.setenv(var, "")  # snapshot so the flag exports unwind
+        monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
+        monkeypatch.delenv("REPRO_CHUNK_DEADLINE", raising=False)
         from repro.experiments import runner
 
         serial_out = tmp_path / "serial.json"
@@ -350,10 +350,6 @@ class TestE15ChaosAcceptance:
             )
         finally:
             killer.cancel()
-            for var in (
-                "REPRO_SUPERVISE", "REPRO_SUPERVISE_SEED", "REPRO_CHUNK_DEADLINE"
-            ):
-                os.environ.pop(var, None)
         assert code == 0
         assert time.monotonic() - started < 60  # completed, not wedged
 

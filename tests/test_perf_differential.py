@@ -83,8 +83,6 @@ class TestCachedVersusUncached:
 
 class TestRunnerParallelism:
     def test_reports_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
-        # runner.main writes REPRO_CACHE into the environment; route the
-        # write through monkeypatch so it is undone after the test.
         monkeypatch.setenv("REPRO_CACHE", "on")
         from repro.experiments import runner
 

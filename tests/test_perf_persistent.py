@@ -1,6 +1,6 @@
 """Differential lockdown of the persistent content-addressed cache.
 
-The disk-backed store (``REPRO_CACHE_DIR`` / ``--cache-dir``,
+The disk-backed store (``cache_dir`` / ``--cache-dir``,
 :mod:`repro.perf.store`) must be *invisible in results*: a run served from
 a warmed store — unfoldings and whole sweep results alike — produces a
 report byte-identical to a cold run, on every transport the sweeps can fan
@@ -21,6 +21,7 @@ from repro.core.signature import Signature
 from repro.obs import metrics
 from repro.perf import cache as perf_cache
 from repro.perf import store as perf_store
+from repro.perf.backends import make_backend
 from repro.perf.parallel import parallel_map
 from repro.probability.measures import DiscreteMeasure, dirac
 from repro.semantics.measure import execution_measure
@@ -106,9 +107,8 @@ class TestWarmStoreDifferential:
     def test_cold_and_warm_reports_byte_identical_on_socket_pool(
         self, tmp_path, monkeypatch, spawn_worker
     ):
-        # The cache directory must be exported *before* the workers spawn:
-        # they inherit it through the environment (and clients additionally
-        # ship it per run frame, for workers started without one).
+        # Set before the workers spawn, so it is also their default store
+        # (the run frames carry the same directory).
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
         _, p1 = spawn_worker()
         _, p2 = spawn_worker()
@@ -140,12 +140,36 @@ class TestWarmStoreDifferential:
         assert "persistent" not in json.loads(out.read_text())["summary"]["cache"]
 
 
+class TestPoolHonoursEachFramesStore:
+    def test_second_cache_dir_gets_its_own_writes(self, tmp_path):
+        # One live pool serves two sweeps under different stores: each
+        # frame's cache_dir, not the first one a worker saw, is used.
+        perf_cache.configure(enabled=True)
+        backend = make_backend("pool:2")
+        writes = metrics.counter("perf.cache.persistent.writes")
+
+        def unfold(n):
+            automaton = _measure_automaton()
+            return execution_measure(automaton, ActionSequenceScheduler(["a"] * n))
+
+        try:
+            for name in ("first", "second"):
+                store_dir = tmp_path / name
+                perf_store.configure(str(store_dir))
+                before = writes.value
+                parallel_map(unfold, [1, 2], backend=backend)
+                assert writes.value > before
+                assert list(store_dir.glob("*/unfold/*/*.pkl")), name
+        finally:
+            backend.close()
+
+
 # -- the sweep memo in isolation -----------------------------------------------
 
 
 class TestSweepMemo:
-    def test_identical_sweep_served_from_disk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    def test_identical_sweep_served_from_disk(self, tmp_path):
+        perf_store.configure(str(tmp_path / "store"))
         perf_cache.configure(enabled=True)  # the suite may run REPRO_CACHE=off
         hits = metrics.counter("perf.cache.sweep.hits")
         misses = metrics.counter("perf.cache.sweep.misses")
@@ -155,15 +179,15 @@ class TestSweepMemo:
         assert (hits.value, misses.value) == (1, 1)
         assert first == second == [Fraction(n, 3) for n in (1, 2, 3)]
 
-    def test_different_items_rekey(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    def test_different_items_rekey(self, tmp_path):
+        perf_store.configure(str(tmp_path / "store"))
         hits = metrics.counter("perf.cache.sweep.hits")
         parallel_map(lambda x: x + 1, [1, 2])
         parallel_map(lambda x: x + 1, [1, 3])  # seeds ride in the items
         assert hits.value == 0
 
-    def test_failed_sweep_not_persisted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    def test_failed_sweep_not_persisted(self, tmp_path):
+        perf_store.configure(str(tmp_path / "store"))
         perf_cache.configure(enabled=True)  # the suite may run REPRO_CACHE=off
         misses = metrics.counter("perf.cache.sweep.misses")
 
@@ -175,8 +199,8 @@ class TestSweepMemo:
                 parallel_map(boom, [1, 2])
         assert misses.value == 2  # second attempt missed again: nothing stored
 
-    def test_disabled_cache_bypasses_store(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    def test_disabled_cache_bypasses_store(self, tmp_path):
+        perf_store.configure(str(tmp_path / "store"))
         perf_cache.configure(enabled=False)
         misses = metrics.counter("perf.cache.sweep.misses")
         parallel_map(lambda x: x, [1, 2])
@@ -204,8 +228,8 @@ def _support_lstates(measure):
 
 
 class TestInvalidation:
-    def test_mutation_not_served_from_memory_tier(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    def test_mutation_not_served_from_memory_tier(self, tmp_path):
+        perf_store.configure(str(tmp_path / "store"))
         perf_cache.configure(enabled=True)
         automaton = _measure_automaton()
         scheduler = ActionSequenceScheduler(["a"])
@@ -216,8 +240,8 @@ class TestInvalidation:
         after = execution_measure(automaton, scheduler)
         assert _support_lstates(after) == ["q1"]
 
-    def test_mutation_not_served_from_disk_tier(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    def test_mutation_not_served_from_disk_tier(self, tmp_path):
+        perf_store.configure(str(tmp_path / "store"))
         perf_cache.configure(enabled=True)
         automaton = _measure_automaton()
         execution_measure(automaton, ActionSequenceScheduler(["a"]))
@@ -235,9 +259,9 @@ class TestInvalidation:
         assert _support_lstates(rebuilt) == ["q1", "q2"]
 
     def test_unmutated_rebuild_hits_disk_across_simulated_restart(
-        self, tmp_path, monkeypatch
+        self, tmp_path
     ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        perf_store.configure(str(tmp_path / "store"))
         perf_cache.configure(enabled=True)
         first = execution_measure(_measure_automaton(), ActionSequenceScheduler(["a"]))
         perf_cache.clear()  # drop every in-memory tier; the disk survives
@@ -246,10 +270,10 @@ class TestInvalidation:
         assert hits.value > 0
         assert first == second
 
-    def test_invalidation_wipes_sweep_entries(self, tmp_path, monkeypatch):
+    def test_invalidation_wipes_sweep_entries(self, tmp_path):
         from repro.perf.fingerprint import fingerprint
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        perf_store.configure(str(tmp_path / "store"))
         perf_cache.configure(enabled=True)
         hits = metrics.counter("perf.cache.sweep.hits")
         parallel_map(lambda x: x * 2, [1, 2, 3])
@@ -261,8 +285,8 @@ class TestInvalidation:
         parallel_map(lambda x: x * 2, [1, 2, 3])
         assert hits.value == 0
 
-    def test_store_survives_corrupt_entries(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    def test_store_survives_corrupt_entries(self, tmp_path):
+        perf_store.configure(str(tmp_path / "store"))
         store = perf_store.active_store()
         assert store.put("sweep", "ab" * 32, [1, 2, 3])
         path = store._path("sweep", "ab" * 32, None)

@@ -11,10 +11,14 @@ seed alone.
 
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.api import resolve_config
 from repro.obs import metrics
 from repro.perf.backends import BackendSpecError, make_backend, normalize_spec
 from repro.perf.parallel import parallel_map
@@ -24,6 +28,7 @@ from repro.perf.supervise import (
     SupervisionLog,
     SupervisionPolicy,
     backoff_delay,
+    base_policy,
 )
 
 
@@ -37,26 +42,26 @@ class TestSupervisionPolicy:
         assert policy.chunk_deadline_s == 600.0  # the settimeout(None) fix
         assert policy.connect_timeout_s == 10.0
 
-    def test_environment_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUPERVISE", "on")
-        monkeypatch.setenv("REPRO_SUPERVISE_SEED", "42")
-        monkeypatch.setenv("REPRO_CHUNK_DEADLINE", "12.5")
-        monkeypatch.setenv("REPRO_SOCKET_TIMEOUT", "3")
-        policy = SupervisionPolicy.from_env()
+    def test_environment_resolution(self):
+        # The gates reach the policy through the config, and the seed is
+        # the config's seed.
+        env = {"REPRO_SUPERVISE": "on", "REPRO_CHUNK_DEADLINE": "12.5"}
+        resolve_config(env=env, seed=42).apply()
+        policy = base_policy()
         assert policy.enabled and policy.seed == 42
         assert policy.chunk_deadline_s == 12.5
-        assert policy.connect_timeout_s == 3.0
+        assert policy.connect_timeout_s == 10.0
+        resolve_config(env={}).apply()
+        assert base_policy() == SupervisionPolicy()
 
-    def test_deadline_env_off_means_unbounded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_DEADLINE", "off")
-        assert SupervisionPolicy.from_env().chunk_deadline_s is None
-        monkeypatch.setenv("REPRO_CHUNK_DEADLINE", "0")
-        assert SupervisionPolicy.from_env().chunk_deadline_s is None
+    def test_deadline_env_off_means_unbounded(self):
+        resolve_config(env={"REPRO_CHUNK_DEADLINE": "0"}).apply()
+        assert base_policy().chunk_deadline_s is None
+        assert SupervisionPolicy().with_options({"deadline": "off"}).chunk_deadline_s is None
 
-    def test_spec_options_win_over_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUPERVISE", "off")
-        monkeypatch.setenv("REPRO_CHUNK_DEADLINE", "600")
-        policy = SupervisionPolicy.from_env(
+    def test_spec_options_win_over_environment(self):
+        resolve_config(env={"REPRO_SUPERVISE": "off", "REPRO_CHUNK_DEADLINE": "600"}).apply()
+        policy = base_policy().with_options(
             {"supervise": "on", "deadline": "7", "timeout": "2", "heartbeat": "0.5"}
         )
         assert policy.enabled
@@ -81,10 +86,9 @@ class TestSupervisionPolicy:
 
     def test_frame_timeout_heartbeats_only_when_supervised_v3(self):
         supervised = SupervisionPolicy(enabled=True, heartbeat_s=1.0, heartbeat_grace=5.0)
-        assert supervised.frame_timeout_s(3) == 5.0
-        assert supervised.frame_timeout_s(2) == supervised.chunk_deadline_s
+        assert supervised.frame_timeout_s() == 5.0
         unsupervised = SupervisionPolicy(enabled=False)
-        assert unsupervised.frame_timeout_s(3) == unsupervised.chunk_deadline_s
+        assert unsupervised.frame_timeout_s() == unsupervised.chunk_deadline_s
 
 
 # -- seeded backoff -------------------------------------------------------------
@@ -301,3 +305,41 @@ class TestLocalPoolBackend:
                 assert event["delay_s"] == round(expected, 9)
         finally:
             backend.close()
+
+
+_WORKER_SURVIVORS = """
+import ctypes, os
+prctl = ctypes.CDLL(None, use_errno=True).prctl
+prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+prctl.restype = ctypes.c_int
+if prctl(36, 1, 0, 0, 0) != 0:  # PR_SET_CHILD_SUBREAPER
+    raise OSError(ctypes.get_errno(), "prctl(PR_SET_CHILD_SUBREAPER)")
+from repro import api
+result = api.run_suite(["E12"], config=api.RunConfig(backend="pool:2"))
+survivors = 0
+for pid in filter(str.isdigit, os.listdir("/proc")):
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            parent = int(handle.read().rsplit(b")", 1)[1].split()[1])
+        with open(f"/proc/{pid}/cmdline", "rb") as handle:
+            command = handle.read()
+    except OSError:
+        continue
+    survivors += parent == os.getpid() and b"repro.perf.worker" in command
+print(result.exit_code, survivors)
+"""
+
+
+class TestPoolLifetime:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux subreaper")
+    def test_experiment_child_stops_its_pool_workers(self):
+        # The script adopts every orphan, so a pool worker its experiment
+        # child left behind would show up as its own child.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", _WORKER_SURVIVORS],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert out.stdout.split() == ["0", "0"], out.stderr

@@ -15,6 +15,7 @@ from repro.experiments import common
 from repro.experiments.common import DEFAULT_SEED, run_experiment_guarded
 from repro.experiments.runner import main
 from repro.obs.report import validate_report
+from repro.perf.supervise import base_policy
 
 _FIXTURES = {
     "EX-WORKCRASH": (
@@ -120,29 +121,21 @@ class TestRunnerCliReports:
         assert all(entry["error_class"] == "RuntimeError" for entry in history)
         assert all(entry["elapsed_s"] >= 0 for entry in history)
 
-    def test_supervise_flag_exports_env_and_emits_resilience(
+    def test_supervise_flag_emits_resilience_block(
         self, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
-        for var in ("REPRO_SUPERVISE", "REPRO_SUPERVISE_SEED", "REPRO_CHUNK_DEADLINE"):
-            monkeypatch.delenv(var, raising=False)
+        monkeypatch.delenv("REPRO_CHUNK_DEADLINE", raising=False)
         out_path = tmp_path / "report.json"
-        try:
-            code = main(
-                ["E4", "--supervise", "--chunk-deadline", "45", "--seed", "3",
-                 "--metrics-out", str(out_path)]
-            )
-            assert code == 0
-            # Isolated children and socket transports resolve the policy
-            # from the environment, so the flags must export it.
-            assert os.environ["REPRO_SUPERVISE"] == "on"
-            assert os.environ["REPRO_SUPERVISE_SEED"] == "3"
-            assert os.environ["REPRO_CHUNK_DEADLINE"] == "45.0"
-        finally:
-            for var in (
-                "REPRO_SUPERVISE", "REPRO_SUPERVISE_SEED", "REPRO_CHUNK_DEADLINE"
-            ):
-                os.environ.pop(var, None)
+        code = main(
+            ["E4", "--supervise", "--chunk-deadline", "45", "--seed", "3",
+             "--metrics-out", str(out_path)]
+        )
+        assert code == 0
+        # Children inherit the base policy through fork; nothing is exported.
+        assert "REPRO_SUPERVISE" not in os.environ
+        policy = base_policy()
+        assert policy.enabled and policy.seed == 3
         payload = json.loads(out_path.read_text())
         validate_report(payload)
         resilience = payload["summary"]["resilience"]

@@ -111,6 +111,21 @@ class TestLifecycle:
         assert report["summary"]["config"] == final["config"]
         assert report["argv"] == ["service", "E1", "E4"]
 
+    def test_job_config_does_not_leak_into_the_next_job(
+        self, live, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        service, client = live
+        service.log_dir = str(tmp_path)  # job A's traces land here
+        first = client.submit(["E1"], config={"cache": "off", "trace": True})
+        assert client.wait(first["id"], timeout=120)["state"] == "done"
+        second = client.submit(["E1"])
+        assert client.wait(second["id"], timeout=120)["state"] == "done"
+        config = client.report(second["id"])["summary"]["config"]
+        assert config["cache"] == "on"
+        assert config["trace"] is False
+
     def test_event_stream_replays_whole_lifecycle(self, live):
         _, client = live
         job = client.submit(["E1"])

@@ -100,9 +100,11 @@ def run(*, fast: bool = True) -> ExperimentReport:
         phi, psi, dummy, g = build_dummy_worlds(env, system, adv)
         sigma = ActionSequenceScheduler(script, local_only=True)
         sigma_prime = ForwardScheduler(sigma, phi, dummy)
+        measure_phi = execution_measure(phi, sigma)
+        measure_psi = execution_measure(psi, sigma_prime)
         for insight in (print_insight(), trace_insight()):
-            dist_phi = execution_measure(phi, sigma).map(lambda e: insight(env, phi, e))
-            dist_psi = execution_measure(psi, sigma_prime).map(lambda e: insight(env, psi, e))
+            dist_phi = measure_phi.map(lambda e: insight(env, phi, e))
+            dist_psi = measure_psi.map(lambda e: insight(env, psi, e))
             d = total_variation(dist_phi, dist_psi)
             exact_zero = d == 0
             all_zero = all_zero and exact_zero

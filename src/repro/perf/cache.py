@@ -433,14 +433,16 @@ def cached_derived(owner_obj: Any, key: Hashable, compute: Callable[[], Any]) ->
 def measure_cache_get(automaton: Any, scheduler: Any, key: Hashable) -> Optional[Any]:
     """Lookup of a memoized full unfolding; the key already encodes the
     scheduler's owner key plus the unfolding parameters."""
-    return CACHE.measures.get(owner_key(automaton), key)
+    entry = CACHE.measures.get(owner_key(automaton), key)
+    return None if entry is None else entry[1]
 
 
 def measure_cache_put(automaton: Any, scheduler: Any, key: Hashable, measure: Any) -> None:
-    # The scheduler rides inside the keepalive so the identity behind its
-    # owner key (part of the entry key) cannot be recycled while the entry
-    # lives.
-    CACHE.measures.put(owner_key(automaton), (automaton, scheduler), key, measure)
+    # One automaton owns the entries of many schedulers, and the owner's
+    # keepalive holds only the first of them.  Each entry therefore carries
+    # its own scheduler, so the identity behind its owner key (part of the
+    # entry key) cannot be recycled by a new scheduler while the entry lives.
+    CACHE.measures.put(owner_key(automaton), (automaton, scheduler), key, (scheduler, measure))
 
 
 def intern_fragment(automaton: Any, fragment: Any) -> Any:

@@ -32,7 +32,7 @@ from repro.bounded.families import PSIOAFamily, SchedulerFamily
 from repro.core.psioa import PSIOA
 from repro.probability.asymptotics import is_negligible_fit
 from repro.probability.measures import total_variation
-from repro.semantics.insight import InsightFunction, f_dist
+from repro.semantics.insight import InsightFunction, compose_world, f_dist
 from repro.semantics.schema import SchedulerSchema
 from repro.semantics.scheduler import Scheduler
 
@@ -64,28 +64,70 @@ class ImplementationResult:
         return self.holds
 
 
+class _Perceptions:
+    """The ``(sigma', f-dist_(E,B)(sigma'))`` pairs of one environment,
+    each computed the first time an outer scheduler reaches it.
+
+    ``f-dist_(E,B)(sigma')`` does not depend on the outer ``sigma``, so
+    ``schema(E||B, q2)`` is enumerated once, lazily and in schema order, and
+    every later pass re-reads the pairs already computed.  A candidate no
+    pass reaches (every pass stopped early) is never unfolded.
+    """
+
+    def __init__(self, insight, env, second, world, candidates):
+        self._insight = insight
+        self._env = env
+        self._second = second
+        self._world = world
+        self._pending = iter(candidates)
+        self._seen: List[Tuple[Scheduler, object]] = []
+
+    def __iter__(self):
+        yield from self._seen
+        for candidate in self._pending:
+            dist = f_dist(self._insight, self._env, self._second, candidate, world=self._world)
+            self._seen.append((candidate, dist))
+            yield candidate, dist
+
+
 def _min_distance_over_witnesses(
-    insight: InsightFunction,
-    env: PSIOA,
-    first: PSIOA,
-    scheduler: Scheduler,
-    second: PSIOA,
-    candidates: Iterable[Scheduler],
-    *,
-    stop_at=0,
+    dist_first, perceptions: Iterable[Tuple[Scheduler, object]], *, stop_at=0
 ):
-    """min over sigma' of TV(f-dist(E,A,sigma), f-dist(E,B,sigma'))."""
-    dist_first = f_dist(insight, env, first, scheduler)
+    """min over ``(sigma', f-dist(E,B,sigma'))`` pairs of TV(dist_first, f-dist)."""
     best = None
     best_scheduler = None
-    for candidate in candidates:
-        dist_second = f_dist(insight, env, second, candidate)
+    for candidate, dist_second in perceptions:
         d = total_variation(dist_first, dist_second)
         if best is None or d < best:
             best, best_scheduler = d, candidate
             if best <= stop_at:
                 break
     return best, best_scheduler
+
+
+def _distances(first, second, env, *, schema, insight, q1, q2, witness):
+    """Yield ``(sigma, min_sigma' TV)`` for every ``sigma in Sch_q1(E||A)``.
+
+    ``E||A`` and ``E||B`` are composed once per environment.  Without a
+    witness, the ``q2`` candidates' perceptions are shared by the whole
+    ``sigma`` loop (:class:`_Perceptions`).
+    """
+    world_first = compose_world(env, first)
+    world_second = compose_world(env, second)
+    shared = None
+    if witness is None:
+        shared = _Perceptions(insight, env, second, world_second, schema(world_second, q2))
+    for scheduler in schema(world_first, q1):
+        dist_first = f_dist(insight, env, first, scheduler, world=world_first)
+        if shared is None:
+            sigma_prime = witness(env, scheduler)
+            perceptions = [
+                (sigma_prime, f_dist(insight, env, second, sigma_prime, world=world_second))
+            ]
+        else:
+            perceptions = shared
+        best, _ = _min_distance_over_witnesses(dist_first, perceptions)
+        yield scheduler, best
 
 
 def implements(
@@ -109,18 +151,12 @@ def implements(
     ``p`` is given), and ``witness`` short-circuits the existential search
     with a constructive ``sigma'``.
     """
+    kw = dict(schema=schema, insight=insight, q1=q1, q2=q2, witness=witness)
     worst = 0
     for env in environments:
         if p is not None and measure_time_bound(env) > p:
             continue
-        for scheduler in schema(_world(env, first), q1):
-            if witness is not None:
-                candidates: Iterable[Scheduler] = [witness(env, scheduler)]
-            else:
-                candidates = schema(_world(env, second), q2)
-            best, _ = _min_distance_over_witnesses(
-                insight, env, first, scheduler, second, candidates, stop_at=0
-            )
+        for scheduler, best in _distances(first, second, env, **kw):
             if best is None or best > epsilon:
                 return ImplementationResult(
                     holds=False,
@@ -131,12 +167,6 @@ def implements(
             if best > worst:
                 worst = best
     return ImplementationResult(holds=True, epsilon=epsilon, distance=worst)
-
-
-def _world(env: PSIOA, automaton: PSIOA):
-    from repro.semantics.insight import compose_world
-
-    return compose_world(env, automaton)
 
 
 def implementation_distance(
@@ -157,16 +187,10 @@ def implementation_distance(
     Lemma 4.13 predicts ``d(A3||A1, A3||A2) <= d(A1, A2)`` for matched
     environment universes.
     """
+    kw = dict(schema=schema, insight=insight, q1=q1, q2=q2, witness=witness)
     worst = 0
     for env in environments:
-        for scheduler in schema(_world(env, first), q1):
-            if witness is not None:
-                candidates: Iterable[Scheduler] = [witness(env, scheduler)]
-            else:
-                candidates = schema(_world(env, second), q2)
-            best, _ = _min_distance_over_witnesses(
-                insight, env, first, scheduler, second, candidates
-            )
+        for _scheduler, best in _distances(first, second, env, **kw):
             if best is None:
                 raise ValueError("scheduler schema produced no candidate sigma'")
             if best > worst:

@@ -158,14 +158,13 @@ def check_stability_by_composition(
     """
     world_first = compose(env, context, first)
     world_second = compose(env, context, second)
+    # Both views push forward the same executions: unfold each world once.
+    measure_first = execution_measure(world_first, scheduler_first, max_depth=max_depth)
+    measure_second = execution_measure(world_second, scheduler_second, max_depth=max_depth)
 
     # Perception of the small environment E (B folded into the system side).
-    dist_small_1 = execution_measure(world_first, scheduler_first, max_depth=max_depth).map(
-        lambda e: insight(env, world_first, e)
-    )
-    dist_small_2 = execution_measure(world_second, scheduler_second, max_depth=max_depth).map(
-        lambda e: insight(env, world_second, e)
-    )
+    dist_small_1 = measure_first.map(lambda e: insight(env, world_first, e))
+    dist_small_2 = measure_second.map(lambda e: insight(env, world_second, e))
 
     # Perception of the large environment E || B over the same executions:
     # both E and B (components 0 and 1) observe.
@@ -181,12 +180,8 @@ def check_stability_by_composition(
 
         return apply
 
-    dist_big_1 = execution_measure(world_first, scheduler_first, max_depth=max_depth).map(
-        big_view(world_first)
-    )
-    dist_big_2 = execution_measure(world_second, scheduler_second, max_depth=max_depth).map(
-        big_view(world_second)
-    )
+    dist_big_1 = measure_first.map(big_view(world_first))
+    dist_big_2 = measure_second.map(big_view(world_second))
 
     small = total_variation(dist_small_1, dist_small_2)
     big = total_variation(dist_big_1, dist_big_2)

@@ -16,6 +16,8 @@ The contract under test (see ``docs/performance.md``):
 * ``REPRO_CACHE=off`` (via ``configure``) keeps every store empty.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +32,11 @@ from repro.perf import cache as perf_cache
 from repro.perf.cache import _BoundedStore
 from repro.probability.measures import DiscreteMeasure, dirac
 from repro.semantics.measure import execution_measure
-from repro.semantics.scheduler import DeterministicScheduler, bound_scheduler
+from repro.semantics.scheduler import (
+    ActionSequenceScheduler,
+    DeterministicScheduler,
+    bound_scheduler,
+)
 from repro.systems.factory import random_psioa
 
 from tests.helpers import coin_automaton
@@ -157,6 +163,22 @@ class TestCacheSoundness:
         assert perf_cache.CACHE.measures.size() == 0
         assert perf_cache.CACHE.decisions.size() == 0
         assert perf_cache.CACHE.transitions.size() == 0
+
+    def test_memoized_unfolding_keeps_its_scheduler_alive(self):
+        # One automaton owns the memo entries of many schedulers.  Each entry
+        # must hold its own scheduler: were its id freed, a new scheduler
+        # could take that id and be served this scheduler's measure.
+        automaton = coin_automaton("keepalive", Fraction(1, 3))
+        _fresh_cache()
+        execution_measure(automaton, ActionSequenceScheduler(("toss",)))
+        second = ActionSequenceScheduler(("toss", "head"))
+        execution_measure(automaton, second)
+        alive = weakref.ref(second)
+        # The decision tier also holds schedulers; model its LRU eviction.
+        perf_cache.CACHE.decisions.clear()
+        del second
+        gc.collect()
+        assert alive() is not None
 
     def test_disabled_cache_stays_empty(self):
         automaton = coin_automaton("off", Fraction(1, 2))

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from repro.bounded.bounds import measure_time_bound
 from repro.bounded.families import PSIOAFamily, compose_families
 from repro.core.composition import compose
 from repro.core.psioa import TablePSIOA
 from repro.core.signature import Signature
-from repro.probability.measures import dirac
+from repro.obs import metrics
+from repro.perf import cache as perf_cache
+from repro.probability.measures import dirac, total_variation
 from repro.secure.implementation import (
     ImplementationResult,
     family_implementation_profile,
@@ -17,7 +20,7 @@ from repro.secure.implementation import (
     implements,
     neg_pt_implements,
 )
-from repro.semantics.insight import accept_insight, trace_insight
+from repro.semantics.insight import accept_insight, compose_world, f_dist, trace_insight
 from repro.semantics.schema import SchedulerSchema, oblivious_schema
 from repro.semantics.scheduler import ActionSequenceScheduler
 
@@ -248,3 +251,159 @@ class TestFamilies:
             ks=range(1, 6),
         )
         assert neg_pt_implements(profile)
+
+
+def _reference_distances(first, second, env, *, schema, insight, q1, q2, witness):
+    """The quadratic loop: fresh worlds and every candidate unfolded again
+    for each outer scheduler.  Yields ``(sigma, min_sigma' TV)``."""
+    for scheduler in schema(compose_world(env, first), q1):
+        if witness is not None:
+            candidates = [witness(env, scheduler)]
+        else:
+            candidates = schema(compose_world(env, second), q2)
+        dist_first = f_dist(insight, env, first, scheduler)
+        best = None
+        for candidate in candidates:
+            d = total_variation(dist_first, f_dist(insight, env, second, candidate))
+            if best is None or d < best:
+                best = d
+                if best <= 0:
+                    break
+        yield scheduler, best
+
+
+def reference_implements(first, second, *, environments, epsilon, p=None, **kw):
+    worst = 0
+    for env in environments:
+        if p is not None and measure_time_bound(env) > p:
+            continue
+        for scheduler, best in _reference_distances(first, second, env, **kw):
+            if best is None or best > epsilon:
+                return ImplementationResult(
+                    holds=False,
+                    epsilon=epsilon,
+                    distance=best,
+                    counterexample=(env.name, getattr(scheduler, "name", scheduler)),
+                )
+            worst = max(worst, best)
+    return ImplementationResult(holds=True, epsilon=epsilon, distance=worst)
+
+
+def reference_distance(first, second, *, environments, **kw):
+    worst = 0
+    for env in environments:
+        for _scheduler, best in _reference_distances(first, second, env, **kw):
+            if best is None:
+                raise ValueError("scheduler schema produced no candidate sigma'")
+            worst = max(worst, best)
+    return worst
+
+
+def _reversed_witness(env, scheduler):
+    """A deliberately poor constructive witness: the reversed sequence."""
+    return ActionSequenceScheduler(tuple(reversed(scheduler.sequence)), local_only=True)
+
+
+class TestAgainstQuadraticReference:
+    """Sharing the candidates' perceptions across the sigma loop changes how
+    often they are computed, never the distance or the counterexample."""
+
+    ENVS = [observer("E-head", accept_on="head"), observer("E-tail", accept_on="tail")]
+    PAIRS = [
+        (Fraction(3, 4), Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(3, 4)),
+        (Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(1, 3), 1),
+    ]
+
+    @pytest.fixture(params=["cache-on", "cache-off"])
+    def cache(self, request):
+        perf_cache.configure(enabled=request.param == "cache-on")
+        perf_cache.clear()
+
+    @pytest.mark.parametrize("witness", [None, _reversed_witness], ids=["search", "witness"])
+    @pytest.mark.parametrize("insight", [accept_insight(), trace_insight()], ids=["accept", "trace"])
+    def test_distance_matches_reference(self, cache, insight, witness):
+        for p_first, p_second in self.PAIRS:
+            kw = dict(
+                schema=SCHEMA,
+                insight=insight,
+                environments=self.ENVS,
+                q1=3,
+                q2=3,
+                witness=witness,
+            )
+            first = coin_automaton("first", p_first)
+            second = coin_automaton("second", p_second)
+            expected = reference_distance(first, second, **kw)
+            got = implementation_distance(first, second, **kw)
+            assert (got, type(got)) == (expected, type(expected))
+
+    @pytest.mark.parametrize("witness", [None, _reversed_witness], ids=["search", "witness"])
+    @pytest.mark.parametrize(
+        "epsilon", [0, Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)], ids=str
+    )
+    def test_implements_matches_reference(self, cache, epsilon, witness):
+        for p_first, p_second in self.PAIRS:
+            kw = dict(
+                schema=SCHEMA,
+                insight=INSIGHT,
+                environments=self.ENVS,
+                q1=3,
+                q2=3,
+                witness=witness,
+                epsilon=epsilon,
+            )
+            first = coin_automaton("first", p_first)
+            second = coin_automaton("second", p_second)
+            assert implements(first, second, **kw) == reference_implements(first, second, **kw)
+
+
+class TestUnfoldBudget:
+    def test_each_perception_unfolded_once(self):
+        # One environment: Sch_q1(E||A) perceptions plus at most every
+        # Sch_q2(E||B) candidate, never one candidate per outer scheduler.
+        perf_cache.configure(enabled=False)
+        biased = coin_automaton("biased", Fraction(3, 4))
+        fair = coin_automaton("fair", Fraction(1, 2))
+        env = observer()
+        q1 = q2 = 3
+        n_first = len(list(SCHEMA(compose_world(env, biased), q1)))
+        n_second = len(list(SCHEMA(compose_world(env, fair), q2)))
+        unfolds = metrics.counter("measure.unfold.calls")
+        before = unfolds.value
+        d = implementation_distance(
+            biased, fair, schema=SCHEMA, insight=INSIGHT, environments=[env], q1=q1, q2=q2
+        )
+        assert d == Fraction(1, 4)
+        assert unfolds.value - before <= n_first + n_second
+
+
+class TestEmptyCandidateSchema:
+    # Schedulers for q1 > 0 only: with q2 = 0 no sigma' exists at all.
+    SCHEMA = SchedulerSchema(
+        "no-q0", lambda automaton, bound: SCHEMA(automaton, bound) if bound > 0 else iter(())
+    )
+
+    def test_distance_raises(self):
+        coin = coin_automaton("c", Fraction(1, 2))
+        with pytest.raises(ValueError, match="no candidate"):
+            implementation_distance(
+                coin, coin, schema=self.SCHEMA, insight=INSIGHT, environments=ENVS, q1=1, q2=0
+            )
+
+    def test_implements_fails(self):
+        coin = coin_automaton("c", Fraction(1, 2))
+        result = implements(
+            coin,
+            coin,
+            schema=self.SCHEMA,
+            insight=INSIGHT,
+            environments=ENVS,
+            q1=1,
+            q2=0,
+            epsilon=1,
+        )
+        assert not result.holds
+        assert result.distance is None
+        assert result.counterexample is not None

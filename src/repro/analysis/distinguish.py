@@ -84,7 +84,6 @@ def best_distinguisher(
     environments: Sequence[PSIOA],
     bound: int,
     paired: bool = True,
-    workers: Optional[int] = None,
 ) -> DistinguisherResult:
     """Search for ``max_{E, sigma} TV(f-dist(E,A,sigma), f-dist(E,B,sigma))``.
 
@@ -95,8 +94,8 @@ def best_distinguisher(
     (the implementation-relation reading).
 
     The (environment, scheduler) grid is fanned across
-    :func:`repro.perf.parallel.parallel_map` (``workers`` argument, else
-    the configured execution backend, else serial).
+    :func:`repro.perf.parallel.parallel_map` on the configured execution
+    backend (else serial).
     The winner is reduced **in enumeration order** with a
     strictly-greater comparison, so the result — advantage, witnessing
     environment and scheduler — is identical at every parallelism and on
@@ -132,7 +131,7 @@ def best_distinguisher(
         return (advantage, env.name, getattr(scheduler, "name", repr(scheduler)))
 
     best: Optional[DistinguisherResult] = None
-    for advantage, env_name, scheduler_name in parallel_map(evaluate, jobs, workers=workers):
+    for advantage, env_name, scheduler_name in parallel_map(evaluate, jobs):
         if best is None or advantage > best.advantage:
             best = DistinguisherResult(advantage, env_name, scheduler_name)
     return best

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -70,26 +70,24 @@ class BackendSpecError(ValueError):
 
 @dataclass
 class ChunkOutcome:
-    """What a backend reports for one submitted chunk.
+    """The one format of a chunk's result, from the process that computed
+    it to :func:`repro.perf.parallel.parallel_map`, which alone merges it.
 
-    ``results`` holds ``(index, error_traceback_or_None, value)`` per item,
-    or ``None`` when the chunk was **lost** (its executor died without
-    reporting) — ``parallel_map`` then recomputes the chunk in the caller.
-    ``metrics`` is the executor's :func:`repro.obs.metrics.snapshot` delta
-    for the chunk (``None`` when the work ran in the caller's own registry,
-    or when the chunk was lost).  ``trace`` is the executor's span payload
-    (:func:`repro.obs.distributed.chunk_payload`, clock-stamped by the
-    transport; ``None`` when tracing is off, the chunk ran in-process, or
-    the chunk was lost).  ``profile`` is the executor's phase-profile
-    payload (:func:`repro.obs.profile.chunk_profile_payload`; ``None``
-    when profiling is off, the chunk ran in-process, or the chunk was
-    lost — phase totals are durations, so unlike ``trace`` they carry no
-    clock domain).  Result payloads are atomic: a lost chunk contributed
-    *nothing* — no results, no metrics, no spans and no phase totals — so
-    the caller-side recompute can never double-count.  ``quarantined``
-    marks the special lost case where supervision ejected a **poison
-    chunk** (one that killed several distinct workers) rather than losing
-    its executor.
+    A forked chunk child pickles it whole, a socket worker forwards it
+    unopened as ``("ok", outcome)``, and a transport only stamps it
+    (:meth:`stamp`) with the facts the executor cannot know.  ``results`` holds
+    ``(index, error_traceback_or_None, value)`` per item, or ``None`` when
+    the chunk was **lost** (its executor died without reporting) —
+    ``parallel_map`` then recomputes the chunk in the caller.  ``metrics``
+    is the executor's :func:`repro.obs.metrics.snapshot` delta, ``trace``
+    its span payload (:func:`repro.obs.distributed.chunk_payload`) and
+    ``profile`` its phase-profile payload
+    (:func:`repro.obs.profile.chunk_profile_payload`); each is ``None``
+    when the work ran in the caller's own process, when that recording is
+    off, or when the chunk was lost.  Payloads are atomic: a lost chunk
+    contributed *nothing*, so the caller-side recompute can never
+    double-count.  ``quarantined`` marks the lost case where supervision
+    ejected a **poison chunk** (one that killed several distinct workers).
     """
 
     results: Optional[List[Tuple[int, Optional[str], Any]]]
@@ -102,6 +100,44 @@ class ChunkOutcome:
     @property
     def lost(self) -> bool:
         return self.results is None
+
+    def stamp(
+        self, clock: str, lane: Optional[str] = None, recv_ns: Optional[int] = None
+    ) -> "ChunkOutcome":
+        """Record the transport facts and return ``self``: the trace's clock
+        domain (``"shared"`` for a local fork; ``"remote"`` with the
+        caller's ``recv_ns`` receive stamp otherwise) and, when given, the
+        ``lane`` of the trace and profile (a worker's address is known only
+        to the caller).  Phase totals are durations: no clock domain."""
+        if self.trace is not None:
+            self.trace["clock"] = clock
+            if recv_ns is not None:
+                self.trace["recv_ns"] = recv_ns
+            if lane is not None:
+                self.trace["lane"] = lane
+        if self.profile is not None and lane is not None:
+            self.profile["lane"] = lane
+        return self
+
+    def covers(self, chunk: Chunk) -> bool:
+        """True when this well-formed outcome answers ``chunk``: ``results``
+        are ``(index, error, value)`` triples for exactly its indices, in
+        order, and the payloads are dicts or ``None``.  A socket client
+        accepts an ``ok`` reply only when this holds."""
+        if not isinstance(self.results, list):
+            return False
+        indices = [
+            entry[0]
+            if isinstance(entry, tuple)
+            and len(entry) == 3
+            and (entry[1] is None or isinstance(entry[1], str))
+            else None
+            for entry in self.results
+        ]
+        return indices == [index for index, _item in chunk] and all(
+            part is None or isinstance(part, dict)
+            for part in (self.metrics, self.trace, self.profile)
+        )
 
 
 class ExecutionBackend(ABC):

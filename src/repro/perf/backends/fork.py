@@ -8,10 +8,10 @@ function and every captured object through copy-on-write memory, so nothing
 but the results ever crosses the pipe.
 
 :func:`run_chunk_in_fork` — fork one child for one chunk and collect its
-``(results, metrics snapshot)`` payload — is also the execution primitive
-of the socket worker (:mod:`repro.perf.worker`): a worker process forks per
-chunk so each chunk gets a zeroed metrics registry and crash isolation for
-free.
+:class:`~repro.perf.backends.ChunkOutcome` — is also the execution
+primitive of the socket worker (:mod:`repro.perf.worker`): a worker process
+forks per chunk so each chunk gets a zeroed metrics registry and crash
+isolation for free.  Both paths share one spawn/collect pair.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import pickle
 import struct
 import traceback
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import distributed as _distributed
 from repro.obs import log as _obs_log
@@ -86,8 +86,7 @@ def _chunk_child(
     lane: str = "fork",
     ctx: Optional[Mapping[str, Any]] = None,
 ) -> None:
-    """Child body: compute the chunk, ship ``(results, metrics, trace,
-    profile)`` back.
+    """Child body: compute the chunk, ship its :class:`ChunkOutcome` back.
 
     Runs under ``os._exit`` discipline — no atexit hooks, no parent test
     harness teardown.  The inherited metrics registry is zeroed and the
@@ -130,16 +129,13 @@ def _chunk_child(
                         results.append((index, None, fn(item)))
                 except BaseException:  # noqa: BLE001 - shipped to the parent verbatim
                     results.append((index, traceback.format_exc(), None))
-        profile_payload = _profile.chunk_profile_payload(lane)
-        payload = pickle.dumps(
-            (
-                results,
-                _metrics.snapshot(),
-                _distributed.chunk_payload(lane),
-                profile_payload,
-            ),
-            protocol=pickle.HIGHEST_PROTOCOL,
+        outcome = ChunkOutcome(
+            results=results,
+            metrics=_metrics.snapshot(),
+            trace=_distributed.chunk_payload(lane),
+            profile=_profile.chunk_profile_payload(lane),
         )
+        payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
         _write_all(write_fd, _LEN.pack(len(payload)) + payload)
     except BaseException:
         exit_code = 1
@@ -151,8 +147,34 @@ def _chunk_child(
         os._exit(exit_code)
 
 
-def _collect(read_fd: int, pid: int):
-    """Read one child's length-prefixed payload; ``None`` if it died silently."""
+def _spawn(
+    fn: Callable[[Any], Any],
+    chunk: Chunk,
+    lane: str = "fork",
+    ctx: Optional[Mapping[str, Any]] = None,
+    inherited: Sequence[int] = (),
+) -> Tuple[int, int]:
+    """Fork one chunk child; return ``(read_fd, pid)`` for :func:`_collect`.
+
+    ``inherited`` are read ends of sibling children still to be collected;
+    the child closes its copies and keeps only its own pipe."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        for fd in (read_fd, *inherited):
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+        _chunk_child(write_fd, fn, chunk, lane=lane, ctx=ctx)
+        # _chunk_child never returns
+    _FORKS.inc()
+    os.close(write_fd)
+    return read_fd, pid
+
+
+def _collect(read_fd: int, pid: int) -> Optional[ChunkOutcome]:
+    """Read one child's length-prefixed outcome; ``None`` if it died silently."""
     payload: Optional[bytes] = None
     try:
         header = _read_exact(read_fd, _LEN.size)
@@ -171,34 +193,18 @@ def run_chunk_in_fork(
     chunk: Chunk,
     lane: str = "fork",
     ctx: Optional[Mapping[str, Any]] = None,
-) -> Optional[
-    Tuple[
-        List[Tuple[int, Optional[str], Any]],
-        Dict[str, Any],
-        Optional[Dict[str, Any]],
-        Optional[Dict[str, Any]],
-    ]
-]:
+) -> Optional[ChunkOutcome]:
     """Execute one chunk in a fresh forked child.
 
-    Returns the child's ``(results, metrics snapshot, trace payload,
-    profile payload)``, or ``None`` when the child died without reporting.
-    ``ctx`` holds run settings to install in the child only.  The trace
-    payload is ``None`` unless the child traced and carries no clock domain
-    yet — the transport that ships it onward stamps ``shared`` or
-    ``remote``.  The profile payload is ``None`` unless the child profiled;
-    phase totals are durations, so they need no clock domain at all.
-    Requires ``os.fork``.
+    Returns the child's :class:`ChunkOutcome` — results, metrics snapshot,
+    trace payload and profile payload, exactly as the child built them —
+    or ``None`` when the child died without reporting.  ``ctx`` holds run
+    settings to install in the child only.  The outcome is not stamped:
+    the transport that ships it onward stamps the clock domain (``shared``
+    or ``remote``) and, for a remote worker, the lane.  Requires
+    ``os.fork``.
     """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_fd)
-        _chunk_child(write_fd, fn, chunk, lane=lane, ctx=ctx)
-        # _chunk_child never returns
-    _FORKS.inc()
-    os.close(write_fd)
-    return _collect(read_fd, pid)
+    return _collect(*_spawn(fn, chunk, lane=lane, ctx=ctx))
 
 
 class ForkBackend(ExecutionBackend):
@@ -227,43 +233,18 @@ class ForkBackend(ExecutionBackend):
         # Fork every child first (concurrency), then collect in chunk order.
         children: List[Tuple[int, int]] = []
         for chunk in chunks:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                for other_read, _other_pid in children:
-                    try:
-                        os.close(other_read)
-                    except OSError:
-                        pass
-                _chunk_child(write_fd, fn, chunk)
-                # _chunk_child never returns
-            _FORKS.inc()
-            os.close(write_fd)
-            children.append((read_fd, pid))
-
+            children.append(_spawn(fn, chunk, inherited=[fd for fd, _pid in children]))
         outcomes: List[ChunkOutcome] = []
         for read_fd, pid in children:
-            collected = _collect(read_fd, pid)
-            if collected is None:
-                outcomes.append(
-                    ChunkOutcome(results=None, detail="forked child died without reporting")
-                )
-            else:
-                results, snapshot, trace_payload, profile_payload = collected
-                if trace_payload is not None:
-                    # Same host, same monotonic clock: timestamps need no
-                    # offset.  (A receive-time offset would be wrong here —
-                    # payloads wait in the pipe while earlier chunks drain.)
-                    trace_payload["clock"] = "shared"
-                outcomes.append(
-                    ChunkOutcome(
-                        results=results,
-                        metrics=snapshot,
-                        trace=trace_payload,
-                        profile=profile_payload,
-                    )
-                )
+            outcome = _collect(read_fd, pid)
+            # Same host, same monotonic clock: timestamps need no offset.  (A
+            # receive-time offset would be wrong here — payloads wait in the
+            # pipe while earlier chunks drain.)
+            outcomes.append(
+                ChunkOutcome(results=None, detail="forked child died without reporting")
+                if outcome is None
+                else outcome.stamp("shared")
+            )
             _progress.advance()
         return outcomes
 

@@ -16,17 +16,23 @@ the pool.  The wire protocol is deliberately small:
   caller's persistent store, when one is active), ``job`` (the correlation
   id, when one is set — see :mod:`repro.obs.log`) and, for supervised
   pools, ``heartbeat_s`` (the heartbeat cadence).  Replies are
-  ``("pong", info)``, ``("ok", results, metrics_snapshot, trace_payload,
-  profile_payload)``, ``("lost", detail)``, ``("fatal", traceback)`` and
-  ``("hb", seq)`` liveness frames interleaved while a chunk runs.  The
-  trace payload (:func:`repro.obs.distributed.chunk_payload` or ``None``)
-  rides in the same frame as the results, so a chunk's spans are exactly
-  as atomic as its results and metrics;
-* **clock alignment** — a worker's monotonic clock is unrelated to the
-  caller's, so the caller stamps its own clock the moment the reply frame
-  arrives (``recv_ns``) and marks the payload ``clock: "remote"``; the
-  merger (:func:`repro.obs.distributed.absorb_chunk_trace`) then offsets
-  worker timestamps by ``recv_ns - now_ns``, accurate to one reply-transport
+  ``("pong", info)``, ``("ok", outcome)``, ``("lost", detail)``,
+  ``("fatal", traceback)`` and ``("hb", seq)`` liveness frames interleaved
+  while a chunk runs.  ``outcome`` is the
+  :class:`~repro.perf.backends.ChunkOutcome` the worker's chunk child
+  pickled, forwarded unopened: results, metrics snapshot, trace payload
+  and profile payload ride in one frame, so a chunk's spans and phase
+  totals are exactly as atomic as its results and metrics.  The client
+  accepts an ``ok`` only when the outcome :meth:`covers
+  <repro.perf.backends.ChunkOutcome.covers>` the chunk it sent; any other
+  reply is a protocol violation;
+* **stamping** — the client adds only what the worker cannot know: the
+  lane (``worker host:port``) and the clock domain.  A worker's monotonic
+  clock is unrelated to the caller's, so the caller stamps its own clock
+  the moment the reply frame arrives (``recv_ns``) and marks the trace
+  ``clock: "remote"``; the merger
+  (:func:`repro.obs.distributed.absorb_chunk_trace`) then offsets worker
+  timestamps by ``recv_ns - now_ns``, accurate to one reply-transport
   latency (each chunk has a dedicated receive thread, so the stamp is
   prompt);
 * **handshake** — on connect the client pings and verifies the worker's
@@ -42,9 +48,11 @@ the pool.  The wire protocol is deliberately small:
   heartbeating is declared dead after a few missed beats — a worker that
   accepts a chunk and never replies can no longer hang a sweep;
 * **retry on another worker** — a connection that dies, hangs past its
-  deadline, or returns an undecodable frame is marked dead and the chunk
-  is resubmitted to the next live worker; chunk results depend only on the
-  items, so retries cannot change the sweep outcome.  With supervision on,
+  deadline, returns an undecodable frame or breaks the protocol is marked
+  dead and the chunk is resubmitted to the next live worker (one retry
+  step, keyed by ``why``: ``dead``, ``deadline``, ``garbage`` or
+  ``protocol``); chunk results depend only on the items, so retries
+  cannot change the sweep outcome.  With supervision on,
   dead endpoints are redialed under seeded-deterministic backoff
   (:func:`repro.perf.supervise.backoff_delay`), repeatedly failing
   endpoints are ejected by a per-worker circuit breaker, and a **poison
@@ -52,9 +60,9 @@ the pool.  The wire protocol is deliberately small:
   (reported lost so ``parallel_map`` recomputes it in the caller) instead
   of cascading through the pool.  With no live workers left the chunk is
   reported lost and ``parallel_map`` recomputes it in the caller;
-* **atomic payloads** — a worker ships results and its per-chunk metrics
-  snapshot in one frame, so a dead, hung or byzantine worker contributed
-  nothing and the retry/fallback path can never double-count metrics.
+* **atomic payloads** — a worker ships the whole outcome in one frame, so
+  a dead, hung or byzantine worker contributed nothing and the
+  retry/fallback path can never double-count metrics.
 
 Workers execute each chunk in a forked child
 (:func:`repro.perf.backends.fork.run_chunk_in_fork`), giving every chunk a
@@ -104,7 +112,7 @@ __all__ = [
     "worker_info",
 ]
 
-PROTOCOL_VERSION = 3  # v3: heartbeat frames while a chunk runs
+PROTOCOL_VERSION = 4  # v4: ("ok", ChunkOutcome) reply frames
 
 #: A frame longer than this is treated as garbage, not allocated.
 MAX_FRAME_BYTES = 1 << 30
@@ -381,12 +389,14 @@ class SocketBackend(ExecutionBackend):
             )
             self._note_failure(conn, at="handshake")
             return False
-        if not (isinstance(reply, tuple) and reply and reply[0] == "pong"):
-            sock.close()
-            raise BackendProtocolError(
-                f"worker {conn.address} sent {reply!r} instead of a pong"
-            )
-        info = reply[1] if len(reply) > 1 else {}
+        match reply:
+            case ("pong", dict() as info):
+                pass
+            case _:
+                sock.close()
+                raise BackendProtocolError(
+                    f"worker {conn.address} sent {reply!r} instead of a pong"
+                )
         mine = worker_info()
         if info != mine:
             sock.close()
@@ -410,7 +420,7 @@ class SocketBackend(ExecutionBackend):
                 if not conn.attempted:
                     self._connect_one(conn)
 
-    def _mark_dead(self, conn: _WorkerConnection, at: str = "chunk") -> None:
+    def _mark_dead(self, conn: _WorkerConnection, at: str) -> None:
         with self._pool_lock:
             if conn.alive:
                 conn.alive = False
@@ -567,13 +577,7 @@ class SocketBackend(ExecutionBackend):
             quarantined=True,
         )
 
-    def _run_chunk(
-        self,
-        fn_blob: bytes,
-        chunk: Chunk,
-        chunk_index: int,
-        outcomes: List[Optional[ChunkOutcome]],
-    ) -> None:
+    def _run_chunk(self, fn_blob: bytes, chunk: Chunk, chunk_index: int) -> ChunkOutcome:
         _CHUNKS.inc()
         chunk_blob = pickling.dumps(list(chunk))
         killers: set = set()
@@ -582,11 +586,7 @@ class SocketBackend(ExecutionBackend):
             if conn is None:
                 if self._revive(blocking=True):
                     continue
-                outcomes[chunk_index] = ChunkOutcome(
-                    results=None, detail="no live socket workers"
-                )
-                _progress.advance()
-                return
+                return ChunkOutcome(results=None, detail="no live socket workers")
             ctx = self._run_ctx()
             try:
                 with conn.lock:
@@ -597,10 +597,6 @@ class SocketBackend(ExecutionBackend):
                     send_frame(sock, ("run", fn_blob, chunk_blob, ctx))
                     reply, recv_ns = self._receive_reply(conn)
             except _DeadlineExceeded as exc:
-                # Hung or overloaded worker: the socket holds a half-read
-                # conversation, so the connection is unusable — declare the
-                # worker dead and retry the whole chunk elsewhere.  Nothing
-                # arrived, so nothing can be double-counted.
                 _DEADLINE_MISSES.inc()
                 _trace.instant(
                     "supervise.heartbeat_miss",
@@ -608,100 +604,39 @@ class SocketBackend(ExecutionBackend):
                     worker="{}:{}".format(*conn.address),
                     detail=str(exc),
                 )
-                killers.add(conn.address)
-                self._mark_dead(conn, at="deadline")
-                _RETRIES.inc()
-                _trace.instant(
-                    "backend.retry",
-                    chunk=chunk_index,
-                    worker="{}:{}".format(*conn.address),
-                    why="deadline",
-                )
-                self._log.record(
-                    "retry", worker=self._worker_key(conn), chunk=chunk_index, why="deadline"
-                )
+                why = "deadline"
             except FrameError:
-                # Byzantine worker: a frame arrived but its bytes are
-                # garbage.  The stream offset is unknowable now, so the
-                # connection is unusable — same recovery as a dead one.
-                killers.add(conn.address)
-                self._mark_dead(conn, at="garbage")
-                _RETRIES.inc()
-                _trace.instant(
-                    "backend.retry",
-                    chunk=chunk_index,
-                    worker="{}:{}".format(*conn.address),
-                    why="garbage",
-                )
-                self._log.record(
-                    "retry", worker=self._worker_key(conn), chunk=chunk_index, why="garbage"
-                )
+                why = "garbage"
             except (OSError, EOFError):
-                # Dead connection: retry the whole chunk on another worker.
-                # Results depend only on the items, so this cannot change
-                # the sweep outcome; the dead worker's payload never
-                # arrived, so nothing can be double-counted.
-                killers.add(conn.address)
-                self._mark_dead(conn)
-                _RETRIES.inc()
-                _trace.instant(
-                    "backend.retry",
-                    chunk=chunk_index,
-                    worker="{}:{}".format(*conn.address),
-                    why="dead",
-                )
-                self._log.record(
-                    "retry", worker=self._worker_key(conn), chunk=chunk_index, why="dead"
-                )
+                why = "dead"
             else:
-                if not (isinstance(reply, tuple) and reply and isinstance(reply[0], str)):
-                    killers.add(conn.address)
-                    self._mark_dead(conn, at="protocol")
-                    _RETRIES.inc()
-                    _trace.instant(
-                        "backend.retry",
-                        chunk=chunk_index,
-                        worker="{}:{}".format(*conn.address),
-                        why="protocol",
-                    )
-                    self._log.record(
-                        "retry",
-                        worker=self._worker_key(conn),
-                        chunk=chunk_index,
-                        why="protocol",
-                    )
-                elif reply[0] == "ok":
-                    trace_payload = reply[3] if len(reply) > 3 else None
-                    if trace_payload is not None:
-                        trace_payload["clock"] = "remote"
-                        trace_payload["recv_ns"] = recv_ns
-                        trace_payload["lane"] = "worker {}:{}".format(*conn.address)
-                    # Older workers send 4-element ok-frames (no profile
-                    # slot) — absent means "did not profile", not an error.
-                    profile_payload = reply[4] if len(reply) > 4 else None
-                    if profile_payload is not None:
-                        profile_payload["lane"] = "worker {}:{}".format(*conn.address)
-                    outcomes[chunk_index] = ChunkOutcome(
-                        results=reply[1],
-                        metrics=reply[2],
-                        trace=trace_payload,
-                        profile=profile_payload,
-                    )
-                    _progress.advance()
-                    return
-                else:  # "lost" (worker's chunk child died) or "fatal" (bad payload)
-                    outcomes[chunk_index] = ChunkOutcome(
-                        results=None, detail=str(reply[1]) if len(reply) > 1 else reply[0]
-                    )
-                    _progress.advance()
-                    return
-            # A worker just failed this chunk.  A chunk that keeps killing
-            # its hosts is poison: quarantine it instead of feeding it the
-            # rest of the pool.
+                match reply:
+                    case ("ok", ChunkOutcome() as outcome) if outcome.covers(chunk):
+                        return outcome.stamp(
+                            "remote", lane="worker {}:{}".format(*conn.address), recv_ns=recv_ns
+                        )
+                    case ("lost" | "fatal", detail):
+                        # The worker's chunk child died, or the worker could
+                        # not load the chunk: parallel_map recomputes it here.
+                        return ChunkOutcome(results=None, detail=str(detail))
+                why = "protocol"
+            # The one retry step.  Whatever went wrong, the connection now
+            # holds a half-read conversation or a stream at an unknowable
+            # offset, so the worker is declared dead and the whole chunk
+            # goes to the next live worker.  Results depend only on the
+            # items, so a retry cannot change the sweep outcome, and nothing
+            # from the failed attempt was kept, so nothing is double-counted.
+            killers.add(conn.address)
+            self._mark_dead(conn, at=why)
+            _RETRIES.inc()
+            _trace.instant(
+                "backend.retry", chunk=chunk_index, worker="{}:{}".format(*conn.address), why=why
+            )
+            self._log.record("retry", worker=self._worker_key(conn), chunk=chunk_index, why=why)
+            # A chunk that keeps killing its hosts is poison: quarantine it
+            # instead of feeding it the rest of the pool.
             if self._policy.enabled and len(killers) >= self._policy.poison_threshold:
-                outcomes[chunk_index] = self._quarantine(chunk_index, killers)
-                _progress.advance()
-                return
+                return self._quarantine(chunk_index, killers)
 
     def submit_chunks(
         self, fn: Callable[[Any], Any], chunks: Sequence[Chunk]
@@ -709,10 +644,13 @@ class SocketBackend(ExecutionBackend):
         self._ensure_connected()
         fn_blob = pickling.dumps(fn)
         outcomes: List[Optional[ChunkOutcome]] = [None] * len(chunks)
+
+        def run(index: int, chunk: Chunk) -> None:
+            outcomes[index] = self._run_chunk(fn_blob, chunk, index)
+            _progress.advance()
+
         threads = [
-            threading.Thread(
-                target=self._run_chunk, args=(fn_blob, chunk, index, outcomes), daemon=True
-            )
+            threading.Thread(target=run, args=(index, chunk), daemon=True)
             for index, chunk in enumerate(chunks)
         ]
         for thread in threads:

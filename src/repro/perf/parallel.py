@@ -37,12 +37,11 @@ TCP worker pool:
 
 Backend resolution, in order: the ``backend`` argument (an
 :class:`~repro.perf.backends.ExecutionBackend` instance or a spec string),
-the legacy ``workers`` argument (mapped to ``fork:N``), then the
-process-wide default (:func:`repro.perf.backends.configure_backend`, else
-serial).  The experiment runner's ``--parallel``
-flag deliberately does *not* configure a backend: runner parallelism fans
-whole experiments, and nesting both layers oversubscribes the host (see
-``docs/performance.md``).
+then the process-wide default
+(:func:`repro.perf.backends.configure_backend`, else serial).  The
+experiment runner's ``--parallel`` flag deliberately does *not* configure
+a backend: runner parallelism fans whole experiments, and nesting both
+layers oversubscribes the host (see ``docs/performance.md``).
 
 **Sweep memoization** — with the cache enabled *and* a persistent store
 active (:mod:`repro.perf.store`), a whole sweep whose
@@ -57,7 +56,7 @@ strictly best-effort and invisible in results.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Iterable, List, Tuple, Union
 
 from repro.obs import distributed as _distributed
 from repro.obs import metrics as _metrics
@@ -119,8 +118,6 @@ def parallel_map(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
     *,
-    workers: Optional[int] = None,
-    merge_metrics: bool = True,
     backend: Union[None, str, ExecutionBackend] = None,
 ) -> List[Any]:
     """``[fn(x) for x in items]`` fanned across an execution backend (see
@@ -136,7 +133,7 @@ def parallel_map(
             _SWEEP_HITS.inc()
             return list(stored)
         _SWEEP_MISSES.inc()
-    results = _dispatch(fn, work, workers=workers, merge_metrics=merge_metrics, backend=backend)
+    results = _dispatch(fn, work, backend)
     if memo is not None:
         store.put("sweep", entry_fp, results)
     return results
@@ -145,23 +142,14 @@ def parallel_map(
 def _dispatch(
     fn: Callable[[Any], Any],
     work: List[Any],
-    *,
-    workers: Optional[int],
-    merge_metrics: bool,
     backend: Union[None, str, ExecutionBackend],
 ) -> List[Any]:
-    owned = False
-    if backend is not None:
-        resolved = backend if isinstance(backend, ExecutionBackend) else make_backend(backend)
-        owned = not isinstance(backend, ExecutionBackend)
-    elif workers is not None:
-        count = max(1, int(workers))
-        if count <= 1:
-            return [fn(item) for item in work]
-        resolved = make_backend(f"fork:{count}")
-        owned = True
+    if backend is None:
+        resolved, owned = get_backend(), False
+    elif isinstance(backend, ExecutionBackend):
+        resolved, owned = backend, False
     else:
-        resolved = get_backend()
+        resolved, owned = make_backend(backend), True
 
     try:
         count = min(resolved.parallelism, len(work))
@@ -194,7 +182,7 @@ def _dispatch(
     results: List[Any] = [None] * len(work)
     failures: List[Tuple[int, str]] = []
     for chunk_index, (chunk, outcome) in enumerate(zip(chunks, outcomes)):
-        if outcome is None or outcome.lost:
+        if outcome.lost:
             # The executor died without reporting (or supervision
             # quarantined a poison chunk): recompute the chunk here.  Its
             # payload (results + metrics + spans) is atomic and never
@@ -202,16 +190,15 @@ def _dispatch(
             # item's work exactly once.
             _FALLBACKS.inc()
             _trace.instant(
-                "parallel.chunk_quarantined"
-                if getattr(outcome, "quarantined", False)
-                else "parallel.chunk_fallback",
+                "parallel.chunk_quarantined" if outcome.quarantined else "parallel.chunk_fallback",
                 chunk=chunk_index,
-                detail=getattr(outcome, "detail", None),
+                detail=outcome.detail,
             )
             for index, item in chunk:
                 results[index] = fn(item)
             continue
-        if merge_metrics and outcome.metrics is not None:
+        # The one merge of a chunk outcome: metrics, spans, then phase totals.
+        if outcome.metrics is not None:
             _metrics.merge_snapshot(outcome.metrics)
         _distributed.absorb_chunk_trace(outcome.trace)
         _profile.absorb_chunk_profile(outcome.profile)

@@ -93,39 +93,34 @@ def _handle_run(
         settings.pop("cache_dir", None)
     job = ctx.get("job")
     started = time.perf_counter()
-    # A supervised client asks for liveness frames while the
-    # chunk runs (ctx["heartbeat_s"]); the chunk executes in a helper
-    # thread and this thread beats until it finishes.  The heartbeat and
-    # the reply share one send lock so frames never interleave.
-    heartbeat_s = ctx.get("heartbeat_s")
+    # The chunk executes in a helper thread while this thread waits on it.
+    # A supervised client asks for liveness frames while the chunk runs
+    # (ctx["heartbeat_s"]); without a cadence the wait simply blocks until
+    # the chunk finishes.  Heartbeats and the reply share one send lock so
+    # frames never interleave.
+    heartbeat_s = ctx.get("heartbeat_s") or None
+    done = threading.Event()
+    box: list = []
+
+    def _run() -> None:
+        try:
+            box.append(run_chunk_in_fork(fn, chunk, lane="worker", ctx=settings))
+        finally:
+            done.set()
+
+    threading.Thread(target=_run, daemon=True).start()
     beats = 0
-    if heartbeat_s:
-        done = threading.Event()
-        collected_box: list = []
-
-        def _run() -> None:
-            try:
-                collected_box.append(
-                    run_chunk_in_fork(fn, chunk, lane="worker", ctx=settings)
-                )
-            finally:
-                done.set()
-
-        runner = threading.Thread(target=_run, daemon=True)
-        runner.start()
-        while not done.wait(float(heartbeat_s)):
-            try:
-                _locked_send(conn, send_lock, ("hb", beats))
-                beats += 1
-            except OSError:
-                break  # client gone; finish the chunk for the log, reply will fail
-        runner.join()
-        collected = collected_box[0] if collected_box else None
-    else:
-        collected = run_chunk_in_fork(fn, chunk, lane="worker", ctx=settings)
+    while not done.wait(heartbeat_s):
+        try:
+            _locked_send(conn, send_lock, ("hb", beats))
+            beats += 1
+        except OSError:
+            break  # client gone; finish the chunk for the log, reply will fail
+    done.wait()
+    outcome = box[0] if box else None
     elapsed = time.perf_counter() - started
     beaten = f", {beats} heartbeats" if beats else ""
-    if collected is None:
+    if outcome is None:
         _locked_send(
             conn, send_lock, ("lost", "worker's chunk subprocess died without reporting")
         )
@@ -133,23 +128,18 @@ def _handle_run(
             "worker.chunk.lost", job=job, items=len(chunk), elapsed_s=round(elapsed, 3)
         )
         return f"lost ({len(chunk)} items, {elapsed:.2f}s{beaten})"
-    results, snapshot, trace_payload, profile_payload = collected
-    # The ok-frame's 5th element is the profile payload; clients predating
-    # it read only the first four and are unaffected.
-    _locked_send(
-        conn, send_lock, ("ok", results, snapshot, trace_payload, profile_payload)
-    )
-    failed = sum(1 for _index, error, _value in results if error is not None)
+    _locked_send(conn, send_lock, ("ok", outcome))
+    failed = sum(1 for _index, error, _value in outcome.results if error is not None)
     status = "ok" if not failed else f"ok with {failed} item error(s)"
-    traced = ", traced" if trace_payload is not None else ""
-    profiled = ", profiled" if profile_payload is not None else ""
+    traced = ", traced" if outcome.trace is not None else ""
+    profiled = ", profiled" if outcome.profile is not None else ""
     _WORKER_LOG.info(
         "worker.chunk",
         job=job,
         items=len(chunk),
         failed=failed or None,
         elapsed_s=round(elapsed, 3),
-        traced=True if trace_payload is not None else None,
+        traced=True if outcome.trace is not None else None,
         heartbeats=beats or None,
     )
     return f"{status} ({len(chunk)} items, {elapsed:.2f}s{traced}{profiled}{beaten})"
@@ -170,26 +160,26 @@ def _serve_connection(
                 break
             except (EOFError, OSError):
                 break
-            if not (isinstance(message, tuple) and message and isinstance(message[0], str)):
-                _log(f"client {peer[0]}:{peer[1]} sent a malformed request; disconnecting")
-                break
-            kind = message[0]
-            if kind == "ping":
-                _locked_send(conn, send_lock, ("pong", worker_info()))
-            elif kind == "run":
-                ctx = message[3] if len(message) > 3 else {}
-                outcome = _handle_run(
-                    conn, send_lock, message[1], message[2], ctx, pinned_store
-                )
-                _log(f"client {peer[0]}:{peer[1]} chunk -> {outcome}")
-            elif kind == "shutdown":
-                _log(f"client {peer[0]}:{peer[1]} requested shutdown")
-                try:
-                    send_frame(conn, ("bye",))
-                finally:
-                    os._exit(0)
-            else:
-                _locked_send(conn, send_lock, ("fatal", f"unknown request {kind!r}"))
+            match message:
+                case ("ping",):
+                    _locked_send(conn, send_lock, ("pong", worker_info()))
+                case ("run", fn_blob, chunk_blob, dict() as ctx):
+                    outcome = _handle_run(
+                        conn, send_lock, fn_blob, chunk_blob, ctx, pinned_store
+                    )
+                    _log(f"client {peer[0]}:{peer[1]} chunk -> {outcome}")
+                case ("shutdown",):
+                    _log(f"client {peer[0]}:{peer[1]} requested shutdown")
+                    try:
+                        send_frame(conn, ("bye",))
+                    finally:
+                        os._exit(0)
+                case (str() as kind, *_rest):
+                    reason = f"unknown or malformed request {kind!r}"
+                    _locked_send(conn, send_lock, ("fatal", reason))
+                case _:
+                    _log(f"client {peer[0]}:{peer[1]} sent a malformed request; disconnecting")
+                    break
     finally:
         try:
             conn.close()

@@ -40,6 +40,7 @@ from repro.perf.backends import (
     register_backend,
 )
 from repro.perf.backends.sockets import (
+    PROTOCOL_VERSION,
     BackendProtocolError,
     parse_addresses,
     recv_frame,
@@ -322,11 +323,12 @@ class TestSocketBackend:
             backend.close()
             server.close()
 
-    def test_protocol_v2_worker_refused(self, fake_worker):
-        port = fake_worker(lambda conn: _handshake(conn, protocol=2))
+    @pytest.mark.parametrize("protocol", [2, 3])
+    def test_protocol_v2_worker_refused(self, fake_worker, protocol):
+        port = fake_worker(lambda conn: _handshake(conn, protocol=protocol))
         backend = make_backend(f"socket:127.0.0.1:{port}")
         try:
-            with pytest.raises(BackendProtocolError, match="protocol 2"):
+            with pytest.raises(BackendProtocolError, match=f"protocol {protocol}"):
                 backend.submit_chunks(lambda x: x, [[(0, 1)]])
         finally:
             backend.close()
@@ -376,7 +378,7 @@ def fake_worker():
         server.close()
 
 
-def _handshake(conn, protocol=3):
+def _handshake(conn, protocol=PROTOCOL_VERSION):
     message = recv_frame(conn)
     assert message == ("ping",)
     send_frame(conn, ("pong", {"protocol": protocol, "python": worker_info()["python"]}))
@@ -418,7 +420,7 @@ class TestMisbehavingWorkers:
         # only the caller's recomputation counted, exactly once per item.
         assert c.value == count_before + len(items)
 
-    @pytest.mark.parametrize("corruption", ["garbage", "truncated"])
+    @pytest.mark.parametrize("corruption", ["garbage", "truncated", "wrong-payload"])
     def test_byzantine_frames_survive_without_double_counting(
         self, fake_worker, corruption
     ):
@@ -428,6 +430,9 @@ class TestMisbehavingWorkers:
             if corruption == "garbage":
                 # A length header promising an absurd frame: FrameError.
                 conn.sendall((1 << 40).to_bytes(8, "big") + b"\xde\xad\xbe\xef")
+            elif corruption == "wrong-payload":
+                # A well-formed frame whose ok payload is not a ChunkOutcome.
+                send_frame(conn, ("ok", "junk", None, None, None))
             else:
                 # A frame cut off mid-payload: EOFError at the receiver.
                 conn.sendall((1000).to_bytes(8, "big") + b"x" * 17)

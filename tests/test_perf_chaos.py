@@ -268,7 +268,7 @@ def _scrub(payload):
 
 @pytest.fixture
 def hung_worker():
-    """Handshakes like a protocol-3 worker, then never answers anything —
+    """Handshakes like a real worker, then never answers anything —
     the heartbeat-silence detector must eject it, not wait forever."""
     server = socket_module.create_server(("127.0.0.1", 0))
     port = server.getsockname()[1]
@@ -278,10 +278,7 @@ def hung_worker():
         try:
             message = recv_frame(conn)
             if message == ("ping",):
-                send_frame(
-                    conn,
-                    ("pong", {"protocol": 3, "python": worker_info()["python"]}),
-                )
+                send_frame(conn, ("pong", worker_info()))
             recv_frame(conn)  # the chunk request...
             stop.wait(60)  # ...into the void
         except (OSError, EOFError):

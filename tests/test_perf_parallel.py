@@ -21,21 +21,21 @@ from repro.perf.parallel import ParallelWorkerError, parallel_map
 class TestOrderAndExactness:
     def test_results_in_input_order(self):
         items = list(range(23))
-        assert parallel_map(lambda x: x * x, items, workers=4) == [x * x for x in items]
+        assert parallel_map(lambda x: x * x, items, backend="fork:4") == [x * x for x in items]
 
     def test_fractions_cross_the_boundary_exactly(self):
         items = [Fraction(1, n) for n in range(1, 17)]
-        result = parallel_map(lambda f: f / 3, items, workers=3)
+        result = parallel_map(lambda f: f / 3, items, backend="fork:3")
         assert result == [f / 3 for f in items]
         assert all(isinstance(r, Fraction) for r in result)
 
     def test_single_item_runs_serially(self):
         forks_before = metrics.counter("perf.parallel.forks").value
-        assert parallel_map(lambda x: x + 1, [41], workers=8) == [42]
+        assert parallel_map(lambda x: x + 1, [41], backend="fork:8") == [42]
         assert metrics.counter("perf.parallel.forks").value == forks_before
 
     def test_empty_input(self):
-        assert parallel_map(lambda x: x, [], workers=4) == []
+        assert parallel_map(lambda x: x, [], backend="fork:4") == []
 
 
 class TestSeedStability:
@@ -48,7 +48,7 @@ class TestSeedStability:
         items = list(range(31))
         serial = [draw(i) for i in items]
         for workers in (1, 2, 4, 7):
-            assert parallel_map(draw, items, workers=workers) == serial
+            assert parallel_map(draw, items, backend=f"fork:{workers}") == serial
 
 
 class TestMetricsMerging:
@@ -60,19 +60,8 @@ class TestMetricsMerging:
             c.inc()
             return x
 
-        parallel_map(bump, list(range(12)), workers=4)
+        parallel_map(bump, list(range(12)), backend="fork:4")
         assert c.value == before + 12
-
-    def test_merge_can_be_disabled(self):
-        c = metrics.counter("test.parallel.unmerged")
-        before = c.value
-
-        def bump(x):
-            c.inc()
-            return x
-
-        parallel_map(bump, list(range(8)), workers=4, merge_metrics=False)
-        assert c.value == before
 
 
 class TestLostChunkFallback:
@@ -94,8 +83,8 @@ class TestLostChunkFallback:
             return x * 10
 
         items = list(range(9))
-        # workers=3 puts items {1, 4, 7} alone in chunk 1 (round-robin).
-        assert parallel_map(work, items, workers=3) == [x * 10 for x in items]
+        # fork:3 puts items {1, 4, 7} alone in chunk 1 (round-robin).
+        assert parallel_map(work, items, backend="fork:3") == [x * 10 for x in items]
         assert fallbacks.value == fallbacks_before + 1
         assert c.value == before + len(items)
 
@@ -108,7 +97,7 @@ class TestErrors:
             return x
 
         with pytest.raises(ParallelWorkerError) as excinfo:
-            parallel_map(maybe_boom, list(range(12)), workers=3)
+            parallel_map(maybe_boom, list(range(12)), backend="fork:3")
         assert excinfo.value.index == 7
         assert "boom at seven" in str(excinfo.value)
 
@@ -119,5 +108,5 @@ class TestErrors:
             return x
 
         with pytest.raises(ParallelWorkerError) as excinfo:
-            parallel_map(boom_high, list(range(12)), workers=4)
+            parallel_map(boom_high, list(range(12)), backend="fork:4")
         assert excinfo.value.index == 5

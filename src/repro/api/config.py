@@ -8,7 +8,7 @@ exactly one place (:func:`resolve_config`), by **one documented order**:
    represented as ``None`` (or ``False`` for pure switches) and falls
    through to the next layer.
 2. **Environment gates** — ``REPRO_CACHE``, ``REPRO_CACHE_DIR``,
-   ``REPRO_BACKEND``, ``REPRO_SUPERVISE``, ``REPRO_CHUNK_DEADLINE``,
+   ``REPRO_BACKEND``, ``REPRO_CHUNK_DEADLINE``,
    ``REPRO_PROFILE``, ``REPRO_TRACE``, ``REPRO_PROGRESS``.
 3. **Defaults** — the dataclass field defaults below.
 
@@ -48,7 +48,6 @@ ENV_GATES = {
     "cache": "REPRO_CACHE",
     "cache_dir": "REPRO_CACHE_DIR",
     "backend": "REPRO_BACKEND",
-    "supervise": "REPRO_SUPERVISE",
     "chunk_deadline": "REPRO_CHUNK_DEADLINE",
     "profile": "REPRO_PROFILE",
     "trace": "REPRO_TRACE",
@@ -95,8 +94,6 @@ class RunConfig:
     cache_dir: Optional[str] = None
     #: sweep execution backend spec; ``None`` = serial
     backend: Optional[str] = None
-    #: self-healing transport layer for remote sweep backends
-    supervise: bool = False
     #: wall-clock bound per sweep chunk; ``None`` = policy default, ``0`` = off
     chunk_deadline: Optional[float] = None
     #: record Chrome-trace spans
@@ -135,8 +132,8 @@ class RunConfig:
                 isinstance(value, bool) or not isinstance(value, (int, float))
             ):
                 raise ConfigError(f"{name} must be a number or null, got {value!r}")
-        for name in ("full", "isolated", "keep_going", "supervise",
-                     "trace", "profile", "progress"):
+        for name in ("full", "isolated", "keep_going", "trace", "profile",
+                     "progress"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(
                     f"{name} must be a boolean, got {getattr(self, name)!r}"
@@ -191,9 +188,7 @@ class RunConfig:
         perf_cache.configure(enabled=self.cache != "off")
         perf_store.configure(self.cache_dir)
         perf_backends.configure_backend(self.backend)
-        policy = perf_supervise.SupervisionPolicy(
-            enabled=self.supervise, seed=self.seed or 0
-        )
+        policy = perf_supervise.SupervisionPolicy(seed=self.seed or 0)
         if self.chunk_deadline is not None:
             policy = policy.with_options({"deadline": self.chunk_deadline})
         perf_supervise.configure_policy(policy)
@@ -216,7 +211,7 @@ def resolve_config(
     ``overrides`` are the caller's explicit choices (CLI flags, a job
     submission's config fields).  ``None`` means "not specified" for every
     value field, and ``False`` means "not specified" for the pure switches
-    (``supervise``, ``trace``, ``profile``, ``progress``) — a switch flag
+    (``trace``, ``profile``, ``progress``) — a switch flag
     can only turn a feature *on*; turning one off against the environment
     is done through the environment (matching the CLI's historic
     semantics).  Unknown override names raise :class:`ConfigError`.
@@ -286,13 +281,6 @@ def resolve_config(
         raw = env_raw("backend")
         if raw is not None:
             values["backend"] = raw
-
-    if pick("supervise", switch=True):
-        values["supervise"] = True
-    else:
-        raw = env_raw("supervise")
-        if raw is not None:
-            values["supervise"] = _switch(raw)
 
     explicit_deadline = pick("chunk_deadline")
     if explicit_deadline is not None:

@@ -38,7 +38,6 @@ from repro.obs.report import (
 )
 from repro.perf import backends as perf_backends
 from repro.perf import store as perf_store
-from repro.perf import supervise as perf_supervise
 
 from repro.api.config import RunConfig
 
@@ -134,8 +133,8 @@ def run_suite(
     # children inherit them through fork, workers get them per run frame.
     config.apply()
     cache_enabled = config.cache != "off"
-    supervision_policy = perf_supervise.base_policy()
-    backend_block = perf_backends.make_backend(perf_backends.current_spec()).describe()
+    backend = perf_backends.make_backend(perf_backends.current_spec())
+    backend_block = backend.describe()
 
     suite_start = time.perf_counter()
 
@@ -284,15 +283,12 @@ def run_suite(
             folded_files=folded_files if folded_files else None,
         )
 
-    # Like the trace block, the resilience block exists only when
-    # supervision was actually on, so unsupervised runs emit reports
-    # byte-identical to pre-supervision ones.
+    # The resilience block exists exactly when supervision can act: on a
+    # remote backend.  Serial and fork runs emit reports without it.
     resilience_block = None
-    if supervision_policy.enabled:
+    if backend.remote:
         resilience_block = resilience_summary(
-            records,
-            supervised=True,
-            chunk_deadline_s=supervision_policy.chunk_deadline_s,
+            records, chunk_deadline_s=backend_block.get("chunk_deadline_s")
         )
 
     payload = build_report(

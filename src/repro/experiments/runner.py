@@ -17,7 +17,7 @@ Performance (see ``docs/performance.md``)::
     python -m repro.experiments.runner --cache-dir .cache/repro    # persist it
     python -m repro.experiments.runner --backend fork:4             # inner sweeps
     python -m repro.experiments.runner --backend socket:host:9001   # ... on a pool
-    python -m repro.experiments.runner --backend pool:3 --supervise # self-healing
+    python -m repro.experiments.runner --backend pool:3             # self-healing
     python -m repro.experiments.runner --chunk-deadline 30          # bound chunks
 
 Observability (see ``docs/observability.md``)::
@@ -157,14 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--supervise",
-        action="store_true",
-        help=(
-            "self-heal remote sweep backends: chunk deadlines, heartbeats, "
-            "seeded reconnect backoff, circuit breakers (see docs/resilience.md)"
-        ),
-    )
-    parser.add_argument(
         "--chunk-deadline",
         type=float,
         default=None,
@@ -238,7 +230,6 @@ def main(argv=None) -> int:
             cache=args.cache,
             cache_dir=args.cache_dir,
             backend=args.backend,
-            supervise=args.supervise,
             chunk_deadline=args.chunk_deadline,
             trace_dir=args.trace_dir,
             profile=args.profile,

@@ -55,9 +55,8 @@ accepts)::
           "name": "socket", "spec": "socket:host1:9001,host2:9001",
           "parallelism": 2
         },
-        "resilience": {                                        # optional:
-          "supervised": true,                                  # supervision +
-          "chunk_deadline_s": 600.0,                           # transport
+        "resilience": {                                        # optional: remote
+          "chunk_deadline_s": 600.0,                           # backends only;
           "counters": {"perf.supervise.respawns": 1, ...}      # health totals
         },
         "trace": {                                             # optional:
@@ -79,7 +78,7 @@ accepts)::
         },
         "config": {                                            # optional:
           "full": false, "parallel": 2, "cache": "on",         # the resolved
-          "backend": "fork:4", "supervise": true, ...          # RunConfig
+          "backend": "fork:4", "chunk_deadline": 30.0, ...     # RunConfig
         },
         "analysis": {                                          # optional:
           "critical_path": {"wall_us": 5400.0,                 # only when
@@ -351,7 +350,6 @@ _RESILIENCE_EXACT = ("perf.parallel.chunk_fallbacks",)
 def resilience_summary(
     records: Sequence[Dict[str, Any]],
     *,
-    supervised: bool,
     chunk_deadline_s: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Aggregate supervision and transport-health counters across records.
@@ -368,7 +366,6 @@ def resilience_summary(
             if name.startswith(_RESILIENCE_PREFIXES) or name in _RESILIENCE_EXACT:
                 totals[name] = totals.get(name, 0) + value
     return {
-        "supervised": bool(supervised),
         "chunk_deadline_s": None if chunk_deadline_s is None else float(chunk_deadline_s),
         "counters": dict(sorted(totals.items())),
     }
@@ -534,8 +531,6 @@ def validate_report(payload: Any) -> None:
     if "resilience" in summary:
         resilience = summary["resilience"]
         _require(isinstance(resilience, dict), "summary.resilience must be an object")
-        _require(isinstance(resilience.get("supervised"), bool),
-                 "summary.resilience.supervised must be a boolean")
         _require(
             resilience.get("chunk_deadline_s") is None
             or (

@@ -15,8 +15,11 @@ re-raises identically for every backend.  Three transports ship:
 * ``socket`` — chunks pickled to a TCP worker pool
   (:class:`~repro.perf.backends.sockets.SocketBackend`; stand workers up
   with ``python -m repro.perf.worker --listen HOST:PORT``);
-* ``pool`` — a supervised loopback pool that launches (and respawns) its
-  own worker subprocesses (:class:`~repro.perf.supervise.LocalPoolBackend`).
+* ``pool`` — a loopback pool that launches (and respawns) its own worker
+  subprocesses (:class:`~repro.perf.supervise.LocalPoolBackend`).
+
+``socket`` and ``pool`` always run under the self-healing supervision
+policy (:mod:`repro.perf.supervise`).
 
 Backend specs
 -------------
@@ -26,7 +29,7 @@ A backend is named by a **spec string**::
     fork            # one chunk per CPU     # fork:<os.cpu_count()>
     fork:4                                  # 4 forked chunks
     socket:host1:9001,host2:9001            # TCP worker pool, one chunk per worker
-    socket:host1:9001;deadline=30;supervise=on   # ;key=value supervision options
+    socket:host1:9001;deadline=30           # ;key=value supervision options
     pool:4                                  # 4 self-launched loopback workers
 
 The process-wide default is whatever :func:`configure_backend` installed

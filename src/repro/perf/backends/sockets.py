@@ -14,8 +14,8 @@ the pool.  The wire protocol is deliberately small:
   settings for that one chunk: ``cache`` (the cache switch), ``trace`` and
   ``profile`` (whether to record spans and phases), ``cache_dir`` (the
   caller's persistent store, when one is active), ``job`` (the correlation
-  id, when one is set — see :mod:`repro.obs.log`) and, for supervised
-  pools, ``heartbeat_s`` (the heartbeat cadence).  Replies are
+  id, when one is set — see :mod:`repro.obs.log`) and ``heartbeat_s``
+  (the heartbeat cadence).  Replies are
   ``("pong", info)``, ``("ok", outcome)``, ``("lost", detail)``,
   ``("fatal", traceback)`` and ``("hb", seq)`` liveness frames interleaved
   while a chunk runs.  ``outcome`` is the
@@ -44,22 +44,24 @@ the pool.  The wire protocol is deliberately small:
   most the per-chunk wall-clock deadline
   (:class:`~repro.perf.supervise.SupervisionPolicy.chunk_deadline_s`,
   default 600 s, the run config's ``chunk_deadline`` / ``;deadline=`` to
-  change, ``0``/``off`` to disable), and a supervised worker that stops
-  heartbeating is declared dead after a few missed beats — a worker that
-  accepts a chunk and never replies can no longer hang a sweep;
+  change, ``0``/``off`` to disable), and a worker that stops heartbeating
+  is declared dead after a few missed beats — a worker that accepts a
+  chunk and never replies can no longer hang a sweep;
 * **retry on another worker** — a connection that dies, hangs past its
   deadline, returns an undecodable frame or breaks the protocol is marked
   dead and the chunk is resubmitted to the next live worker (one retry
   step, keyed by ``why``: ``dead``, ``deadline``, ``garbage`` or
   ``protocol``); chunk results depend only on the items, so retries
-  cannot change the sweep outcome.  With supervision on,
-  dead endpoints are redialed under seeded-deterministic backoff
+  cannot change the sweep outcome.  Dead endpoints are redialed under
+  seeded-deterministic backoff
   (:func:`repro.perf.supervise.backoff_delay`), repeatedly failing
   endpoints are ejected by a per-worker circuit breaker, and a **poison
-  chunk** that kills ``poison_threshold`` distinct workers is quarantined
-  (reported lost so ``parallel_map`` recomputes it in the caller) instead
-  of cascading through the pool.  With no live workers left the chunk is
-  reported lost and ``parallel_map`` recomputes it in the caller;
+  chunk** whose attempts fail ``poison_threshold`` times — on any
+  workers, one endpoint redialed included — is quarantined (reported
+  lost so ``parallel_map`` recomputes it in the caller) instead of
+  cascading through the pool or retrying forever.  With no live workers
+  left the chunk is reported lost and ``parallel_map`` recomputes it in
+  the caller;
 * **atomic payloads** — a worker ships the whole outcome in one frame, so
   a dead, hung or byzantine worker contributed nothing and the
   retry/fallback path can never double-count metrics.
@@ -75,6 +77,7 @@ trust, and bind them to loopback or private interfaces.
 
 from __future__ import annotations
 
+import math
 import pickle
 import socket
 import struct
@@ -233,7 +236,7 @@ def parse_options(text: Optional[str]) -> Dict[str, str]:
 
 def parse_socket_spec(rest: Optional[str]) -> Tuple[List[Tuple[str, int]], Dict[str, str]]:
     """Split a ``socket:`` spec body into addresses and supervision options
-    (``host:port,host:port;deadline=30;supervise=on``)."""
+    (``host:port,host:port;deadline=30``)."""
     if not rest:
         return parse_addresses(rest), {}
     address_text, _, option_text = rest.partition(";")
@@ -325,7 +328,6 @@ class SocketBackend(ExecutionBackend):
     def describe(self) -> Dict[str, Any]:
         info = super().describe()
         info["addresses"] = [f"{h}:{p}" for h, p in self.addresses]
-        info["supervised"] = self._policy.enabled
         info["chunk_deadline_s"] = self._policy.chunk_deadline_s
         return info
 
@@ -364,12 +366,11 @@ class SocketBackend(ExecutionBackend):
                 failures=conn.breaker.failures,
             )
 
-    def _connect_one(self, conn: _WorkerConnection) -> bool:
+    def _connect_one(self, conn: _WorkerConnection, timeout: float) -> bool:
+        """Dial and handshake ``conn``, each within ``timeout`` seconds."""
         conn.attempted = True
         try:
-            sock = socket.create_connection(
-                conn.address, timeout=self._policy.connect_timeout_s
-            )
+            sock = socket.create_connection(conn.address, timeout=timeout)
         except OSError:
             _DEAD.inc()
             _trace.instant(
@@ -378,7 +379,7 @@ class SocketBackend(ExecutionBackend):
             self._note_failure(conn, at="connect")
             return False
         try:
-            sock.settimeout(self._policy.connect_timeout_s)
+            sock.settimeout(timeout)
             send_frame(sock, ("ping",))
             reply = recv_frame(sock)
         except (OSError, EOFError, FrameError):
@@ -418,7 +419,7 @@ class SocketBackend(ExecutionBackend):
         with self._pool_lock:
             for conn in self._connections:
                 if not conn.attempted:
-                    self._connect_one(conn)
+                    self._connect_one(conn, self._policy.connect_timeout_s)
 
     def _mark_dead(self, conn: _WorkerConnection, at: str) -> None:
         with self._pool_lock:
@@ -458,45 +459,41 @@ class SocketBackend(ExecutionBackend):
         ``conn`` (nothing left to dial)."""
         return True
 
-    def _revive(self, *, blocking: bool) -> bool:
-        """Redial dead endpoints under the backoff schedule; True when at
-        least one worker is live afterwards.  Non-blocking passes only dial
-        endpoints whose backoff delay has elapsed and whose breaker admits
-        a trial; a blocking pass (a starved chunk) waits the schedule out
-        for up to ``max_reconnect_attempts`` rounds."""
-        if not self._policy.enabled:
-            with self._pool_lock:
-                return any(c.alive for c in self._connections)
-        rounds = max(1, self._policy.max_reconnect_attempts) if blocking else 1
-        for _round in range(rounds):
+    def _revive(self) -> bool:
+        """Redial dead endpoints for a starved chunk; True when at least one
+        worker is live afterwards.  Each round dials the endpoints whose
+        breaker admits a trial, waiting out their backoff delays, for up to
+        ``max_reconnect_attempts`` rounds — but never past the chunk
+        deadline: a chunk waits for a worker no longer than it would wait
+        for a reply, so a worker that accepts connections and never
+        answers the handshake costs one deadline, not a connect timeout
+        per round."""
+        deadline = self._policy.chunk_deadline_s
+        give_up_at = time.monotonic() + (math.inf if deadline is None else deadline)
+        for _round in range(max(1, self._policy.max_reconnect_attempts)):
             with self._pool_lock:
                 if any(c.alive for c in self._connections):
                     return True
                 dead = [c for c in self._connections if not c.alive]
             candidates = [c for c in dead if c.breaker.allow()]
-            if not candidates:
-                if not blocking:
-                    return False
-                # Everything is breaker-ejected: wait out the shortest
-                # cooldown once rather than spinning.
-                soonest = min(
-                    (c.breaker.cooldown_s for c in dead), default=self._policy.breaker_cooldown_s
-                )
-                time.sleep(min(soonest, self._policy.backoff_max_s))
-                candidates = [c for c in dead if c.breaker.allow()]
+            # Out of time, or everything is breaker-ejected: the caller
+            # computes the chunk sooner than any cooldown would end.
+            if not candidates or time.monotonic() >= give_up_at:
+                return False
             for conn in candidates:
-                wait = conn.next_attempt_at - time.monotonic()
+                wait = min(conn.next_attempt_at, give_up_at) - time.monotonic()
                 if wait > 0:
-                    if not blocking:
-                        continue
                     time.sleep(min(wait, self._policy.backoff_max_s))
+                timeout = min(self._policy.connect_timeout_s, give_up_at - time.monotonic())
+                if timeout <= 0:
+                    break
                 if not self._prepare_revival(conn):
                     continue
                 _RECONNECT_ATTEMPTS.inc()
                 with self._pool_lock:
                     if conn.alive:
                         continue
-                    revived = self._connect_one(conn)
+                    revived = self._connect_one(conn, timeout)
                 if revived:
                     _RECONNECTS.inc()
                     _trace.instant(
@@ -521,7 +518,7 @@ class SocketBackend(ExecutionBackend):
                     raise _DeadlineExceeded(
                         f"no reply within the {deadline:.6g}s chunk deadline"
                     )
-                timeout = remaining if timeout is None else min(timeout, remaining)
+                timeout = min(timeout, remaining)
             conn.sock.settimeout(timeout)
             try:
                 reply = recv_frame(conn.sock)
@@ -550,6 +547,7 @@ class SocketBackend(ExecutionBackend):
             "cache": _perf_cache.CACHE.enabled,
             "trace": _trace.TRACER.enabled,
             "profile": _profile.PROFILER.enabled,
+            "heartbeat_s": self._policy.heartbeat_s,
         }
         store = _perf_store.active_store()
         if store is not None:
@@ -557,13 +555,11 @@ class SocketBackend(ExecutionBackend):
         job = _obs_log.correlation()
         if job is not None:
             ctx["job"] = job
-        if self._policy.enabled:
-            ctx["heartbeat_s"] = self._policy.heartbeat_s
         return ctx
 
-    def _quarantine(self, chunk_index: int, killers: set) -> ChunkOutcome:
+    def _quarantine(self, chunk_index: int, killers: List[Tuple[str, int]]) -> ChunkOutcome:
         _QUARANTINED.inc()
-        workers = sorted("{}:{}".format(*address) for address in killers)
+        workers = sorted({"{}:{}".format(*address) for address in killers})
         _trace.instant(
             "supervise.quarantine", chunk=chunk_index, workers=", ".join(workers)
         )
@@ -571,8 +567,8 @@ class SocketBackend(ExecutionBackend):
         return ChunkOutcome(
             results=None,
             detail=(
-                f"poison chunk quarantined after killing {len(killers)} "
-                f"workers ({', '.join(workers)})"
+                f"poison chunk quarantined after {len(killers)} failed "
+                f"attempts ({', '.join(workers)})"
             ),
             quarantined=True,
         )
@@ -580,11 +576,11 @@ class SocketBackend(ExecutionBackend):
     def _run_chunk(self, fn_blob: bytes, chunk: Chunk, chunk_index: int) -> ChunkOutcome:
         _CHUNKS.inc()
         chunk_blob = pickling.dumps(list(chunk))
-        killers: set = set()
+        killers: List[Tuple[str, int]] = []  # one entry per failed attempt
         while True:
             conn = self._pick(chunk_index)
             if conn is None:
-                if self._revive(blocking=True):
+                if self._revive():
                     continue
                 return ChunkOutcome(results=None, detail="no live socket workers")
             ctx = self._run_ctx()
@@ -626,16 +622,17 @@ class SocketBackend(ExecutionBackend):
             # goes to the next live worker.  Results depend only on the
             # items, so a retry cannot change the sweep outcome, and nothing
             # from the failed attempt was kept, so nothing is double-counted.
-            killers.add(conn.address)
+            killers.append(conn.address)
             self._mark_dead(conn, at=why)
             _RETRIES.inc()
             _trace.instant(
                 "backend.retry", chunk=chunk_index, worker="{}:{}".format(*conn.address), why=why
             )
             self._log.record("retry", worker=self._worker_key(conn), chunk=chunk_index, why=why)
-            # A chunk that keeps killing its hosts is poison: quarantine it
-            # instead of feeding it the rest of the pool.
-            if self._policy.enabled and len(killers) >= self._policy.poison_threshold:
+            # A chunk that keeps failing is poison: quarantine it instead of
+            # feeding it the rest of the pool, or redialing one endpoint
+            # forever.
+            if len(killers) >= self._policy.poison_threshold:
                 return self._quarantine(chunk_index, killers)
 
     def submit_chunks(

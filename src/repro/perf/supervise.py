@@ -10,7 +10,7 @@ the policy and mechanisms the socket transport consults:
   heartbeat cadence, backoff shape, breaker thresholds, poison limits).
   ``RunConfig.apply`` installs a process-wide base policy
   (:func:`configure_policy`) and each backend overlays its spec options
-  on it (``socket:host:port;deadline=30;supervise=on``);
+  on it (``socket:host:port;deadline=30``);
 * :func:`backoff_delay` — seeded-deterministic exponential backoff with
   jitter.  The delay is a pure function of ``(seed, worker key, attempt)``
   (string seeding of :class:`random.Random` hashes with SHA-512, so it is
@@ -26,7 +26,11 @@ the policy and mechanisms the socket transport consults:
 * :class:`LocalPoolBackend` (spec ``pool:N``) — a :class:`SocketBackend`
   that launches its own ``python -m repro.perf.worker`` subprocesses on
   loopback and **respawns** them when they die, the "warm elastic pool"
-  sketch from the roadmap with supervision on by default.
+  sketch from the roadmap.
+
+Supervision is unconditional: every socket and pool backend runs under
+it, and a static ``socket:`` list differs from ``pool:N`` only in that
+it cannot respawn the workers it dials.
 
 Counters live under ``perf.supervise.*``; trace instants are
 ``supervise.heartbeat_miss``, ``supervise.breaker_open``,
@@ -80,26 +84,10 @@ def _parse_deadline(raw: Any, default: Optional[float]) -> Optional[float]:
     return value if value > 0 else None
 
 
-def _parse_switch(raw: Any, default: bool) -> bool:
-    text = str(raw).strip().lower()
-    if text in ("1", "on", "true", "yes"):
-        return True
-    if text in ("0", "off", "false", "no"):
-        return False
-    return default
-
-
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """Every supervision knob in one frozen, comparable bundle.
+    """Every supervision knob in one frozen, comparable bundle."""
 
-    ``enabled`` gates the *recovery* machinery (reconnects, breakers,
-    heartbeats, quarantine); the chunk deadline applies regardless, so a
-    hung worker can never block a sweep forever even with supervision off
-    (that is the unbounded-``settimeout(None)`` fix).
-    """
-
-    enabled: bool = False
     seed: int = 0
     #: seconds for connect + handshake + the send side of a round-trip
     connect_timeout_s: float = 10.0
@@ -121,17 +109,17 @@ class SupervisionPolicy:
     breaker_threshold: int = 3
     #: seconds an open breaker ejects the endpoint before one half-open trial
     breaker_cooldown_s: float = 5.0
-    #: distinct workers one chunk may kill before it is quarantined
+    #: failed attempts (on any workers, the same one included) one chunk
+    #: may cause before it is quarantined
     poison_threshold: int = 2
     #: times a LocalPoolBackend will respawn each worker slot
     max_respawns: int = 2
 
     def with_options(self, options: Mapping[str, Any]) -> "SupervisionPolicy":
         """A copy updated from backend-spec ``key=value`` options
-        (``supervise``, ``seed``, ``deadline``, ``timeout``, ``heartbeat``,
-        plus any policy field name)."""
+        (``seed``, ``deadline``, ``timeout``, ``heartbeat``, plus any policy
+        field name)."""
         aliases = {
-            "supervise": "enabled",
             "deadline": "chunk_deadline_s",
             "timeout": "connect_timeout_s",
             "heartbeat": "heartbeat_s",
@@ -145,9 +133,7 @@ class SupervisionPolicy:
                     f"unknown supervision option {raw_key!r} "
                     f"(known: {', '.join(sorted(aliases) + sorted(known))})"
                 )
-            if key == "enabled":
-                updates[key] = _parse_switch(raw_value, self.enabled)
-            elif key == "chunk_deadline_s":
+            if key == "chunk_deadline_s":
                 updates[key] = _parse_deadline(raw_value, self.chunk_deadline_s)
             elif known[key].type in ("int", int):
                 try:
@@ -165,17 +151,13 @@ class SupervisionPolicy:
                     )
         return replace(self, **updates) if updates else self
 
-    def frame_timeout_s(self) -> Optional[float]:
+    def frame_timeout_s(self) -> float:
         """Longest silence tolerated between frames of one reply.
 
-        A supervised worker heartbeats while the chunk runs, so silence
-        longer than a few heartbeat periods means the worker is gone; an
-        unsupervised chunk gets no heartbeats, so only the chunk deadline
-        bounds the wait.
+        The worker heartbeats while the chunk runs, so silence longer than
+        a few heartbeat periods means the worker is gone.
         """
-        if self.enabled:
-            return max(self.heartbeat_s * self.heartbeat_grace, 0.1)
-        return self.chunk_deadline_s
+        return max(self.heartbeat_s * self.heartbeat_grace, 0.1)
 
 
 #: The process-wide base policy backends overlay their spec options on.
@@ -184,7 +166,7 @@ _BASE_POLICY = SupervisionPolicy()
 
 def configure_policy(policy: SupervisionPolicy) -> None:
     """Install the base policy (``RunConfig.apply`` builds it from the
-    config's ``supervise``, ``chunk_deadline`` and ``seed``)."""
+    config's ``chunk_deadline`` and ``seed``)."""
     global _BASE_POLICY
     _BASE_POLICY = policy
 
@@ -345,13 +327,13 @@ class WorkerProcess:
 
 
 class LocalPoolBackend(SocketBackend):
-    """Spec ``pool:N[;option=value...]`` — a supervised loopback worker pool.
+    """Spec ``pool:N[;option=value...]`` — a self-launched loopback worker pool.
 
     Launches ``N`` worker subprocesses on free loopback ports and fans
     chunks over them exactly like :class:`SocketBackend`; additionally,
     a worker process found dead during revival is **respawned** (fresh
     process, fresh port, breaker reset) up to ``max_respawns`` times per
-    slot.  Supervision is on unless the spec says ``supervise=off``.
+    slot.
     """
 
     name = "pool"
@@ -360,14 +342,12 @@ class LocalPoolBackend(SocketBackend):
         if workers < 1:
             raise BackendSpecError("pool backend needs at least one worker")
         self._requested_workers = workers
-        merged = {"supervise": "on"}
-        merged.update(options or {})
         self._procs = [WorkerProcess(slot) for slot in range(workers)]
         self._spawned = False
         # Workers are spawned lazily at first use: spec validation
         # (``normalize_spec``) and ``describe()`` build-and-discard backend
         # instances, which must not launch (and leak) subprocesses.
-        super().__init__([("127.0.0.1", 0)] * workers, options=merged)
+        super().__init__([("127.0.0.1", 0)] * workers, options=options)
         self._respawns_by_slot = [0] * workers
 
     def _spawn_all(self) -> None:
@@ -387,6 +367,12 @@ class LocalPoolBackend(SocketBackend):
     @property
     def spec(self) -> str:
         return f"pool:{self._requested_workers}" + self._options_suffix()
+
+    def describe(self) -> Dict[str, Any]:
+        info = super().describe()
+        # Ports are bound only when the workers spawn, at first use.
+        del info["addresses"]
+        return info
 
     @property
     def worker_processes(self) -> List[WorkerProcess]:

@@ -94,7 +94,7 @@ def _handle_run(
     job = ctx.get("job")
     started = time.perf_counter()
     # The chunk executes in a helper thread while this thread waits on it.
-    # A supervised client asks for liveness frames while the chunk runs
+    # The client asks for liveness frames while the chunk runs
     # (ctx["heartbeat_s"]); without a cadence the wait simply blocks until
     # the chunk finishes.  Heartbeats and the reply share one send lock so
     # frames never interleave.

@@ -25,14 +25,13 @@ class TestResolverPrecedence:
         config = resolve_config(env={})
         assert config == RunConfig()
         assert config.cache == "on" and config.backend is None
-        assert not config.supervise and not config.profile
+        assert not config.trace and not config.profile
 
     def test_env_gates_fill_unspecified_fields(self, tmp_path):
         env = {
             "REPRO_CACHE": "off",
             "REPRO_CACHE_DIR": str(tmp_path / "store"),
             "REPRO_BACKEND": "fork:2",
-            "REPRO_SUPERVISE": "on",
             "REPRO_CHUNK_DEADLINE": "30",
             "REPRO_PROFILE": "on",
             "REPRO_TRACE": "on",
@@ -42,7 +41,7 @@ class TestResolverPrecedence:
         assert config.cache == "off"
         assert config.cache_dir == os.path.abspath(str(tmp_path / "store"))
         assert config.backend == "fork:2"
-        assert config.supervise and config.profile and config.trace
+        assert config.profile and config.trace
         assert config.progress
         assert config.chunk_deadline == 30.0
 
@@ -55,8 +54,8 @@ class TestResolverPrecedence:
     def test_switch_false_falls_through_to_env(self):
         # A store_true flag the user did not pass must not force-disable
         # a feature the environment asked for.
-        config = resolve_config(env={"REPRO_SUPERVISE": "on"}, supervise=False)
-        assert config.supervise
+        config = resolve_config(env={"REPRO_TRACE": "on"}, trace=False)
+        assert config.trace
 
     def test_backend_spec_is_canonicalized(self):
         config = resolve_config(env={}, backend="fork")
@@ -119,14 +118,14 @@ class TestRunConfigShape:
         store_dir = str(tmp_path / "store")
         resolve_config(
             env={}, cache="off", cache_dir=store_dir, backend="fork:2",
-            supervise=True, seed=11, chunk_deadline=45.0, trace=True,
+            seed=11, chunk_deadline=45.0, trace=True,
         ).apply()
         assert dict(os.environ) == before
         assert not cache.CACHE.enabled
         assert store.active_store().base == os.path.abspath(store_dir)
         assert backends.current_spec() == "fork:2"
         policy = supervise.base_policy()
-        assert policy.enabled and policy.seed == 11
+        assert policy.seed == 11
         assert policy.chunk_deadline_s == 45.0
         assert trace.is_enabled()
         # A default config resets every switch it does not ask for, so
@@ -144,7 +143,7 @@ class TestRunConfigShape:
         settings = dict(
             full=True, timeout=120.0, retries=1, seed=5, isolated=True,
             keep_going=False, parallel=2, cache="stats",
-            cache_dir=str(tmp_path / "store"), backend="fork:2", supervise=True,
+            cache_dir=str(tmp_path / "store"), backend="fork:2",
             chunk_deadline=30.0, trace=True, trace_dir=str(tmp_path / "traces"),
             profile=True, profile_dir=str(tmp_path / "profiles"), progress=True,
         )

@@ -345,14 +345,26 @@ class TestSocketBackend:
 @pytest.fixture
 def fake_worker():
     """A loopback server driven by a per-connection handler — lets tests
-    play a hung or byzantine worker without subclassing the real one."""
+    play a hung or byzantine worker without subclassing the real one.
+    Connections are served one at a time unless ``concurrent`` is set."""
     servers = []
 
-    def start(handler):
+    def start(handler, concurrent=False):
         server = socket_module.create_server(("127.0.0.1", 0))
         server.settimeout(30)
         servers.append(server)
         port = server.getsockname()[1]
+
+        def handle(conn):
+            try:
+                handler(conn)
+            except OSError:
+                pass
+            finally:
+                try:
+                    conn.close()
+                except OSError:
+                    pass
 
         def serve():
             while True:
@@ -360,15 +372,10 @@ def fake_worker():
                     conn, _peer = server.accept()
                 except OSError:
                     return  # server closed by teardown
-                try:
-                    handler(conn)
-                except OSError:
-                    pass
-                finally:
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
+                if concurrent:
+                    threading.Thread(target=handle, args=(conn,), daemon=True).start()
+                else:
+                    handle(conn)
 
         threading.Thread(target=serve, daemon=True).start()
         return port
@@ -388,7 +395,8 @@ class TestMisbehavingWorkers:
     """Hung and byzantine peers: the caller must survive, with exact results
     and every item's metrics counted exactly once (satellite: issue task 4)."""
 
-    def test_hung_after_handshake_bounded_by_deadline(self, fake_worker):
+    @pytest.mark.parametrize("accept", ["sequential", "concurrent"])
+    def test_hung_after_handshake_bounded_by_deadline(self, fake_worker, accept):
         hung = threading.Event()
 
         def stall(conn):
@@ -396,7 +404,10 @@ class TestMisbehavingWorkers:
             recv_frame(conn)  # the run request...
             hung.wait(30)  # ...then dead silence, never a reply
 
-        port = fake_worker(stall)
+        # A concurrent server completes every redial's handshake, so the
+        # supervisor can reconnect to the one hung endpoint again and
+        # again; the chunk's failed attempts must still quarantine it.
+        port = fake_worker(stall, concurrent=accept == "concurrent")
         misses = metrics.counter("perf.supervise.deadline_misses")
         fallbacks = metrics.counter("perf.parallel.chunk_fallbacks")
         misses_before, fallbacks_before = misses.value, fallbacks.value
@@ -407,13 +418,21 @@ class TestMisbehavingWorkers:
             c.inc()
             return x * 3
 
+        items = list(range(5))
+        results = []
+        sweep = threading.Thread(
+            target=lambda: results.append(
+                parallel_map(bump, items, backend=f"socket:127.0.0.1:{port};deadline=1")
+            ),
+            daemon=True,
+        )
         try:
-            items = list(range(5))
-            assert parallel_map(
-                bump, items, backend=f"socket:127.0.0.1:{port};deadline=1"
-            ) == [x * 3 for x in items]
+            sweep.start()
+            sweep.join(10)
+            assert not sweep.is_alive(), "a hung worker held the sweep past 10s"
         finally:
             hung.set()
+        assert results == [[x * 3 for x in items]]
         assert misses.value > misses_before
         assert fallbacks.value > fallbacks_before
         # The worker never replied, so its chunk contributed no metrics:

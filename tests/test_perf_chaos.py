@@ -309,7 +309,6 @@ class TestE15ChaosAcceptance:
     ):
         monkeypatch.setenv("REPRO_CACHE", "on")
         monkeypatch.setenv("REPRO_BACKEND", "serial")
-        monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
         monkeypatch.delenv("REPRO_CHUNK_DEADLINE", raising=False)
         from repro.experiments import runner
 
@@ -342,7 +341,7 @@ class TestE15ChaosAcceptance:
         started = time.monotonic()
         try:
             code = runner.main(
-                ["E15", "--seed", "7", "--supervise", "--chunk-deadline", "30",
+                ["E15", "--seed", "7", "--chunk-deadline", "30",
                  "--backend", spec, "--metrics-out", str(chaos_out)]
             )
         finally:
@@ -354,7 +353,6 @@ class TestE15ChaosAcceptance:
         assert _scrub(payload) == serial
 
         resilience = payload["summary"]["resilience"]
-        assert resilience["supervised"] is True
         assert resilience["chunk_deadline_s"] == 30.0
         counters = resilience["counters"]
         # The kill and the hang both force chunk retries; the hung worker

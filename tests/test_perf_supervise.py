@@ -38,17 +38,16 @@ from repro.perf.supervise import (
 class TestSupervisionPolicy:
     def test_defaults_are_safe(self):
         policy = SupervisionPolicy()
-        assert policy.enabled is False
         assert policy.chunk_deadline_s == 600.0  # the settimeout(None) fix
         assert policy.connect_timeout_s == 10.0
 
     def test_environment_resolution(self):
         # The gates reach the policy through the config, and the seed is
         # the config's seed.
-        env = {"REPRO_SUPERVISE": "on", "REPRO_CHUNK_DEADLINE": "12.5"}
+        env = {"REPRO_CHUNK_DEADLINE": "12.5"}
         resolve_config(env=env, seed=42).apply()
         policy = base_policy()
-        assert policy.enabled and policy.seed == 42
+        assert policy.seed == 42
         assert policy.chunk_deadline_s == 12.5
         assert policy.connect_timeout_s == 10.0
         resolve_config(env={}).apply()
@@ -60,11 +59,10 @@ class TestSupervisionPolicy:
         assert SupervisionPolicy().with_options({"deadline": "off"}).chunk_deadline_s is None
 
     def test_spec_options_win_over_environment(self):
-        resolve_config(env={"REPRO_SUPERVISE": "off", "REPRO_CHUNK_DEADLINE": "600"}).apply()
+        resolve_config(env={"REPRO_CHUNK_DEADLINE": "600"}).apply()
         policy = base_policy().with_options(
-            {"supervise": "on", "deadline": "7", "timeout": "2", "heartbeat": "0.5"}
+            {"deadline": "7", "timeout": "2", "heartbeat": "0.5"}
         )
-        assert policy.enabled
         assert policy.chunk_deadline_s == 7.0
         assert policy.connect_timeout_s == 2.0
         assert policy.heartbeat_s == 0.5
@@ -85,10 +83,8 @@ class TestSupervisionPolicy:
             SupervisionPolicy().with_options({"breaker_threshold": "many"})
 
     def test_frame_timeout_heartbeats_only_when_supervised_v3(self):
-        supervised = SupervisionPolicy(enabled=True, heartbeat_s=1.0, heartbeat_grace=5.0)
-        assert supervised.frame_timeout_s() == 5.0
-        unsupervised = SupervisionPolicy(enabled=False)
-        assert unsupervised.frame_timeout_s() == unsupervised.chunk_deadline_s
+        policy = SupervisionPolicy(heartbeat_s=1.0, heartbeat_grace=5.0)
+        assert policy.frame_timeout_s() == 5.0
 
 
 # -- seeded backoff -------------------------------------------------------------
@@ -179,17 +175,16 @@ def _poison(x):
     return x * 2
 
 
-def _slow_identity(x):
-    time.sleep(0.6)
-    return x
+def _slow_identity(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 class TestLocalPoolBackend:
     def test_spec_normalizes_with_supervision_on(self):
-        assert normalize_spec("pool:2") == "pool:2;supervise=on"
-        assert (
-            normalize_spec("pool:2;supervise=off") == "pool:2;supervise=off"
-        )
+        assert normalize_spec("pool:2") == "pool:2"
+        with pytest.raises(BackendSpecError, match="unknown supervision option"):
+            normalize_spec("pool:2;supervise=off")
 
     def test_bad_specs_raise(self):
         for bad in ("pool", "pool:", "pool:x", "pool:0"):
@@ -201,7 +196,9 @@ class TestLocalPoolBackend:
         backend = make_backend("pool:2")
         try:
             info = backend.describe()
-            assert info["supervised"] is True
+            assert "supervised" not in info
+            # No worker was spawned, so no port was ever bound to report.
+            assert "addresses" not in info
             assert all(p.process is None for p in backend.worker_processes)
         finally:
             backend.close()
@@ -269,17 +266,26 @@ class TestLocalPoolBackend:
         events = [e["event"] for e in backend.supervision_log.events]
         assert "quarantine" in events
 
-    def test_heartbeats_keep_slow_chunks_alive(self):
+    @pytest.mark.parametrize("kind", ["pool", "socket"])
+    def test_heartbeats_keep_slow_chunks_alive(self, kind, spawn_worker):
         heartbeats = metrics.counter("perf.supervise.heartbeats")
         before = heartbeats.value
-        # Frame timeout = heartbeat_s * grace = 0.3s, far below the 0.6s
-        # the chunk takes: without heartbeats this sweep would be declared
-        # dead and fall back; with them it completes remotely.
-        backend = make_backend("pool:1;heartbeat=0.1;heartbeat_grace=3")
+        if kind == "pool":
+            # Frame timeout = heartbeat_s * grace = 0.3s, far below the
+            # 0.6s the chunk takes: without heartbeats this sweep would be
+            # declared dead and fall back; with them it completes remotely.
+            backend = make_backend("pool:1;heartbeat=0.1;heartbeat_grace=3")
+            seconds = 0.6
+        else:
+            # A socket spec with no options heartbeats too (every second by
+            # default), so a chunk longer than one period sends some.
+            _, port = spawn_worker()
+            backend = make_backend(f"socket:127.0.0.1:{port}")
+            seconds = 1.5
         fallbacks = metrics.counter("perf.parallel.chunk_fallbacks")
         fallbacks_before = fallbacks.value
         try:
-            assert parallel_map(_slow_identity, [5], backend=backend) == [5]
+            assert parallel_map(_slow_identity, [seconds], backend=backend) == [seconds]
         finally:
             backend.close()
         assert heartbeats.value > before

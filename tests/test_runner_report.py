@@ -124,32 +124,31 @@ class TestRunnerCliReports:
     def test_supervise_flag_emits_resilience_block(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        # A remote backend is always supervised, so its report carries the
+        # resilience block.
         monkeypatch.delenv("REPRO_CHUNK_DEADLINE", raising=False)
         out_path = tmp_path / "report.json"
         code = main(
-            ["E4", "--supervise", "--chunk-deadline", "45", "--seed", "3",
+            ["E4", "--backend", "pool:1", "--chunk-deadline", "45", "--seed", "3",
              "--metrics-out", str(out_path)]
         )
         assert code == 0
         # Children inherit the base policy through fork; nothing is exported.
-        assert "REPRO_SUPERVISE" not in os.environ
-        policy = base_policy()
-        assert policy.enabled and policy.seed == 3
+        assert "REPRO_CHUNK_DEADLINE" not in os.environ
+        assert base_policy().seed == 3
         payload = json.loads(out_path.read_text())
         validate_report(payload)
         resilience = payload["summary"]["resilience"]
-        assert resilience["supervised"] is True
+        assert set(resilience) == {"chunk_deadline_s", "counters"}
         assert resilience["chunk_deadline_s"] == 45.0
         assert isinstance(resilience["counters"], dict)
 
+    @pytest.mark.parametrize("backend", ["serial", "fork:2"])
     def test_unsupervised_report_has_no_resilience_block(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, backend
     ):
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
-        monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
         out_path = tmp_path / "report.json"
-        assert main(["E4", "--metrics-out", str(out_path)]) == 0
+        assert main(["E4", "--backend", backend, "--metrics-out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         validate_report(payload)
         assert "resilience" not in payload["summary"]

@@ -11,9 +11,12 @@ simulation relation between state spaces: a relation ``R`` over
   ``eta_B`` related by the **lifting** of ``R`` — a joint weight
   distribution with the two measures as marginals, supported inside ``R``.
 
-Lifting feasibility is a transportation problem; with exact rational
-weights it reduces to integer max-flow, solved exactly with ``networkx``
-(no floating point anywhere, so a verdict is a proof on the instance).
+Lifting feasibility is a transportation problem: a coupling exists iff the
+maximum flow through source -> supp(eta_A) -> supp(eta_B) -> sink saturates
+every source edge.  :func:`_max_flow` solves it with Edmonds–Karp directly
+on ``Fraction`` capacities (the number of augmentations is bounded by the
+graph size, not the capacities), so there is no floating point anywhere
+and a verdict is a proof on the instance.
 
 ``is_strong_simulation`` checks a candidate relation; the soundness
 theorem — related states yield identical perception under any shared
@@ -23,11 +26,9 @@ validated by the test suite on concrete refinements.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Hashable, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.core.psioa import PSIOA
 from repro.probability.measures import DiscreteMeasure
@@ -45,6 +46,37 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value).limit_denominator(10 ** 12)
 
 
+def _max_flow(
+    residual: Dict[Hashable, Dict[Hashable, Fraction]], source: Hashable, sink: Hashable
+) -> Fraction:
+    """Edmonds–Karp: augment along BFS-shortest residual paths until none is
+    left.  ``residual`` maps ``u -> {v: capacity}`` with a reverse entry for
+    every edge, and is consumed.  O(V E) augmentations whatever the
+    capacities, so exact ``Fraction`` arithmetic needs no scaling."""
+    flow = Fraction(0)
+    while True:
+        parent: Dict[Hashable, Optional[Hashable]] = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, capacity in residual[u].items():
+                if capacity > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return flow
+        path = []
+        v = sink
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        flow += push
+
+
 def lifting_feasible(
     eta_a: DiscreteMeasure,
     eta_b: DiscreteMeasure,
@@ -53,35 +85,29 @@ def lifting_feasible(
     """Decide whether ``eta_a`` and ``eta_b`` are related by the lifting of
     ``related`` — i.e. a coupling supported on related pairs exists.
 
-    Exact: weights are scaled to integers by the common denominator and the
-    transportation problem is solved as max-flow.
+    Exact: the transportation problem is solved as max-flow over the
+    weights themselves (see :func:`_max_flow`).
     """
-    left = [( "L", x) for x in sorted(eta_a.support(), key=repr)]
-    right = [("R", y) for y in sorted(eta_b.support(), key=repr)]
-    weights_a = {x: _as_fraction(eta_a(x)) for _, x in left}
-    weights_b = {y: _as_fraction(eta_b(y)) for _, y in right}
-    scale = lcm(
-        *(w.denominator for w in weights_a.values()),
-        *(w.denominator for w in weights_b.values()),
-    )
-    total_a = sum(int(w * scale) for w in weights_a.values())
-    total_b = sum(int(w * scale) for w in weights_b.values())
-    if total_a != total_b:
+    weights_a = {x: _as_fraction(eta_a(x)) for x in sorted(eta_a.support(), key=repr)}
+    weights_b = {y: _as_fraction(eta_b(y)) for y in sorted(eta_b.support(), key=repr)}
+    total = sum(weights_a.values())
+    if total != sum(weights_b.values()):
         return False
 
-    graph = nx.DiGraph()
-    for _, x in left:
-        graph.add_edge("source", ("L", x), capacity=int(weights_a[x] * scale))
-    for _, y in right:
-        graph.add_edge(("R", y), "sink", capacity=int(weights_b[y] * scale))
-    for _, x in left:
-        for _, y in right:
+    residual: Dict[Hashable, Dict[Hashable, Fraction]] = {"source": {}, "sink": {}}
+
+    def add_edge(u: Hashable, v: Hashable, capacity: Fraction) -> None:
+        residual.setdefault(u, {})[v] = capacity
+        residual.setdefault(v, {})[u] = Fraction(0)
+
+    for x, weight in weights_a.items():
+        add_edge("source", ("L", x), weight)
+        for y in weights_b:
             if related(x, y):
-                graph.add_edge(("L", x), ("R", y), capacity=total_a)
-    if "source" not in graph or "sink" not in graph:
-        return total_a == 0
-    flow_value, _flow = nx.maximum_flow(graph, "source", "sink")
-    return flow_value == total_a
+                add_edge(("L", x), ("R", y), total)
+    for y, weight in weights_b.items():
+        add_edge(("R", y), "sink", weight)
+    return _max_flow(residual, "source", "sink") == total
 
 
 def is_strong_simulation(

@@ -44,12 +44,11 @@ for submitting the same runs to a long-lived job service instead.
 Every experiment runs in its own subprocess (see
 :func:`repro.experiments.common.run_experiment_guarded`): an experiment that
 raises, segfaults or hangs is reported as ``[ERROR]`` / ``[TIMEOUT]`` with
-its traceback, and the suite keeps going (``--keep-going`` is the default;
-``--fail-fast`` flips it).  All human output is rendered from the same
-per-experiment records the JSON report contains
-(:mod:`repro.obs.report`), so the two cannot drift.  The exit code is 1 as
-soon as any experiment did not pass, 2 for unknown experiment ids or an
-invalid ``--report`` file, 0 otherwise.
+its traceback, and the suite keeps going unless ``--fail-fast`` is
+given.  All human output is rendered from the same per-experiment records
+the JSON report contains (:mod:`repro.obs.report`), so the two cannot
+drift.  The exit code is 1 as soon as any experiment did not pass, 2 for
+unknown experiment ids or an invalid ``--report`` file, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -103,23 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="base seed for sampling experiments (attempt i runs under seed+i)",
     )
     parser.add_argument(
-        "--keep-going",
-        dest="keep_going",
-        action="store_true",
-        default=True,
-        help="continue after a failing experiment (default)",
-    )
-    parser.add_argument(
         "--fail-fast",
-        dest="keep_going",
-        action="store_false",
+        action="store_true",
         help="stop the suite at the first non-passing experiment",
     )
     parser.add_argument(
         "--no-isolation",
-        dest="isolated",
-        action="store_false",
-        default=True,
+        action="store_true",
         help="run experiments inline (no subprocess; timeouts not enforced)",
     )
     parser.add_argument(
@@ -224,8 +213,8 @@ def main(argv=None) -> int:
             timeout=args.timeout,
             retries=args.retries,
             seed=args.seed,
-            isolated=args.isolated,
-            keep_going=args.keep_going,
+            isolated=not args.no_isolation,
+            keep_going=not args.fail_fast,
             parallel=max(1, args.parallel),
             cache=args.cache,
             cache_dir=args.cache_dir,

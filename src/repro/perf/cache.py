@@ -55,8 +55,9 @@ reports and bench trajectories without extra plumbing.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 from repro.obs.metrics import counter as _counter
 from repro.perf import fingerprint as _fingerprint
@@ -287,25 +288,45 @@ class PerfCache:
         self.fragments = _Interner("fragment", b["intern_fragments"])
         self.measure_interner = _Interner("measure", b["intern_measures"])
         self._stores = (self.transitions, self.decisions, self.measures, self.derived)
+        self._tables = self._stores + (self.fragments, self.measure_interner)
 
     # -- lifecycle -----------------------------------------------------------
 
     def clear(self) -> None:
-        for store in self._stores:
-            store.clear()
-        self.fragments.clear()
-        self.measure_interner.clear()
+        for table in self._tables:
+            table.clear()
+
+    @contextmanager
+    def chunk_scope(self, *, cold: bool) -> Iterator[None]:
+        """Run a sweep chunk in the caller against the tables a worker's
+        chunk starts from, then restore the caller's own.
+
+        A remote worker's chunk child starts ``cold`` (empty tables); a
+        forked chunk child starts from a copy of the caller's.  Either way
+        nothing the chunk caches reaches the caller, so a chunk recomputed
+        here after its executor was lost counts exactly the hits and misses
+        the lost executor would have shipped."""
+        saved = [table._owners for table in self._tables]
+        for table, owners in zip(self._tables, saved):
+            table._owners = OrderedDict()
+            if not cold:
+                for owner, (keepalive, entries) in owners.items():
+                    table._owners[owner] = (keepalive, entries.copy())
+        try:
+            yield
+        finally:
+            for table, owners in zip(self._tables, saved):
+                table._owners = owners
 
     def invalidate(self, obj: Any) -> int:
         """Drop every cached value derived from ``obj`` — entries whose
         keepalive holds it by identity plus entries keyed under its
         memoized fingerprint (which value-equal twins may share)."""
-        targets = self._stores + (self.fragments, self.measure_interner)
-        dropped = sum(target.invalidate_object(obj) for target in targets)
+        dropped = sum(table.invalidate_object(obj) for table in self._tables)
         stale_fp = _fingerprint.peek(obj)
         if stale_fp is not None:
             part = ("fp", stale_fp)
-            dropped += sum(target.invalidate_key(part) for target in targets)
+            dropped += sum(table.invalidate_key(part) for table in self._tables)
         return dropped
 
     def stats(self) -> Dict[str, Dict[str, int]]:

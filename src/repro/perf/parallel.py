@@ -187,15 +187,18 @@ def _dispatch(
             # quarantined a poison chunk): recompute the chunk here.  Its
             # payload (results + metrics + spans) is atomic and never
             # arrived, so merging nothing and recomputing counts each
-            # item's work exactly once.
+            # item's work exactly once.  The recompute runs on the cache
+            # tables the executor started from, so even the hit/miss split
+            # is the one the executor would have reported.
             _FALLBACKS.inc()
             _trace.instant(
                 "parallel.chunk_quarantined" if outcome.quarantined else "parallel.chunk_fallback",
                 chunk=chunk_index,
                 detail=outcome.detail,
             )
-            for index, item in chunk:
-                results[index] = fn(item)
+            with _perf_cache.CACHE.chunk_scope(cold=resolved.remote):
+                for index, item in chunk:
+                    results[index] = fn(item)
             continue
         # The one merge of a chunk outcome: metrics, spans, then phase totals.
         if outcome.metrics is not None:

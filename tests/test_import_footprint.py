@@ -1,0 +1,56 @@
+"""The runtime import footprint: numpy and the standard library only.
+
+Every experiment runs in a forked child of the runner, so any package an
+experiment imports that the runner parent has not already loaded is paid
+again by every child.  These checks run in a fresh interpreter so the test
+session's own imports (pytest, hypothesis, ...) cannot mask a new one.
+"""
+
+import subprocess
+import sys
+import textwrap
+
+from tests.conftest import subprocess_env
+
+PROBE = textwrap.dedent(
+    """
+    import importlib
+    import importlib.metadata
+    import sys
+
+    import repro.api
+    import repro.experiments.runner
+    from repro.experiments.common import ALL_EXPERIMENTS, run_experiment
+
+    def top_level():
+        return {name.partition(".")[0] for name in sys.modules}
+
+    parent = top_level()
+    for module_name, _claim in ALL_EXPERIMENTS.values():
+        importlib.import_module(f"repro.experiments.{module_name}")
+    print("after-import", *sorted(top_level() - parent - {"repro"}))
+    report = run_experiment("E3")
+    assert report.passed, report.table
+    owners = importlib.metadata.packages_distributions()
+    loaded = top_level() - parent - {"repro"}
+    print("after-run", *sorted({dist for name in loaded for dist in owners.get(name, ())}))
+    """
+)
+
+
+def test_experiments_add_no_package_to_the_runner_parent():
+    completed = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    lines = dict(line.partition(" ")[::2] for line in completed.stdout.splitlines())
+    # Importing every experiment module adds nothing beyond ``repro``
+    # itself to what the runner parent (``runner`` + ``api``) has loaded.
+    assert lines["after-import"] == ""
+    # Running one experiment in-process loads extension and standard
+    # library modules at most: no installed distribution besides numpy.
+    assert lines["after-run"] in ("", "numpy")

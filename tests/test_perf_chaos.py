@@ -19,15 +19,20 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from repro.obs import metrics
+from repro.perf import cache as perf_cache
 from repro.perf.backends import ForkBackend, make_backend
 from repro.perf.backends.sockets import recv_frame, send_frame, worker_info
 from repro.perf.chaos import ChaosProxy, fork_fault_plan, parse_fork_spec
 from repro.perf.parallel import parallel_map
+from repro.semantics.measure import execution_measure
+from repro.semantics.scheduler import ActionSequenceScheduler
+from tests.helpers import coin_automaton
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -83,8 +88,8 @@ class TestChaosDecisions:
 def spawn_worker():
     procs = []
 
-    def spawn():
-        env = dict(os.environ)
+    def spawn(**env_overrides):
+        env = dict(os.environ, **env_overrides)
         env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.perf.worker", "--listen", "127.0.0.1:0"],
@@ -240,6 +245,72 @@ class TestForkFaultHooks:
         assert parallel_map(
             _triple, items, backend=ForkBackend(workers=2)
         ) == [x * 3 for x in items]
+
+
+def _unfold(item):
+    automaton, scheduler = item
+    return execution_measure(automaton, scheduler)
+
+
+def _seed_killing_only_item_0(monkeypatch):
+    """A ``REPRO_CHAOS_FORK`` seed that kills the chunk led by item 0 and
+    spares the chunk led by item 1 (plans are keyed by the leading item)."""
+    try:
+        for seed in range(100):
+            monkeypatch.setenv("REPRO_CHAOS_FORK", f"seed={seed},kill=0.5")
+            if fork_fault_plan([(0, None)]) and not fork_fault_plan([(1, None)]):
+                return seed
+    finally:
+        monkeypatch.delenv("REPRO_CHAOS_FORK")
+    raise AssertionError("no seed in range(100) kills only the chunk led by item 0")
+
+
+class TestLostChunkCacheCounters:
+    """A chunk recomputed in the caller after its executor was lost counts
+    the same cache and intern hits and misses as the executor would have:
+    cold for a socket worker, the caller's tables at dispatch for a fork
+    child — however warm the caller's own tables are."""
+
+    @pytest.mark.parametrize("transport", ["fork", "socket"])
+    def test_one_lost_chunk_reports_the_fault_free_counters(
+        self, transport, monkeypatch, spawn_worker
+    ):
+        chaos = f"seed={_seed_killing_only_item_0(monkeypatch)},kill=0.5"
+        perf_cache.configure(enabled=True)
+        coin = coin_automaton("c", Fraction(1, 3))
+        items = [
+            (coin, ActionSequenceScheduler(actions))
+            for actions in (["toss"], ["toss", "head"], ["toss", "tail"], ["toss", "head", "tail"])
+        ]
+        fallbacks = metrics.counter("perf.parallel.chunk_fallbacks")
+
+        def sweep(faulty):
+            if transport == "fork":
+                if faulty:
+                    monkeypatch.setenv("REPRO_CHAOS_FORK", chaos)
+                backend = ForkBackend(workers=2)
+            else:
+                _, port = spawn_worker(**({"REPRO_CHAOS_FORK": chaos} if faulty else {}))
+                backend = make_backend(f"socket:127.0.0.1:{port},127.0.0.1:{port}")
+            for item in items:
+                _unfold(item)  # the caller's own tables are warm
+            metrics.reset()
+            try:
+                results = parallel_map(_unfold, items, backend=backend)
+            finally:
+                backend.close()
+                monkeypatch.delenv("REPRO_CHAOS_FORK", raising=False)
+            counts = {
+                table: {k: v for k, v in row.items() if k != "size"}
+                for table, row in perf_cache.stats().items()
+            }
+            return results, fallbacks.value, counts
+
+        healthy, faulty = sweep(False), sweep(True)
+        assert healthy[1] == 0 and faulty[1] == 1
+        assert healthy[0] == faulty[0]
+        assert any(row["hits"] + row["misses"] for row in healthy[2].values())
+        assert faulty[2] == healthy[2]
 
 
 # -- the acceptance scenario -----------------------------------------------------

@@ -105,3 +105,12 @@ class TestRunnerCli:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "E15" in out and "E1" in out
+
+    def test_help_shows_the_switch_defaults_as_off(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for flag in ("--fail-fast", "--no-isolation"):
+            help_line = text.split(f"{flag} ", 1)[1].split(" --", 1)[0]
+            assert "(default: False)" in help_line, help_line
+        assert "--keep-going" not in text

@@ -1,8 +1,11 @@
 """Tests for strong probabilistic simulation relations (Segala lineage)."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.simulation import (
     is_strong_simulation,
@@ -56,6 +59,102 @@ class TestLifting:
         assert lifting_feasible(eta, theta, related)
         related_tight = lambda x, y: (x, y) in {("h", "H"), ("t", "T")}
         assert not lifting_feasible(eta, theta, related_tight)
+
+
+def hall_violations(eta_a, eta_b, relation):
+    """Every subset S of supp(eta_a) with eta_a(S) > eta_b(R(S)).
+
+    By Hall/Strassen, a coupling supported on ``relation`` exists iff the
+    total masses agree and this list is empty."""
+    points = sorted(eta_a.support(), key=repr)
+    violations = []
+    for size in range(1, len(points) + 1):
+        for subset in combinations(points, size):
+            image = {y for y in eta_b.support() if any((x, y) in relation for x in subset)}
+            if sum(eta_a(x) for x in subset) > sum((eta_b(y) for y in image), Fraction(0)):
+                violations.append(subset)
+    return violations
+
+
+def hall_feasible(eta_a, eta_b, relation):
+    return eta_a.total_mass == eta_b.total_mass and not hall_violations(
+        eta_a, eta_b, relation
+    )
+
+
+@st.composite
+def lifting_instances(draw):
+    """Supports of <= 5 points with random Fraction weights and a random
+    relation, in one of three shapes: two independent probability
+    measures; two measures of (usually) unequal mass; or eta_B the second
+    marginal of a random coupling on the relation (feasible by
+    construction) with the smallest unit of mass then maybe moved between
+    two points of eta_B.  Those near-tight instances are where a single
+    Hall subset decides the answer."""
+    size_a = draw(st.integers(1, 5))
+    size_b = draw(st.integers(1, 5))
+    left = [f"a{i}" for i in range(size_a)]
+    right = [f"b{j}" for j in range(size_b)]
+    relation = {(x, y) for x in left for y in right if draw(st.booleans())}
+    unit = Fraction(1, draw(st.integers(1, 12)))
+    shape = draw(st.sampled_from(("independent", "unequal", "coupled")))
+    if shape != "coupled":
+        weights_a = {x: unit * draw(st.integers(1, 4)) for x in left}
+        weights_b = {y: unit * draw(st.integers(1, 4)) for y in right}
+        if shape == "independent":
+            return (_measure(weights_a), _measure(weights_b)), relation
+        largest = max(sum(weights_a.values()), sum(weights_b.values()))
+        return (_measure(weights_a, largest), _measure(weights_b, largest)), relation
+    relation.add((left[0], right[0]))
+    joint = {pair: unit * draw(st.integers(0, 3)) for pair in sorted(relation)}
+    weights_a = {x: sum((w for (a, _), w in joint.items() if a == x), Fraction(0)) for x in left}
+    weights_b = {y: sum((w for (_, b), w in joint.items() if b == y), Fraction(0)) for y in right}
+    donor, taker = draw(st.sampled_from(right)), draw(st.sampled_from(right))
+    if weights_b[donor] >= unit:
+        weights_b[donor] -= unit
+        weights_b[taker] += unit
+    largest = max(sum(weights_a.values()), 1)
+    return (_measure(weights_a, largest), _measure(weights_b, largest)), relation
+
+
+def _measure(weights, scale=None):
+    """``weights`` divided by ``scale`` (default: their sum) as a measure."""
+    scale = scale or sum(weights.values())
+    return DiscreteMeasure({x: w / scale for x, w in weights.items()}, require_probability=False)
+
+
+# Singletons pass Hall's condition, but S = {a0, a1} needs 2/3 from b0 alone.
+HINGE_A = DiscreteMeasure({"a0": Fraction(1, 3), "a1": Fraction(1, 3), "a2": Fraction(1, 3)})
+HINGE_B = DiscreteMeasure({"b0": Fraction(1, 2), "b1": Fraction(1, 2)})
+HINGE_R = {("a0", "b0"), ("a1", "b0"), ("a2", "b0"), ("a2", "b1")}
+
+
+class TestLiftingAgainstHallOracle:
+    def test_instance_hinging_on_one_subset(self):
+        assert hall_violations(HINGE_A, HINGE_B, HINGE_R) == [("a0", "a1")]
+        assert not lifting_feasible(HINGE_A, HINGE_B, lambda x, y: (x, y) in HINGE_R)
+        # Move 1/6 onto b0 and the same subset becomes exactly tight.
+        tight_b = DiscreteMeasure({"b0": Fraction(2, 3), "b1": Fraction(1, 3)})
+        assert hall_violations(HINGE_A, tight_b, HINGE_R) == []
+        assert lifting_feasible(HINGE_A, tight_b, lambda x, y: (x, y) in HINGE_R)
+
+    @given(lifting_instances())
+    @settings(max_examples=300, deadline=None)
+    @example(((HINGE_A, HINGE_B), HINGE_R))
+    @example(
+        (
+            (
+                _measure({"a0": Fraction(1, 2)}, 1),
+                _measure({"b0": Fraction(1, 3)}, 1),
+            ),
+            {("a0", "b0")},
+        )
+    )
+    def test_matches_brute_force_hall_check(self, instance):
+        (eta_a, eta_b), relation = instance
+        assert lifting_feasible(eta_a, eta_b, lambda x, y: (x, y) in relation) == (
+            hall_feasible(eta_a, eta_b, relation)
+        )
 
 
 def split_coin(name="split"):

@@ -722,6 +722,7 @@ def format_suite_summary(records: Sequence[Dict[str, Any]]) -> str:
 _TABLE_COUNTERS = (
     ("steps", "scheduler.steps"),
     ("compose", "measure.compose.calls"),
+    ("tv", "secure.tv.calls"),
     ("faults", "faults.injected"),
 )
 

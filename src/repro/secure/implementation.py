@@ -20,16 +20,27 @@ The checker realizes the two quantifier blocks differently:
 ``implementation_distance`` computes the tightest epsilon (the max-min
 total-variation distance), which the experiment harness sweeps to validate
 the composability and transitivity bounds numerically.
+
+The search does each piece of inner-loop work once, without changing any
+result.  Each ``sigma``'s scan over ``sigma'`` stops once its minimum is at
+most the running max, since that ``sigma`` cannot raise the max; ``implements``
+keeps the max at most ``epsilon``, so a failing ``sigma`` is always scanned in
+full and its distance is exact.  Only candidates with distinct perceptions
+are scored, and a ``sigma`` whose perception was already scanned reuses that
+result.  Perceptions compare on an exact key, never within float tolerance.
+``secure.tv.calls`` counts the total-variation evaluations that remain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bounded.bounds import measure_time_bound
 from repro.bounded.families import PSIOAFamily, SchedulerFamily
 from repro.core.psioa import PSIOA
+from repro.obs.metrics import counter as _counter
 from repro.probability.asymptotics import is_negligible_fit
 from repro.probability.measures import total_variation
 from repro.semantics.insight import InsightFunction, compose_world, f_dist
@@ -43,6 +54,10 @@ __all__ = [
     "family_implementation_profile",
     "neg_pt_implements",
 ]
+
+#: Total-variation evaluations in the existential search (one per
+#: ``(sigma, sigma')`` pair actually scored); shows what pruning saves.
+_TV_CALLS = _counter("secure.tv.calls")
 
 
 @dataclass(frozen=True)
@@ -65,13 +80,15 @@ class ImplementationResult:
 
 
 class _Perceptions:
-    """The ``(sigma', f-dist_(E,B)(sigma'))`` pairs of one environment,
-    each computed the first time an outer scheduler reaches it.
+    """The distinct perceptions ``f-dist_(E,B)(sigma')`` of one environment's
+    candidates, each computed the first time an outer scheduler reaches it.
 
     ``f-dist_(E,B)(sigma')`` does not depend on the outer ``sigma``, so
     ``schema(E||B, q2)`` is enumerated once, lazily and in schema order, and
-    every later pass re-reads the pairs already computed.  A candidate no
-    pass reaches (every pass stopped early) is never unfolded.
+    every later pass re-reads the perceptions already computed.  A candidate
+    whose perception equals (:func:`_exact_key`) an earlier one's is dropped:
+    it is at the same distance from every ``sigma``.  A candidate no pass
+    reaches (every pass stopped early) is never unfolded.
     """
 
     def __init__(self, insight, env, second, world, candidates):
@@ -80,54 +97,92 @@ class _Perceptions:
         self._second = second
         self._world = world
         self._pending = iter(candidates)
-        self._seen: List[Tuple[Scheduler, object]] = []
+        self._seen: List[object] = []
+        self._keys: set = set()
 
     def __iter__(self):
         yield from self._seen
         for candidate in self._pending:
             dist = f_dist(self._insight, self._env, self._second, candidate, world=self._world)
-            self._seen.append((candidate, dist))
-            yield candidate, dist
+            key = _exact_key(dist)
+            if key not in self._keys:
+                self._keys.add(key)
+                self._seen.append(dist)
+                yield dist
 
 
-def _min_distance_over_witnesses(
-    dist_first, perceptions: Iterable[Tuple[Scheduler, object]], *, stop_at=0
-):
-    """min over ``(sigma', f-dist(E,B,sigma'))`` pairs of TV(dist_first, f-dist)."""
+def _exact_key(measure):
+    """A key that two perceptions share only when every total variation
+    against them is the same value.
+
+    ``DiscreteMeasure`` equality holds within ``FLOAT_TOLERANCE`` for floats,
+    so it cannot serve.  Exact weights key as a set of items.  Float weights
+    key on the items in order, with their types, since the float sums in
+    :func:`total_variation` follow that order.
+    """
+    items = tuple(measure.items())
+    if all(isinstance(weight, (int, Fraction)) for _, weight in items):
+        return frozenset(items)
+    return tuple((outcome, type(weight), weight) for outcome, weight in items)
+
+
+def _min_distance(dist_first, perceptions: Iterable[object], *, stop_at=0):
+    """min over ``perceptions`` of TV(dist_first, perception), stopping at the
+    first one within ``stop_at``; ``None`` when there is none."""
     best = None
-    best_scheduler = None
-    for candidate, dist_second in perceptions:
+    calls = 0
+    for dist_second in perceptions:
+        calls += 1
         d = total_variation(dist_first, dist_second)
         if best is None or d < best:
-            best, best_scheduler = d, candidate
+            best = d
             if best <= stop_at:
                 break
-    return best, best_scheduler
+    _TV_CALLS.inc(calls)
+    return best
 
 
-def _distances(first, second, env, *, schema, insight, q1, q2, witness):
-    """Yield ``(sigma, min_sigma' TV)`` for every ``sigma in Sch_q1(E||A)``.
+def _worst_case(first, second, environments, *, schema, insight, q1, q2, witness, epsilon=None):
+    """``max_{E, sigma} min_{sigma'} TV`` over ``environments``.
 
-    ``E||A`` and ``E||B`` are composed once per environment.  Without a
-    witness, the ``q2`` candidates' perceptions are shared by the whole
-    ``sigma`` loop (:class:`_Perceptions`).
+    Returns ``(worst, None)``, or ``(best, (E, sigma))`` for the first
+    ``sigma`` with no ``sigma'`` or whose minimum exceeds ``epsilon``.
+
+    ``E||A`` and ``E||B`` are composed once per environment.  Each
+    ``sigma``'s scan stops once its minimum is at most the running ``worst``:
+    such a ``sigma`` cannot raise the max.  A ``sigma`` whose minimum
+    exceeds ``epsilon >= worst`` is never stopped, so its ``best`` is exact.
+    Without a witness, the candidates' perceptions are shared by the whole
+    ``sigma`` loop (:class:`_Perceptions`), and a ``sigma`` whose perception
+    was already scanned reuses that scan's result.  The reused value is
+    exact, or at most a ``worst`` that has only risen since.
     """
-    world_first = compose_world(env, first)
-    world_second = compose_world(env, second)
-    shared = None
-    if witness is None:
-        shared = _Perceptions(insight, env, second, world_second, schema(world_second, q2))
-    for scheduler in schema(world_first, q1):
-        dist_first = f_dist(insight, env, first, scheduler, world=world_first)
-        if shared is None:
-            sigma_prime = witness(env, scheduler)
-            perceptions = [
-                (sigma_prime, f_dist(insight, env, second, sigma_prime, world=world_second))
-            ]
-        else:
-            perceptions = shared
-        best, _ = _min_distance_over_witnesses(dist_first, perceptions)
-        yield scheduler, best
+    worst = 0
+    for env in environments:
+        world_first = compose_world(env, first)
+        world_second = compose_world(env, second)
+        if witness is None:
+            shared = _Perceptions(insight, env, second, world_second, schema(world_second, q2))
+            scanned = {}
+        for scheduler in schema(world_first, q1):
+            dist_first = f_dist(insight, env, first, scheduler, world=world_first)
+            if witness is None:
+                key = _exact_key(dist_first)
+                if key in scanned:
+                    best = scanned[key]
+                else:
+                    best = _min_distance(dist_first, shared, stop_at=worst)
+                    scanned[key] = best
+            else:
+                sigma_prime = witness(env, scheduler)
+                best = _min_distance(
+                    dist_first, [f_dist(insight, env, second, sigma_prime, world=world_second)]
+                )
+            if best is None or (epsilon is not None and best > epsilon):
+                return best, (env, scheduler)
+            if best > worst:
+                worst = best
+    return worst, None
 
 
 def implements(
@@ -151,22 +206,19 @@ def implements(
     ``p`` is given), and ``witness`` short-circuits the existential search
     with a constructive ``sigma'``.
     """
+    if p is not None:
+        environments = (env for env in environments if measure_time_bound(env) <= p)
     kw = dict(schema=schema, insight=insight, q1=q1, q2=q2, witness=witness)
-    worst = 0
-    for env in environments:
-        if p is not None and measure_time_bound(env) > p:
-            continue
-        for scheduler, best in _distances(first, second, env, **kw):
-            if best is None or best > epsilon:
-                return ImplementationResult(
-                    holds=False,
-                    epsilon=epsilon,
-                    distance=best,
-                    counterexample=(env.name, getattr(scheduler, "name", scheduler)),
-                )
-            if best > worst:
-                worst = best
-    return ImplementationResult(holds=True, epsilon=epsilon, distance=worst)
+    distance, failure = _worst_case(first, second, environments, epsilon=epsilon, **kw)
+    if failure is None:
+        return ImplementationResult(holds=True, epsilon=epsilon, distance=distance)
+    env, scheduler = failure
+    return ImplementationResult(
+        holds=False,
+        epsilon=epsilon,
+        distance=distance,
+        counterexample=(env.name, getattr(scheduler, "name", scheduler)),
+    )
 
 
 def implementation_distance(
@@ -188,13 +240,9 @@ def implementation_distance(
     environment universes.
     """
     kw = dict(schema=schema, insight=insight, q1=q1, q2=q2, witness=witness)
-    worst = 0
-    for env in environments:
-        for _scheduler, best in _distances(first, second, env, **kw):
-            if best is None:
-                raise ValueError("scheduler schema produced no candidate sigma'")
-            if best > worst:
-                worst = best
+    worst, failure = _worst_case(first, second, environments, **kw)
+    if failure is not None:
+        raise ValueError("scheduler schema produced no candidate sigma'")
     return worst
 
 

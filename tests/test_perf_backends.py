@@ -346,8 +346,16 @@ class TestSocketBackend:
 def fake_worker():
     """A loopback server driven by a per-connection handler — lets tests
     play a hung or byzantine worker without subclassing the real one.
-    Connections are served one at a time unless ``concurrent`` is set."""
+    Connections are served one at a time unless ``concurrent`` is set.
+    Teardown closes the servers and joins every thread the fixture started,
+    so none outlives its test."""
     servers = []
+    threads = []
+
+    def spawn(target, *args):
+        thread = threading.Thread(target=target, args=args, daemon=True)
+        threads.append(thread)
+        thread.start()
 
     def start(handler, concurrent=False):
         server = socket_module.create_server(("127.0.0.1", 0))
@@ -358,8 +366,8 @@ def fake_worker():
         def handle(conn):
             try:
                 handler(conn)
-            except OSError:
-                pass
+            except (OSError, EOFError):
+                pass  # the client hung up mid-frame
             finally:
                 try:
                     conn.close()
@@ -373,16 +381,24 @@ def fake_worker():
                 except OSError:
                     return  # server closed by teardown
                 if concurrent:
-                    threading.Thread(target=handle, args=(conn,), daemon=True).start()
+                    spawn(handle, conn)
                 else:
                     handle(conn)
 
-        threading.Thread(target=serve, daemon=True).start()
+        spawn(serve)
         return port
 
     yield start
     for server in servers:
+        try:
+            server.shutdown(socket_module.SHUT_RDWR)  # wakes a blocked accept()
+        except OSError:
+            pass
         server.close()
+    # Each serve thread is joined before the handlers it spawned, which
+    # it appended after itself, so iterating the live list misses none.
+    for thread in threads:
+        thread.join(10)
 
 
 def _handshake(conn, protocol=PROTOCOL_VERSION):

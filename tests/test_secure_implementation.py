@@ -1,9 +1,12 @@
 """Tests for the approximate implementation relation (Def 4.12) and its
 composability/transitivity (Lemmas 4.13-4.14, Theorems 4.15-4.16)."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bounded.bounds import measure_time_bound
 from repro.bounded.families import PSIOAFamily, compose_families
@@ -12,7 +15,7 @@ from repro.core.psioa import TablePSIOA
 from repro.core.signature import Signature
 from repro.obs import metrics
 from repro.perf import cache as perf_cache
-from repro.probability.measures import dirac, total_variation
+from repro.probability.measures import DiscreteMeasure, dirac, total_variation
 from repro.secure.implementation import (
     ImplementationResult,
     family_implementation_profile,
@@ -45,22 +48,20 @@ def observer(name="E", accept_on="head"):
     return TablePSIOA(name, "watch", signatures, transitions)
 
 
-def coin_schema():
-    """Oblivious schedulers over the coin alphabet, locally controlled."""
+def sequence_schema(name, alphabet):
+    """Oblivious schedulers over ``alphabet``, locally controlled, shortest
+    first."""
 
     def members(automaton, bound):
-        base = ["toss", "head", "tail", "acc"]
-        import itertools
-
         for length in range(bound + 1):
-            for seq in itertools.product(base, repeat=length):
+            for seq in itertools.product(alphabet, repeat=length):
                 yield ActionSequenceScheduler(seq, local_only=True)
 
-    return SchedulerSchema("coin-oblivious", members)
+    return SchedulerSchema(name, members)
 
 
 ENVS = [observer()]
-SCHEMA = coin_schema()
+SCHEMA = sequence_schema("coin-oblivious", ["toss", "head", "tail", "acc"])
 INSIGHT = accept_insight()
 
 
@@ -357,6 +358,153 @@ class TestAgainstQuadraticReference:
             first = coin_automaton("first", p_first)
             second = coin_automaton("second", p_second)
             assert implements(first, second, **kw) == reference_implements(first, second, **kw)
+
+
+def two_coin(name, p1, p2):
+    """Two coins behind one announcer: ``toss1`` lands heads w.p. ``p1``,
+    ``toss2`` w.p. ``p2``; either is then announced as ``head``/``tail``."""
+
+    def land(p):
+        return DiscreteMeasure({"qH": p, "qT": 1 - p})
+
+    signatures = {
+        "q0": Signature(outputs={"toss1", "toss2"}),
+        "qH": Signature(outputs={"head"}),
+        "qT": Signature(outputs={"tail"}),
+        "qF": Signature(),
+    }
+    transitions = {
+        ("q0", "toss1"): land(p1),
+        ("q0", "toss2"): land(p2),
+        ("qH", "head"): dirac("qF"),
+        ("qT", "tail"): dirac("qF"),
+    }
+    return TablePSIOA(name, "q0", signatures, transitions)
+
+
+TWO_COIN_SCHEMA = sequence_schema("two-coin", ["toss1", "toss2", "head", "tail", "acc"])
+
+
+def distinct_perceptions(insight, env, automaton, bound, schema):
+    world = compose_world(env, automaton)
+    return {
+        frozenset(f_dist(insight, env, automaton, s, world=world).items())
+        for s in schema(world, bound)
+    }
+
+
+class TestPruningAndMemo:
+    """Pruning each sigma's scan at the running max, scoring each distinct
+    perception once and reusing a scanned sigma's result never change the
+    distance or the counterexample (the quadratic loop is the oracle)."""
+
+    ENVS = TestAgainstQuadraticReference.ENVS
+
+    @pytest.fixture(params=["cache-on", "cache-off"])
+    def cache(self, request):
+        perf_cache.configure(enabled=request.param == "cache-on")
+        perf_cache.clear()
+
+    @pytest.mark.parametrize("insight", [accept_insight(), trace_insight()], ids=["accept", "trace"])
+    def test_late_worst_sigma(self, cache, insight):
+        # toss1 differs by 1/8 and comes first in schema order; toss2
+        # differs by 1/4 and comes later, so the toss2 sigmas are scanned
+        # after the running max is already 1/8.
+        first = two_coin("first", Fraction(5, 8), Fraction(3, 4))
+        second = two_coin("second", Fraction(1, 2), Fraction(1, 2))
+        kw = dict(schema=TWO_COIN_SCHEMA, insight=insight, environments=self.ENVS, q1=3, q2=3)
+        expected = reference_distance(first, second, witness=None, **kw)
+        assert expected == Fraction(1, 4)
+        got = implementation_distance(first, second, **kw)
+        assert (got, type(got)) == (expected, type(expected))
+        for epsilon in [0, Fraction(1, 8), Fraction(3, 16), Fraction(1, 4)]:
+            result = implements(first, second, epsilon=epsilon, **kw)
+            assert result == reference_implements(
+                first, second, epsilon=epsilon, witness=None, **kw
+            )
+        failed = implements(first, second, epsilon=Fraction(3, 16), **kw)
+        assert failed.distance == Fraction(1, 4)
+        assert "toss2" in str(failed.counterexample)
+
+    def test_scan_stops_only_within_running_max(self, cache):
+        # Under E-head, the toss1 sigma sets the running max to 1/8.  The
+        # toss2 sigma (11/16) then meets a candidate at 3/16 before the one
+        # at 1/16: stopping anywhere above 1/8 would report 3/16.
+        first = two_coin("first", Fraction(5, 8), Fraction(11, 16))
+        second = two_coin("second", Fraction(1, 2), Fraction(3, 4))
+        kw = dict(schema=TWO_COIN_SCHEMA, insight=INSIGHT, environments=self.ENVS, q1=3, q2=3)
+        assert implementation_distance(first, second, **kw) == Fraction(1, 8)
+        assert reference_distance(first, second, witness=None, **kw) == Fraction(1, 8)
+
+    def test_many_sigma_share_one_perception(self, cache):
+        first = coin_automaton("first", Fraction(3, 4))
+        second = coin_automaton("second", Fraction(1, 2))
+        env = observer()
+        world = compose_world(env, first)
+        n_sigma = len(list(SCHEMA(world, 3)))
+        n_first = len(distinct_perceptions(INSIGHT, env, first, 3, SCHEMA))
+        n_second = len(distinct_perceptions(INSIGHT, env, second, 3, SCHEMA))
+        assert n_first * n_second < n_sigma
+        kw = dict(schema=SCHEMA, insight=INSIGHT, environments=[env], q1=3, q2=3)
+        calls = metrics.counter("secure.tv.calls")
+        before = calls.value
+        got = implementation_distance(first, second, **kw)
+        assert got == reference_distance(first, second, witness=None, **kw)
+        assert calls.value - before <= n_first * n_second
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        biases=st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=8), min_size=4, max_size=4
+        ),
+        epsilon=st.fractions(min_value=0, max_value=1, max_denominator=16),
+        trace=st.booleans(),
+        cache_on=st.booleans(),
+    )
+    def test_matches_reference_on_random_biases(self, biases, epsilon, trace, cache_on):
+        perf_cache.configure(enabled=cache_on)
+        perf_cache.clear()
+        first = two_coin("first", *biases[:2])
+        second = two_coin("second", *biases[2:])
+        insight = trace_insight() if trace else INSIGHT
+        kw = dict(schema=TWO_COIN_SCHEMA, insight=insight, environments=self.ENVS, q1=3, q2=3)
+        expected = reference_distance(first, second, witness=None, **kw)
+        got = implementation_distance(first, second, **kw)
+        assert (got, type(got)) == (expected, type(expected))
+        result = implements(first, second, epsilon=epsilon, **kw)
+        reference = reference_implements(first, second, epsilon=epsilon, witness=None, **kw)
+        assert result == reference
+        assert type(result.distance) is type(reference.distance)
+
+    @pytest.mark.parametrize(
+        "outer, candidates, deduped",
+        [
+            # Candidates far closer than FLOAT_TOLERANCE, the later one
+            # strictly closer to the outer coin.
+            (0.75, (0.5, 0.5 + 1e-12), 0.25),
+            # Equal values, float then exact: only the exact one scores 1/6.
+            (Fraction(1, 3), (0.5, Fraction(1, 2)), 0.5 - Fraction(1, 3)),
+        ],
+        ids=["within-tolerance", "float-vs-fraction"],
+    )
+    def test_equal_but_not_identical_perceptions_both_scored(self, outer, candidates, deduped):
+        # The two candidates' perceptions are DiscreteMeasure-equal.  Scoring
+        # only the first, as a dedup on that equality would, gives
+        # ``deduped``; the exact key scores both, as the reference does.
+        first = two_coin("first", outer, outer)
+        second = two_coin("second", *candidates)
+        env = observer()
+        world = compose_world(env, second)
+        one, other = (
+            f_dist(INSIGHT, env, second, ActionSequenceScheduler(seq, local_only=True), world=world)
+            for seq in [("toss1", "head", "acc"), ("toss2", "head", "acc")]
+        )
+        assert one == other
+        kw = dict(schema=TWO_COIN_SCHEMA, insight=INSIGHT, environments=[env], q1=3, q2=3)
+        expected = reference_distance(first, second, witness=None, **kw)
+        assert (expected, type(expected)) != (deduped, type(deduped))
+        got = implementation_distance(first, second, **kw)
+        assert (got, type(got)) == (expected, type(expected))
 
 
 class TestUnfoldBudget:

@@ -133,7 +133,11 @@ def run_suite(
     # children inherit them through fork, workers get them per run frame.
     config.apply()
     cache_enabled = config.cache != "off"
-    backend = perf_backends.make_backend(perf_backends.current_spec())
+    # The process backend every experiment uses.  Its first start() (in
+    # run_one) launches a pool:N's workers, all at once, before the first
+    # child forks; the children adopt them, and they stop when this call
+    # returns.
+    backend = perf_backends.get_backend()
     backend_block = backend.describe()
 
     suite_start = time.perf_counter()
@@ -149,6 +153,7 @@ def run_suite(
         return os.path.join(config.profile_dir, f"{experiment_id}.folded")
 
     def run_one(experiment_id: str):
+        backend.start()  # respawn what died, so the child inherits a healthy pool
         return run_experiment_guarded(
             experiment_id,
             fast=not config.full,
@@ -194,41 +199,53 @@ def run_suite(
 
     obs_progress.begin("experiments", len(selected), "experiments")
 
-    if config.parallel > 1:
-        # Pre-import every selected experiment module, so forked children
-        # never race the import machinery from worker threads.
-        import importlib
+    try:
+        if config.parallel > 1:
+            # Pre-import every selected experiment module, so forked children
+            # never race the import machinery from worker threads.
+            import importlib
 
-        for experiment_id in selected:
-            module_name, _claim = ALL_EXPERIMENTS[experiment_id]
-            if "." not in module_name:
-                module_name = f"repro.experiments.{module_name}"
-            try:
-                importlib.import_module(module_name)
-            except Exception:  # noqa: BLE001 - the guarded child reports it
-                pass
-        from concurrent.futures import ThreadPoolExecutor
+            for experiment_id in selected:
+                module_name, _claim = ALL_EXPERIMENTS[experiment_id]
+                if "." not in module_name:
+                    module_name = f"repro.experiments.{module_name}"
+                try:
+                    importlib.import_module(module_name)
+                except Exception:  # noqa: BLE001 - the guarded child reports it
+                    pass
+            from concurrent.futures import ThreadPoolExecutor
 
-        # Each worker thread just babysits an isolated child process, so
-        # threads-per-experiment is cheap.  Futures are *consumed in
-        # experiment order*: output and the report are identical at every
-        # worker count (only wall-clock fields differ).
-        with ThreadPoolExecutor(max_workers=config.parallel) as pool:
-            futures = [(e, pool.submit(run_one, e)) for e in selected]
-            for experiment_id, future in futures:
-                ok = record_outcome(experiment_id, future.result())
+            # Each worker thread just babysits an isolated child process, so
+            # threads-per-experiment is cheap.  Futures are *consumed in
+            # experiment order*: output and the report are identical at every
+            # worker count (only wall-clock fields differ).
+            with ThreadPoolExecutor(max_workers=config.parallel) as pool:
+                futures = [(e, pool.submit(run_one, e)) for e in selected]
+                for experiment_id, future in futures:
+                    ok = record_outcome(experiment_id, future.result())
+                    if not ok and not config.keep_going:
+                        for _e, pending in futures:
+                            pending.cancel()
+                        break
+        else:
+            for experiment_id in selected:
+                ok = record_outcome(experiment_id, run_one(experiment_id))
                 if not ok and not config.keep_going:
-                    for _e, pending in futures:
-                        pending.cancel()
                     break
-    else:
-        for experiment_id in selected:
-            ok = record_outcome(experiment_id, run_one(experiment_id))
-            if not ok and not config.keep_going:
-                break
+    finally:
+        perf_backends.close_active()
 
     obs_progress.finish()
     say(format_suite_summary(records))
+
+    if isinstance(backend, perf_backends.LocalPoolBackend):
+        started = backend.workers_started
+        if config.isolated:
+            # A child counts the workers it respawned in its own record.
+            started += sum(
+                r["counters"].get("perf.supervise.respawns", 0) for r in records
+            )
+        backend_block["workers_started"] = started
 
     # When a persistent store is active, describe it in the cache block
     # (directory, entry count, byte size); stat failures must never fail

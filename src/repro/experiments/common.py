@@ -252,9 +252,10 @@ def _guarded_child(
     # of how many experiments run concurrently.
     _perf_cache.clear()
     # An execution backend inherited through the fork may hold the parent's
-    # live worker connections; abandon it (without closing the shared file
-    # descriptors) so this child's sweeps open their own.
-    _perf_backends.abandon_inherited()
+    # live worker connections; adopt it (a pool:N keeps the parent's
+    # workers, the shared file descriptors stay untouched) so this child's
+    # sweeps open their own connections.
+    _perf_backends.adopt_inherited()
     if trace_path is not None:
         _trace.enable()
     if profile_path is not None or _profile.PROFILER.enabled:
@@ -268,7 +269,8 @@ def _guarded_child(
         payload: Tuple[str, Any] = ("report", report)
     except BaseException:  # noqa: BLE001 - the boundary exists to catch everything
         payload = ("error", traceback.format_exc())
-    # Workers a pool:N backend started for this child must not outlive it.
+    # Close this child's connections; workers a pool:N backend started here
+    # (respawns) must not outlive it, the parent's are left running.
     _perf_backends.close_active()
     extras = _observability_extras(trace_path, profile_path)
     try:

@@ -53,7 +53,8 @@ accepts)::
                                  "bytes": 51234}},             # with a store
         "backend": {                                           # optional
           "name": "socket", "spec": "socket:host1:9001,host2:9001",
-          "parallelism": 2
+          "parallelism": 2,
+          "workers_started": 2     # pool:N only: N plus every respawn
         },
         "resilience": {                                        # optional: remote
           "chunk_deadline_s": 600.0,                           # backends only;
@@ -528,6 +529,13 @@ def validate_report(payload: Any) -> None:
             and backend["parallelism"] >= 1,
             "summary.backend.parallelism must be an integer >= 1",
         )
+        if "workers_started" in backend:
+            _require(
+                isinstance(backend["workers_started"], int)
+                and not isinstance(backend["workers_started"], bool)
+                and backend["workers_started"] >= 0,
+                "summary.backend.workers_started must be an integer >= 0",
+            )
     if "resilience" in summary:
         resilience = summary["resilience"]
         _require(isinstance(resilience, dict), "summary.resilience must be an object")

@@ -41,7 +41,11 @@ Backend instances may hold live connections, so they are **per-process**:
 :func:`get_backend` rebuilds the active backend whenever the caller's pid
 differs from the pid that built it (a forked experiment child must open its
 own connections, never reuse the parent's).  The inherited instance is
-abandoned, not closed — its file descriptors are shared with the parent.
+never closed — its file descriptors are shared with the parent.  A
+crash-isolated experiment child calls :func:`adopt_inherited` instead: a
+``pool:N`` the parent started is then swept over by the child through its
+own fresh connections (:meth:`ExecutionBackend.adopt`), so a suite starts
+its pool once.
 """
 
 from __future__ import annotations
@@ -179,6 +183,18 @@ class ExecutionBackend(ABC):
         failures (ship the traceback in the outcome) nor for dead executors
         (report the chunk as lost)."""
 
+    def start(self) -> None:
+        """Bring the transport up ahead of the first sweep, and back up
+        after a failure (idempotent; default: nothing).  ``run_suite``
+        calls it before every experiment, so forked children inherit a
+        ready transport."""
+
+    def adopt(self) -> Optional["ExecutionBackend"]:
+        """The instance a forked child should use in place of this
+        inherited one, or ``None`` to rebuild from the spec (default).
+        It must never close what the parent owns."""
+        return None
+
     def close(self) -> None:
         """Release transport resources (idempotent; default: nothing)."""
 
@@ -257,8 +273,9 @@ def get_backend() -> "ExecutionBackend":
     """The process-wide backend for the *current* process.
 
     Lazily built from :func:`current_spec` and cached per ``(pid, spec)``;
-    after a fork the child abandons the inherited instance (shared file
-    descriptors stay untouched) and builds its own."""
+    after a fork the child leaves the inherited instance alone (shared file
+    descriptors stay untouched) and builds its own, unless it adopted it
+    (:func:`adopt_inherited`)."""
     global _ACTIVE, _ACTIVE_KEY
     pid = os.getpid()
     if isinstance(_CONFIGURED, ExecutionBackend) and _CONFIGURED_PID == pid:
@@ -274,10 +291,12 @@ def get_backend() -> "ExecutionBackend":
 
 
 def close_active() -> None:
-    """Close the backend this process built (a no-op for inherited ones).
+    """Close the backend this process built or adopted (a no-op for
+    inherited ones).
 
-    The guarded experiment child calls this before it exits, so a
-    ``pool:N`` it started does not outlive it."""
+    ``run_suite`` calls this when it returns and the guarded experiment
+    child before it exits, so no ``pool:N`` worker outlives the process
+    that started it."""
     global _ACTIVE, _ACTIVE_KEY
     if _ACTIVE is not None and _ACTIVE_KEY is not None and _ACTIVE_KEY[0] == os.getpid():
         _ACTIVE.close()
@@ -285,17 +304,20 @@ def close_active() -> None:
         _ACTIVE_KEY = None
 
 
-def abandon_inherited() -> None:
-    """Drop backend state inherited through a fork without closing it.
+def adopt_inherited() -> None:
+    """Take over backend state inherited through a fork without closing it.
 
-    Called by the guarded experiment runner's child bootstrap: the
-    inherited instance's sockets belong to the parent, so the child must
-    forget them (not close them) and rebuild on first use."""
+    Called by the guarded experiment runner's child bootstrap.  The
+    inherited active instance is replaced by its :meth:`~ExecutionBackend.adopt`
+    result (a started ``pool:N`` keeps its workers), or dropped so the
+    child rebuilds on first use; its sockets belong to the parent either
+    way.  An inherited configured *instance* is rebuilt from its spec."""
     global _ACTIVE, _ACTIVE_KEY, _CONFIGURED, _CONFIGURED_PID
     pid = os.getpid()
     if _ACTIVE_KEY is not None and _ACTIVE_KEY[0] != pid:
-        _ACTIVE = None
-        _ACTIVE_KEY = None
+        adopted = _ACTIVE.adopt()
+        _ACTIVE = adopted
+        _ACTIVE_KEY = None if adopted is None else (pid, _ACTIVE_KEY[1])
     if isinstance(_CONFIGURED, ExecutionBackend) and _CONFIGURED_PID != pid:
         _CONFIGURED = _CONFIGURED.spec
         _CONFIGURED_PID = pid
@@ -318,6 +340,6 @@ __all__ += [
     "ForkBackend",
     "SocketBackend",
     "LocalPoolBackend",
-    "abandon_inherited",
+    "adopt_inherited",
     "close_active",
 ]

@@ -25,8 +25,10 @@ the policy and mechanisms the socket transport consults:
   quarantines).  Tests replay it to prove same-seed → same-log;
 * :class:`LocalPoolBackend` (spec ``pool:N``) — a :class:`SocketBackend`
   that launches its own ``python -m repro.perf.worker`` subprocesses on
-  loopback and **respawns** them when they die, the "warm elastic pool"
-  sketch from the roadmap.
+  loopback, all at once (:func:`start_workers`), and **respawns** them when
+  they die, the "warm elastic pool" sketch from the roadmap.  Forked
+  experiment children adopt the pool their parent started, so one suite
+  run starts its workers once.
 
 Supervision is unconditional: every socket and pool backend runs under
 it, and a static ``socket:`` list differs from ``pool:N`` only in that
@@ -47,7 +49,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
@@ -63,6 +65,7 @@ __all__ = [
     "backoff_delay",
     "base_policy",
     "configure_policy",
+    "start_workers",
 ]
 
 _RESPAWNS = _counter("perf.supervise.respawns")
@@ -264,13 +267,42 @@ class SupervisionLog:
 # -- the self-healing local pool ------------------------------------------------
 
 
+def _pid_alive(pid: int) -> bool:
+    """Whether process ``pid`` runs, read without waiting on it.
+
+    For a worker another process started: ``Popen.poll`` on it fails with
+    ``ECHILD``, which CPython reports as a clean exit.  A zombie counts as
+    dead; without ``/proc`` (not Linux) a signal-0 probe decides.
+    """
+    if not os.path.isdir("/proc"):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        except PermissionError:
+            pass  # it exists, under another user
+        return True
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            state = handle.read().rsplit(b")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in (b"Z", b"X")
+
+
 class WorkerProcess:
-    """One locally-launched ``python -m repro.perf.worker`` subprocess."""
+    """One locally-launched ``python -m repro.perf.worker`` subprocess.
+
+    Only its *owner*, the process that started it, polls, terminates or
+    closes it.  A forked child that adopts the pool shares the worker: it
+    reads liveness from ``/proc`` and its :meth:`terminate` is a no-op.
+    """
 
     def __init__(self, slot: int, log_dir: Optional[str] = None) -> None:
         self.slot = slot
         self.process: Optional[subprocess.Popen] = None
         self.address: Optional[Tuple[str, int]] = None
+        self._owner: Optional[int] = None
         self._log_dir = log_dir or os.environ.get("REPRO_WORKER_LOG_DIR") or None
         self._log_file = None
 
@@ -290,6 +322,7 @@ class WorkerProcess:
                 os.path.join(self._log_dir, f"pool-worker-{self.slot}.log"), "ab"
             )
             stderr = self._log_file
+        self._owner = os.getpid()
         self.process = subprocess.Popen(
             [sys.executable, "-m", "repro.perf.worker", "--listen", "127.0.0.1:0"],
             stdout=subprocess.PIPE,
@@ -308,10 +341,22 @@ class WorkerProcess:
         return self.address
 
     @property
+    def owned(self) -> bool:
+        """True in the process that started the worker."""
+        return self._owner == os.getpid()
+
+    @property
     def alive(self) -> bool:
-        return self.process is not None and self.process.poll() is None
+        if self.process is None:
+            return False
+        if self.owned:
+            return self.process.poll() is None
+        return _pid_alive(self.process.pid)
 
     def terminate(self) -> None:
+        """Stop the worker and close its pipes; a no-op outside its owner."""
+        if not self.owned:
+            return
         if self.process is not None and self.process.poll() is None:
             self.process.terminate()
             try:
@@ -326,14 +371,41 @@ class WorkerProcess:
             self._log_file = None
 
 
+def start_workers(workers: Sequence[WorkerProcess]) -> List[Optional[Exception]]:
+    """Start ``workers`` all at once, one short-lived thread each.
+
+    Each :meth:`WorkerProcess.start` still runs whole, so N interpreters
+    boot in about the time of one.  Returns what each start raised, or
+    ``None`` for each worker that announced itself.
+    """
+    errors: List[Optional[Exception]] = [None] * len(workers)
+
+    def start(index: int) -> None:
+        try:
+            workers[index].start()
+        except Exception as exc:  # noqa: BLE001 - reported to the caller
+            errors[index] = exc
+
+    threads = [threading.Thread(target=start, args=(i,)) for i in range(len(workers))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return errors
+
+
 class LocalPoolBackend(SocketBackend):
     """Spec ``pool:N[;option=value...]`` — a self-launched loopback worker pool.
 
-    Launches ``N`` worker subprocesses on free loopback ports and fans
-    chunks over them exactly like :class:`SocketBackend`; additionally,
-    a worker process found dead during revival is **respawned** (fresh
-    process, fresh port, breaker reset) up to ``max_respawns`` times per
-    slot.
+    Launches ``N`` worker subprocesses on free loopback ports, all at once,
+    and fans chunks over them exactly like :class:`SocketBackend`;
+    additionally, a worker process found dead during revival is
+    **respawned** (fresh process, fresh port, breaker reset) up to
+    ``max_respawns`` times per slot.
+
+    A forked child sweeps over the same workers through :meth:`adopt`, so
+    one pool serves a whole crash-isolated suite; only the process that
+    started a worker stops it.
     """
 
     name = "pool"
@@ -344,6 +416,9 @@ class LocalPoolBackend(SocketBackend):
         self._requested_workers = workers
         self._procs = [WorkerProcess(slot) for slot in range(workers)]
         self._spawned = False
+        self._started = 0
+        # Reentrant: start() heals through _prepare_revival under it.
+        self._spawn_lock = threading.RLock()
         # Workers are spawned lazily at first use: spec validation
         # (``normalize_spec``) and ``describe()`` build-and-discard backend
         # instances, which must not launch (and leak) subprocesses.
@@ -351,14 +426,57 @@ class LocalPoolBackend(SocketBackend):
         self._respawns_by_slot = [0] * workers
 
     def _spawn_all(self) -> None:
-        if self._spawned:
-            return
-        self._spawned = True
-        for conn, proc in zip(self._connections, self._procs):
-            try:
-                conn.address = proc.start()
-            except (OSError, RuntimeError):
-                pass  # port 0 never connects; the slot revives via respawn
+        with self._spawn_lock:
+            if self._spawned:
+                return
+            self._spawned = True
+            errors = start_workers(self._procs)
+            for conn, proc, error in zip(self._connections, self._procs, errors):
+                # A slot that failed keeps port 0, never connects, and
+                # revives via respawn.
+                if error is None:
+                    conn.address = proc.address
+                    self._started += 1
+
+    def start(self) -> None:
+        """Bring every worker up before a sweep needs it.
+
+        The first call launches all ``N`` at once.  Every call then
+        respawns, through the revival path, each slot whose worker died, so
+        children forked afterwards inherit a healthy pool.  Safe to call
+        from several threads while others fork.
+        """
+        with self._spawn_lock:
+            self._spawn_all()
+            for conn in self._connections:
+                if not self._procs[conn.index].alive and self._prepare_revival(conn):
+                    self._forget(conn)
+
+    def _forget(self, conn: _WorkerConnection) -> None:
+        """Drop ``conn``'s socket to a replaced worker; the next sweep dials
+        the replacement."""
+        with self._pool_lock:
+            if conn.sock is not None:
+                try:
+                    conn.sock.close()
+                except OSError:
+                    pass
+                conn.sock = None
+            conn.alive = False
+            conn.attempted = False
+
+    def adopt(self) -> "LocalPoolBackend":
+        """This pool for a forked child: the same worker processes over the
+        child's own fresh connections.  The inherited sockets belong to the
+        parent and stay untouched; a worker the child respawns is its own."""
+        clone = LocalPoolBackend(self._requested_workers, options=self._options)
+        clone._procs = list(self._procs)
+        clone._respawns_by_slot = list(self._respawns_by_slot)
+        clone._spawned = self._spawned
+        for conn, proc in zip(clone._connections, clone._procs):
+            if proc.address is not None:
+                conn.address = proc.address
+        return clone
 
     def _ensure_connected(self) -> None:
         self._spawn_all()
@@ -378,21 +496,28 @@ class LocalPoolBackend(SocketBackend):
     def worker_processes(self) -> List[WorkerProcess]:
         return list(self._procs)
 
+    @property
+    def workers_started(self) -> int:
+        """Workers this process launched for the pool, respawns included."""
+        return self._started
+
     def _prepare_revival(self, conn: _WorkerConnection) -> bool:
         """Respawn the slot's subprocess if it died; False ends revival."""
-        proc = self._procs[conn.index]
-        if proc.alive:
-            return True
-        if self._respawns_by_slot[conn.index] >= self.policy.max_respawns:
-            return False
-        proc.terminate()  # reap the corpse and close its pipes
-        replacement = WorkerProcess(conn.index, log_dir=proc._log_dir)
-        try:
-            address = replacement.start()
-        except (OSError, RuntimeError):
-            return False
-        self._procs[conn.index] = replacement
-        self._respawns_by_slot[conn.index] += 1
+        with self._spawn_lock:
+            proc = self._procs[conn.index]
+            if proc.alive:
+                return True
+            if self._respawns_by_slot[conn.index] >= self.policy.max_respawns:
+                return False
+            proc.terminate()  # the owner reaps the corpse and closes its pipes
+            replacement = WorkerProcess(conn.index, log_dir=proc._log_dir)
+            try:
+                address = replacement.start()
+            except (OSError, RuntimeError):
+                return False
+            self._procs[conn.index] = replacement
+            self._respawns_by_slot[conn.index] += 1
+            self._started += 1
         conn.address = address
         conn.breaker.record_success()  # a fresh process starts with a clean slate
         _RESPAWNS.inc()

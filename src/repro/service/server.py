@@ -7,7 +7,7 @@ One :class:`JobService` owns four things:
   per-tenant quotas — rejections are HTTP 429 with ``Retry-After``),
 * an optional **warm worker pool**: long-lived ``repro.perf.worker``
   subprocesses (:class:`repro.perf.supervise.WorkerProcess`) spawned once
-  at startup; jobs that do not pin a backend run their sweeps on
+  at startup, all at once; jobs that do not pin a backend run their sweeps on
   ``socket:<pool addresses>``, so consecutive jobs reuse hot interpreters
   instead of paying fork+import per sweep.  Dead workers are respawned
   between jobs (``service.pool.respawns`` counts them); a worker dying
@@ -77,7 +77,7 @@ from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
 from repro.perf.fingerprint import try_fingerprint
-from repro.perf.supervise import WorkerProcess
+from repro.perf.supervise import WorkerProcess, start_workers
 from repro.service.admission import AdmissionController, AdmissionPolicy
 from repro.service.jobs import (
     DONE,
@@ -151,10 +151,13 @@ class JobService:
     def start(self) -> None:
         """Spawn the warm pool (if any) and the dispatcher thread."""
         self._started_unix = time.time()
-        for slot in range(self.pool_size):
-            worker = WorkerProcess(slot, log_dir=self.log_dir)
-            worker.start()
-            self._pool.append(worker)
+        pool = [WorkerProcess(slot, log_dir=self.log_dir) for slot in range(self.pool_size)]
+        failed = [error for error in start_workers(pool) if error is not None]  # all at once
+        if failed:
+            for worker in pool:
+                worker.terminate()
+            raise failed[0]
+        self._pool = pool
         if self._auto_dispatch:
             self._dispatcher = threading.Thread(
                 target=self._dispatch_loop, name="repro-service-dispatcher",
@@ -214,20 +217,21 @@ class JobService:
         A respawned worker binds a fresh port, so the pool spec is
         recomputed per job — which is why jobs resolve their backend at
         execution time, not admission time."""
-        respawned = 0
-        for worker in self._pool:
-            if not worker.alive:
-                worker.terminate()  # reap + close the old pipe/log handles
-                worker.start()
-                respawned += 1
-                host, port = worker.address
-                _LOG.warning(
-                    "service.pool.respawn", slot=worker.slot,
-                    address=f"{host}:{port}",
-                )
-        if respawned:
-            obs_metrics.counter("service.pool.respawns").inc(respawned)
-        return respawned
+        dead = [worker for worker in self._pool if not worker.alive]
+        for worker in dead:
+            worker.terminate()  # reap + close the old pipe/log handles
+        errors = start_workers(dead)  # all at once
+        for worker, error in zip(dead, errors):
+            if error is not None:
+                raise error
+            host, port = worker.address
+            _LOG.warning(
+                "service.pool.respawn", slot=worker.slot,
+                address=f"{host}:{port}",
+            )
+        if dead:
+            obs_metrics.counter("service.pool.respawns").inc(len(dead))
+        return len(dead)
 
     # -- submission --------------------------------------------------------------
 

@@ -6,13 +6,17 @@ against real worker subprocesses: lazy spawn (no leaked processes from
 spec validation), respawn of a killed worker, poison-chunk quarantine,
 heartbeat keep-alive of slow chunks, and the determinism bar — every
 backoff delay the supervisor logged must be recomputable from the policy
-seed alone.
+seed alone.  The lifetime tests run whole suites under a child subreaper:
+one pool per ``run_suite`` call, adopted by every experiment child, healed
+by the parent between experiments, and no worker left behind.
 """
 
+import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -27,6 +31,7 @@ from repro.perf.supervise import (
     LocalPoolBackend,
     SupervisionLog,
     SupervisionPolicy,
+    WorkerProcess,
     backoff_delay,
     base_policy,
 )
@@ -291,6 +296,53 @@ class TestLocalPoolBackend:
         assert heartbeats.value > before
         assert fallbacks.value == fallbacks_before
 
+    def test_only_the_owner_stops_a_worker_and_others_see_it_live(self):
+        # Popen.poll in a forked child fails with ECHILD, which CPython
+        # reports as an exit: the child must read liveness elsewhere.
+        def in_child(check):
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if check() else 1)
+            _pid, status = os.waitpid(pid, 0)
+            return os.waitstatus_to_exitcode(status) == 0
+
+        worker = WorkerProcess(0)
+        worker.start()
+        try:
+            assert in_child(lambda: worker.alive and (worker.terminate() or worker.alive))
+            assert worker.alive
+            worker.process.send_signal(signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while in_child(lambda: worker.alive) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not in_child(lambda: worker.alive)  # a zombie counts as dead
+        finally:
+            worker.terminate()
+
+    def test_concurrent_heals_respawn_each_dead_slot_once(self):
+        # run_suite heals from every --parallel thread; a slot two threads
+        # both found dead must still be respawned once.
+        backend = make_backend("pool:2")
+        interval = sys.getswitchinterval()
+        try:
+            backend.start()
+            for proc in backend.worker_processes:
+                proc.process.kill()
+                proc.process.wait()
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=backend.start) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            backend.close()
+        assert backend.workers_started == 4
+        respawns = [e for e in backend.supervision_log.events if e["event"] == "respawn"]
+        assert sorted(e["slot"] for e in respawns) == [0, 1]
+
     def test_supervision_log_is_replayable_from_the_seed(self):
         backend = make_backend(
             "pool:1;seed=11;backoff_base_s=0.01;backoff_max_s=0.05"
@@ -313,39 +365,182 @@ class TestLocalPoolBackend:
             backend.close()
 
 
-_WORKER_SURVIVORS = """
-import ctypes, os
+#: Prologue of the lifetime scripts: the script becomes a child subreaper,
+#: so it adopts every orphan, and a pool worker some process left behind
+#: shows up as one of its own children.
+_SUBREAPER = """
+import ctypes, json, os
 prctl = ctypes.CDLL(None, use_errno=True).prctl
 prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
 prctl.restype = ctypes.c_int
 if prctl(36, 1, 0, 0, 0) != 0:  # PR_SET_CHILD_SUBREAPER
     raise OSError(ctypes.get_errno(), "prctl(PR_SET_CHILD_SUBREAPER)")
 from repro import api
-result = api.run_suite(["E12"], config=api.RunConfig(backend="pool:2"))
-survivors = 0
-for pid in filter(str.isdigit, os.listdir("/proc")):
+from repro.experiments import common
+from repro.perf import backends
+
+def running(pid):
     try:
         with open(f"/proc/{pid}/stat", "rb") as handle:
-            parent = int(handle.read().rsplit(b")", 1)[1].split()[1])
-        with open(f"/proc/{pid}/cmdline", "rb") as handle:
-            command = handle.read()
+            return handle.read().rsplit(b")", 1)[1].split()[0] != b"Z"
     except OSError:
-        continue
-    survivors += parent == os.getpid() and b"repro.perf.worker" in command
-print(result.exit_code, survivors)
+        return False
+
+def survivors():
+    count = 0
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat", "rb") as handle:
+                parent = int(handle.read().rsplit(b")", 1)[1].split()[1])
+            with open(f"/proc/{pid}/cmdline", "rb") as handle:
+                command = handle.read()
+        except OSError:
+            continue
+        count += parent == os.getpid() and b"repro.perf.worker" in command
+    return count
+"""
+
+_WORKER_SURVIVORS = _SUBREAPER + """
+result = api.run_suite(SELECTION, config=api.RunConfig(backend="pool:2", CONFIG))
+backend = result.report["summary"]["backend"]
+print(result.exit_code, backend["workers_started"], survivors())
+"""
+
+#: Kill one of the run's workers between E12 and E15: the parent must heal
+#: the pool before E15's child forks.
+_HEAL_BETWEEN_EXPERIMENTS = _SUBREAPER + """
+def kill_after_e12(experiment_id, record, done, total):
+    if experiment_id == "E12":
+        victim = backends.get_backend().worker_processes[0]
+        victim.process.kill()
+        victim.process.wait()
+
+result = api.run_suite(
+    ["E12", "E15"], config=api.RunConfig(backend="pool:2"), on_record=kill_after_e12
+)
+reference = api.run_suite(
+    ["E12", "E15"], config=api.RunConfig(cache="off", isolated=False)
+)
+print(json.dumps({
+    "exit_code": result.exit_code,
+    "tables_match": [r["table"] for r in result.records]
+    == [r["table"] for r in reference.records],
+    "e15_counters": result.records[1]["counters"],
+    "workers_started": result.report["summary"]["backend"]["workers_started"],
+    "survivors": survivors(),
+}))
+"""
+
+#: Three experiments on one pool:1.  The first sweeps over the parent's
+#: worker; the second kills it mid-chunk and respawns its own; the third
+#: sweeps over the worker the parent respawned in between.
+_CHILD_RESPAWN = _SUBREAPER + """
+import tempfile
+from tests.faultyexp import pool_kill
+scratch = tempfile.TemporaryDirectory()
+pool_kill.MARKER = os.path.join(scratch.name, "killed")
+common.ALL_EXPERIMENTS["EX-A"] = ("tests.faultyexp.pool_sweep", "sweep")
+common.ALL_EXPERIMENTS["EX-KILL"] = ("tests.faultyexp.pool_kill", "kill")
+common.ALL_EXPERIMENTS["EX-B"] = ("tests.faultyexp.pool_sweep", "sweep")
+seen = {}
+
+def pids(line):
+    return [int(pid) for pid in line.split()[1:]]
+
+def check(experiment_id, record, done, total):
+    found, left = record["table"].splitlines()
+    worker = backends.get_backend().worker_processes[0]
+    seen[experiment_id] = {
+        "parent_worker": worker.process.pid,
+        "parent_worker_alive": worker.alive,
+        "found": pids(found),
+        "left": pids(left),
+        "left_alive": [running(pid) for pid in pids(left)],
+        "respawns": record["counters"].get("perf.supervise.respawns", 0),
+        "fallbacks": record["counters"].get("perf.parallel.chunk_fallbacks", 0),
+    }
+
+result = api.run_suite(
+    ["EX-A", "EX-KILL", "EX-B"],
+    config=api.RunConfig(backend="pool:1;backoff_base_s=0.01;backoff_max_s=0.05"),
+    on_record=check,
+)
+print(json.dumps({
+    "exit_code": result.exit_code,
+    "seen": seen,
+    "workers_started": result.report["summary"]["backend"]["workers_started"],
+    "survivors": survivors(),
+}))
 """
 
 
+def _run_script(script):
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux subreaper")
 class TestPoolLifetime:
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux subreaper")
+    @staticmethod
+    def run_e12(selection, config):
+        script = _WORKER_SURVIVORS.replace("SELECTION", repr(selection))
+        return _run_script(script.replace("CONFIG", config)).split()
+
     def test_experiment_child_stops_its_pool_workers(self):
-        # The script adopts every orphan, so a pool worker its experiment
-        # child left behind would show up as its own child.
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [sys.executable, "-c", _WORKER_SURVIVORS],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert out.stdout.split() == ["0", "0"], out.stderr
+        assert self.run_e12(["E12"], "isolated=True") == ["0", "2", "0"]
+
+    def test_inline_run_stops_its_pool_workers(self):
+        assert self.run_e12(["E12"], "isolated=False") == ["0", "2", "0"]
+
+    def test_parallel_children_share_one_pool(self):
+        assert self.run_e12(["E12", "E15"], "parallel=2") == ["0", "2", "0"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux subreaper")
+class TestSharedPool:
+    def test_parent_heals_the_pool_between_experiments(self):
+        outcome = json.loads(_run_script(_HEAL_BETWEEN_EXPERIMENTS))
+        assert outcome["exit_code"] == 0
+        assert outcome["tables_match"]
+        counters = outcome["e15_counters"]
+        # E15 swept remotely over a healed pool: no dead worker, no
+        # respawn of its own, no chunk recomputed in the caller.
+        assert counters.get("perf.parallel.socket.chunks", 0) > 0
+        for name in (
+            "perf.parallel.chunk_fallbacks",
+            "perf.parallel.socket.dead_workers",
+            "perf.supervise.respawns",
+        ):
+            assert name not in counters, name
+        assert outcome["workers_started"] == 3
+        assert outcome["survivors"] == 0
+
+    def test_child_respawns_its_own_worker_and_stops_it(self):
+        outcome = json.loads(_run_script(_CHILD_RESPAWN))
+        assert outcome["exit_code"] == 0
+        seen = outcome["seen"]
+        first, killer, last = seen["EX-A"], seen["EX-KILL"], seen["EX-B"]
+        # The first child swept over the parent's worker and left it running.
+        assert first["found"] == first["left"] == [first["parent_worker"]]
+        assert first["parent_worker_alive"] and first["respawns"] == 0
+        # The second found the same worker, lost it mid-sweep, respawned
+        # one of its own, and stopped that one before it exited.
+        assert killer["found"] == [first["parent_worker"]]
+        assert killer["respawns"] == 1 and killer["fallbacks"] == 0
+        assert killer["left"] != killer["found"]
+        assert killer["left_alive"] == [False]
+        # The parent respawned the killed worker before the third child.
+        assert last["found"] == [last["parent_worker"]]
+        assert last["parent_worker"] != first["parent_worker"]
+        assert last["respawns"] == 0 and last["parent_worker_alive"]
+        assert outcome["workers_started"] == 3
+        assert outcome["survivors"] == 0

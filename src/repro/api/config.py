@@ -90,7 +90,7 @@ class RunConfig:
     parallel: int = 1
     #: memoization layer: ``"on"``, ``"off"``, or ``"stats"`` (on + stats line)
     cache: str = "on"
-    #: disk-backed content-addressed store directory
+    #: disk-backed store directory (reserved; see repro.perf.store)
     cache_dir: Optional[str] = None
     #: sweep execution backend spec; ``None`` = serial
     backend: Optional[str] = None

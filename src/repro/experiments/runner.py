@@ -14,7 +14,7 @@ Performance (see ``docs/performance.md``)::
     python -m repro.experiments.runner --parallel 4    # 4 experiments at a time
     python -m repro.experiments.runner --cache off     # disable memoization
     python -m repro.experiments.runner --cache stats   # print cache statistics
-    python -m repro.experiments.runner --cache-dir .cache/repro    # persist it
+    python -m repro.experiments.runner --cache-dir .cache/repro    # store directory
     python -m repro.experiments.runner --backend fork:4             # inner sweeps
     python -m repro.experiments.runner --backend socket:host:9001   # ... on a pool
     python -m repro.experiments.runner --backend pool:3             # self-healing
@@ -132,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "disk-backed content-addressed cache (default: REPRO_CACHE_DIR; "
-            "unfoldings and sweep results persist across runs and processes)"
+            "store directory, reported in summary.cache.persistent "
+            "(default: REPRO_CACHE_DIR); no run reads or writes it yet"
         ),
     )
     parser.add_argument(

@@ -45,9 +45,9 @@ additionally rides the run-frame ``ctx`` (see
 each chunk.  :func:`correlation` reads the process-local value first and
 falls back to the environment, which is exactly the inheritance order the
 two transports need.  The id is deliberately **not** a
-:class:`~repro.api.RunConfig` field: the config participates in content
-fingerprints (job coalescing, sweep memoization), and a per-job id there
-would make every submission unique and kill both reuse layers.
+:class:`~repro.api.RunConfig` field: the config participates in the
+service's content fingerprint (job coalescing and reuse), and a per-job
+id there would make every submission unique and kill both.
 
 Logging must never fail the run: sink errors are swallowed, and a record
 that cannot be JSON-encoded falls back to ``repr`` per value.

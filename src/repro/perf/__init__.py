@@ -8,12 +8,9 @@ enforcement arm):
   scheduler decisions and whole unfoldings, plus hash-consing (interning)
   of :class:`~repro.core.executions.Fragment` and exact
   :class:`~repro.probability.measures.DiscreteMeasure` objects.  Switched
-  by the run config's ``cache`` (default on).  Entries are keyed by the
-  canonical structural fingerprints of :mod:`repro.perf.fingerprint` once
-  those are paid for (identity until then), and ``cache_dir`` /
-  ``--cache-dir`` layers the disk-backed :mod:`repro.perf.store` on top:
-  unfoldings and whole sweep results persist across processes and
-  restarts, and fork/socket workers dedupe against the same tree.
+  by the run config's ``cache`` (default on).  Entries are keyed by object
+  identity.  ``cache_dir`` / ``--cache-dir`` names the directory of the
+  disk-backed :mod:`repro.perf.store`, which no run reads or writes yet.
 * :func:`parallel_map` over pluggable **execution backends**
   (:mod:`repro.perf.backends`): ``serial`` (in-process), ``fork:N``
   (forked children on this host) and ``socket:host:port,...`` (a TCP

@@ -30,7 +30,6 @@ from repro.obs import progress as _progress
 from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
 from repro.perf import cache as _perf_cache
-from repro.perf import store as _perf_store
 from repro.perf.backends import (
     BackendSpecError,
     Chunk,
@@ -73,8 +72,6 @@ def _install_run_settings(ctx: Mapping[str, Any]) -> None:
         _obs_log.set_correlation(ctx["job"])
     if "cache" in ctx:
         _perf_cache.configure(enabled=ctx["cache"])
-    if "cache_dir" in ctx:
-        _perf_store.configure(ctx["cache_dir"])
     if ctx.get("trace"):
         _trace.TRACER.enable()
 

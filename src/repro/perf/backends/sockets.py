@@ -12,10 +12,9 @@ the pool.  The wire protocol is deliberately small:
   pickle of a tuple; requests are ``("ping",)`` and
   ``("run", fn_blob, chunk_blob, ctx)``.  ``ctx`` carries the caller's run
   settings for that one chunk: ``cache`` (the cache switch), ``trace`` and
-  ``profile`` (whether to record spans and phases), ``cache_dir`` (the
-  caller's persistent store, when one is active), ``job`` (the correlation
-  id, when one is set — see :mod:`repro.obs.log`) and ``heartbeat_s``
-  (the heartbeat cadence).  Replies are
+  ``profile`` (whether to record spans and phases), ``job`` (the
+  correlation id, when one is set — see :mod:`repro.obs.log`) and
+  ``heartbeat_s`` (the heartbeat cadence).  Replies are
   ``("pong", info)``, ``("ok", outcome)``, ``("lost", detail)``,
   ``("fatal", traceback)`` and ``("hb", seq)`` liveness frames interleaved
   while a chunk runs.  ``outcome`` is the
@@ -93,7 +92,6 @@ from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
 from repro.perf import cache as _perf_cache
 from repro.perf import pickling
-from repro.perf import store as _perf_store
 from repro.perf.backends import (
     BackendSpecError,
     Chunk,
@@ -541,17 +539,13 @@ class SocketBackend(ExecutionBackend):
 
         Workers are fresh interpreters (possibly on other hosts), so the
         settings ride the run frame; the worker installs them only in the
-        chunk's forked child.  ``cache_dir`` is meaningful for loopback
-        pools and shared filesystems."""
+        chunk's forked child."""
         ctx: Dict[str, Any] = {
             "cache": _perf_cache.CACHE.enabled,
             "trace": _trace.TRACER.enabled,
             "profile": _profile.PROFILER.enabled,
             "heartbeat_s": self._policy.heartbeat_s,
         }
-        store = _perf_store.active_store()
-        if store is not None:
-            ctx["cache_dir"] = store.base
         job = _obs_log.correlation()
         if job is not None:
             ctx["job"] = job

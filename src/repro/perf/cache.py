@@ -13,34 +13,25 @@ preserved by construction: cached values are the very objects the
 uncached computation produced, and interning only unifies objects that
 compare equal under exact (rational) arithmetic.
 
-Content hashes are the cache key, identity the fallback
--------------------------------------------------------
-Owner keys come from :func:`owner_key`: once an object's canonical
-structural fingerprint (:mod:`repro.perf.fingerprint`) has been memoized —
-which happens the first time a memo boundary such as the unfolding memo or
-the sweep memo pays for it — its entries are keyed ``("fp", digest)``, so
-*value-equal* automata and schedulers share entries within and across
-processes.  Until then (and always, when no persistent store is active)
-keys stay ``("id", id(obj))``: fingerprints are never computed on the hot
-path, so the store-less configuration is byte- and cost-identical to the
-identity-keyed cache.  Every store keeps a strong reference to the objects
-behind its keys (the *keepalive*), so an id-derived key can never be
+Identity is the cache key
+-------------------------
+Owner keys come from :func:`owner_key`, which is ``id(obj)``: entries
+belong to one object, never to a value-equal twin, and no key ever costs
+more than a dict probe.  Every store keeps a strong reference to the
+objects behind its keys (the *keepalive*), so an id can never be
 recycled by the allocator while its entries are live.  The cost is that
-cached objects stay alive until their entries are evicted — the LRU bounds
-below cap that.
+cached objects stay alive until their entries are evicted; the LRU
+bounds below cap that.
 
 Invalidation
 ------------
 Mutating an automaton in place (e.g. editing a ``TablePSIOA`` table) makes
 its cached transitions stale.  Call :func:`invalidate` with the mutated
 object to drop every entry derived from it (transitions, decisions,
-memoized measures, derived values) from **both tiers**: in-memory entries
-under its identity *and* under its stale fingerprint are dropped, the
-fingerprint memo forgets the object, and any active persistent store
-(:mod:`repro.perf.store`) removes the entries that depended on the stale
-digest.  :func:`clear` drops everything in-memory.  Fresh-per-run
-isolation is automatic in the experiment harness: the guarded runner
-clears the cache at the start of every experiment child.
+memoized measures, derived values, interned twins).  :func:`clear` drops
+everything.  Fresh-per-run isolation is automatic in the experiment
+harness: the guarded runner clears the cache at the start of every
+experiment child.
 
 Configuration
 -------------
@@ -60,8 +51,6 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 from repro.obs.metrics import counter as _counter
-from repro.perf import fingerprint as _fingerprint
-from repro.perf import store as _store
 
 __all__ = [
     "CACHE",
@@ -160,21 +149,6 @@ class _BoundedStore:
             dropped += len(self._owners.pop(owner)[1])
         return dropped
 
-    def invalidate_key(self, part: Hashable) -> int:
-        """Drop every owner keyed by ``part`` (an :func:`owner_key` value),
-        including composite owners that embed it.  Fingerprint-keyed entries
-        can be shared by several value-equal objects, so identity scans
-        alone cannot reach them."""
-        stale = [
-            owner
-            for owner in self._owners
-            if owner == part or (isinstance(owner, tuple) and part in owner)
-        ]
-        dropped = 0
-        for owner in stale:
-            dropped += len(self._owners.pop(owner)[1])
-        return dropped
-
     def clear(self) -> None:
         self._owners.clear()
 
@@ -232,17 +206,6 @@ class _Interner:
             owner
             for owner, (keepalive, _table) in self._owners.items()
             if keepalive is obj
-        ]
-        dropped = 0
-        for owner in stale:
-            dropped += len(self._owners.pop(owner)[1])
-        return dropped
-
-    def invalidate_key(self, part: Hashable) -> int:
-        stale = [
-            owner
-            for owner in self._owners
-            if owner == part or (isinstance(owner, tuple) and part in owner)
         ]
         dropped = 0
         for owner in stale:
@@ -319,15 +282,8 @@ class PerfCache:
                 table._owners = owners
 
     def invalidate(self, obj: Any) -> int:
-        """Drop every cached value derived from ``obj`` — entries whose
-        keepalive holds it by identity plus entries keyed under its
-        memoized fingerprint (which value-equal twins may share)."""
-        dropped = sum(table.invalidate_object(obj) for table in self._tables)
-        stale_fp = _fingerprint.peek(obj)
-        if stale_fp is not None:
-            part = ("fp", stale_fp)
-            dropped += sum(table.invalidate_key(part) for table in self._tables)
-        return dropped
+        """Drop every cached value whose keepalive holds ``obj``."""
+        return sum(table.invalidate_object(obj) for table in self._tables)
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         out: Dict[str, Dict[str, int]] = {}
@@ -361,28 +317,12 @@ def configure(*, enabled: bool) -> None:
 
 
 def clear() -> None:
-    # Forgetting memoized fingerprints alongside the entries they key keeps
-    # recycled ids from ever resolving to a stale digest.
     CACHE.clear()
-    _fingerprint.clear_memo()
 
 
 def invalidate(obj: Any) -> int:
-    """Drop every cached value derived from ``obj`` from both tiers.
-
-    In-memory entries go first (identity scan plus fingerprint-keyed
-    scan), then the fingerprint memo forgets the object — a later
-    fingerprint call re-hashes the mutated structure — and finally any
-    active persistent store drops the entries that depended on the stale
-    digest."""
-    stale_fp = _fingerprint.peek(obj)
-    dropped = CACHE.invalidate(obj)
-    _fingerprint.forget(obj)
-    if stale_fp is not None:
-        persistent = _store.active_store()
-        if persistent is not None:
-            persistent.invalidate(stale_fp)
-    return dropped
+    """Drop every cached value derived from ``obj``; returns how many."""
+    return CACHE.invalidate(obj)
 
 
 def stats() -> Dict[str, Dict[str, int]]:
@@ -396,20 +336,10 @@ def stats() -> Dict[str, Dict[str, int]]:
 # the disabled path pays only one attribute read.
 
 
-def owner_key(obj: Any) -> Tuple[str, Any]:
-    """The cache owner key for ``obj``: its content hash when one is already
-    memoized, its identity otherwise.
-
-    This never *computes* a fingerprint (``peek`` is a dict probe), so hot
-    paths pay O(1) and the identity-keyed behaviour is preserved exactly
-    until a memo boundary — the persistent unfolding memo or the sweep
-    memo — has fingerprinted the object once.  From then on value-equal
-    objects resolve to the same owner and share entries.
-    """
-    digest = _fingerprint.peek(obj)
-    if digest is not None:
-        return ("fp", digest)
-    return ("id", id(obj))
+def owner_key(obj: Any) -> int:
+    """The cache owner key for ``obj``: its identity (the entry's keepalive
+    holds ``obj``, so the id cannot be recycled while the entry lives)."""
+    return id(obj)
 
 
 def cached_transition(automaton: Any, state: Hashable, action: Hashable) -> Any:

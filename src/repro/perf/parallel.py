@@ -42,16 +42,6 @@ then the process-wide default
 experiment runner's ``--parallel`` flag deliberately does *not* configure
 a backend: runner parallelism fans whole experiments, and nesting both
 layers oversubscribes the host (see ``docs/performance.md``).
-
-**Sweep memoization** — with the cache enabled *and* a persistent store
-active (:mod:`repro.perf.store`), a whole sweep whose
-``(fn, items)`` pair has a canonical structural fingerprint is memoized on
-disk: an identical sweep (same closure structure, same captured automata
-and parameters, same items — seeds ride in the items, so seed rotation
-naturally re-keys) skips dispatch entirely and returns the stored results,
-counted in ``perf.cache.sweep.{hits,misses}``.  Only *successful* sweeps
-are persisted, and unfingerprintable sweeps simply run — memoization is
-strictly best-effort and invisible in results.
 """
 
 from __future__ import annotations
@@ -65,8 +55,6 @@ from repro.obs import progress as _progress
 from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
 from repro.perf import cache as _perf_cache
-from repro.perf import fingerprint as _fingerprint
-from repro.perf import store as _perf_store
 from repro.perf.backends import (
     ExecutionBackend,
     get_backend,
@@ -81,8 +69,6 @@ __all__ = [
 _MAPS = _counter("perf.parallel.maps")
 _ITEMS = _counter("perf.parallel.items")
 _FALLBACKS = _counter("perf.parallel.chunk_fallbacks")
-_SWEEP_HITS = _counter("perf.cache.sweep.hits")
-_SWEEP_MISSES = _counter("perf.cache.sweep.misses")
 
 
 class ParallelWorkerError(RuntimeError):
@@ -96,24 +82,6 @@ class ParallelWorkerError(RuntimeError):
         self.child_traceback = child_traceback
 
 
-def _sweep_memo(fn: Any, work: List[Any]):
-    """``(store, entry_fingerprint)`` when this sweep is disk-memoizable.
-
-    Requires the cache switch on, an active persistent store, and a
-    canonical fingerprint for ``(fn, items)`` — the function encodes by
-    value when it is a local closure, so captured automata, schedulers and
-    bounds all participate in the key."""
-    if not _perf_cache.CACHE.enabled:
-        return None
-    store = _perf_store.active_store()
-    if store is None:
-        return None
-    key = _fingerprint.try_fingerprint(("parallel_map", fn, work))
-    if key is None:
-        return None
-    return store, key
-
-
 def parallel_map(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
@@ -125,25 +93,6 @@ def parallel_map(
     work = list(items)
     if not work:
         return []
-    memo = _sweep_memo(fn, work)
-    if memo is not None:
-        store, entry_fp = memo
-        stored = store.get("sweep", entry_fp)
-        if stored is not None:
-            _SWEEP_HITS.inc()
-            return list(stored)
-        _SWEEP_MISSES.inc()
-    results = _dispatch(fn, work, backend)
-    if memo is not None:
-        store.put("sweep", entry_fp, results)
-    return results
-
-
-def _dispatch(
-    fn: Callable[[Any], Any],
-    work: List[Any],
-    backend: Union[None, str, ExecutionBackend],
-) -> List[Any]:
     if backend is None:
         resolved, owned = get_backend(), False
     elif isinstance(backend, ExecutionBackend):
@@ -153,7 +102,7 @@ def _dispatch(
 
     try:
         count = min(resolved.parallelism, len(work))
-        if not work or (count <= 1 and not resolved.remote):
+        if count <= 1 and not resolved.remote:
             # A single local chunk gains nothing from the transport; a
             # single *remote* chunk still offloads (that's the point of
             # pointing a weak host at a one-worker pool).

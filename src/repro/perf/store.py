@@ -1,18 +1,12 @@
-"""Disk-backed persistent cache keyed by structural fingerprints.
+"""Disk-backed pickle store under ``cache_dir``.
 
-The store turns the in-process perf cache into a cross-process,
-cross-restart one: entries are keyed by the content hashes of
-:mod:`repro.perf.fingerprint`, so a fork child, a socket worker, or a
-fresh interpreter computing the same unfolding (or the same whole sweep)
-finds the result on disk instead of recomputing it.
-
-Activation is one module-level directory, set by :func:`configure`
-(``RunConfig.apply`` calls it with the resolved ``cache_dir``).  Forked
-experiment children and fork-backend chunks inherit it through memory;
-socket and pool workers receive it per chunk in the run-frame ``ctx``
-(a worker started with its own ``--cache-dir`` keeps that one).  While no
-directory is configured, :func:`active_store` returns ``None`` and the
-perf layer runs without a disk tier.
+``cache_dir`` (``RunConfig.cache_dir``, ``--cache-dir``,
+``REPRO_CACHE_DIR``) names the store directory; :func:`configure`
+(called by ``RunConfig.apply``) sets it for this process and its forks,
+and :func:`active_store` returns a store over it, or ``None`` when unset.
+No execution path reads or writes the store yet.  It is reserved for
+a per-experiment report memo; ``summary.cache.persistent`` reports its
+``stats()``.
 
 On-disk format
 --------------
@@ -20,22 +14,16 @@ On-disk format
 ::
 
     <cache_dir>/
-      v<STORE_FORMAT>.<FINGERPRINT_VERSION>-py<major>.<minor>/
-        unfold/<automaton-fingerprint>/<entry-fingerprint>.pkl
-        sweep/<shard>/<entry-fingerprint>.pkl
+      v<STORE_FORMAT>-py<major>.<minor>/
+        <kind>/<key[:2]>/<key>.pkl
 
-The version segment bakes in the entry format, the fingerprint encoding
-version, and the Python minor version (pickled bytecode-adjacent values
-must not cross interpreters), so incompatible writers simply land in
-sibling trees.  Each entry is a pickled dict carrying ``format``,
-``kind`` and ``key`` echoes that are validated on read — a truncated,
-corrupt, or foreign file is a miss, never an error.  Writes go through a
-temporary file and :func:`os.replace`, so concurrent writers (fork
-children, socket workers on a shared filesystem) race benignly: last
-write wins, readers always see a complete entry.  The ``unfold`` kind is
-sharded by the *dependency* fingerprint (the automaton), which is what
-makes :func:`invalidate` cheap; ``sweep`` entries have no single
-dependency, so invalidation conservatively drops that whole kind.
+The version segment bakes in the entry format and the Python minor
+version (pickled values must not cross interpreters), so incompatible
+writers land in sibling trees.  Each entry is a pickled dict carrying
+``format``, ``kind`` and ``key`` echoes that are validated on read: a
+truncated, corrupt or foreign file is a miss, never an error.  Writes go
+through a temporary file and :func:`os.replace`, so concurrent writers
+race benignly (last write wins, readers always see a complete entry).
 
 Entries are trusted input: only point the store at directories
 written by processes you trust, as entries are unpickled on read.
@@ -51,7 +39,6 @@ import tempfile
 from typing import Any, Dict, Optional
 
 from repro.obs import metrics as _metrics
-from repro.perf.fingerprint import FINGERPRINT_VERSION
 
 __all__ = [
     "STORE_FORMAT",
@@ -67,10 +54,9 @@ STORE_FORMAT = 1
 _HITS = _metrics.counter("perf.cache.persistent.hits")
 _MISSES = _metrics.counter("perf.cache.persistent.misses")
 _WRITES = _metrics.counter("perf.cache.persistent.writes")
-_INVALIDATIONS = _metrics.counter("perf.cache.persistent.invalidations")
 
 
-#: The configured store directory (``None``: no disk tier).
+#: The configured store directory (``None``: none configured).
 _DIRECTORY: Optional[str] = None
 
 
@@ -82,26 +68,19 @@ def configure(directory: Optional[str]) -> None:
 
 def version_tag() -> str:
     """Directory segment isolating incompatible entry formats."""
-    return "v{}.{}-py{}.{}".format(
-        STORE_FORMAT,
-        FINGERPRINT_VERSION,
-        sys.version_info[0],
-        sys.version_info[1],
-    )
+    return "v{}-py{}.{}".format(STORE_FORMAT, sys.version_info[0], sys.version_info[1])
 
 
 def active_store() -> Optional["PersistentStore"]:
     """A store over the configured directory, or ``None`` when unset.
-
-    Construction does no I/O, so this is cheap enough for memo-boundary
-    checks."""
+    Construction does no I/O."""
     if _DIRECTORY is None:
         return None
     return PersistentStore(_DIRECTORY)
 
 
 class PersistentStore:
-    """Content-addressed pickle store under a versioned root.
+    """Keyed pickle store under a versioned root.
 
     All failure modes are soft: unreadable entries are misses, unwritable
     directories make :meth:`put` a no-op.  The store must never be able
@@ -114,13 +93,13 @@ class PersistentStore:
         self.base = base
         self.root = os.path.join(base, version_tag())
 
-    def _path(self, kind: str, key: str, dep: Optional[str]) -> str:
-        return os.path.join(self.root, kind, dep or key[:2], key + ".pkl")
+    def _path(self, kind: str, key: str) -> str:
+        return os.path.join(self.root, kind, key[:2], key + ".pkl")
 
-    def get(self, kind: str, key: str, dep: Optional[str] = None) -> Any:
+    def get(self, kind: str, key: str) -> Any:
         """The stored value for ``(kind, key)``, or ``None`` on any miss."""
         try:
-            with open(self._path(kind, key, dep), "rb") as handle:
+            with open(self._path(kind, key), "rb") as handle:
                 entry = pickle.load(handle)
             if (
                 not isinstance(entry, dict)
@@ -135,9 +114,9 @@ class PersistentStore:
         _HITS.inc()
         return entry["value"]
 
-    def put(self, kind: str, key: str, value: Any, dep: Optional[str] = None) -> bool:
+    def put(self, kind: str, key: str, value: Any) -> bool:
         """Atomically persist ``value``; best-effort, False on failure."""
-        path = self._path(kind, key, dep)
+        path = self._path(kind, key)
         directory = os.path.dirname(path)
         try:
             os.makedirs(directory, exist_ok=True)
@@ -165,17 +144,6 @@ class PersistentStore:
             return False
         _WRITES.inc()
         return True
-
-    def invalidate(self, dep_fp: str) -> None:
-        """Drop every entry depending on the fingerprint ``dep_fp``.
-
-        Removes the ``unfold`` shard keyed by the automaton's fingerprint
-        and — because sweep entries fold their dependencies into one
-        opaque key — conservatively clears the whole ``sweep`` kind.
-        """
-        shutil.rmtree(os.path.join(self.root, "unfold", dep_fp), ignore_errors=True)
-        shutil.rmtree(os.path.join(self.root, "sweep"), ignore_errors=True)
-        _INVALIDATIONS.inc()
 
     def clear(self) -> None:
         """Remove every entry written under the current version tag."""

@@ -19,8 +19,8 @@ the chunk as lost instead of dying.  Multiple clients (e.g. several
 crash-isolated experiment children of one ``--parallel`` runner) are served
 concurrently.
 
-The worker resolves its own settings once at start-up, from its flags and
-the ``REPRO_*`` environment (:func:`repro.api.resolve_config`), with the
+The worker resolves its own settings once at start-up, from the
+``REPRO_*`` environment (:func:`repro.api.resolve_config`), with the
 backend forced to ``serial``: a sweep nested inside a shipped chunk must
 never dial back into the pool the chunk came from.  Each run frame's
 ``ctx`` then carries the caller's settings for that chunk; they are
@@ -72,7 +72,6 @@ def _handle_run(
     fn_blob: bytes,
     chunk_blob: bytes,
     ctx: dict,
-    pinned_store: bool,
 ) -> str:
     try:
         fn = pickling.loads(fn_blob)
@@ -87,10 +86,7 @@ def _handle_run(
     # The caller's settings are installed only inside the forked chunk
     # child, never in this worker process: connection threads serve many
     # clients concurrently, and process-global settings would bleed across
-    # their chunks.  A store pinned with --cache-dir wins over the caller's.
-    settings = dict(ctx)
-    if pinned_store:
-        settings.pop("cache_dir", None)
+    # their chunks.
     job = ctx.get("job")
     started = time.perf_counter()
     # The chunk executes in a helper thread while this thread waits on it.
@@ -104,7 +100,7 @@ def _handle_run(
 
     def _run() -> None:
         try:
-            box.append(run_chunk_in_fork(fn, chunk, lane="worker", ctx=settings))
+            box.append(run_chunk_in_fork(fn, chunk, lane="worker", ctx=ctx))
         finally:
             done.set()
 
@@ -145,9 +141,7 @@ def _handle_run(
     return f"{status} ({len(chunk)} items, {elapsed:.2f}s{traced}{profiled}{beaten})"
 
 
-def _serve_connection(
-    conn: socket.socket, peer: Tuple[str, int], pinned_store: bool
-) -> None:
+def _serve_connection(conn: socket.socket, peer: Tuple[str, int]) -> None:
     _log(f"client {peer[0]}:{peer[1]} connected")
     send_lock = threading.Lock()
     try:
@@ -164,9 +158,7 @@ def _serve_connection(
                 case ("ping",):
                     _locked_send(conn, send_lock, ("pong", worker_info()))
                 case ("run", fn_blob, chunk_blob, dict() as ctx):
-                    outcome = _handle_run(
-                        conn, send_lock, fn_blob, chunk_blob, ctx, pinned_store
-                    )
+                    outcome = _handle_run(conn, send_lock, fn_blob, chunk_blob, ctx)
                     _log(f"client {peer[0]}:{peer[1]} chunk -> {outcome}")
                 case ("shutdown",):
                     _log(f"client {peer[0]}:{peer[1]} requested shutdown")
@@ -193,12 +185,8 @@ def serve(
     port: int,
     *,
     ready: Optional[threading.Event] = None,
-    pinned_store: bool = False,
 ) -> None:
-    """Bind, announce, and serve forever (thread per connection).
-
-    ``pinned_store``: this process's store wins over the ``cache_dir``
-    run frames carry (the worker was started with ``--cache-dir``)."""
+    """Bind, announce, and serve forever (thread per connection)."""
     server = socket.create_server((host, port))
     bound_host, bound_port = server.getsockname()[:2]
     print(f"repro-perf-worker listening on {bound_host}:{bound_port}", flush=True)
@@ -207,9 +195,7 @@ def serve(
         ready.set()
     while True:
         conn, peer = server.accept()
-        thread = threading.Thread(
-            target=_serve_connection, args=(conn, peer, pinned_store), daemon=True
-        )
+        thread = threading.Thread(target=_serve_connection, args=(conn, peer), daemon=True)
         thread.start()
 
 
@@ -223,16 +209,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default="127.0.0.1:0",
         metavar="HOST:PORT",
         help="interface and port to bind (port 0 picks a free one)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "persistent perf-cache directory chunk children dedupe "
-            "unfoldings and sweeps against, whatever clients ship (default: "
-            "the directory each run frame carries, else REPRO_CACHE_DIR)"
-        ),
     )
     args = parser.parse_args(argv)
 
@@ -251,7 +227,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.api import ConfigError, resolve_config
 
     try:
-        config = resolve_config(cache_dir=args.cache_dir)
+        config = resolve_config()
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
@@ -263,7 +239,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     os.environ["REPRO_PERF_WORKER"] = "1"
 
     try:
-        serve(host, port, pinned_store=args.cache_dir is not None)
+        serve(host, port)
     except KeyboardInterrupt:
         _log("interrupted, exiting")
     return 0

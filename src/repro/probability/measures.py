@@ -179,8 +179,8 @@ class DiscreteMeasure:
         return self._hash
 
     # The lazily cached hash is salted per interpreter (PYTHONHASHSEED), so
-    # it must never survive a pickle round-trip into another process — the
-    # persistent perf store ships measures across exactly that boundary.
+    # it must never survive a pickle round-trip into another process — sweep
+    # results ship measures across exactly that boundary.
     def __getstate__(self):
         return (self._weights, self._total)
 

@@ -3,8 +3,8 @@
 Submit experiment/sweep runs over a versioned JSON HTTP API, get job ids
 back, stream progress, fetch validated run reports — with admission
 control (bounded queue, per-tenant quotas), a warm worker pool behind the
-sweeps, coalescing of identical in-flight submissions and result reuse
-through the persistent content-addressed store.  See ``docs/service.md``.
+sweeps, coalescing of identical in-flight submissions and reuse of a
+completed identical job's report.  See ``docs/service.md``.
 
 Start a server::
 

@@ -51,8 +51,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="default persistent store for jobs that do not pin one "
-             "(shared by the pool: warm resubmissions skip recompute)",
+        help="default store directory for jobs that do not pin one "
+             "(reported in summary.cache.persistent; no job reads or writes it yet)",
     )
     parser.add_argument("--max-active", type=int, default=16,
                         help="admission bound: queued+running jobs, all tenants")

@@ -22,15 +22,13 @@ One :class:`JobService` owns four things:
   at submission from its own fields plus the service's start-up
   environment — never from what an earlier job applied.
 
-Result reuse is layered, cheapest first: an *identical active* submission
-coalesces onto the in-flight job (one execution, every submitter gets the
-report); a submission with ``"reuse": true`` is served a completed
-identical job's report without running at all; and an ordinary warm
-resubmission re-runs the suite but its sweeps are answered from the
-persistent content-addressed store (the job's ``cache_dir``, shipped to
-the pool in every run frame), so nothing is re-dispatched — the report's
-``summary.cache.counters`` shows ``perf.cache.sweep.hits`` > 0, which is
-also how the CI smoke asserts warmness.
+Result reuse: an *identical active* submission coalesces onto the
+in-flight job (one execution, every submitter gets the report), and a
+submission with ``"reuse": true`` is served a completed identical job's
+report without running at all.  Both key on a SHA-256 of the experiments
+and the resolved config (:func:`repro.perf.fingerprint.try_fingerprint`).
+Any other resubmission re-runs the suite.  The job's ``cache_dir`` names
+a store directory that no job reads or writes yet.
 
 The HTTP surface is versioned under ``/v1`` (JSON in/out; see
 ``docs/service.md``)::

@@ -23,8 +23,9 @@ from repro.perf import cache as perf_cache
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# A store inherited from the invoking shell would make unrelated tests share
-# a warm disk cache; tests that want one configure their own.
+# A store directory inherited from the invoking shell would add a
+# ``summary.cache.persistent`` block to unrelated reports; tests that want
+# one configure their own.
 os.environ.pop("REPRO_CACHE_DIR", None)
 
 

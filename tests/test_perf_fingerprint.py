@@ -1,13 +1,13 @@
 """Property battery for ``repro.perf.fingerprint``.
 
-The structural hash is the key the content-addressed cache trusts, so its
-contract is locked down three ways:
+The plain-data hash keys the service's job coalescing and reuse, so its
+contract is locked down four ways:
 
-* **extensionality** — structurally equal values (rebuilt, reordered,
-  deep-copied) hash equal;
-* **sensitivity** — any single structural mutation (a weight, a target
-  state, a signature action, a captured constant) changes the hash;
-* **process stability** — hashes are pure functions of structure, never of
+* **extensionality** — equal data (deep-copied, reordered) hashes equal;
+* **sensitivity** — a changed element, or a numeric type that compares
+  equal but is another type, changes the hash;
+* **closedness** — anything but plain data raises ``Unfingerprintable``;
+* **process stability** — hashes are pure functions of the data, never of
   ``id()``, dict insertion order, or the interpreter's hash salt: a child
   interpreter running under a *different* ``PYTHONHASHSEED`` reproduces
   them byte-for-byte.
@@ -28,15 +28,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.psioa import TablePSIOA
-from repro.core.signature import Signature
-from repro.probability.measures import DiscreteMeasure, dirac
-from repro.semantics.scheduler import ActionSequenceScheduler, BoundedScheduler
 from repro.perf.fingerprint import (
     Unfingerprintable,
     fingerprint,
     try_fingerprint,
 )
+from repro.probability.measures import dirac
 from tests.conftest import subprocess_env
 
 # -- strategies ----------------------------------------------------------------
@@ -72,28 +69,6 @@ def _containers(children):
 _structures = st.recursive(_leaves, _containers, max_leaves=16)
 
 
-def _automaton(weight_num=1, target="q1", action="a", start="q0", name="m"):
-    """A tiny branching automaton; every argument is one mutation site."""
-    return TablePSIOA(
-        name,
-        start,
-        {
-            "q0": Signature(outputs={action}),
-            "q1": Signature(outputs={"b"}),
-            "q2": Signature(outputs={"b"}),
-            "q3": Signature(),
-            "q4": Signature(),
-        },
-        {
-            ("q0", action): DiscreteMeasure(
-                {target: Fraction(weight_num, 2), "q2": Fraction(2 - weight_num, 2)}
-            ),
-            ("q1", "b"): dirac("q3"),
-            ("q2", "b"): dirac("q4"),
-        },
-    )
-
-
 # -- extensionality ------------------------------------------------------------
 
 
@@ -110,74 +85,11 @@ class TestEqualStructuresHashEqual:
         random.Random(0).shuffle(items)
         assert fingerprint(mapping) == fingerprint(dict(items))
 
-    def test_rebuilt_automata_hash_equal(self):
-        assert fingerprint(_automaton()) == fingerprint(_automaton())
-
-    def test_rebuilt_measures_hash_equal(self):
-        m = lambda: DiscreteMeasure({"x": Fraction(1, 3), ("y", 2): Fraction(2, 3)})
-        assert fingerprint(m()) == fingerprint(m())
-
-    def test_rebuilt_schedulers_hash_equal(self):
-        s = lambda: BoundedScheduler(ActionSequenceScheduler(["a", "b"]), 3)
-        assert fingerprint(s()) == fingerprint(s())
-
-    def test_equivalent_closures_hash_equal(self):
-        def make(n):
-            return lambda x: x * n
-
-        assert fingerprint(make(5)) == fingerprint(make(5))
-
-    def test_cycles_are_safe_and_stable(self):
-        def knot():
-            a = ["spine"]
-            a.append(a)
-            return a
-
-        assert fingerprint(knot()) == fingerprint(knot())
-
 
 # -- sensitivity ---------------------------------------------------------------
 
 
 class TestSingleMutationChangesHash:
-    BASE_KWARGS = dict(weight_num=1, target="q1", action="a", start="q0", name="m")
-
-    @pytest.mark.parametrize(
-        "mutation",
-        [
-            {"weight_num": 2},
-            {"target": "q3"},
-            {"action": "c"},
-            {"start": "q1"},
-            {"name": "m2"},
-        ],
-        ids=lambda m: next(iter(m)),
-    )
-    def test_automaton_mutations(self, mutation):
-        base = fingerprint(_automaton(**self.BASE_KWARGS))
-        mutated = fingerprint(_automaton(**{**self.BASE_KWARGS, **mutation}))
-        assert base != mutated
-
-    def test_measure_weight_mutation(self):
-        a = DiscreteMeasure({"x": Fraction(1, 2), "y": Fraction(1, 2)})
-        b = DiscreteMeasure({"x": Fraction(1, 3), "y": Fraction(2, 3)})
-        assert fingerprint(a) != fingerprint(b)
-
-    def test_scheduler_parameter_mutation(self):
-        a = BoundedScheduler(ActionSequenceScheduler(["a", "b"]), 3)
-        b = BoundedScheduler(ActionSequenceScheduler(["a", "b"]), 4)
-        c = BoundedScheduler(ActionSequenceScheduler(["a", "c"]), 3)
-        assert len({fingerprint(a), fingerprint(b), fingerprint(c)}) == 3
-
-    def test_closure_capture_mutation(self):
-        def make(n):
-            return lambda x: x * n
-
-        assert fingerprint(make(5)) != fingerprint(make(6))
-
-    def test_closure_body_mutation(self):
-        assert fingerprint(lambda x: x * 2) != fingerprint(lambda x: x * 3)
-
     @given(
         st.lists(st.integers(), min_size=1, max_size=8),
         st.integers(min_value=0, max_value=7),
@@ -210,6 +122,11 @@ class TestUnfingerprintable:
         with pytest.raises(Unfingerprintable):
             fingerprint(Opaque())
         assert try_fingerprint(Opaque()) is None
+        # Domain values and callables are not plain data either, also when
+        # nested inside a container.
+        for value in (dirac("q0"), lambda x: x, len, [1, {"k": Opaque()}]):
+            with pytest.raises(Unfingerprintable):
+                fingerprint(value)
 
     def test_try_fingerprint_passes_through(self):
         assert try_fingerprint((1, 2)) == fingerprint((1, 2))
@@ -219,33 +136,18 @@ class TestUnfingerprintable:
 
 _CHILD_PROGRAM = textwrap.dedent(
     """
-    import json, sys
+    import json
     from fractions import Fraction
-    from repro.core.psioa import TablePSIOA
-    from repro.core.signature import Signature
-    from repro.probability.measures import DiscreteMeasure, dirac
-    from repro.semantics.scheduler import ActionSequenceScheduler, BoundedScheduler
     from repro.perf.fingerprint import fingerprint
 
-    def battery():
-        auto = TablePSIOA(
-            "branch", "q0",
-            {"q0": Signature(outputs={"a"}), "q1": Signature(outputs={"b"}),
-             "q2": Signature(outputs={"b"}), "q3": Signature(), "q4": Signature()},
-            {("q0", "a"): DiscreteMeasure({"q1": Fraction(1, 2), "q2": Fraction(1, 2)}),
-             ("q1", "b"): dirac("q3"), ("q2", "b"): dirac("q4")},
-        )
-        return {
-            "auto": auto,
-            "sched": BoundedScheduler(ActionSequenceScheduler(["a", "b"]), 2),
-            "measure": DiscreteMeasure({"x": Fraction(1, 3), ("y", 2): Fraction(2, 3)}),
-            "nested": {"b": [1, 2.5, "s", b"\\xff",
-                             frozenset({1, "a", (2, 3)})], "a": None},
-            "fn": lambda x: x * auto.start.count("q"),
-            "set": {True, 0, 2.5, "z", Fraction(7, 2)},
-        }
-
-    print(json.dumps({k: fingerprint(v) for k, v in battery().items()},
+    battery = {
+        "pair": (1, "x"),
+        "weights": {"x": Fraction(1, 3), ("y", 2): Fraction(2, 3)},
+        "nested": {"b": [1, 2.5, "s", b"\\xff",
+                         frozenset({1, "a", (2, 3)})], "a": None},
+        "set": {True, 0, 2.5, "z", Fraction(7, 2)},
+    }
+    print(json.dumps({k: fingerprint(v) for k, v in battery.items()},
                      sort_keys=True))
     """
 )
@@ -275,9 +177,8 @@ class TestCrossProcessStability:
     def test_child_matches_this_process(self):
         local = {
             "pair": fingerprint((1, "x")),
-            "measure": fingerprint(
-                DiscreteMeasure({"x": Fraction(1, 3), ("y", 2): Fraction(2, 3)})
-            ),
+            "weights": fingerprint({"x": Fraction(1, 3), ("y", 2): Fraction(2, 3)}),
         }
         child = _battery_in_child(7)
-        assert child["measure"] == local["measure"]
+        assert child["pair"] == local["pair"]
+        assert child["weights"] == local["weights"]

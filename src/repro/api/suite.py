@@ -134,9 +134,8 @@ def run_suite(
     config.apply()
     cache_enabled = config.cache != "off"
     # The process backend every experiment uses.  Its first start() (in
-    # run_one) launches a pool:N's workers, all at once, before the first
-    # child forks; the children adopt them, and they stop when this call
-    # returns.
+    # run_one) forks a pool:N's workers before the first child forks; the
+    # children adopt them, and they stop when this call returns.
     backend = perf_backends.get_backend()
     backend_block = backend.describe()
 

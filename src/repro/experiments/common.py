@@ -354,7 +354,9 @@ def _attempt_inline(
     # Inline attempts share the process-global registry with the caller, so
     # per-experiment counters are a before/after diff, not a reset.  The
     # perf cache *is* cleared (same rationale as the isolated child): cache
-    # warmth must not leak across experiments.
+    # warmth must not leak across experiments.  It is cleared again when the
+    # attempt ends, so the caller does not keep the tables alive and copy
+    # them into every process it forks later.
     _perf_cache.clear()
     before = _metrics.snapshot(include_zero=True)["counters"]
     tracing_was_enabled = _trace.is_enabled()
@@ -373,6 +375,7 @@ def _attempt_inline(
         report, status, error = None, "error", traceback.format_exc()
     finally:
         set_experiment_seed(previous)
+        _perf_cache.clear()
     extras = _observability_extras(trace_path, profile_path)
     if profile_path is not None and not profiling_was_enabled:
         _profile.PROFILER.disable()

@@ -39,7 +39,8 @@ Correlation ids
 dispatcher brackets each job execution with it) and mirrors it into the
 ``REPRO_JOB_ID`` environment variable, so fork children — experiment
 subprocesses, fork-backend chunk children — inherit it for free.  Socket
-workers are fresh interpreters on possibly different hosts, so the id
+workers are fresh interpreters on possibly different hosts, and ``pool:N``
+workers clear the id they inherit when they fork, so the id
 additionally rides the run-frame ``ctx`` (see
 :mod:`repro.perf.backends.sockets`) and the worker re-installs it around
 each chunk.  :func:`correlation` reads the process-local value first and
@@ -186,8 +187,8 @@ def set_correlation(job_id: Optional[str]) -> None:
     """Install (or clear) the correlation id for this process tree.
 
     Mirrored into ``REPRO_JOB_ID`` so forked children inherit it; socket
-    workers get it through the run-frame ctx instead (fresh interpreters
-    do not share this environment)."""
+    workers get it through the run-frame ctx instead (they do not keep this
+    environment's id)."""
     global _CORRELATION
     _CORRELATION = job_id
     if job_id is None:

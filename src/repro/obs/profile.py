@@ -367,6 +367,8 @@ def merge_lane_phases(
 
 #: The process-global profiler all instrumentation rides on.
 PROFILER = Profiler()
+# A fork copies the lock as another thread may hold it; the child's is free.
+os.register_at_fork(after_in_child=lambda: setattr(PROFILER, "_lock", threading.Lock()))
 
 
 def register_phase(phase: str, module: str, function: str) -> None:

@@ -177,6 +177,8 @@ class Progress:
 
 #: The process-global progress renderer all heartbeat hooks use.
 PROGRESS = Progress()
+# A fork copies the lock as another thread may hold it; the child's is free.
+os.register_at_fork(after_in_child=lambda: setattr(PROGRESS, "_lock", threading.Lock()))
 
 # A terminal-rendering override, not a run setting: the switch itself
 # comes from the run config.

@@ -231,6 +231,8 @@ class Tracer:
 
 #: The process-global tracer all instrumentation points use.
 TRACER = Tracer()
+# A fork copies the lock as another thread may hold it; the child's is free.
+os.register_at_fork(after_in_child=lambda: setattr(TRACER, "_lock", threading.Lock()))
 
 
 def span(name: str, **args):

@@ -537,9 +537,10 @@ class SocketBackend(ExecutionBackend):
     def _run_ctx(self) -> Dict[str, Any]:
         """This process's run settings, shipped with every chunk.
 
-        Workers are fresh interpreters (possibly on other hosts), so the
-        settings ride the run frame; the worker installs them only in the
-        chunk's forked child."""
+        Workers keep none of this process's state (fresh interpreters,
+        possibly on other hosts, or pool workers that reset themselves when
+        forked), so the settings ride the run frame; the worker installs
+        them only in the chunk's forked child."""
         ctx: Dict[str, Any] = {
             "cache": _perf_cache.CACHE.enabled,
             "trace": _trace.TRACER.enabled,

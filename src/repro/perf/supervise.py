@@ -24,8 +24,8 @@ the policy and mechanisms the socket transport consults:
   decision (retries, backoff delays, breaker transitions, respawns,
   quarantines).  Tests replay it to prove same-seed → same-log;
 * :class:`LocalPoolBackend` (spec ``pool:N``) — a :class:`SocketBackend`
-  that launches its own ``python -m repro.perf.worker`` subprocesses on
-  loopback, all at once (:func:`start_workers`), and **respawns** them when
+  that forks its own loopback workers from the calling process
+  (:class:`WorkerProcess`, milliseconds each) and **respawns** them when
   they die, the "warm elastic pool" sketch from the roadmap.  Forked
   experiment children adopt the pool their parent started, so one suite
   run starts its workers once.
@@ -42,17 +42,22 @@ Counters live under ``perf.supervise.*``; trace instants are
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
-import subprocess
+import signal
 import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.obs import log as _obs_log
+from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
+from repro.perf import cache as _perf_cache
 from repro.perf.backends import BackendSpecError, register_backend
 from repro.perf.backends.sockets import SocketBackend, _WorkerConnection
 
@@ -65,7 +70,6 @@ __all__ = [
     "backoff_delay",
     "base_policy",
     "configure_policy",
-    "start_workers",
 ]
 
 _RESPAWNS = _counter("perf.supervise.respawns")
@@ -270,8 +274,8 @@ class SupervisionLog:
 def _pid_alive(pid: int) -> bool:
     """Whether process ``pid`` runs, read without waiting on it.
 
-    For a worker another process started: ``Popen.poll`` on it fails with
-    ``ECHILD``, which CPython reports as a clean exit.  A zombie counts as
+    For a worker another process started: ``waitpid`` on it fails with
+    ``ECHILD``, which ``poll`` reports as a clean exit.  A zombie counts as
     dead; without ``/proc`` (not Linux) a signal-0 probe decides.
     """
     if not os.path.isdir("/proc"):
@@ -290,8 +294,98 @@ def _pid_alive(pid: int) -> bool:
     return state not in (b"Z", b"X")
 
 
+class _ForkedProcess:
+    """The ``Popen`` surface callers use (``pid``, ``poll``, ``wait``,
+    ``send_signal``, ``terminate``, ``kill``) over a forked worker's pid."""
+
+    def __init__(self, pid: int) -> None:
+        self.pid, self.returncode = pid, None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+            except ChildProcessError:  # not this process's child: as Popen does
+                pid, status = self.pid, 0
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        deadline = time.monotonic() + (float("inf") if timeout is None else timeout)
+        while self.poll() is None:
+            if time.monotonic() >= deadline:
+                raise TimeoutError(f"worker {self.pid} still running after {timeout}s")
+            time.sleep(0.002)
+        return self.returncode
+
+    def send_signal(self, sig: int) -> None:
+        if self.poll() is None:
+            os.kill(self.pid, sig)
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
+#: A forked worker's inherited stdio objects, kept alive: a thread lost in
+#: the fork may hold their locks, and a collected one would flush into fd 1.
+_INHERITED_STDIO: Tuple[Any, ...] = ()
+
+
+def _become_worker(announce_fd: int, log_fd: Optional[int]) -> None:
+    """Body of a forked pool worker; never returns.
+
+    Drops what a fresh interpreter would not have (the caller's descriptors,
+    stdio objects, signal handlers, perf cache, metrics, trace buffer, log
+    sink and correlation), re-resolves the run settings
+    (:func:`repro.perf.worker.settle`), announces the bound address on
+    ``announce_fd`` (its stdout) and serves until killed.
+    """
+    global _INHERITED_STDIO
+    from repro.perf import worker  # loaded by the caller: no import runs here
+
+    code = 1
+    try:
+        devnull = os.open(os.devnull, os.O_RDWR)
+        os.dup2(announce_fd, 1)
+        os.dup2(devnull if log_fd is None else log_fd, 2)
+        for fd in map(int, os.listdir("/dev/fd")):
+            # Release each inherited descriptor but keep its number taken: a
+            # stale object closing it later closes /dev/null, never a
+            # descriptor this worker opened since.
+            if fd > 2 and fd != devnull:
+                with contextlib.suppress(OSError):  # the listing's own fd is gone
+                    os.fstat(fd)
+                    os.dup2(devnull, fd)
+        _INHERITED_STDIO = (sys.stdout, sys.stderr)
+        sys.stdout = open(1, "w", buffering=1, closefd=False)
+        sys.stderr = open(2, "w", buffering=1, closefd=False)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        _perf_cache.clear()
+        _metrics.reset()
+        _trace.TRACER.clear()
+        _obs_log.set_correlation(None)
+        _obs_log.configure_from_env()
+        worker.settle()
+        worker.serve("127.0.0.1", 0)
+    except KeyboardInterrupt:
+        code = 0
+    except BaseException:  # noqa: BLE001 - reported in the worker's log
+        os.write(2, traceback.format_exc().encode("utf-8", "replace"))
+    finally:
+        os._exit(code)
+
+
 class WorkerProcess:
-    """One locally-launched ``python -m repro.perf.worker`` subprocess.
+    """One loopback worker, forked from the calling process.
+
+    The caller has ``repro`` imported, so a worker serves milliseconds after
+    :meth:`start`, running the same :func:`repro.perf.worker.serve` loop as
+    ``python -m repro.perf.worker`` from a fresh slate (:func:`_become_worker`).
 
     Only its *owner*, the process that started it, polls, terminates or
     closes it.  A forked child that adopts the pool shares the worker: it
@@ -300,36 +394,31 @@ class WorkerProcess:
 
     def __init__(self, slot: int, log_dir: Optional[str] = None) -> None:
         self.slot = slot
-        self.process: Optional[subprocess.Popen] = None
+        self.process: Optional[_ForkedProcess] = None
         self.address: Optional[Tuple[str, int]] = None
         self._owner: Optional[int] = None
         self._log_dir = log_dir or os.environ.get("REPRO_WORKER_LOG_DIR") or None
-        self._log_file = None
 
     def start(self) -> Tuple[str, int]:
-        """Launch the worker, parse its banner, return the bound address."""
-        import repro
+        """Fork the worker, read its banner, return the bound address."""
+        from repro.perf import worker  # noqa: F401 - imported before the fork
 
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        stderr: Any = subprocess.DEVNULL
+        log_fd = None
         if self._log_dir:
             os.makedirs(self._log_dir, exist_ok=True)
-            self._log_file = open(
-                os.path.join(self._log_dir, f"pool-worker-{self.slot}.log"), "ab"
-            )
-            stderr = self._log_file
+            log_path = os.path.join(self._log_dir, f"pool-worker-{self.slot}.log")
+            log_fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            _become_worker(write_fd, log_fd)
         self._owner = os.getpid()
-        self.process = subprocess.Popen(
-            [sys.executable, "-m", "repro.perf.worker", "--listen", "127.0.0.1:0"],
-            stdout=subprocess.PIPE,
-            stderr=stderr,
-            env=env,
-        )
-        banner = self.process.stdout.readline().decode("utf-8", "replace").strip()
+        self.process = _ForkedProcess(pid)
+        os.close(write_fd)
+        if log_fd is not None:
+            os.close(log_fd)
+        with os.fdopen(read_fd, "rb") as announcements:
+            banner = announcements.readline().decode("utf-8", "replace").strip()
         prefix = "repro-perf-worker listening on "
         if not banner.startswith(prefix):
             self.terminate()
@@ -354,50 +443,21 @@ class WorkerProcess:
         return _pid_alive(self.process.pid)
 
     def terminate(self) -> None:
-        """Stop the worker and close its pipes; a no-op outside its owner."""
-        if not self.owned:
+        """Stop and reap the worker; a no-op outside its owner."""
+        if not self.owned or self.process.poll() is not None:
             return
-        if self.process is not None and self.process.poll() is None:
-            self.process.terminate()
-            try:
-                self.process.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self.process.kill()
-                self.process.wait()
-        if self.process is not None and self.process.stdout is not None:
-            self.process.stdout.close()
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
-
-
-def start_workers(workers: Sequence[WorkerProcess]) -> List[Optional[Exception]]:
-    """Start ``workers`` all at once, one short-lived thread each.
-
-    Each :meth:`WorkerProcess.start` still runs whole, so N interpreters
-    boot in about the time of one.  Returns what each start raised, or
-    ``None`` for each worker that announced itself.
-    """
-    errors: List[Optional[Exception]] = [None] * len(workers)
-
-    def start(index: int) -> None:
+        self.process.terminate()
         try:
-            workers[index].start()
-        except Exception as exc:  # noqa: BLE001 - reported to the caller
-            errors[index] = exc
-
-    threads = [threading.Thread(target=start, args=(i,)) for i in range(len(workers))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return errors
+            self.process.wait(timeout=5)
+        except TimeoutError:
+            self.process.kill()
+            self.process.wait()
 
 
 class LocalPoolBackend(SocketBackend):
     """Spec ``pool:N[;option=value...]`` — a self-launched loopback worker pool.
 
-    Launches ``N`` worker subprocesses on free loopback ports, all at once,
+    Forks ``N`` workers on free loopback ports, one after another,
     and fans chunks over them exactly like :class:`SocketBackend`;
     additionally, a worker process found dead during revival is
     **respawned** (fresh process, fresh port, breaker reset) up to
@@ -421,7 +481,7 @@ class LocalPoolBackend(SocketBackend):
         self._spawn_lock = threading.RLock()
         # Workers are spawned lazily at first use: spec validation
         # (``normalize_spec``) and ``describe()`` build-and-discard backend
-        # instances, which must not launch (and leak) subprocesses.
+        # instances, which must not launch (and leak) workers.
         super().__init__([("127.0.0.1", 0)] * workers, options=options)
         self._respawns_by_slot = [0] * workers
 
@@ -430,18 +490,17 @@ class LocalPoolBackend(SocketBackend):
             if self._spawned:
                 return
             self._spawned = True
-            errors = start_workers(self._procs)
-            for conn, proc, error in zip(self._connections, self._procs, errors):
-                # A slot that failed keeps port 0, never connects, and
-                # revives via respawn.
-                if error is None:
-                    conn.address = proc.address
-                    self._started += 1
+            for conn, proc in zip(self._connections, self._procs):
+                try:
+                    conn.address = proc.start()
+                except (OSError, RuntimeError):
+                    continue  # the slot keeps port 0 and revives via respawn
+                self._started += 1
 
     def start(self) -> None:
         """Bring every worker up before a sweep needs it.
 
-        The first call launches all ``N`` at once.  Every call then
+        The first call forks all ``N``.  Every call then
         respawns, through the revival path, each slot whose worker died, so
         children forked afterwards inherit a healthy pool.  Safe to call
         from several threads while others fork.
@@ -502,14 +561,14 @@ class LocalPoolBackend(SocketBackend):
         return self._started
 
     def _prepare_revival(self, conn: _WorkerConnection) -> bool:
-        """Respawn the slot's subprocess if it died; False ends revival."""
+        """Respawn the slot's worker if it died; False ends revival."""
         with self._spawn_lock:
             proc = self._procs[conn.index]
             if proc.alive:
                 return True
             if self._respawns_by_slot[conn.index] >= self.policy.max_respawns:
                 return False
-            proc.terminate()  # the owner reaps the corpse and closes its pipes
+            proc.terminate()  # the owner reaps the corpse
             replacement = WorkerProcess(conn.index, log_dir=proc._log_dir)
             try:
                 address = replacement.start()

@@ -19,12 +19,15 @@ the chunk as lost instead of dying.  Multiple clients (e.g. several
 crash-isolated experiment children of one ``--parallel`` runner) are served
 concurrently.
 
-The worker resolves its own settings once at start-up, from the
-``REPRO_*`` environment (:func:`repro.api.resolve_config`), with the
-backend forced to ``serial``: a sweep nested inside a shipped chunk must
-never dial back into the pool the chunk came from.  Each run frame's
+The worker resolves its own settings once at start-up (:func:`settle`),
+from the ``REPRO_*`` environment (:func:`repro.api.resolve_config`), with
+the backend forced to ``serial``: a sweep nested inside a shipped chunk
+must never dial back into the pool the chunk came from.  Each run frame's
 ``ctx`` then carries the caller's settings for that chunk; they are
 installed only in the chunk's forked child.
+
+This command starts workers for remote ``socket:`` hosts; a ``pool:N``
+forks its own, which run :func:`settle` and :func:`serve` from there.
 
 Per-connection request log lines go to stderr (CI captures them as
 artifacts).  POSIX only (``os.fork``); frames are pickles, so bind only to
@@ -43,12 +46,13 @@ import traceback
 from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
+from repro.api.config import ConfigError, resolve_config
 from repro.obs import log as _obs_log
 from repro.perf import pickling
 from repro.perf.backends.fork import run_chunk_in_fork
 from repro.perf.backends.sockets import FrameError, recv_frame, send_frame, worker_info
 
-__all__ = ["main", "serve"]
+__all__ = ["main", "serve", "settle"]
 
 
 def _log(message: str) -> None:
@@ -199,6 +203,15 @@ def serve(
         thread.start()
 
 
+def settle() -> None:
+    """Apply the ``REPRO_*`` environment's settings, backend forced to
+    ``serial`` (a nested sweep dialling back into this pool would deadlock
+    it), and set ``REPRO_PERF_WORKER=1`` for shipped closures that behave
+    differently in a worker than in the caller's fallback (chaos tests)."""
+    replace(resolve_config(), backend=None).apply()
+    os.environ["REPRO_PERF_WORKER"] = "1"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="TCP worker for the repro.perf socket execution backend.",
@@ -224,19 +237,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"--listen must be HOST:PORT, got {args.listen!r}", file=sys.stderr)
         return 2
 
-    from repro.api import ConfigError, resolve_config
-
     try:
-        config = resolve_config()
+        settle()
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    # A sweep nested inside a chunk must run serially, never dial back into
-    # the pool this worker belongs to (that would deadlock the pool).
-    replace(config, backend=None).apply()
-    # Marker for shipped closures that must behave differently inside a
-    # worker than in the caller's fallback path (chaos tests lean on this).
-    os.environ["REPRO_PERF_WORKER"] = "1"
 
     try:
         serve(host, port)

@@ -5,12 +5,13 @@ One :class:`JobService` owns four things:
 * a :class:`~repro.service.jobs.JobRegistry` (submissions, states, events),
 * an :class:`~repro.service.admission.AdmissionController` (bounded queue,
   per-tenant quotas — rejections are HTTP 429 with ``Retry-After``),
-* an optional **warm worker pool**: long-lived ``repro.perf.worker``
-  subprocesses (:class:`repro.perf.supervise.WorkerProcess`) spawned once
-  at startup, all at once; jobs that do not pin a backend run their sweeps on
-  ``socket:<pool addresses>``, so consecutive jobs reuse hot interpreters
-  instead of paying fork+import per sweep.  Dead workers are respawned
-  between jobs (``service.pool.respawns`` counts them); a worker dying
+* an optional **warm worker pool**: long-lived loopback workers
+  (:class:`repro.perf.supervise.WorkerProcess`) forked from the service
+  process once at startup, milliseconds each; jobs that do not pin a
+  backend run their sweeps on ``socket:<pool addresses>``, so consecutive
+  jobs reuse the same workers instead of starting new ones per sweep.
+  Dead workers are respawned between jobs (``service.pool.respawns``
+  counts them); a worker dying
   *mid-job* degrades gracefully through the socket transport's lost-chunk
   fallback — the chunk is recomputed in the service process and the job
   still completes,
@@ -75,7 +76,7 @@ from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
 from repro.perf.fingerprint import try_fingerprint
-from repro.perf.supervise import WorkerProcess, start_workers
+from repro.perf.supervise import WorkerProcess
 from repro.service.admission import AdmissionController, AdmissionPolicy
 from repro.service.jobs import (
     DONE,
@@ -150,11 +151,13 @@ class JobService:
         """Spawn the warm pool (if any) and the dispatcher thread."""
         self._started_unix = time.time()
         pool = [WorkerProcess(slot, log_dir=self.log_dir) for slot in range(self.pool_size)]
-        failed = [error for error in start_workers(pool) if error is not None]  # all at once
-        if failed:
+        try:
+            for worker in pool:
+                worker.start()
+        except BaseException:
             for worker in pool:
                 worker.terminate()
-            raise failed[0]
+            raise
         self._pool = pool
         if self._auto_dispatch:
             self._dispatcher = threading.Thread(
@@ -217,12 +220,8 @@ class JobService:
         execution time, not admission time."""
         dead = [worker for worker in self._pool if not worker.alive]
         for worker in dead:
-            worker.terminate()  # reap + close the old pipe/log handles
-        errors = start_workers(dead)  # all at once
-        for worker, error in zip(dead, errors):
-            if error is not None:
-                raise error
-            host, port = worker.address
+            worker.terminate()  # reap the old process
+            host, port = worker.start()
             _LOG.warning(
                 "service.pool.respawn", slot=worker.slot,
                 address=f"{host}:{port}",

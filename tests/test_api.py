@@ -225,6 +225,18 @@ class TestFacade:
         with pytest.raises(ReportSchemaError):
             api.load_report(str(bad))
 
+    def test_inline_run_leaves_no_cache_tables_behind(self):
+        # Each inline attempt clears the perf cache when it ends, so the
+        # caller keeps no experiment's tables alive (nor copies them into
+        # every process it forks later); the hit/miss counters stay.
+        from repro.perf import cache as perf_cache
+
+        result = api.run_suite(config=RunConfig(isolated=False))
+        assert result.ok
+        stats = perf_cache.stats()
+        assert {name: table["size"] for name, table in stats.items()} == dict.fromkeys(stats, 0)
+        assert stats["transition"]["hits"] > 0 and stats["transition"]["misses"] > 0
+
     def test_list_experiments_matches_registry(self):
         from repro.experiments.common import ALL_EXPERIMENTS
 

@@ -2,8 +2,9 @@
 
 Unit-tests the pure mechanisms (policy resolution, seeded backoff, the
 circuit-breaker state machine) and then the ``pool:N`` backend end to end
-against real worker subprocesses: lazy spawn (no leaked processes from
-spec validation), respawn of a killed worker, poison-chunk quarantine,
+against real forked workers: lazy spawn (no leaked processes from spec
+validation), a fresh slate and a start that survives the caller's held
+locks and foreign stdio, respawn of a killed worker, poison-chunk quarantine,
 heartbeat keep-alive of slow chunks, and the determinism bar — every
 backoff delay the supervisor logged must be recomputable from the policy
 seed alone.  The lifetime tests run whole suites under a child subreaper:
@@ -11,19 +12,24 @@ one pool per ``run_suite`` call, adopted by every experiment child, healed
 by the parent between experiments, and no worker left behind.
 """
 
+import io
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from repro.api import resolve_config
-from repro.obs import metrics
+from repro.obs import log as obs_log
+from repro.obs import metrics, profile, progress, trace
+from repro.perf import cache as perf_cache
 from repro.perf.backends import BackendSpecError, make_backend, normalize_spec
 from repro.perf.parallel import parallel_map
 from repro.perf.supervise import (
@@ -32,9 +38,15 @@ from repro.perf.supervise import (
     SupervisionLog,
     SupervisionPolicy,
     WorkerProcess,
+    _pid_alive,
     backoff_delay,
     base_policy,
 )
+from repro.semantics.measure import execution_measure
+from repro.semantics.scheduler import DeterministicScheduler, bound_scheduler
+
+from tests.conftest import subprocess_env
+from tests.helpers import coin_automaton
 
 
 # -- policy resolution ----------------------------------------------------------
@@ -365,9 +377,174 @@ class TestLocalPoolBackend:
             backend.close()
 
 
+def _square_with_progress(x):
+    # With progress on (as in a REPRO_PROGRESS=1 worker) this takes the
+    # progress renderer's lock in the chunk child.
+    progress.begin("square", 1)
+    progress.advance()
+    progress.finish()
+    return x * x
+
+
+def _unfold_and_probe(p):
+    """Unfold a coin in a pool chunk; report the state the chunk started from.
+
+    The chunk child is forked from its worker, so what it finds is what the
+    worker kept from the process that forked it."""
+    started_from = (
+        sum(table["size"] for table in perf_cache.stats().values()),
+        trace.TRACER.enabled,
+        signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+        obs_log.correlation(),
+        os.environ.get("REPRO_PERF_WORKER"),
+    )
+    scheduler = bound_scheduler(DeterministicScheduler.greedy(), 3)
+    measure = execution_measure(coin_automaton("slate", p), scheduler)
+    perf_cache.clear()  # the next item of this chunk sees the worker's tables
+    return started_from, sorted((repr(f), w) for f, w in measure.items())
+
+
+#: Items of the fresh-slate sweep.
+PROBES = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 4)]
+
+
+class TestForkedWorkers:
+    """Pool workers are forked from the caller, whatever state it is in."""
+
+    def test_worker_announces_despite_foreign_stdio_and_held_locks(
+        self, tmp_path, monkeypatch
+    ):
+        # sys.stdout is in memory (as under pytest), sys.stderr is stuck in
+        # another thread's write to a full pipe, and another thread holds
+        # the tracer, progress and profiler locks.  The worker (progress and
+        # profiling on, so its chunks take those locks) must still announce
+        # itself within 10 s, serve a sweep and log it to the structured sink.
+        monkeypatch.setenv("REPRO_PROGRESS", "1")
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        log_path = tmp_path / "log.jsonl"
+        obs_log.configure(str(log_path))
+        read_fd, write_fd = os.pipe()
+        stuck = open(write_fd, "w")
+        saved = sys.stdout, sys.stderr
+        holding, release = threading.Event(), threading.Event()
+
+        def hold():
+            with trace.TRACER._lock, progress.PROGRESS._lock, profile.PROFILER._lock:
+                holding.set()
+                release.wait()
+
+        def flood():
+            stuck.write("x" * (1 << 20))  # nobody reads yet: blocks holding the lock
+            stuck.flush()
+
+        holder = threading.Thread(target=hold)
+        flooder = threading.Thread(target=flood)
+        backend = make_backend("pool:1")
+        box = []
+        sweeper = threading.Thread(  # a daemon: a hung start fails the test, not the run
+            target=lambda: box.append(
+                parallel_map(_square_with_progress, range(6), backend=backend)
+            ),
+            daemon=True,
+        )
+        sockets = metrics.counter("perf.parallel.socket.chunks")
+        before = sockets.value
+        sys.stdout, sys.stderr = io.StringIO(), stuck
+        try:
+            holder.start()
+            flooder.start()
+            assert holding.wait(10)
+            time.sleep(0.1)
+            sweeper.start()
+            sweeper.join(10)
+            assert not sweeper.is_alive(), "the forked worker never answered"
+            worker_pid = backend.worker_processes[0].process.pid
+            logged = False
+            deadline = time.monotonic() + 10
+            while not logged and time.monotonic() < deadline:
+                time.sleep(0.01)  # the worker logs the chunk after replying
+                logged = any(
+                    record["event"] == "worker.chunk" and record["pid"] == worker_pid
+                    for record in map(json.loads, log_path.read_text().splitlines())
+                )
+        finally:
+            sys.stdout, sys.stderr = saved
+            release.set()
+            for proc in backend.worker_processes:
+                if proc.process is not None:  # a hung start reads EOF once killed
+                    proc.process.kill()
+            sweeper.join(10)
+            drained_by = time.monotonic() + 10
+            while flooder.is_alive() and time.monotonic() < drained_by:
+                if select.select([read_fd], [], [], 0.1)[0]:
+                    os.read(read_fd, 1 << 16)
+            holder.join(10)
+            assert not flooder.is_alive() and not holder.is_alive()
+            stuck.close()
+            os.close(read_fd)
+            backend.close()
+        assert box == [[x * x for x in range(6)]]
+        assert sockets.value > before  # served remotely, not by the fallback
+        assert logged, "the worker wrote no record to the structured log"
+
+    def test_worker_starts_from_a_fresh_slate(self):
+        def sweep(backend):
+            metrics.reset()
+            outcome = parallel_map(_unfold_and_probe, PROBES, backend=backend)
+            return outcome, metrics.snapshot()["counters"]
+
+        def start_pool():
+            backend = make_backend("pool:1")
+            backend.start()
+            return backend
+
+        cold = start_pool()
+        try:
+            cold_outcome = sweep(cold)
+        finally:
+            cold.close()
+
+        # Warm the caller: cached tables, counters, tracing on, a job
+        # correlation id and a SIGTERM handler that would keep a worker up.
+        scheduler = bound_scheduler(DeterministicScheduler.greedy(), 3)
+        execution_measure(coin_automaton("warm", Fraction(1, 3)), scheduler)
+        assert sum(t["size"] for t in perf_cache.stats().values()) > 0
+        metrics.counter("test.fresh_slate").inc(7)
+        trace.TRACER.enable()
+        trace.instant("test.fresh_slate")
+        obs_log.set_correlation("job-warm")
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            warm = start_pool()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+            obs_log.set_correlation(None)
+            trace.TRACER.disable()
+            trace.TRACER.clear()
+            perf_cache.clear()
+        try:
+            warm_outcome = sweep(warm)
+        finally:
+            started = time.monotonic()
+            warm.close()
+            closed_in = time.monotonic() - started
+        assert warm_outcome == cold_outcome
+        results, counters = warm_outcome
+        assert [state for state, _ in results] == [(0, False, True, None, "1")] * len(PROBES)
+        assert counters.get("perf.parallel.socket.chunks", 0) > 0
+        assert "perf.parallel.chunk_fallbacks" not in counters
+        # close() stopped every worker with SIGTERM, not the kill fallback.
+        assert closed_in < 4
+        for backend in (cold, warm):
+            for proc in backend.worker_processes:
+                assert proc.process.poll() is not None
+                assert not _pid_alive(proc.process.pid)
+
+
 #: Prologue of the lifetime scripts: the script becomes a child subreaper,
 #: so it adopts every orphan, and a pool worker some process left behind
-#: shows up as one of its own children.
+#: shows up as one of its own running children.  Workers are forks of the
+#: script, so they are told apart by parentage, not by command line.
 _SUBREAPER = """
 import ctypes, json, os
 prctl = ctypes.CDLL(None, use_errno=True).prctl
@@ -392,11 +569,9 @@ def survivors():
         try:
             with open(f"/proc/{pid}/stat", "rb") as handle:
                 parent = int(handle.read().rsplit(b")", 1)[1].split()[1])
-            with open(f"/proc/{pid}/cmdline", "rb") as handle:
-                command = handle.read()
         except OSError:
             continue
-        count += parent == os.getpid() and b"repro.perf.worker" in command
+        count += parent == os.getpid() and running(pid)
     return count
 """
 
@@ -503,6 +678,34 @@ class TestPoolLifetime:
 
     def test_parallel_children_share_one_pool(self):
         assert self.run_e12(["E12", "E15"], "parallel=2") == ["0", "2", "0"]
+
+    def test_no_process_of_the_runs_session_outlives_the_runner(self):
+        # Forked workers carry the runner's command line, so this looks for
+        # any process left in the runner's own session instead of a name.
+        root = Path(__file__).resolve().parents[1]
+        runner = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments.runner", "E12", "--backend", "pool:2"],
+            stdout=subprocess.DEVNULL,
+            env=subprocess_env(),
+            cwd=root,
+            start_new_session=True,
+        )
+        try:
+            assert runner.wait(timeout=120) == 0
+        finally:
+            runner.kill()
+        left = []
+        for pid in filter(str.isdigit, os.listdir("/proc")):
+            try:
+                with open(f"/proc/{pid}/stat", "rb") as handle:
+                    fields = handle.read().rsplit(b")", 1)[1].split()
+            except OSError:
+                continue
+            if int(fields[3]) == runner.pid and fields[0] not in (b"Z", b"X"):
+                left.append(int(pid))
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux subreaper")

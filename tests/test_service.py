@@ -11,6 +11,7 @@ store rather than recomputed.
 """
 
 import json
+import os
 import time
 
 import pytest
@@ -335,6 +336,23 @@ class TestWarmPool:
             # what keeps jobs off the dead address.
             assert service.pool_spec() != old_spec
             assert obs_metrics.counter("service.pool.respawns").value == 1
+        finally:
+            service.stop()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/fd")
+    def test_respawned_worker_holds_no_http_listening_socket(self):
+        # Workers are forked from the service process; one respawned while
+        # the HTTP API serves must not keep the listening socket open.
+        service = JobService(pool=1, auto_dispatch=False)
+        serve(service)
+        try:
+            listening = os.fstat(service._httpd.socket.fileno()).st_ino
+            service._pool[0].process.kill()
+            service._pool[0].process.wait()
+            assert service.ensure_workers() == 1
+            fd_dir = f"/proc/{service._pool[0].process.pid}/fd"
+            held = {os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir)}
+            assert held and f"socket:[{listening}]" not in held
         finally:
             service.stop()
 

@@ -12,7 +12,8 @@ for the substitution note):
 * :mod:`repro.bounded.costmodel` — reference decoders (``M_start``,
   ``M_sig``, ``M_trans``, ``M_step``, ``M_state``; ``M_conf``,
   ``M_created``, ``M_hidden`` for PCA) whose operation counts define the
-  time bound ``b``;
+  time bound ``b``, and ``operation_counts``, which computes those counts
+  from encoding lengths;
 * :mod:`repro.bounded.bounds` — measuring ``b`` for PSIOA/PCA
   (Definitions 4.1/4.2), recognizability bounds (Definition 4.4) and the
   composition/hiding lemmas (4.3, 4.5, B.1–B.3);

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from repro.bounded.costmodel import CostMeter, ReferenceDecoders
+from repro.bounded.costmodel import operation_counts
 from repro.bounded.encoding import (
     configuration_length,
-    encode_action,
     encoded_length,
-    transition_length,
 )
 from repro.config.pca import PCA
 from repro.core.psioa import PSIOA, reachable_states
@@ -59,18 +57,15 @@ def measure_time_bound(
 
     1. *automaton parts*: ``|<q>|``, ``|<a>|``, ``|<tr>|``;
     2. *decoding* and 3. *determining the next state*: the reference-decoder
-       operation counts (:class:`ReferenceDecoders`).
+       operation counts, computed by
+       :func:`~repro.bounded.costmodel.operation_counts` (equal to
+       :meth:`~repro.bounded.costmodel.ReferenceDecoders.worst_case`).
     """
-    decoders = ReferenceDecoders(automaton)
     bound = encoded_length(automaton.start)
     for state in _universe(automaton, states, max_states):
         bound = max(bound, encoded_length(state))
-        signature = automaton.signature(state)
-        for action in signature.all_actions:
-            bound = max(bound, encoded_length(action))
-            eta = automaton.transition(state, action)
-            bound = max(bound, transition_length(state, action, eta))
-            bound = max(bound, decoders.worst_case(state, action))
+        for action, _, count, length in operation_counts(automaton, state):
+            bound = max(bound, encoded_length(action), length, count)
     return bound
 
 
@@ -100,11 +95,8 @@ def measure_pca_time_bound(
         for action in pca.signature(state).all_actions:
             created = pca.created(state, action)
             created_len = sum(encoded_length(a.name) for a in created)
-            bound = max(bound, created_len)
             # M_conf / M_created / M_hidden run in output-linear time.
-            meter = CostMeter()
-            meter.charge(conf_len + created_len + hidden_len)
-            bound = max(bound, meter.operations)
+            bound = max(bound, conf_len + created_len + hidden_len)
     return bound
 
 

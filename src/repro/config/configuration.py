@@ -42,7 +42,7 @@ class Configuration:
     :meth:`auts`, :meth:`state_of` (the map ``S``) and :meth:`signature`.
     """
 
-    __slots__ = ("_automata", "_states", "_key", "_sig_cache")
+    __slots__ = ("_automata", "_states", "_key", "_sig_cache", "_repr")
 
     def __init__(self, members: Mapping[PSIOA, State] | Iterable[Tuple[PSIOA, State]]) -> None:
         pairs = members.items() if isinstance(members, Mapping) else members
@@ -57,6 +57,7 @@ class Configuration:
         self._states = states
         self._key = frozenset((name, state) for name, state in states.items())
         self._sig_cache: Optional[Signature] = None
+        self._repr: Optional[str] = None
 
     # -- intrinsic attributes (Definition 2.11) ---------------------------------
 
@@ -167,8 +168,12 @@ class Configuration:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{a.name!r}@{s!r}" for a, s in self.items())
-        return f"Configuration({body})"
+        # Memoized: configurations are immutable, and reachable_states sorts
+        # every PCA support by ``repr``, so each one is asked many times.
+        if self._repr is None:
+            body = ", ".join(f"{a.name!r}@{s!r}" for a, s in self.items())
+            self._repr = f"Configuration({body})"
+        return self._repr
 
     @staticmethod
     def empty() -> "Configuration":

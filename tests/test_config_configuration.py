@@ -1,5 +1,6 @@
 """Tests for configurations and configuration transitions (Defs 2.9-2.14)."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,17 @@ class TestConfiguration:
         assert c1 == c2
         assert hash(c1) == hash(c2)
         assert len({c1, c2}) == 1
+
+    def test_memoized_repr_unchanged_and_survives_pickle(self):
+        config = Configuration.initial([fair_coin(), listener("ear", {"x"})])
+        expected = "Configuration('ear'@'s', 'fair'@'q0')"
+        assert repr(config) == expected
+        assert repr(config) is repr(config)
+        for original in (config, Configuration.initial([fair_coin(), listener("ear", {"x"})])):
+            # Once with the memo filled, once empty.
+            restored = pickle.loads(pickle.dumps(original))
+            assert restored == config
+            assert repr(restored) == expected
 
     def test_empty_configuration(self):
         empty = Configuration.empty()

@@ -23,8 +23,8 @@ The environment is read once, at the entry points, and nowhere else:
 :meth:`RunConfig.apply` then sets each subsystem's in-process switch (cache,
 store directory, backend, base supervision policy, tracer, profiler,
 progress) and writes nothing to ``os.environ``.  Forked experiment children
-and fork-backend chunks inherit those switches through memory; socket and
-pool workers receive them per chunk in the run frame's ``ctx``.  So a
+inherit those switches through memory; socket and pool workers receive
+them per chunk in the run frame's ``ctx``.  So a
 setting depends only on the config that asked for it: one service job can
 never leak its settings into the next.  :meth:`RunConfig.describe` renders
 the config as a JSON-safe dict — embedded verbatim in service job
@@ -217,7 +217,7 @@ def resolve_config(
     semantics).  Unknown override names raise :class:`ConfigError`.
 
     Values are normalized here, once: the backend spec is canonicalized
-    (``fork`` -> ``fork:8``), ``cache_dir`` is made absolute, a
+    (``" Pool:8 "`` -> ``"pool:8"``), ``cache_dir`` is made absolute, a
     non-positive ``timeout`` becomes ``None`` (unbounded) and
     ``profile_dir`` implies ``profile``.
     """

@@ -300,7 +300,7 @@ def run_suite(
         )
 
     # The resilience block exists exactly when supervision can act: on a
-    # remote backend.  Serial and fork runs emit reports without it.
+    # remote backend.  Serial runs emit reports without it.
     resilience_block = None
     if backend.remote:
         resilience_block = resilience_summary(

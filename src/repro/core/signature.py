@@ -72,8 +72,20 @@ class Signature:
 
     @property
     def all_actions(self) -> FrozenSet[Action]:
-        """The paper's ``sig-hat``: every action of the signature."""
-        return self.inputs | self.outputs | self.internals
+        """The paper's ``sig-hat``: every action of the signature.
+
+        Built on first access and kept in the instance dict, which equality,
+        hashing and ``repr`` never read (they use the three components)."""
+        memo = self.__dict__.get("_all_actions")
+        if memo is None:
+            memo = self.inputs | self.outputs | self.internals
+            object.__setattr__(self, "_all_actions", memo)
+        return memo
+
+    def __getstate__(self):
+        # Pickles carry the three components only: a shipped automaton's
+        # bytes never depend on which signatures were asked for sig-hat.
+        return {k: v for k, v in self.__dict__.items() if k != "_all_actions"}
 
     @property
     def is_empty(self) -> bool:

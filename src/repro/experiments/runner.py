@@ -15,9 +15,8 @@ Performance (see ``docs/performance.md``)::
     python -m repro.experiments.runner --cache off     # disable memoization
     python -m repro.experiments.runner --cache stats   # print cache statistics
     python -m repro.experiments.runner --cache-dir .cache/repro    # store directory
-    python -m repro.experiments.runner --backend fork:4             # inner sweeps
-    python -m repro.experiments.runner --backend socket:host:9001   # ... on a pool
-    python -m repro.experiments.runner --backend pool:3             # self-healing
+    python -m repro.experiments.runner --backend pool:3             # inner sweeps
+    python -m repro.experiments.runner --backend socket:host:9001   # ... on remote workers
     python -m repro.experiments.runner --chunk-deadline 30          # bound chunks
 
 Observability (see ``docs/observability.md``)::
@@ -141,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help=(
-            "execution backend for experiment sweeps: serial, fork:N, pool:N, or "
+            "execution backend for experiment sweeps: serial, pool:N, or "
             "socket:HOST:PORT[,HOST:PORT...] (default: REPRO_BACKEND, else serial)"
         ),
     )

@@ -1,7 +1,7 @@
 """Distributed tracing: cross-process span collection, alignment, merging.
 
 The span tracer (:mod:`repro.obs.trace`) is process-local, but sweeps fan
-chunks out to forked children and TCP workers (:mod:`repro.perf.backends`)
+chunks out to TCP workers (:mod:`repro.perf.backends`)
 — exactly the part of an execution a trace of a distributed run most needs
 to show.  This module is the glue that turns many per-process span buffers
 into **one** Chrome/Perfetto trace on the caller's monotonic timebase:
@@ -19,22 +19,16 @@ into **one** Chrome/Perfetto trace on the caller's monotonic timebase:
 Clock alignment
 ---------------
 Events carry microsecond timestamps relative to the recording tracer's
-``perf_counter_ns`` epoch.  Two cases:
-
-* ``clock: "shared"`` (fork transport) — caller and executor share one
-  monotonic clock (``os.fork`` on the same host), so an event's absolute
-  nanosecond instant ``epoch_ns + ts`` is directly meaningful to the
-  caller; no offset is estimated.  (A handshake offset would be *wrong*
-  here: fork pipes are drained in chunk order, so receive time can lag
-  payload-build time by whole chunks.)
-* ``clock: "remote"`` (socket transport) — the executor may run on another
-  host with an unrelated monotonic clock.  The executor stamps its clock
-  (``now_ns``) when it builds the payload; the caller stamps its own clock
-  (``recv_ns``) the moment the reply frame arrives.  The offset estimate
-  ``recv_ns - now_ns`` maps the worker clock onto the caller clock with an
-  error of one reply-transport latency — worker spans can appear *late* by
-  that much, never early relative to their dispatch.  Reply frames are
-  received by a dedicated per-connection thread, so the stamp is prompt.
+``perf_counter_ns`` epoch.  Every executor is a worker (a ``pool:N``
+fork or a ``socket:`` host), which may run on another host with an
+unrelated monotonic clock, so every lane is aligned the same way.  The
+executor stamps its clock (``now_ns``) when it builds the payload; the
+caller stamps its own clock (``recv_ns``) the moment the reply frame
+arrives.  The offset estimate ``recv_ns - now_ns`` maps the worker clock
+onto the caller clock with an error of one reply-transport latency —
+worker spans can appear *late* by that much, never early relative to
+their dispatch.  Reply frames are received by a dedicated per-chunk
+thread, so the stamp is prompt.
 
 The merged trace has one process lane per executor (real pid, labelled via
 ``process_name`` metadata) plus the caller's own lane; dispatch, retry,
@@ -72,8 +66,8 @@ def chunk_payload(lane: str, tracer: Optional[_trace.Tracer] = None) -> Optional
 
     ``None`` when tracing is off (the disabled path adds nothing to the
     wire).  ``lane`` is the human label of this executor's process lane
-    (e.g. ``"fork"`` or ``"worker 10.0.0.2:9001"``); the transport adds the
-    ``clock`` domain (and ``recv_ns`` for remote clocks) on receipt.
+    (e.g. ``"worker 10.0.0.2:9001"``); the transport adds its receive
+    stamp ``recv_ns`` on receipt.
     """
     tracer = tracer if tracer is not None else _trace.TRACER
     if not tracer.enabled:
@@ -113,11 +107,11 @@ def absorb_chunk_trace(
 ) -> int:
     """Clock-align a :func:`chunk_payload` into ``tracer``; return the event count.
 
-    Shifts every event timestamp into the caller tracer's timebase (see the
-    module docstring for the two clock domains), keeps the executor's real
-    pid as the lane, and emits a ``process_name`` metadata event the first
-    time a lane appears.  A no-op when the payload is ``None`` or the local
-    tracer is disabled.
+    Shifts every event timestamp into the caller tracer's timebase by the
+    ``recv_ns - now_ns`` offset (see the module docstring), keeps the
+    executor's real pid as the lane, and emits a ``process_name`` metadata
+    event the first time a lane appears.  A no-op when the payload is
+    ``None`` or the local tracer is disabled.
     """
     tracer = tracer if tracer is not None else _trace.TRACER
     if payload is None or not tracer.enabled:
@@ -125,10 +119,7 @@ def absorb_chunk_trace(
     events = payload.get("events") or []
     if not events:
         return 0
-    if payload.get("clock") == "remote":
-        delta_ns = payload["recv_ns"] - payload["now_ns"]
-    else:
-        delta_ns = 0
+    delta_ns = payload["recv_ns"] - payload["now_ns"]
     # worker-relative µs -> absolute worker ns -> caller ns -> caller-relative µs
     shift_us = (payload["epoch_ns"] + delta_ns - tracer.epoch_ns) / 1000.0
     pid = payload["pid"]

@@ -26,9 +26,11 @@ Gating and sinks
 The logger is enabled by pointing it at a sink: programmatically via
 :func:`configure` (the service's ``--log-dir`` does this) or through the
 ``REPRO_LOG`` environment variable (a directory, or a path ending in
-``.jsonl``), checked once at import time.  :func:`configure` re-exports ``REPRO_LOG`` so forked
-children and spawned workers inherit the sink and append to the **same**
-file.  Concurrent appenders are safe: each record is a single
+``.jsonl``), checked once at import time — how a remote
+``python -m repro.perf.worker`` gets a sink.  Every local child is a fork
+and inherits the open sink through memory, so experiment children and
+``pool:N`` workers append to the **same** file; nothing is written to
+``os.environ``.  Concurrent appenders are safe: each record is a single
 ``os.write`` on an ``O_APPEND`` descriptor, so lines never interleave.
 ``REPRO_LOG_LEVEL`` (``debug``/``info``/``warning``/``error``, default
 ``info``) sets the threshold.
@@ -36,16 +38,12 @@ file.  Concurrent appenders are safe: each record is a single
 Correlation ids
 ---------------
 :func:`set_correlation` installs the current job id (the service's
-dispatcher brackets each job execution with it) and mirrors it into the
-``REPRO_JOB_ID`` environment variable, so fork children — experiment
-subprocesses, fork-backend chunk children — inherit it for free.  Socket
-workers are fresh interpreters on possibly different hosts, and ``pool:N``
-workers clear the id they inherit when they fork, so the id
-additionally rides the run-frame ``ctx`` (see
-:mod:`repro.perf.backends.sockets`) and the worker re-installs it around
-each chunk.  :func:`correlation` reads the process-local value first and
-falls back to the environment, which is exactly the inheritance order the
-two transports need.  The id is deliberately **not** a
+dispatcher brackets each job execution with it); forked experiment
+children inherit it through memory.  Socket workers are fresh
+interpreters on possibly different hosts, and ``pool:N`` workers clear the
+id they inherit when they fork, so the id rides the run-frame ``ctx``
+(see :mod:`repro.perf.backends.sockets`) and the worker installs it in
+each chunk's child.  The id is deliberately **not** a
 :class:`~repro.api.RunConfig` field: the config participates in the
 service's content fingerprint (job coalescing and reuse), and a per-job
 id there would make every submission unique and kill both.
@@ -74,10 +72,9 @@ __all__ = [
     "set_correlation",
 ]
 
-#: Environment variables of the log sink, level and correlation id.
+#: Environment variables of the log sink and level.
 ENV_SINK = "REPRO_LOG"
 ENV_LEVEL = "REPRO_LOG_LEVEL"
-ENV_JOB = "REPRO_JOB_ID"
 
 #: Default file name when the sink is given as a directory.
 DEFAULT_BASENAME = "repro-log.jsonl"
@@ -140,27 +137,23 @@ def configure(path: Optional[str], *, level: Optional[str] = None) -> Optional[s
     """Point the process logger at ``path`` (file or directory); ``None``
     disables it.
 
-    Returns the resolved JSONL file path (or ``None``).  ``REPRO_LOG`` is
-    re-exported to match, so forked children and spawned workers inherit
-    the same sink — the single-application philosophy of
-    :meth:`repro.api.RunConfig.apply`.
+    Returns the resolved JSONL file path (or ``None``).  Forked children
+    inherit the open sink; the environment is left untouched.
     """
     global _SINK
     if _SINK is not None:
         _SINK.close()
         _SINK = None
     if path is None:
-        os.environ.pop(ENV_SINK, None)
         return None
     resolved = _resolve_path(path)
     _SINK = _Sink(resolved, _level_no(level))
-    os.environ[ENV_SINK] = resolved
     return resolved
 
 
 def configure_from_env() -> Optional[str]:
-    """Open the sink the ``REPRO_LOG`` environment asks for (import-time
-    gate; also the hook a freshly-spawned worker uses)."""
+    """Open the sink the ``REPRO_LOG`` environment asks for (the
+    import-time gate of a fresh interpreter)."""
     raw = os.environ.get(ENV_SINK, "").strip()
     if not raw:
         return None
@@ -184,25 +177,15 @@ def log_path() -> Optional[str]:
 
 
 def set_correlation(job_id: Optional[str]) -> None:
-    """Install (or clear) the correlation id for this process tree.
-
-    Mirrored into ``REPRO_JOB_ID`` so forked children inherit it; socket
-    workers get it through the run-frame ctx instead (they do not keep this
-    environment's id)."""
+    """Install (or clear) the correlation id for this process and the
+    children it forks; workers get it through the run-frame ctx instead."""
     global _CORRELATION
     _CORRELATION = job_id
-    if job_id is None:
-        os.environ.pop(ENV_JOB, None)
-    else:
-        os.environ[ENV_JOB] = str(job_id)
 
 
 def correlation() -> Optional[str]:
-    """The current correlation id: process-local value, else ``REPRO_JOB_ID``."""
-    if _CORRELATION is not None:
-        return _CORRELATION
-    value = os.environ.get(ENV_JOB, "").strip()
-    return value or None
+    """The current correlation id (``None`` when none is set)."""
+    return _CORRELATION
 
 
 # -- emitting --------------------------------------------------------------------
@@ -279,6 +262,6 @@ def get_logger(name: str) -> BoundLogger:
     return BoundLogger(name)
 
 
-# The environment gate applies to every fresh process (forked children
-# inherit the open sink through memory; spawned workers re-open it here).
+# The environment gate applies to every fresh interpreter (forked children
+# inherit the open sink through memory).
 configure_from_env()

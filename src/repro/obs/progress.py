@@ -22,9 +22,9 @@ forces plain rendering even on a real TTY (and, at entry points, also
 enables heartbeats).
 
 Heartbeats are *caller-side*: backends report a chunk done when its
-results payload lands (serial: after the in-process call; fork: when the
-child's pipe is drained; socket: when the reply frame arrives), so the
-line reflects completed work, not dispatched work.  Phases nest by simple
+results payload lands (serial: after the in-process call; socket and
+pool: when the reply frame arrives), so the line reflects completed work,
+not dispatched work.  Phases nest by simple
 replacement — an inner phase (a sweep inside an experiment) takes over the
 line and the outer phase resumes on the next outer advance.
 """

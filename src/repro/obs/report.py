@@ -79,7 +79,7 @@ accepts)::
         },
         "config": {                                            # optional:
           "full": false, "parallel": 2, "cache": "on",         # the resolved
-          "backend": "fork:4", "chunk_deadline": 30.0, ...     # RunConfig
+          "backend": "pool:4", "chunk_deadline": 30.0, ...     # RunConfig
         },
         "analysis": {                                          # optional:
           "critical_path": {"wall_us": 5400.0,                 # only when

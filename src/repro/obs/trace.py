@@ -207,9 +207,10 @@ class Tracer:
     def to_chrome_trace(self) -> Dict[str, Any]:
         """The trace as a ``chrome://tracing``-loadable JSON object.
 
-        When a correlation id is set (:func:`repro.obs.log.set_correlation`
-        or an inherited ``REPRO_JOB_ID``), the payload carries a top-level
-        ``job`` key so a saved trace stays attributable to its service job.
+        When a correlation id is set (:func:`repro.obs.log.set_correlation`,
+        here or in the process that forked this one), the payload carries a
+        top-level ``job`` key so a saved trace stays attributable to its
+        service job.
         """
         from repro.obs import log as _log  # deferred: keep the hot path import-free
 

@@ -12,14 +12,13 @@ enforcement arm):
   identity.  ``cache_dir`` / ``--cache-dir`` names the directory of the
   disk-backed :mod:`repro.perf.store`, which no run reads or writes yet.
 * :func:`parallel_map` over pluggable **execution backends**
-  (:mod:`repro.perf.backends`): ``serial`` (in-process), ``fork:N``
-  (forked children on this host) and ``socket:host:port,...`` (a TCP
-  worker pool started with ``python -m repro.perf.worker``) and ``pool:N``
-  (a supervised loopback pool that launches and respawns its own
-  workers).  The sweep contract — seed-stable partitioning, in-order
-  reassembly, boundary metrics merging, lowest-index error propagation —
-  is identical on every backend, so results are byte-for-byte
-  backend-independent.  The remote transports run under a supervision
+  (:mod:`repro.perf.backends`): ``serial`` (in-process),
+  ``socket:host:port,...`` (a TCP worker pool started with
+  ``python -m repro.perf.worker``) and ``pool:N`` (a loopback pool that
+  forks and respawns its own workers).  The sweep contract — seed-stable
+  partitioning, in-order reassembly, boundary metrics merging,
+  lowest-index error propagation — is identical on every backend, so
+  results are byte-for-byte backend-independent.  Both worker transports run under a supervision
   policy (:mod:`repro.perf.supervise`): per-chunk deadlines, heartbeats,
   seeded backoff, circuit breakers and poison-chunk quarantine; the chaos
   harness (:mod:`repro.perf.chaos`) proves those paths differentially
@@ -37,7 +36,6 @@ from repro.perf.backends import (
     BackendSpecError,
     ChunkOutcome,
     ExecutionBackend,
-    ForkBackend,
     SerialBackend,
     SocketBackend,
     configure_backend,
@@ -97,7 +95,6 @@ __all__ = [
     "current_spec",
     "ExecutionBackend",
     "SerialBackend",
-    "ForkBackend",
     "SocketBackend",
     "LocalPoolBackend",
     "SupervisionLog",

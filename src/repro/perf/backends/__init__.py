@@ -9,14 +9,11 @@ chunks actually execute.  This package makes that explicit: transports are
 re-raises identically for every backend.  Three transports ship:
 
 * ``serial`` — in-process, no partitioning overhead (the default);
-* ``fork`` — one ``os.fork`` child per chunk on the local host
-  (:class:`~repro.perf.backends.fork.ForkBackend`, PR 3's transport,
-  extracted);
 * ``socket`` — chunks pickled to a TCP worker pool
   (:class:`~repro.perf.backends.sockets.SocketBackend`; stand workers up
   with ``python -m repro.perf.worker --listen HOST:PORT``);
-* ``pool`` — a loopback pool that launches (and respawns) its own worker
-  subprocesses (:class:`~repro.perf.supervise.LocalPoolBackend`).
+* ``pool`` — a loopback pool that forks (and respawns) its own workers
+  (:class:`~repro.perf.supervise.LocalPoolBackend`).
 
 ``socket`` and ``pool`` always run under the self-healing supervision
 policy (:mod:`repro.perf.supervise`).
@@ -26,8 +23,6 @@ Backend specs
 A backend is named by a **spec string**::
 
     serial                                  # in-process
-    fork            # one chunk per CPU     # fork:<os.cpu_count()>
-    fork:4                                  # 4 forked chunks
     socket:host1:9001,host2:9001            # TCP worker pool, one chunk per worker
     socket:host1:9001;deadline=30           # ;key=value supervision options
     pool:4                                  # 4 self-launched loopback workers
@@ -80,8 +75,8 @@ class ChunkOutcome:
     """The one format of a chunk's result, from the process that computed
     it to :func:`repro.perf.parallel.parallel_map`, which alone merges it.
 
-    A forked chunk child pickles it whole, a socket worker forwards it
-    unopened as ``("ok", outcome)``, and a transport only stamps it
+    A worker's forked chunk child pickles it whole, the worker forwards it
+    unopened as ``("ok", outcome)``, and the client only stamps it
     (:meth:`stamp`) with the facts the executor cannot know.  ``results`` holds
     ``(index, error_traceback_or_None, value)`` per item, or ``None`` when
     the chunk was **lost** (its executor died without reporting) —
@@ -108,21 +103,16 @@ class ChunkOutcome:
     def lost(self) -> bool:
         return self.results is None
 
-    def stamp(
-        self, clock: str, lane: Optional[str] = None, recv_ns: Optional[int] = None
-    ) -> "ChunkOutcome":
-        """Record the transport facts and return ``self``: the trace's clock
-        domain (``"shared"`` for a local fork; ``"remote"`` with the
-        caller's ``recv_ns`` receive stamp otherwise) and, when given, the
-        ``lane`` of the trace and profile (a worker's address is known only
-        to the caller).  Phase totals are durations: no clock domain."""
+    def stamp(self, lane: str, recv_ns: int) -> "ChunkOutcome":
+        """Record the transport facts and return ``self``: the caller's
+        ``recv_ns`` receive stamp, which aligns the trace's clock (see
+        :mod:`repro.obs.distributed`), and the ``lane`` of the trace and
+        profile (a worker's address is known only to the caller).  Phase
+        totals are durations: no clock alignment."""
         if self.trace is not None:
-            self.trace["clock"] = clock
-            if recv_ns is not None:
-                self.trace["recv_ns"] = recv_ns
-            if lane is not None:
-                self.trace["lane"] = lane
-        if self.profile is not None and lane is not None:
+            self.trace["recv_ns"] = recv_ns
+            self.trace["lane"] = lane
+        if self.profile is not None:
             self.profile["lane"] = lane
         return self
 
@@ -156,7 +146,7 @@ class ExecutionBackend(ABC):
     every backend — that is the redesigned contract.
     """
 
-    #: registry name ("serial", "fork", "socket", ...)
+    #: registry name ("serial", "socket", "pool", ...)
     name: str = "?"
 
     #: True when chunks leave the caller's machine/process *by design*
@@ -235,7 +225,7 @@ def make_backend(spec: str) -> "ExecutionBackend":
 
 
 def normalize_spec(spec: str) -> str:
-    """The canonical form of ``spec`` (e.g. ``"fork"`` -> ``"fork:8"``)."""
+    """The canonical form of ``spec`` (e.g. ``" Pool:4 "`` -> ``"pool:4"``)."""
     return make_backend(spec).spec
 
 
@@ -325,19 +315,16 @@ def adopt_inherited() -> None:
 
 # Transports register themselves at import; importing them here makes the
 # registry complete whenever the package is imported.
-from repro.perf.backends import fork as _fork  # noqa: E402  (registration import)
 from repro.perf.backends import serial as _serial  # noqa: E402
 from repro.perf.backends import sockets as _sockets  # noqa: E402
 from repro.perf import supervise as _supervise  # noqa: E402  (registers "pool")
 
 SerialBackend = _serial.SerialBackend
-ForkBackend = _fork.ForkBackend
 SocketBackend = _sockets.SocketBackend
 LocalPoolBackend = _supervise.LocalPoolBackend
 
 __all__ += [
     "SerialBackend",
-    "ForkBackend",
     "SocketBackend",
     "LocalPoolBackend",
     "adopt_inherited",

@@ -26,10 +26,9 @@ the pool.  The wire protocol is deliberately small:
   <repro.perf.backends.ChunkOutcome.covers>` the chunk it sent; any other
   reply is a protocol violation;
 * **stamping** — the client adds only what the worker cannot know: the
-  lane (``worker host:port``) and the clock domain.  A worker's monotonic
+  lane (``worker host:port``) and its receive time.  A worker's monotonic
   clock is unrelated to the caller's, so the caller stamps its own clock
-  the moment the reply frame arrives (``recv_ns``) and marks the trace
-  ``clock: "remote"``; the merger
+  the moment the reply frame arrives (``recv_ns``); the merger
   (:func:`repro.obs.distributed.absorb_chunk_trace`) then offsets worker
   timestamps by ``recv_ns - now_ns``, accurate to one reply-transport
   latency (each chunk has a dedicated receive thread, so the stamp is
@@ -66,9 +65,8 @@ the pool.  The wire protocol is deliberately small:
   retry/fallback path can never double-count metrics.
 
 Workers execute each chunk in a forked child
-(:func:`repro.perf.backends.fork.run_chunk_in_fork`), giving every chunk a
-zeroed metrics registry, a cold cache, and crash isolation — exactly the
-fork backend's semantics, one network hop away.
+(:func:`repro.perf.worker.run_chunk_in_fork`), giving every chunk a
+zeroed metrics registry, a cold cache, and crash isolation.
 
 Security: frames are pickles — run workers only on hosts and networks you
 trust, and bind them to loopback or private interfaces.
@@ -603,9 +601,7 @@ class SocketBackend(ExecutionBackend):
             else:
                 match reply:
                     case ("ok", ChunkOutcome() as outcome) if outcome.covers(chunk):
-                        return outcome.stamp(
-                            "remote", lane="worker {}:{}".format(*conn.address), recv_ns=recv_ns
-                        )
+                        return outcome.stamp("worker {}:{}".format(*conn.address), recv_ns)
                     case ("lost" | "fatal", detail):
                         # The worker's chunk child died, or the worker could
                         # not load the chunk: parallel_map recomputes it here.

@@ -260,21 +260,16 @@ class PerfCache:
             table.clear()
 
     @contextmanager
-    def chunk_scope(self, *, cold: bool) -> Iterator[None]:
-        """Run a sweep chunk in the caller against the tables a worker's
-        chunk starts from, then restore the caller's own.
+    def chunk_scope(self) -> Iterator[None]:
+        """Run a sweep chunk in the caller against the empty tables a
+        worker's chunk child starts from, then restore the caller's own.
 
-        A remote worker's chunk child starts ``cold`` (empty tables); a
-        forked chunk child starts from a copy of the caller's.  Either way
-        nothing the chunk caches reaches the caller, so a chunk recomputed
-        here after its executor was lost counts exactly the hits and misses
-        the lost executor would have shipped."""
+        Nothing the chunk caches reaches the caller, so a chunk recomputed
+        here after its worker was lost counts exactly the hits and misses
+        the lost worker would have shipped."""
         saved = [table._owners for table in self._tables]
-        for table, owners in zip(self._tables, saved):
+        for table in self._tables:
             table._owners = OrderedDict()
-            if not cold:
-                for owner, (keepalive, entries) in owners.items():
-                    table._owners[owner] = (keepalive, entries.copy())
         try:
             yield
         finally:

@@ -3,8 +3,8 @@
 Where :mod:`repro.faults` attacks the *emulated system*, this module
 attacks **our own infrastructure** — the framed TCP protocol between
 :class:`~repro.perf.backends.sockets.SocketBackend` and
-``python -m repro.perf.worker``, and the forked chunk children — so the
-supervision layer (:mod:`repro.perf.supervise`) can be proven against
+``python -m repro.perf.worker``, and the workers' forked chunk children —
+so the supervision layer (:mod:`repro.perf.supervise`) can be proven against
 crash, hang, slow and corrupt failures with the same differential
 discipline as everything else: every chaos run must produce run reports
 byte-identical to the serial backend.
@@ -27,7 +27,7 @@ Two fault surfaces:
 
 * **fork fault hooks** — ``REPRO_CHAOS_FORK`` (e.g.
   ``seed=7,kill=0.1,hang=0.05,delay=0.1,delay_s=0.05``) arms
-  :func:`fork_fault_plan`, which the fork backend's chunk child consults:
+  :func:`fork_fault_plan`, which a worker's forked chunk child consults:
   a faulted chunk is killed **mid-chunk** (``os._exit`` halfway through
   its items), hung, or slowed.  Decisions are a pure function of
   ``(seed, first item index of the chunk)`` — independent of how many

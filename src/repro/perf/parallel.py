@@ -3,8 +3,7 @@
 Fans a list of independent work items across an execution backend
 (:mod:`repro.perf.backends`) and reassembles results **in input order**, so
 callers observe exactly the semantics of ``[fn(x) for x in items]``
-regardless of whether chunks ran in-process, in forked children, or on a
-TCP worker pool:
+regardless of whether chunks ran in-process or on a TCP worker pool:
 
 * **Deterministic partitioning** — chunk ``w`` of ``n`` gets items
   ``w, w+n, w+2n, ...`` (round-robin by index).  The partition is a pure
@@ -25,9 +24,9 @@ TCP worker pool:
   with instant events.  Each completed chunk also advances the live
   progress line (:mod:`repro.obs.progress`); both facilities are off by
   default with near-free disabled paths.
-* **Degradation, not failure** — a resolved parallelism of 1 (serial spec,
-  single item, no ``fork`` support) runs the plain comprehension in the
-  caller.  A chunk whose executor died without reporting (hard crash, dead
+* **Degradation, not failure** — a resolved parallelism of 1 on a local
+  backend (the serial spec) runs the plain comprehension in the caller.  A
+  chunk whose executor died without reporting (hard crash, dead
   worker pool) is re-run serially in the caller — counted in
   ``perf.parallel.chunk_fallbacks`` — and because result payloads are
   atomic, the lost executor contributed neither results nor metrics, so
@@ -136,16 +135,16 @@ def parallel_map(
             # quarantined a poison chunk): recompute the chunk here.  Its
             # payload (results + metrics + spans) is atomic and never
             # arrived, so merging nothing and recomputing counts each
-            # item's work exactly once.  The recompute runs on the cache
-            # tables the executor started from, so even the hit/miss split
-            # is the one the executor would have reported.
+            # item's work exactly once.  The recompute runs on empty cache
+            # tables, as the executor did, so even the hit/miss split is
+            # the one the executor would have reported.
             _FALLBACKS.inc()
             _trace.instant(
                 "parallel.chunk_quarantined" if outcome.quarantined else "parallel.chunk_fallback",
                 chunk=chunk_index,
                 detail=outcome.detail,
             )
-            with _perf_cache.CACHE.chunk_scope(cold=resolved.remote):
+            with _perf_cache.CACHE.chunk_scope():
                 for index, item in chunk:
                     results[index] = fn(item)
             continue

@@ -1,10 +1,10 @@
 """Closure-capable pickling for the socket execution backend.
 
-The fork backend never serializes the mapped function — children inherit it
-through copy-on-write memory.  A socket worker is a *separate process on a
-possibly different machine*, so the function must cross the wire, and sweep
-call sites routinely pass lambdas and local closures (E15's fault sweeps,
-the E12 distinguisher search), which the standard :mod:`pickle` refuses.
+A socket worker is a *separate process on a possibly different machine*
+(a ``pool:N`` worker is forked once, before any sweep exists), so the
+mapped function must cross the wire, and sweep call sites routinely pass
+lambdas and local closures (E15's fault sweeps, the E12 distinguisher
+search), which the standard :mod:`pickle` refuses.
 
 :func:`dumps` is ``pickle.dumps`` with one extension, applied recursively
 anywhere in the object graph: a function that cannot be imported by

@@ -339,8 +339,9 @@ def _become_worker(announce_fd: int, log_fd: Optional[int]) -> None:
     """Body of a forked pool worker; never returns.
 
     Drops what a fresh interpreter would not have (the caller's descriptors,
-    stdio objects, signal handlers, perf cache, metrics, trace buffer, log
-    sink and correlation), re-resolves the run settings
+    stdio objects, signal handlers, perf cache, metrics, trace buffer and
+    correlation), reopens the caller's log sink by path (its descriptor is
+    released with the rest), re-resolves the run settings
     (:func:`repro.perf.worker.settle`), announces the bound address on
     ``announce_fd`` (its stdout) and serves until killed.
     """
@@ -348,6 +349,7 @@ def _become_worker(announce_fd: int, log_fd: Optional[int]) -> None:
     from repro.perf import worker  # loaded by the caller: no import runs here
 
     code = 1
+    log_path = _obs_log.log_path()
     try:
         devnull = os.open(os.devnull, os.O_RDWR)
         os.dup2(announce_fd, 1)
@@ -369,7 +371,8 @@ def _become_worker(announce_fd: int, log_fd: Optional[int]) -> None:
         _metrics.reset()
         _trace.TRACER.clear()
         _obs_log.set_correlation(None)
-        _obs_log.configure_from_env()
+        with contextlib.suppress(OSError, ValueError):  # a sink never stops a worker
+            _obs_log.configure(log_path)
         worker.settle()
         worker.serve("127.0.0.1", 0)
     except KeyboardInterrupt:

@@ -12,10 +12,10 @@ Stand one up per core (or per machine) and point the runner's
 The worker prints ``repro-perf-worker listening on HOST:PORT`` once bound
 (``--listen HOST:0`` picks a free port — parse the line to learn it), then
 serves forever: one thread per client connection, and **one forked child
-per chunk** (:func:`repro.perf.backends.fork.run_chunk_in_fork`), so every
-chunk runs with a zeroed metrics registry, a cold cache, and crash
-isolation — a chunk that segfaults kills its child, and the worker reports
-the chunk as lost instead of dying.  Multiple clients (e.g. several
+per chunk** (:func:`run_chunk_in_fork`), so every chunk runs with a zeroed
+metrics registry, a cold cache, and crash isolation — a chunk that
+segfaults kills its child, and the worker reports the chunk as lost
+instead of dying.  Multiple clients (e.g. several
 crash-isolated experiment children of one ``--parallel`` runner) are served
 concurrently.
 
@@ -38,21 +38,28 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import socket
+import struct
 import sys
 import threading
 import time
 import traceback
 from dataclasses import replace
-from typing import Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.config import ConfigError, resolve_config
+from repro.obs import distributed as _distributed
 from repro.obs import log as _obs_log
+from repro.obs import metrics as _metrics
+from repro.obs import profile as _profile
+from repro.obs import trace as _trace
+from repro.perf import cache as _perf_cache
 from repro.perf import pickling
-from repro.perf.backends.fork import run_chunk_in_fork
+from repro.perf.backends import Chunk, ChunkOutcome
 from repro.perf.backends.sockets import FrameError, recv_frame, send_frame, worker_info
 
-__all__ = ["main", "serve", "settle"]
+__all__ = ["main", "run_chunk_in_fork", "serve", "settle"]
 
 
 def _log(message: str) -> None:
@@ -60,9 +67,120 @@ def _log(message: str) -> None:
 
 
 #: Structured mirror of the stderr request log (active when the worker was
-#: launched with ``REPRO_LOG`` in its environment — pool workers inherit
-#: the service's sink and append to the same JSONL file).
+#: launched with ``REPRO_LOG`` in its environment — pool workers reopen
+#: their caller's sink and append to the same JSONL file).
 _WORKER_LOG = _obs_log.get_logger("perf.worker")
+
+
+# -- the chunk executor: one forked child per chunk --------------------------------
+
+_LEN = struct.Struct(">Q")
+
+
+def _install_run_settings(ctx: Mapping[str, Any]) -> None:
+    """Install a run frame's settings (see :mod:`repro.perf.backends.sockets`)
+    in this chunk child.  ``trace`` and ``profile`` only switch recording
+    on: a worker started with its own tracing keeps tracing."""
+    if ctx.get("job") is not None:
+        _obs_log.set_correlation(ctx["job"])
+    if "cache" in ctx:
+        _perf_cache.configure(enabled=ctx["cache"])
+    if ctx.get("trace"):
+        _trace.TRACER.enable()
+
+
+def _chunk_child(
+    write_fd: int, fn: Callable[[Any], Any], chunk: Chunk, ctx: Mapping[str, Any]
+) -> None:
+    """Child body: compute the chunk, write its length-prefixed pickled
+    :class:`ChunkOutcome` to ``write_fd`` and exit.
+
+    Runs under ``os._exit`` discipline — no atexit hooks, no parent test
+    harness teardown.  The caller's settings come from the run frame's
+    ``ctx``.  The inherited metrics registry is zeroed and the inherited
+    span buffer cleared so the shipped payloads are exactly this child's
+    contribution.  When profiling is on, the hook is re-installed post-fork
+    — a ``sys.setprofile`` hook does not survive into a forked child's new
+    frames reliably, and the accumulated worker totals are not this chunk's
+    work either.
+    """
+    exit_code = 0
+    try:
+        _install_run_settings(ctx)
+        _metrics.reset()
+        _trace.TRACER.clear()  # buffered worker events are not this chunk's work
+        if ctx.get("profile") or _profile.PROFILER.enabled:
+            _profile.PROFILER.clear()
+            _profile.PROFILER.enable()
+        # Chaos hook (tests/CI only): REPRO_CHAOS_FORK arms seeded mid-chunk
+        # kill/hang/delay faults so the supervision layer's lost-chunk and
+        # deadline paths can be driven deterministically.  Unset, this is
+        # one environment lookup per chunk.
+        from repro.perf import chaos as _chaos
+
+        fault_plan = _chaos.fork_fault_plan(chunk)
+        results: List[Tuple[int, Optional[str], Any]] = []
+        with _trace.span("backend.chunk", lane="worker", items=len(chunk)):
+            for position, (index, item) in enumerate(chunk):
+                if fault_plan is not None and position == fault_plan["at_item"]:
+                    _chaos.apply_fork_fault(fault_plan)  # kill/hang never return
+                item_span = (
+                    _trace.TRACER.span("backend.item", index=index)
+                    if _trace.TRACER.enabled
+                    else _trace.NULL_SPAN
+                )
+                try:
+                    with item_span:
+                        results.append((index, None, fn(item)))
+                except BaseException:  # noqa: BLE001 - shipped to the client verbatim
+                    results.append((index, traceback.format_exc(), None))
+        outcome = ChunkOutcome(
+            results=results,
+            metrics=_metrics.snapshot(),
+            trace=_distributed.chunk_payload("worker"),
+            profile=_profile.chunk_profile_payload("worker"),
+        )
+        payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(_LEN.pack(len(payload)) + payload)
+    except BaseException:
+        exit_code = 1
+    finally:
+        os._exit(exit_code)
+
+
+def run_chunk_in_fork(
+    fn: Callable[[Any], Any], chunk: Chunk, ctx: Mapping[str, Any]
+) -> Optional[ChunkOutcome]:
+    """Execute one chunk in a fresh forked child.
+
+    Returns the child's :class:`ChunkOutcome` — results, metrics snapshot,
+    trace payload and profile payload, exactly as the child built them —
+    or ``None`` when the child died without reporting.  ``ctx`` holds run
+    settings to install in the child only.  The outcome is not stamped:
+    the client that receives it stamps the lane and its receive time.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _chunk_child(write_fd, fn, chunk, ctx)  # never returns
+    os.close(write_fd)
+    # The length prefix, not EOF, ends a complete outcome: a chunk child
+    # that another connection thread forked meanwhile may hold a copy of
+    # this pipe's write end for as long as its own chunk runs.
+    size = payload = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            header = pipe.read(_LEN.size)
+            if len(header) == _LEN.size:
+                (size,) = _LEN.unpack(header)
+                payload = pipe.read(size)
+    finally:
+        os.waitpid(pid, 0)
+    if payload is None or len(payload) != size:
+        return None
+    return pickle.loads(payload)
 
 
 def _locked_send(conn: socket.socket, lock: threading.Lock, message: tuple) -> None:
@@ -104,7 +222,7 @@ def _handle_run(
 
     def _run() -> None:
         try:
-            box.append(run_chunk_in_fork(fn, chunk, lane="worker", ctx=ctx))
+            box.append(run_chunk_in_fork(fn, chunk, ctx))
         finally:
             done.set()
 

@@ -4,8 +4,8 @@ Prints a parseable banner (``repro-service listening on HOST:PORT``, the
 same convention as ``repro.perf.worker``) once the API is bound, then
 serves until SIGINT/SIGTERM.  With ``--log-dir``, the structured JSONL
 service log lands at ``<dir>/service.jsonl`` next to the per-worker pool
-logs (and, via the inherited ``REPRO_LOG``, the pool workers append to
-the same file).
+logs (and the pool workers, forked from the service, append to the same
+file).
 
 ``python -m repro.service top --url http://HOST:PORT`` runs the live
 dashboard over a service started elsewhere (see :mod:`repro.service.top`).
@@ -76,8 +76,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.log_dir:
-        # Configure before anything else logs; exports REPRO_LOG so the
-        # pool workers spawned below append to the same JSONL file.
+        # Configure before anything else logs, so the pool workers forked
+        # below reopen the same JSONL file.
         obs_log.configure(os.path.join(args.log_dir, "service.jsonl"))
 
     service = JobService(

@@ -49,9 +49,9 @@ The HTTP surface is versioned under ``/v1`` (JSON in/out; see
 Telemetry: every request, admission decision, job transition and pool
 respawn is mirrored into the structured JSONL log (:mod:`repro.obs.log`,
 enabled by ``--log-dir``/``REPRO_LOG``).  The dispatcher brackets each
-execution with the job's correlation id, which then rides the environment
-into forked experiment children and the run-frame ctx into socket
-workers — so the per-lane trace payloads, the saved trace files, and
+execution with the job's correlation id, which forked experiment
+children inherit through memory and socket workers get in the run-frame
+ctx — so the per-lane trace payloads, the saved trace files, and
 every log record written anywhere in the tree carry the job id, and
 ``GET /v1/jobs/<id>/trace`` can hand back one merged, attributable trace.
 """
@@ -439,8 +439,8 @@ class JobService:
         obs_metrics.counter("service.jobs.started").inc()
         # The correlation bracket: from here until the finally, every log
         # record, trace lane and chunk payload produced anywhere in this
-        # job's process tree carries job.id (fork children inherit it via
-        # REPRO_JOB_ID, socket workers via the run-frame ctx).
+        # job's process tree carries job.id (fork children inherit it
+        # through memory, workers get it via the run-frame ctx).
         obs_log.set_correlation(job.id)
         _LOG.info(
             "service.job.dispatch",

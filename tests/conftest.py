@@ -70,16 +70,11 @@ def _clean_observability():
     del progress._LISTENERS[:]
     perf_cache.clear()
     resolve_config().apply()
-    # The structured log sink and the job correlation id are process-global
-    # (and env-exported by configure/set_correlation); start every test with
-    # both cleared so records/tags never leak across tests, and restore the
-    # invoking shell's REPRO_LOG afterwards.
-    inherited_log = os.environ.pop("REPRO_LOG", None)
-    os.environ.pop("REPRO_JOB_ID", None)
+    # The structured log sink and the job correlation id are process-global;
+    # start every test with both cleared so records/tags never leak across
+    # tests.
     obs_log.configure(None)
     obs_log.set_correlation(None)
     yield
     obs_log.configure(None)
     obs_log.set_correlation(None)
-    if inherited_log is not None:
-        os.environ["REPRO_LOG"] = inherited_log

@@ -31,7 +31,7 @@ class TestResolverPrecedence:
         env = {
             "REPRO_CACHE": "off",
             "REPRO_CACHE_DIR": str(tmp_path / "store"),
-            "REPRO_BACKEND": "fork:2",
+            "REPRO_BACKEND": "pool:2",
             "REPRO_CHUNK_DEADLINE": "30",
             "REPRO_PROFILE": "on",
             "REPRO_TRACE": "on",
@@ -40,13 +40,13 @@ class TestResolverPrecedence:
         config = resolve_config(env=env)
         assert config.cache == "off"
         assert config.cache_dir == os.path.abspath(str(tmp_path / "store"))
-        assert config.backend == "fork:2"
+        assert config.backend == "pool:2"
         assert config.profile and config.trace
         assert config.progress
         assert config.chunk_deadline == 30.0
 
     def test_explicit_overrides_beat_env(self, tmp_path):
-        env = {"REPRO_CACHE": "off", "REPRO_BACKEND": "fork:2"}
+        env = {"REPRO_CACHE": "off", "REPRO_BACKEND": "pool:2"}
         config = resolve_config(env=env, cache="on", backend="serial")
         assert config.cache == "on"
         assert config.backend == "serial"
@@ -58,13 +58,16 @@ class TestResolverPrecedence:
         assert config.trace
 
     def test_backend_spec_is_canonicalized(self):
-        config = resolve_config(env={}, backend="fork")
-        assert config.backend and config.backend.startswith("fork:")
-        assert config.backend != "fork"
+        config = resolve_config(env={}, backend=" Pool:2;deadline=30 ")
+        assert config.backend == "pool:2;deadline=30"
 
     def test_invalid_backend_spec_is_config_error(self):
         with pytest.raises(ConfigError, match="backend"):
             resolve_config(env={}, backend="warp:9")
+
+    def test_removed_fork_backend_from_env_is_config_error(self):
+        with pytest.raises(ConfigError, match="known: pool, serial, socket"):
+            resolve_config(env={"REPRO_BACKEND": "fork:2"})
 
     def test_zero_timeout_means_unbounded(self):
         assert resolve_config(env={}, timeout=0).timeout is None
@@ -117,13 +120,13 @@ class TestRunConfigShape:
         before = dict(os.environ)
         store_dir = str(tmp_path / "store")
         resolve_config(
-            env={}, cache="off", cache_dir=store_dir, backend="fork:2",
+            env={}, cache="off", cache_dir=store_dir, backend="pool:2",
             seed=11, chunk_deadline=45.0, trace=True,
         ).apply()
         assert dict(os.environ) == before
         assert not cache.CACHE.enabled
         assert store.active_store().base == os.path.abspath(store_dir)
-        assert backends.current_spec() == "fork:2"
+        assert backends.current_spec() == "pool:2"
         policy = supervise.base_policy()
         assert policy.seed == 11
         assert policy.chunk_deadline_s == 45.0
@@ -143,7 +146,7 @@ class TestRunConfigShape:
         settings = dict(
             full=True, timeout=120.0, retries=1, seed=5, isolated=True,
             keep_going=False, parallel=2, cache="stats",
-            cache_dir=str(tmp_path / "store"), backend="fork:2",
+            cache_dir=str(tmp_path / "store"), backend="pool:2",
             chunk_deadline=30.0, trace=True, trace_dir=str(tmp_path / "traces"),
             profile=True, profile_dir=str(tmp_path / "profiles"), progress=True,
         )

@@ -1,5 +1,7 @@
 """Tests for signature algebra (paper Definitions 2.3, 2.4, 2.6)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,23 @@ class TestSignatureBasics:
         assert sig.external == {"i", "o"}
         assert sig.all_actions == {"i", "o", "h"}
         assert sig.locally_controlled() == {"o", "h"}
+
+    def test_memoized_all_actions_unchanged_and_survives_pickle(self):
+        sig = Signature(inputs={"i"}, outputs={"o"}, internals={"h"})
+        fresh = Signature(inputs={"i"}, outputs={"o"}, internals={"h"})
+        before = (hash(sig), repr(sig))
+        assert sig.all_actions is sig.all_actions
+        assert sig.all_actions == {"i", "o", "h"}
+        # The memo is invisible to equality, hashing and repr.
+        assert sig == fresh and hash(sig) == hash(fresh) == before[0]
+        assert repr(sig) == repr(fresh) == before[1]
+        assert pickle.dumps(sig) == pickle.dumps(fresh)  # the memo is never pickled
+        for original in (sig, fresh):
+            # Once with the memo filled, once empty.
+            restored = pickle.loads(pickle.dumps(original))
+            assert restored == sig and hash(restored) == before[0]
+            assert restored.all_actions == {"i", "o", "h"}
+            assert restored.all_actions is restored.all_actions
 
     def test_empty_signature_sentinel(self):
         assert EMPTY_SIGNATURE.is_empty

@@ -404,25 +404,25 @@ class TestReportSchema:
         payload = build_report(
             [outcome_record(_outcome(), "claim", default_seed=1)],
             fast=True,
-            backend={"name": "fork", "spec": "fork:4", "parallelism": 4},
+            backend={"name": "pool", "spec": "pool:4", "parallelism": 4},
         )
         restored = json.loads(json.dumps(payload))
         validate_report(restored)
         assert restored["summary"]["backend"] == {
-            "name": "fork",
-            "spec": "fork:4",
+            "name": "pool",
+            "spec": "pool:4",
             "parallelism": 4,
         }
 
     @pytest.mark.parametrize(
         "backend",
         [
-            "fork:4",  # not an object
-            {"name": "fork", "spec": "fork:4"},  # parallelism missing
-            {"name": "fork", "spec": "fork:4", "parallelism": 0},
-            {"name": "fork", "spec": "fork:4", "parallelism": True},
-            {"name": 7, "spec": "fork:4", "parallelism": 4},
-            {"name": "fork", "spec": None, "parallelism": 4},
+            "fork:4",  # not an object (any bare string)
+            {"name": "pool", "spec": "pool:4"},  # parallelism missing
+            {"name": "pool", "spec": "pool:4", "parallelism": 0},
+            {"name": "pool", "spec": "pool:4", "parallelism": True},
+            {"name": 7, "spec": "pool:4", "parallelism": 4},
+            {"name": "pool", "spec": None, "parallelism": 4},
         ],
     )
     def test_validation_rejects_bad_backend_block(self, backend):

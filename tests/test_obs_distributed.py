@@ -1,8 +1,8 @@
 """Distributed tracing and live progress (:mod:`repro.obs.distributed` / ``.progress``).
 
-Covers the clock-alignment arithmetic (shared vs remote domains), lane
+Covers the clock-alignment arithmetic (the receive-stamp offset), lane
 splicing and process-name metadata, offline merge/summarize/check tooling
-and its CLI, the fork and socket transports end to end (worker spans land
+and its CLI, the pool and socket transports end to end (worker spans land
 clock-aligned in the caller's trace; a killed worker leaves retry/death
 instants), the ``REPRO_TRACE`` / ``REPRO_PROGRESS`` environment gates, the
 runner acceptance bar (a traced E15 sweep on a two-worker ``socket:`` pool
@@ -100,23 +100,6 @@ class TestChunkPayload:
 
 
 class TestClockAlignment:
-    def test_shared_clock_uses_epoch_difference_only(self):
-        caller = trace.Tracer()
-        caller.enable()
-        # A "worker" whose tracer epoch is exactly 5000ns after the
-        # caller's: its local ts=10us event happened at caller-time 15us.
-        payload = {
-            "pid": 9999, "lane": "fork", "clock": "shared",
-            "epoch_ns": caller.epoch_ns + 5000,
-            "now_ns": caller.epoch_ns + 5000 + 1_000_000,
-            "events": [_span_event("w", ts=10.0, dur=2.0, pid=9999)],
-        }
-        assert absorb_chunk_trace(payload, caller) == 1
-        spans = [e for e in caller.events() if e["ph"] == "X"]
-        assert spans[0]["ts"] == pytest.approx(15.0)
-        assert spans[0]["dur"] == pytest.approx(2.0)  # durations never shift
-        assert spans[0]["pid"] == 9999  # the worker keeps its own lane
-
     def test_remote_clock_offsets_by_receive_stamp(self):
         caller = trace.Tracer()
         caller.enable()
@@ -124,31 +107,34 @@ class TestClockAlignment:
         # to the caller; recv_ns - now_ns maps worker-time onto caller-time.
         worker_epoch = 123_456_789  # arbitrary foreign timebase
         payload = {
-            "pid": 4242, "lane": "worker h:1", "clock": "remote",
+            "pid": 4242, "lane": "worker h:1",
             "epoch_ns": worker_epoch,
             "now_ns": worker_epoch + 50_000,   # payload built 50us after epoch
             "recv_ns": caller.epoch_ns + 80_000,  # ...received at caller+80us
             "events": [_span_event("w", ts=10.0, dur=4.0, pid=4242)],
         }
-        absorb_chunk_trace(payload, caller)
+        assert absorb_chunk_trace(payload, caller) == 1
         (span,) = [e for e in caller.events() if e["ph"] == "X"]
         # worker ts=10us is 40us before payload build; build maps to
         # caller+80us, so the event lands at caller-time 80-40 = 40us.
         assert span["ts"] == pytest.approx(40.0)
+        assert span["dur"] == pytest.approx(4.0)  # durations never shift
+        assert span["pid"] == 4242  # the worker keeps its own lane
 
     def test_lane_metadata_emitted_once_per_pid(self):
         caller = trace.Tracer()
         caller.enable()
         payload = {
-            "pid": 7, "lane": "fork", "clock": "shared",
+            "pid": 7, "lane": "worker h:7",
             "epoch_ns": caller.epoch_ns, "now_ns": caller.epoch_ns,
+            "recv_ns": caller.epoch_ns,
             "events": [_span_event("a", 0.0, 1.0, pid=7)],
         }
         absorb_chunk_trace(payload, caller)
         absorb_chunk_trace(dict(payload), caller)
         metadata = [e for e in caller.events() if e["ph"] == "M"]
         named = {e["pid"]: e["args"]["name"] for e in metadata}
-        assert named[7] == "fork (pid 7)"
+        assert named[7] == "worker h:7 (pid 7)"
         assert os.getpid() in named  # the caller lane is named too
         assert len([e for e in metadata if e["pid"] == 7]) == 1
 
@@ -289,28 +275,32 @@ class TestMergeAndCheck:
 # -- transports end to end -------------------------------------------------------
 
 
-class TestForkTransport:
-    def test_fork_sweep_collects_aligned_worker_lanes(self):
+class TestPoolTransport:
+    def test_pool_sweep_collects_aligned_worker_lanes(self):
         trace.enable()
         with trace.span("caller.sweep"):
-            out = parallel_map(lambda x: x * x, list(range(8)), backend="fork:2")
+            out = parallel_map(lambda x: x * x, list(range(8)), backend="pool:2")
         assert out == [x * x for x in range(8)]
         events = trace.TRACER.events()
-        assert check_trace(events, min_lanes=3) == []  # caller + 2 fork children
+        assert check_trace(events, min_lanes=3) == []  # caller + 2 chunk children
         spans = [e for e in events if e["ph"] == "X"]
         worker_spans = [e for e in spans if e["pid"] != os.getpid()]
         assert {e["name"] for e in worker_spans} == {"backend.chunk", "backend.item"}
-        # Clock alignment: every worker span lies inside the caller's
-        # parallel.map interval (same host, shared monotonic clock).
+        # Clock alignment: the receive-stamp offset moves worker spans late,
+        # never early, and never past the receipt, so every worker span lies
+        # inside the caller's parallel.map interval.
         (pmap,) = [e for e in spans if e["name"] == "parallel.map"]
         for event in worker_spans:
             assert event["ts"] >= pmap["ts"] - 1.0
             assert event["ts"] + event["dur"] <= pmap["ts"] + pmap["dur"] + 1.0
         assert [e["name"] for e in events if e["ph"] == "i"] == ["parallel.dispatch"]
 
-    def test_untraced_fork_sweep_ships_no_payload(self):
-        backend = make_backend("fork:2")
-        outcomes = backend.submit_chunks(lambda x: x, [[(0, 1)], [(1, 2)]])
+    def test_untraced_pool_sweep_ships_no_payload(self):
+        backend = make_backend("pool:2")
+        try:
+            outcomes = backend.submit_chunks(lambda x: x, [[(0, 1)], [(1, 2)]])
+        finally:
+            backend.close()
         assert all(o.trace is None for o in outcomes)
         assert trace.TRACER.events() == []
 
@@ -520,14 +510,14 @@ class TestDisabledOverhead:
     def test_disabled_sweep_adds_no_trace_artifacts(self):
         # Counter-based: the only per-chunk additions on the disabled path
         # are flag tests — no spans buffered, no payloads built, no
-        # progress state touched, identical fork counts.
+        # progress state touched, identical chunk counts.
         from repro.obs.metrics import counter
 
-        forks = counter("perf.parallel.forks")
-        before = forks.value
-        out = parallel_map(lambda x: x + 7, list(range(6)), backend="fork:2")
+        chunks = counter("perf.parallel.socket.chunks")
+        before = chunks.value
+        out = parallel_map(lambda x: x + 7, list(range(6)), backend="pool:2")
         assert out == [x + 7 for x in range(6)]
-        assert forks.value == before + 2  # one fork per chunk, nothing extra
+        assert chunks.value == before + 2  # one round-trip per chunk, nothing extra
         assert trace.TRACER.events() == []
         assert trace.TRACER.named_lanes == set()
         assert progress.PROGRESS._label is None

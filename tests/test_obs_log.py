@@ -1,9 +1,8 @@
 """Structured JSONL logging and Prometheus exposition (repro.obs.log / .expo).
 
-The logger is process-global and env-exported, so these tests lean on the
-suite-wide ``_clean_observability`` fixture (conftest) that clears the
-sink, the correlation id, and the ``REPRO_LOG``/``REPRO_JOB_ID``
-environment around every test.
+The logger is process-global, so these tests lean on the suite-wide
+``_clean_observability`` fixture (conftest) that clears the sink and the
+correlation id around every test.
 """
 
 import json
@@ -43,12 +42,12 @@ class TestLogger:
         assert "skipped" not in first  # None-valued fields are dropped
         assert isinstance(first["ts"], float)
 
-    def test_directory_sink_and_env_export(self, tmp_path):
+    def test_directory_sink(self, tmp_path):
         path = obs_log.configure(str(tmp_path))
         assert path == str(tmp_path / obs_log.DEFAULT_BASENAME)
-        assert os.environ["REPRO_LOG"] == path  # children inherit the sink
+        assert obs_log.log_path() == path
         obs_log.configure(None)
-        assert "REPRO_LOG" not in os.environ
+        assert obs_log.log_path() is None
 
     def test_debug_threshold_is_configurable(self, tmp_path):
         path = obs_log.configure(str(tmp_path / "all.jsonl"), level="debug")
@@ -64,15 +63,13 @@ class TestLogger:
         obs_log.get_logger("x").info("via.env")
         assert [r["event"] for r in read_records(str(target))] == ["via.env"]
 
-    def test_correlation_tags_records_and_exports_env(self, tmp_path):
+    def test_correlation_tags_records(self, tmp_path):
         path = obs_log.configure(str(tmp_path / "jobs.jsonl"))
         obs_log.set_correlation("job-9-abc123")
-        assert os.environ["REPRO_JOB_ID"] == "job-9-abc123"
         obs_log.get_logger("x").info("ambient")
         obs_log.get_logger("x").info("explicit", job="job-other")
         obs_log.get_logger("x").info("opted.out", job=None)
         obs_log.set_correlation(None)
-        assert "REPRO_JOB_ID" not in os.environ
         obs_log.get_logger("x").info("after.clear")
         records = {r["event"]: r for r in read_records(path)}
         assert records["ambient"]["job"] == "job-9-abc123"
@@ -80,11 +77,31 @@ class TestLogger:
         assert "job" not in records["opted.out"]  # job=None disclaims the ambient id
         assert "job" not in records["after.clear"]
 
-    def test_correlation_falls_back_to_inherited_env(self, monkeypatch):
-        # A fork child inherits REPRO_JOB_ID; with no process-local value the
-        # environment is authoritative (that is the whole propagation trick).
-        monkeypatch.setenv("REPRO_JOB_ID", "job-from-parent")
-        assert obs_log.correlation() == "job-from-parent"
+    def test_fork_child_inherits_sink_and_correlation_not_environment(self, tmp_path):
+        # A forked child reaches the parent's sink and job id through
+        # memory; nothing is written to the environment on either side.
+        before = dict(os.environ)
+        path = obs_log.configure(str(tmp_path / "forked.jsonl"))
+        obs_log.set_correlation("job-7-f0f0")
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                unchanged = dict(os.environ) == before
+                obs_log.get_logger("child").info("in.child", unchanged=unchanged)
+                code = 0
+            finally:
+                os._exit(code)
+        _pid, status = os.waitpid(pid, 0)
+        assert status == 0
+        obs_log.get_logger("parent").info("in.parent")
+        assert dict(os.environ) == before
+        records = read_records(path)
+        assert [r["event"] for r in records] == ["in.child", "in.parent"]
+        child, parent = records
+        assert child["pid"] == pid and parent["pid"] == os.getpid()
+        assert child["job"] == parent["job"] == "job-7-f0f0"
+        assert child["unchanged"] is True
 
     def test_concurrent_writers_never_interleave_lines(self, tmp_path):
         path = obs_log.configure(str(tmp_path / "threads.jsonl"))

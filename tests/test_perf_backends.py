@@ -6,7 +6,7 @@ and — against two real loopback workers — the socket backend end to end:
 result equality with serial, boundary metrics merging, remote error
 propagation, retry on a dead worker, caller fallback when the whole pool is
 gone, and the acceptance bar itself: E12/E15 runner reports byte-identical
-across ``serial``, ``fork:4`` and ``socket:`` (modulo wall-clock fields and
+across ``serial``, ``pool:2`` and ``socket:`` (modulo wall-clock fields and
 cache-warmth-dependent counters), including with a worker killed mid-sweep.
 """
 
@@ -29,7 +29,6 @@ from repro.perf.backends import (
     BackendSpecError,
     ChunkOutcome,
     ExecutionBackend,
-    ForkBackend,
     SerialBackend,
     SocketBackend,
     configure_backend,
@@ -48,6 +47,7 @@ from repro.perf.backends.sockets import (
     worker_info,
 )
 from repro.perf.parallel import ParallelWorkerError, parallel_map
+from repro.perf.worker import run_chunk_in_fork
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -58,9 +58,8 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 class TestSpecs:
     def test_normalization(self):
         assert normalize_spec("serial") == "serial"
-        assert normalize_spec("fork:3") == "fork:3"
-        assert normalize_spec("fork") == f"fork:{os.cpu_count() or 1}"
-        assert normalize_spec(" Fork:3 ") == "fork:3"
+        assert normalize_spec("pool:3") == "pool:3"
+        assert normalize_spec(" Pool:3 ") == "pool:3"
         assert (
             normalize_spec("socket:127.0.0.1:9001,10.0.0.2:9001")
             == "socket:127.0.0.1:9001,10.0.0.2:9001"
@@ -73,6 +72,12 @@ class TestSpecs:
     def test_malformed_specs_raise(self, bad):
         with pytest.raises(BackendSpecError):
             normalize_spec(bad)
+
+    @pytest.mark.parametrize("spec", ["fork", "fork:2"])
+    def test_removed_fork_backend_is_unknown(self, spec):
+        for build in (make_backend, normalize_spec):
+            with pytest.raises(BackendSpecError, match="known: pool, serial, socket"):
+                build(spec)
 
     def test_parse_addresses(self):
         assert parse_addresses("h1:1, h2:2") == [("h1", 1), ("h2", 2)]
@@ -104,10 +109,10 @@ class TestSpecs:
 class TestResolution:
     def test_configure_spec_wins_over_environment(self, monkeypatch):
         # The environment is read only by resolve_config at entry points.
-        monkeypatch.setenv("REPRO_BACKEND", "fork:7")
-        configure_backend("fork:3")
-        assert current_spec() == "fork:3"
-        assert get_backend().parallelism == 3
+        monkeypatch.setenv("REPRO_BACKEND", "pool:7")
+        configure_backend("pool:3")
+        assert current_spec() == "pool:3"
+        assert get_backend().parallelism == 3  # built lazily: no worker starts
         configure_backend(None)
         assert current_spec() == "serial"
 
@@ -125,8 +130,8 @@ class TestResolution:
         assert current_spec() == "serial"
 
     def test_describe_shape(self):
-        info = make_backend("fork:2").describe()
-        assert info == {"name": "fork", "spec": "fork:2", "parallelism": 2}
+        info = make_backend("serial").describe()
+        assert info == {"name": "serial", "spec": "serial", "parallelism": 1}
         info = make_backend("socket:127.0.0.1:9001").describe()
         assert info["addresses"] == ["127.0.0.1:9001"]
 
@@ -142,8 +147,8 @@ class TestPublicSurface:
             "current_spec",
             "ExecutionBackend",
             "SerialBackend",
-            "ForkBackend",
             "SocketBackend",
+            "LocalPoolBackend",
             "ParallelWorkerError",
             "BackendSpecError",
             "fingerprint",
@@ -181,21 +186,34 @@ class TestSerialBackend:
         assert index == 0 and "serial boom" in error
 
 
-class TestForkBackend:
+class TestChunkExecutor:
+    """The worker's per-chunk executor, driven directly and through a pool."""
+
     def test_chunks_run_in_children(self):
         parent = os.getpid()
-        outcomes = ForkBackend(workers=2).submit_chunks(
-            lambda x: (x, os.getpid()), [[(0, "a")], [(1, "b")]]
-        )
+        outcomes = [
+            run_chunk_in_fork(lambda x: (x, os.getpid()), chunk, {})
+            for chunk in ([(0, "a")], [(1, "b")])
+        ]
         pids = {outcome.results[0][2][1] for outcome in outcomes}
         assert parent not in pids and len(pids) == 2
         assert all(outcome.metrics is not None for outcome in outcomes)
+        assert all(outcome.trace is None for outcome in outcomes)  # untraced
 
     def test_hard_death_reports_lost_chunk(self):
-        (outcome,) = ForkBackend(workers=1).submit_chunks(
-            lambda x: os._exit(3), [[(0, None)]]
-        )
-        assert outcome.lost
+        assert run_chunk_in_fork(lambda x: os._exit(3), [(0, None)], {}) is None
+        # Through a pool worker: the worker survives its chunk child and
+        # reports the chunk lost, without retrying it elsewhere.
+        backend = make_backend("pool:1")
+        try:
+            (outcome,) = backend.submit_chunks(lambda x: os._exit(3), [[(0, None)]])
+            assert outcome.lost and not outcome.quarantined
+            assert outcome.detail == "worker's chunk subprocess died without reporting"
+            assert backend.submit_chunks(lambda x: x + 1, [[(0, 1)]])[0].results == [
+                (0, None, 2)
+            ]
+        finally:
+            backend.close()
 
 
 # -- the socket transport, against real loopback workers -----------------------
@@ -558,11 +576,11 @@ class TestRunnerAcceptance:
             label: self._run(runner, tmp_path, label, spec)
             for label, spec in (
                 ("serial", "serial"),
-                ("fork", "fork:4"),
+                ("pool", "pool:2"),
                 ("socket", socket_spec),
             )
         }
-        assert reports["serial"] == reports["fork"] == reports["socket"]
+        assert reports["serial"] == reports["pool"] == reports["socket"]
 
     def test_report_identical_with_worker_killed_mid_sweep(
         self, tmp_path, monkeypatch, spawn_worker

@@ -26,7 +26,7 @@ import pytest
 
 from repro.obs import metrics
 from repro.perf import cache as perf_cache
-from repro.perf.backends import ForkBackend, make_backend
+from repro.perf.backends import make_backend
 from repro.perf.backends.sockets import recv_frame, send_frame, worker_info
 from repro.perf.chaos import ChaosProxy, fork_fault_plan, parse_fork_spec
 from repro.perf.parallel import parallel_map
@@ -216,6 +216,9 @@ class TestChaosProxyCLI:
 
 
 # -- fork-side fault hooks -------------------------------------------------------
+#
+# REPRO_CHAOS_FORK is set before the pool forks its workers, whose chunk
+# children read it from the environment they inherited.
 
 
 class TestForkFaultHooks:
@@ -224,9 +227,7 @@ class TestForkFaultHooks:
         fallbacks = metrics.counter("perf.parallel.chunk_fallbacks")
         before = fallbacks.value
         items = list(range(8))
-        assert parallel_map(
-            _triple, items, backend=ForkBackend(workers=2)
-        ) == [x * 3 for x in items]
+        assert parallel_map(_triple, items, backend="pool:2") == [x * 3 for x in items]
         assert fallbacks.value == before + 2  # every chunk child was killed
 
     def test_delay_fault_changes_nothing(self, monkeypatch):
@@ -234,17 +235,16 @@ class TestForkFaultHooks:
         fallbacks = metrics.counter("perf.parallel.chunk_fallbacks")
         before = fallbacks.value
         items = list(range(8))
-        assert parallel_map(
-            _triple, items, backend=ForkBackend(workers=2)
-        ) == [x * 3 for x in items]
+        assert parallel_map(_triple, items, backend="pool:2") == [x * 3 for x in items]
         assert fallbacks.value == before
 
     def test_malformed_spec_is_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_FORK", "not a spec at all")
+        fallbacks = metrics.counter("perf.parallel.chunk_fallbacks")
+        before = fallbacks.value
         items = list(range(4))
-        assert parallel_map(
-            _triple, items, backend=ForkBackend(workers=2)
-        ) == [x * 3 for x in items]
+        assert parallel_map(_triple, items, backend="pool:2") == [x * 3 for x in items]
+        assert fallbacks.value == before
 
 
 def _unfold(item):
@@ -266,12 +266,11 @@ def _seed_killing_only_item_0(monkeypatch):
 
 
 class TestLostChunkCacheCounters:
-    """A chunk recomputed in the caller after its executor was lost counts
-    the same cache and intern hits and misses as the executor would have:
-    cold for a socket worker, the caller's tables at dispatch for a fork
-    child — however warm the caller's own tables are."""
+    """A chunk recomputed in the caller after its worker was lost counts
+    the same cache and intern hits and misses as the worker would have:
+    cold, however warm the caller's own tables are."""
 
-    @pytest.mark.parametrize("transport", ["fork", "socket"])
+    @pytest.mark.parametrize("transport", ["pool", "socket"])
     def test_one_lost_chunk_reports_the_fault_free_counters(
         self, transport, monkeypatch, spawn_worker
     ):
@@ -285,10 +284,10 @@ class TestLostChunkCacheCounters:
         fallbacks = metrics.counter("perf.parallel.chunk_fallbacks")
 
         def sweep(faulty):
-            if transport == "fork":
-                if faulty:
+            if transport == "pool":
+                if faulty:  # before the pool forks its workers
                     monkeypatch.setenv("REPRO_CHAOS_FORK", chaos)
-                backend = ForkBackend(workers=2)
+                backend = make_backend("pool:2")
             else:
                 _, port = spawn_worker(**({"REPRO_CHAOS_FORK": chaos} if faulty else {}))
                 backend = make_backend(f"socket:127.0.0.1:{port},127.0.0.1:{port}")

@@ -162,10 +162,11 @@ class TestInnerSweepParallelism:
         perf_backends.configure_backend("serial")
         serial = run_experiment(experiment_id)
         perf_cache.clear()
-        perf_backends.configure_backend("fork:2")
+        perf_backends.configure_backend("pool:2")
         try:
             fanned = run_experiment(experiment_id)
         finally:
+            perf_backends.close_active()  # stop the pool's workers
             perf_backends.configure_backend(None)
         assert _normalized(serial) == _normalized(fanned)
 
@@ -203,7 +204,7 @@ class TestProfileDifferential:
             assert "profile" not in record
         return _scrub(payload)
 
-    @pytest.mark.parametrize("backend", ["serial", "fork:2"])
+    @pytest.mark.parametrize("backend", ["serial", "pool:2"])
     def test_profiled_suite_byte_identical_outside_summary_blocks(
         self, tmp_path, monkeypatch, backend
     ):

@@ -95,7 +95,7 @@ def _assert_cold_then_warm(tmp_path, monkeypatch, flavor):
 
 
 class TestWarmStoreDifferential:
-    @pytest.mark.parametrize("backend", ["serial", "fork:2"])
+    @pytest.mark.parametrize("backend", ["serial", "pool:2"])
     def test_cold_and_warm_reports_byte_identical(
         self, tmp_path, monkeypatch, backend
     ):

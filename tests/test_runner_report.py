@@ -143,7 +143,7 @@ class TestRunnerCliReports:
         assert resilience["chunk_deadline_s"] == 45.0
         assert isinstance(resilience["counters"], dict)
 
-    @pytest.mark.parametrize("backend", ["serial", "fork:2"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_unsupervised_report_has_no_resilience_block(
         self, tmp_path, capsys, backend
     ):
@@ -193,21 +193,29 @@ class TestRunnerCliReports:
     def test_backend_flag_lands_in_summary(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
         out_path = tmp_path / "report.json"
-        assert main(["E4", "--backend", "fork:2", "--metrics-out", str(out_path)]) == 0
+        assert main(["E4", "--backend", "pool:2", "--metrics-out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         validate_report(payload)
-        assert payload["summary"]["backend"] == {
-            "name": "fork",
-            "spec": "fork:2",
+        backend = payload["summary"]["backend"]
+        assert {k: backend[k] for k in ("name", "spec", "parallelism")} == {
+            "name": "pool",
+            "spec": "pool:2",
             "parallelism": 2,
         }
 
     def test_backend_defaults_to_environment(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fork:3")
+        monkeypatch.setenv("REPRO_BACKEND", "pool:3")
         out_path = tmp_path / "report.json"
         assert main(["E4", "--metrics-out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
-        assert payload["summary"]["backend"]["spec"] == "fork:3"
+        assert payload["summary"]["backend"]["spec"] == "pool:3"
+
+    def test_removed_fork_backend_exits_nonzero(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        assert main(["E4", "--backend", "fork:2"]) != 0
+        out = capsys.readouterr().out
+        assert "unknown backend 'fork' (known: pool, serial, socket" in out
+        assert "PASS" not in out  # nothing ran
 
     def test_invalid_backend_spec_exits_2_before_running(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "serial")

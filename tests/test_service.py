@@ -172,6 +172,13 @@ class TestErrorPaths:
             client._request("POST", "/jobs", {"config": "not-an-object"})
         assert excinfo.value.status == 400
 
+    def test_removed_fork_backend_rejected(self, live):
+        _, client = live
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit(["E4"], config={"backend": "fork:2"})
+        assert excinfo.value.status == 400
+        assert "unknown backend 'fork' (known: pool, serial, socket" in str(excinfo.value)
+
     def test_unknown_submission_field_rejected(self, live):
         _, client = live
         with pytest.raises(ServiceClientError) as excinfo:

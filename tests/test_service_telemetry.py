@@ -165,8 +165,8 @@ class TestEndToEndCorrelation:
     """The issue's acceptance criterion, against a live 2-worker pool."""
 
     def test_traced_pool_job_yields_correlated_trace_and_metrics(self, tmp_path):
-        # The sink is configured before the pool spawns (as __main__ does),
-        # so the workers inherit REPRO_LOG and append to the same file.
+        # The sink is configured before the pool forks (as __main__ does),
+        # so the workers reopen it by path and append to the same file.
         log_path = obs_log.configure(str(tmp_path / "service.jsonl"))
         service = JobService(pool=2, log_dir=str(tmp_path))
         client = serve(service)
@@ -199,7 +199,7 @@ class TestEndToEndCorrelation:
 
             # Every job-scoped log record carries the correlation id —
             # including worker.chunk records appended by the pool workers
-            # (they inherit the sink via REPRO_LOG, the id via the ctx).
+            # (they reopen the caller's sink, and get the id via the ctx).
             obs_log.configure(None)
             records = read_records(log_path)
             job_scoped = [

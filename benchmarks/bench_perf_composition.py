@@ -5,16 +5,16 @@ their reachable joint state space — the substrate cost every higher-level
 check (implementation, emulation) pays.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.composition import check_partial_compatibility, compose
 from repro.core.psioa import reachable_states
+from repro.probability.rng import Generator
 from repro.systems.factory import random_psioa
 
 
 def _pair(n_states):
-    rng = np.random.default_rng(n_states)
+    rng = Generator(n_states)
     left = random_psioa(("L", n_states), rng, n_states=n_states, n_actions=4)
     right = random_psioa(("R", n_states), rng, n_states=n_states, n_actions=4)
     return left, right
@@ -40,7 +40,7 @@ def test_partial_compatibility_check(benchmark, n_states):
 
 
 def test_three_way_composition(benchmark):
-    rng = np.random.default_rng(99)
+    rng = Generator(99)
     automata = [
         random_psioa(("T", i), rng, n_states=4, n_actions=3) for i in range(3)
     ]

@@ -48,14 +48,13 @@ def estimated_perception_distance(
     distance lies within ``radius`` of a value whose empirical measures
     were sampled here (the radius covers both empirical measures).
     """
-    import numpy as np
-
     from repro.analysis.montecarlo import empirical_f_dist, hoeffding_radius
+    from repro.probability.rng import Generator
     from repro.semantics.insight import compose_world
 
     world_first = compose_world(env, first)
     world_second = compose_world(env, second)
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     dist_first = empirical_f_dist(
         world_first,
         scheduler,

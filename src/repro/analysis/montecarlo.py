@@ -1,7 +1,8 @@
 """Monte-Carlo cross-validation of the exact semantics.
 
 The unfolding engine computes ``epsilon_sigma`` exactly; this module
-*samples* scheduled runs with a seeded generator and checks that the
+*samples* scheduled runs with a seeded
+:class:`repro.probability.rng.Generator` and checks that the
 empirical image measures converge to the exact ones within Hoeffding
 bounds.  This guards the exact engine against systematic bugs (a wrong
 product order, a dropped halting branch) that unit tests on tiny automata
@@ -14,11 +15,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Hashable, Optional
 
-import numpy as np
-
 from repro.core.executions import Fragment
 from repro.core.psioa import PSIOA
 from repro.probability.measures import DiscreteMeasure, total_variation
+from repro.probability.rng import Generator
 from repro.probability.sampling import empirical_measure, sample
 from repro.semantics.scheduler import Scheduler
 
@@ -33,7 +33,7 @@ __all__ = [
 def sample_execution(
     automaton: PSIOA,
     scheduler: Scheduler,
-    rng: np.random.Generator,
+    rng: Generator,
     *,
     max_depth: int = 10_000,
 ) -> Fragment:
@@ -61,7 +61,7 @@ def empirical_f_dist(
     value_of: Callable[[Fragment], Hashable],
     *,
     samples: int,
-    rng: np.random.Generator,
+    rng: Generator,
 ) -> DiscreteMeasure:
     """The empirical image measure from ``samples`` i.i.d. runs."""
     values = [
@@ -94,7 +94,7 @@ def crosscheck_f_dist(
 ) -> bool:
     """True when the empirical image measure lies within the Hoeffding
     radius of the exact one."""
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     empirical = empirical_f_dist(automaton, scheduler, value_of, samples=samples, rng=rng)
     support = max(len(exact), len(empirical), 2)
     radius = hoeffding_radius(samples, confidence=confidence, support=support)

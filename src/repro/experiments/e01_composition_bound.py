@@ -9,12 +9,11 @@ the lemma holds when the constant stays below a size-independent ceiling.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.report import render_table
 from repro.bounded.bounds import composition_constant, measure_time_bound
 from repro.core.composition import compose
 from repro.experiments.common import ExperimentReport
+from repro.probability.rng import Generator
 from repro.systems.factory import random_psioa
 
 #: The universal ceiling asserted for the reference cost model.  The proofs
@@ -28,7 +27,7 @@ def run(*, fast: bool = True) -> ExperimentReport:
     rows = []
     constants = []
     for n in sizes:
-        rng = np.random.default_rng(100 + n)
+        rng = Generator(100 + n)
         left = random_psioa(("L", n), rng, n_states=n, n_actions=max(2, n // 2))
         right = random_psioa(("R", n), rng, n_states=n, n_actions=max(2, n // 2))
         b1 = measure_time_bound(left, states=range(n))

@@ -8,12 +8,11 @@ hidden; ``b'`` is the measured recognizer bound of the hidden set
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.report import render_table
 from repro.bounded.bounds import hiding_constant, measure_time_bound, recognizer_bound
 from repro.core.renaming import hide_psioa
 from repro.experiments.common import ExperimentReport
+from repro.probability.rng import Generator
 from repro.systems.factory import random_psioa
 
 C_HIDE_CEILING = 2.0
@@ -25,7 +24,7 @@ def run(*, fast: bool = True) -> ExperimentReport:
     rows = []
     constants = []
     for n in sizes:
-        rng = np.random.default_rng(300 + n)
+        rng = Generator(300 + n)
         automaton = random_psioa(("H", n), rng, n_states=n, n_actions=max(3, n // 2))
         outputs = sorted(
             {a for sig in automaton.signatures.values() for a in sig.outputs}, key=repr

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from repro.analysis.report import render_table
 from repro.config.pca import CanonicalPCA, hide_pca
 from repro.config.validate import validate_pca
 from repro.experiments.common import ExperimentReport
+from repro.probability.rng import Generator
 from repro.secure.structured import (
     check_structured_pca_constraint,
     compose_structured_pca,
@@ -50,12 +49,12 @@ def _structured_coin_pca(tag, p, *, hide_result=False):
 
 def run(*, fast: bool = True) -> ExperimentReport:
     trials = 6 if fast else 20
-    rng = np.random.default_rng(7)
+    rng = Generator(7)
     rows = []
     all_ok = True
     for trial in range(trials):
-        p_left = Fraction(int(rng.integers(1, 8)), 8)
-        p_right = Fraction(int(rng.integers(1, 8)), 8)
+        p_left = Fraction(rng.integers(1, 8), 8)
+        p_right = Fraction(rng.integers(1, 8), 8)
         hide_left = bool(rng.integers(0, 2))
         hide_right = bool(rng.integers(0, 2))
         left = _structured_coin_pca((trial, "L"), p_left, hide_result=hide_left)

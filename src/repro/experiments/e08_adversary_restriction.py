@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from repro.analysis.report import render_table
 from repro.core.psioa import TablePSIOA
 from repro.core.signature import Signature
 from repro.experiments.common import ExperimentReport
 from repro.probability.measures import DiscreteMeasure, dirac
+from repro.probability.rng import Generator
 from repro.secure.adversary import is_adversary
 from repro.secure.structured import compose_structured, structure
 from repro.systems.coin import coin
@@ -64,12 +63,12 @@ def _covering_adversary(first, second):
 
 def run(*, fast: bool = True) -> ExperimentReport:
     trials = 8 if fast else 24
-    rng = np.random.default_rng(11)
+    rng = Generator(11)
     rows = []
     all_ok = True
     for trial in range(trials):
-        p_left = Fraction(int(rng.integers(0, 9)), 8)
-        p_right = Fraction(int(rng.integers(0, 9)), 8)
+        p_left = Fraction(rng.integers(0, 9), 8)
+        p_right = Fraction(rng.integers(0, 9), 8)
         left = _component((trial, "L"), p_left, controlled=bool(rng.integers(0, 2)))
         right = _component((trial, "R"), p_right, controlled=bool(rng.integers(0, 2)))
         pair = compose_structured(left, right)

@@ -3,8 +3,9 @@
 Generates valid finite PSIOA with controllable size: every generated
 automaton satisfies the Definition 2.1 constraints by construction
 (disjoint signature components, one probability measure per enabled
-action).  All randomness flows through a seeded ``numpy`` generator, so
-workloads are bit-reproducible.
+action).  All randomness flows through a seeded
+:class:`repro.probability.rng.Generator`, so workloads are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.psioa import TablePSIOA
 from repro.core.signature import Signature
 from repro.probability.measures import DiscreteMeasure, dirac
+from repro.probability.rng import Generator
 from repro.secure.structured import StructuredPSIOA, structure
 
 __all__ = ["random_psioa", "random_structured"]
@@ -24,7 +24,7 @@ __all__ = ["random_psioa", "random_structured"]
 
 def random_psioa(
     name: Hashable,
-    rng: np.random.Generator,
+    rng: Generator,
     *,
     n_states: int = 6,
     n_actions: int = 4,
@@ -47,12 +47,12 @@ def random_psioa(
     signatures = {}
     transitions = {}
     for state in range(n_states):
-        count = int(rng.integers(1, n_actions + 1))
+        count = rng.integers(1, n_actions + 1)
         chosen_idx = rng.choice(n_actions, size=count, replace=False)
         inputs: List = []
         outputs: List = []
         internals: List = []
-        for j in sorted(int(i) for i in chosen_idx):
+        for j in sorted(chosen_idx):
             roll = rng.random()
             if roll < input_fraction:
                 inputs.append(alphabet[j])
@@ -66,8 +66,8 @@ def random_psioa(
             internals=frozenset(internals),
         )
         for action in inputs + outputs + internals:
-            fan = int(rng.integers(1, branching + 1))
-            targets = sorted(int(t) for t in rng.choice(n_states, size=fan, replace=False))
+            fan = rng.integers(1, branching + 1)
+            targets = sorted(rng.choice(n_states, size=fan, replace=False))
             if len(targets) == 1:
                 transitions[(state, action)] = dirac(targets[0])
             else:
@@ -81,7 +81,7 @@ def random_psioa(
 
 def random_structured(
     name: Hashable,
-    rng: np.random.Generator,
+    rng: Generator,
     *,
     env_fraction: float = 0.5,
     **kwargs,

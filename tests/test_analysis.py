@@ -3,7 +3,6 @@ reporting) and the top-level public API."""
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from repro.analysis.distinguish import DistinguisherResult, best_distinguisher
@@ -15,6 +14,7 @@ from repro.analysis.montecarlo import (
     sample_execution,
 )
 from repro.analysis.report import render_profile, render_table
+from repro.probability.rng import Generator
 from repro.semantics.insight import accept_insight, compose_world, f_dist
 from repro.semantics.schema import SchedulerSchema
 from repro.semantics.scheduler import ActionSequenceScheduler
@@ -50,7 +50,7 @@ class TestExplore:
 
 class TestMonteCarlo:
     def test_sample_execution_is_valid(self):
-        rng = np.random.default_rng(0)
+        rng = Generator(0)
         coin_auto = fair_coin()
         execution = sample_execution(coin_auto, ActionSequenceScheduler(["toss", "head"]), rng)
         assert execution.is_execution_of(coin_auto)
@@ -70,7 +70,7 @@ class TestMonteCarlo:
         assert hoeffding_radius(10_000) < hoeffding_radius(100)
 
     def test_empirical_f_dist_mass_one(self):
-        rng = np.random.default_rng(2)
+        rng = Generator(2)
         env = coin_observer()
         world = compose_world(env, fair_coin())
         dist = empirical_f_dist(

@@ -8,7 +8,6 @@ and ``transition_length``.
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +21,7 @@ from repro.core.psioa import TablePSIOA, reachable_states
 from repro.core.renaming import hide_psioa
 from repro.core.signature import Signature
 from repro.probability.measures import DiscreteMeasure, dirac
+from repro.probability.rng import Generator
 from repro.systems.coin import coin
 from repro.systems.factory import random_psioa
 from repro.systems.ledger import ledger_manager_pca, spawning_pca
@@ -96,7 +96,7 @@ class TestCountingOracle:
     )
     @settings(max_examples=40, deadline=None)
     def test_random_psioa_compositions_and_hidings(self, seed, n_states, n_actions, branching):
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         left = random_psioa(
             ("cL", seed), rng, n_states=n_states, n_actions=n_actions, branching=min(branching, n_states)
         )
@@ -138,7 +138,7 @@ class TestPinnedFullModeRows:
 
     def test_e1_row_n32(self):
         n = 32
-        rng = np.random.default_rng(100 + n)
+        rng = Generator(100 + n)
         left = random_psioa(("L", n), rng, n_states=n, n_actions=n // 2)
         right = random_psioa(("R", n), rng, n_states=n, n_actions=n // 2)
         b1 = measure_time_bound(left, states=range(n))

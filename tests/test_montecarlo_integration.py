@@ -8,7 +8,6 @@ evidence against systematic bugs in either.
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from repro.analysis.montecarlo import (
@@ -19,6 +18,7 @@ from repro.analysis.montecarlo import (
 )
 from repro.core.composition import compose
 from repro.probability.measures import total_variation
+from repro.probability.rng import Generator
 from repro.secure.emulation import hidden_world
 from repro.semantics.insight import accept_insight, f_dist
 from repro.semantics.measure import execution_measure
@@ -71,7 +71,7 @@ class TestConsensusCrosscheck:
         exact = f_dist(accept_insight(), env, system, scheduler, world=world)
         assert exact(1) == Fraction(1, 4)
 
-        rng = np.random.default_rng(7)
+        rng = Generator(7)
         hits = 0
         samples = 2000
         for _ in range(samples):
@@ -92,7 +92,7 @@ class TestSampledTraceDistribution:
         exact = execution_measure(world, scheduler).map(
             lambda e: e.trace(world.signature)
         )
-        rng = np.random.default_rng(8)
+        rng = Generator(8)
         empirical = empirical_f_dist(
             world,
             scheduler,

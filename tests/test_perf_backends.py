@@ -25,6 +25,7 @@ import pytest
 
 from repro import perf
 from repro.obs import metrics
+from repro.perf import backends as backends_registry
 from repro.perf.backends import (
     BackendSpecError,
     ChunkOutcome,
@@ -36,7 +37,6 @@ from repro.perf.backends import (
     get_backend,
     make_backend,
     normalize_spec,
-    register_backend,
 )
 from repro.perf.backends.sockets import (
     PROTOCOL_VERSION,
@@ -84,7 +84,7 @@ class TestSpecs:
         with pytest.raises(BackendSpecError):
             parse_addresses(None)
 
-    def test_custom_backend_registration(self):
+    def test_custom_backend_registration(self, monkeypatch):
         class EchoBackend(ExecutionBackend):
             name = "test-echo"
 
@@ -102,8 +102,15 @@ class TestSpecs:
                     for chunk in chunks
                 ]
 
-        register_backend("test-echo", lambda rest: EchoBackend())
+        # Through monkeypatch, so teardown takes the entry out of the
+        # process-wide registry again.
+        monkeypatch.setitem(backends_registry._FACTORIES, "test-echo", lambda rest: EchoBackend())
         assert isinstance(make_backend("test-echo"), EchoBackend)
+
+    def test_unknown_backend_names_exactly_the_builtin_ones(self):
+        with pytest.raises(BackendSpecError) as excinfo:
+            make_backend("nope")
+        assert str(excinfo.value) == "unknown backend 'nope' (known: pool, serial, socket)"
 
 
 class TestResolution:

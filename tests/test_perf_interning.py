@@ -20,7 +20,6 @@ import gc
 import weakref
 from fractions import Fraction
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +30,7 @@ from repro.obs import metrics
 from repro.perf import cache as perf_cache
 from repro.perf.cache import _BoundedStore
 from repro.probability.measures import DiscreteMeasure, dirac
+from repro.probability.rng import Generator
 from repro.semantics.measure import execution_measure
 from repro.semantics.scheduler import (
     ActionSequenceScheduler,
@@ -45,7 +45,7 @@ SEEDS = st.integers(min_value=0, max_value=10_000)
 
 
 def make(seed, name="X", **kw):
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     return random_psioa((name, seed), rng, **kw)
 
 

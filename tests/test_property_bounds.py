@@ -6,7 +6,6 @@ ceilings for *every* generated automaton pair, not just the benchmarked
 sizes.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,13 +17,14 @@ from repro.bounded.bounds import (
 )
 from repro.core.composition import compose
 from repro.core.renaming import hide_psioa
+from repro.probability.rng import Generator
 from repro.systems.factory import random_psioa
 
 SEEDS = st.integers(min_value=0, max_value=5_000)
 
 
 def pair(seed, n=4):
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     left = random_psioa(("bL", seed), rng, n_states=n, n_actions=3)
     right = random_psioa(("bR", seed), rng, n_states=n, n_actions=3)
     return left, right
@@ -56,7 +56,7 @@ class TestLemma45Property:
     @given(SEEDS)
     @settings(max_examples=15, deadline=None)
     def test_hiding_constant_universally_bounded(self, seed):
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         automaton = random_psioa(("bh", seed), rng, n_states=4, n_actions=3)
         outputs = sorted(
             {a for sig in automaton.signatures.values() for a in sig.outputs}, key=repr
@@ -77,7 +77,7 @@ class TestLemma45Property:
         # bound rather than equality.
         from repro.bounded.encoding import encoded_length, transition_length
 
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         automaton = random_psioa(("bi", seed), rng, n_states=4, n_actions=3)
         outputs = {a for sig in automaton.signatures.values() for a in sig.outputs}
         hidden = hide_psioa(automaton, lambda q: outputs)

@@ -15,7 +15,6 @@ seeded factory so hypothesis explores genuinely different automata:
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +27,7 @@ from repro.core.psioa import reachable_states, validate_psioa
 from repro.core.renaming import rename_psioa
 from repro.core.signature import compose_signatures, hide_signature, signatures_compatible
 from repro.probability.measures import total_variation
+from repro.probability.rng import Generator
 from repro.semantics.measure import cone_probability, execution_measure
 from repro.semantics.scheduler import ActionSequenceScheduler, DeterministicScheduler, bound_scheduler
 from repro.systems.factory import random_psioa
@@ -38,7 +38,7 @@ SEEDS = st.integers(min_value=0, max_value=10_000)
 
 
 def make(seed, name="X", **kw):
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     return random_psioa((name, seed), rng, **kw)
 
 
@@ -178,7 +178,7 @@ class TestIntrinsicTransitionLaws:
     @given(SEEDS)
     @settings(max_examples=25, deadline=None)
     def test_mass_conserved_and_outcomes_reduced(self, seed):
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         automaton = random_psioa(("C", seed), rng, n_states=4, n_actions=3)
         config = Configuration.initial([automaton]).reduce()
         if len(config) == 0:

@@ -3,7 +3,6 @@ systems (spawning PCAs with seeded children)."""
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +11,7 @@ from repro.analysis.distinguish import estimated_perception_distance
 from repro.config.pca import compose_pca, hide_pca
 from repro.config.validate import validate_pca
 from repro.core.psioa import reachable_states
+from repro.probability.rng import Generator
 from repro.semantics.insight import accept_insight
 from repro.semantics.scheduler import ActionSequenceScheduler
 from repro.systems.coin import coin, coin_observer
@@ -21,7 +21,7 @@ SEEDS = st.integers(min_value=0, max_value=2_000)
 
 
 def random_spawner(seed, tag="p"):
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     p = Fraction(int(rng.integers(0, 9)), 8)
     child = lambda: coin(
         ("child", tag, seed),

@@ -2,12 +2,12 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from repro.config.validate import validate_pca
 from repro.core.composition import compose
 from repro.core.psioa import reachable_states, validate_psioa
+from repro.probability.rng import Generator
 from repro.secure.adversary import is_adversary
 from repro.secure.emulation import emulation_distance_profile, hidden_world
 from repro.secure.implementation import (
@@ -231,23 +231,23 @@ class TestLedger:
 class TestFactory:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
     def test_random_psioa_always_valid(self, seed):
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         automaton = random_psioa(("rand", seed), rng, n_states=5, n_actions=4)
         validate_psioa(automaton, states=range(5))
 
     def test_reproducible(self):
-        a = random_psioa("r", np.random.default_rng(42))
-        b = random_psioa("r", np.random.default_rng(42))
+        a = random_psioa("r", Generator(42))
+        b = random_psioa("r", Generator(42))
         assert a.signatures == b.signatures
         assert a.transitions == b.transitions
 
     def test_random_structured_split_is_external(self):
-        rng = np.random.default_rng(7)
+        rng = Generator(7)
         structured = random_structured(("rs",), rng, n_states=5, n_actions=4)
         for state in range(5):
             assert structured.eact(state) <= structured.signature(state).external
 
     def test_scaling_parameters(self):
-        rng = np.random.default_rng(3)
+        rng = Generator(3)
         big = random_psioa("big", rng, n_states=20, n_actions=8, branching=3)
         assert len(big.states) == 20

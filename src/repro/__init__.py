@@ -51,169 +51,68 @@ Quickstart::
     assert advantage == Fraction(1, 4)
 """
 
-from repro.probability import (
-    DiscreteMeasure,
-    SubDiscreteMeasure,
-    dirac,
-    uniform,
-    bernoulli,
-    total_variation,
-)
-from repro.core import (
-    Signature,
-    PSIOA,
-    TablePSIOA,
-    Fragment,
-    compose,
-    hide_psioa,
-    rename_psioa,
-    validate_psioa,
-    reachable_states,
-)
-from repro.config import (
-    Configuration,
-    CanonicalPCA,
-    compose_pca,
-    hide_pca,
-    validate_pca,
-    preserving_transition,
-    intrinsic_transition,
-)
-from repro.semantics import (
-    Scheduler,
-    ActionSequenceScheduler,
-    DeterministicScheduler,
-    BoundedScheduler,
-    SchedulerSchema,
-    oblivious_schema,
-    execution_measure,
-    cone_probability,
-    InsightFunction,
-    trace_insight,
-    accept_insight,
-    print_insight,
-    f_dist,
-    balanced,
-    perception_distance,
-    is_environment,
-)
-from repro.semantics.scheduler import PriorityScheduler
-from repro.bounded import (
-    measure_time_bound,
-    measure_pca_time_bound,
-    is_time_bounded,
-    PSIOAFamily,
-    SchedulerFamily,
-    compose_families,
-)
-from repro.secure import (
-    StructuredPSIOA,
-    structure,
-    compose_structured,
-    is_adversary,
-    dummy_adversary,
-    ForwardScheduler,
-    implements,
-    implementation_distance,
-    neg_pt_implements,
-    EmulationInstance,
-    secure_emulates,
-)
-from repro.systems import (
-    coin,
-    structured_coin,
-    coin_observer,
-    real_channel,
-    ideal_channel,
-    channel_emulation_instance,
-)
-from repro.faults import (
-    crash_stop,
-    crash_recovery,
-    bernoulli_crash,
-    drop,
-    duplicate,
-    delay,
-    byzantine,
-    FaultPlan,
-    FaultyScheduler,
-    faulty_schema,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DiscreteMeasure",
-    "SubDiscreteMeasure",
-    "dirac",
-    "uniform",
-    "bernoulli",
-    "total_variation",
-    "Signature",
-    "PSIOA",
-    "TablePSIOA",
-    "Fragment",
-    "compose",
-    "hide_psioa",
-    "rename_psioa",
-    "validate_psioa",
-    "reachable_states",
-    "Configuration",
-    "CanonicalPCA",
-    "compose_pca",
-    "hide_pca",
-    "validate_pca",
-    "preserving_transition",
-    "intrinsic_transition",
-    "Scheduler",
-    "ActionSequenceScheduler",
-    "DeterministicScheduler",
-    "BoundedScheduler",
-    "PriorityScheduler",
-    "SchedulerSchema",
-    "oblivious_schema",
-    "execution_measure",
-    "cone_probability",
-    "InsightFunction",
-    "trace_insight",
-    "accept_insight",
-    "print_insight",
-    "f_dist",
-    "balanced",
-    "perception_distance",
-    "is_environment",
-    "measure_time_bound",
-    "measure_pca_time_bound",
-    "is_time_bounded",
-    "PSIOAFamily",
-    "SchedulerFamily",
-    "compose_families",
-    "StructuredPSIOA",
-    "structure",
-    "compose_structured",
-    "is_adversary",
-    "dummy_adversary",
-    "ForwardScheduler",
-    "implements",
-    "implementation_distance",
-    "neg_pt_implements",
-    "EmulationInstance",
-    "secure_emulates",
-    "coin",
-    "structured_coin",
-    "coin_observer",
-    "real_channel",
-    "ideal_channel",
-    "channel_emulation_instance",
-    "crash_stop",
-    "crash_recovery",
-    "bernoulli_crash",
-    "drop",
-    "duplicate",
-    "delay",
-    "byzantine",
-    "FaultPlan",
-    "FaultyScheduler",
-    "faulty_schema",
-    "__version__",
-]
+#: Public name -> the subpackage that defines it.  Nothing is imported
+#: until a name is first used (PEP 562), so ``import repro.api`` or
+#: ``import repro.experiments.runner`` loads only what they need.
+_EXPORTS = {
+    "repro.probability": (
+        "DiscreteMeasure", "SubDiscreteMeasure", "dirac", "uniform",
+        "bernoulli", "total_variation",
+    ),
+    "repro.core": (
+        "Signature", "PSIOA", "TablePSIOA", "Fragment", "compose",
+        "hide_psioa", "rename_psioa", "validate_psioa", "reachable_states",
+    ),
+    "repro.config": (
+        "Configuration", "CanonicalPCA", "compose_pca", "hide_pca",
+        "validate_pca", "preserving_transition", "intrinsic_transition",
+    ),
+    "repro.semantics": (
+        "Scheduler", "ActionSequenceScheduler", "DeterministicScheduler",
+        "BoundedScheduler", "SchedulerSchema", "oblivious_schema",
+        "execution_measure", "cone_probability", "InsightFunction",
+        "trace_insight", "accept_insight", "print_insight", "f_dist",
+        "balanced", "perception_distance", "is_environment",
+    ),
+    "repro.semantics.scheduler": (
+        "PriorityScheduler",
+    ),
+    "repro.bounded": (
+        "measure_time_bound", "measure_pca_time_bound", "is_time_bounded",
+        "PSIOAFamily", "SchedulerFamily", "compose_families",
+    ),
+    "repro.secure": (
+        "StructuredPSIOA", "structure", "compose_structured", "is_adversary",
+        "dummy_adversary", "ForwardScheduler", "implements",
+        "implementation_distance", "neg_pt_implements", "EmulationInstance",
+        "secure_emulates",
+    ),
+    "repro.systems": (
+        "coin", "structured_coin", "coin_observer", "real_channel",
+        "ideal_channel", "channel_emulation_instance",
+    ),
+    "repro.faults": (
+        "crash_stop", "crash_recovery", "bernoulli_crash", "drop", "duplicate",
+        "delay", "byzantine", "FaultPlan", "FaultyScheduler", "faulty_schema",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_ORIGIN, "__version__"]
+
+
+def __getattr__(name):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

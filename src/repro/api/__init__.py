@@ -54,7 +54,11 @@ def run_experiment(
     (unless the config says otherwise), timeout-guarded, seeded and with
     the config applied to this process and its children.
     """
-    from repro.experiments.common import ALL_EXPERIMENTS, run_experiment_guarded
+    from repro.experiments.common import (
+        ALL_EXPERIMENTS,
+        import_experiments,
+        run_experiment_guarded,
+    )
 
     if config is None:
         config = resolve_config(**overrides)
@@ -63,6 +67,8 @@ def run_experiment(
     if experiment_id not in ALL_EXPERIMENTS:
         raise UnknownExperimentError([experiment_id])
     config.apply()
+    if config.isolated:
+        import_experiments([experiment_id])
     return run_experiment_guarded(
         experiment_id,
         fast=not config.full,

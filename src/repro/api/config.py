@@ -86,8 +86,10 @@ class RunConfig:
     isolated: bool = True
     #: continue the suite after a failing experiment
     keep_going: bool = True
-    #: experiments run concurrently (isolated children babysat by threads)
-    parallel: int = 1
+    #: experiments run concurrently (isolated children babysat by threads);
+    #: ``None`` = auto: the usable CPUs, at most one per selected experiment,
+    #: and 1 for inline runs (``summary.config`` records the resolved count)
+    parallel: Optional[int] = None
     #: memoization layer: ``"on"``, ``"off"``, or ``"stats"`` (on + stats line)
     cache: str = "on"
     #: disk-backed store directory (reserved; see repro.perf.store)
@@ -112,12 +114,15 @@ class RunConfig:
             raise ConfigError(
                 f"cache must be 'on', 'off' or 'stats', got {self.cache!r}"
             )
-        if not isinstance(self.parallel, int) or isinstance(self.parallel, bool):
-            raise ConfigError(f"parallel must be an integer, got {self.parallel!r}")
-        if self.parallel < 1:
-            raise ConfigError(f"parallel must be >= 1, got {self.parallel!r}")
-        if self.parallel > 1 and not self.isolated:
-            raise ConfigError("parallel > 1 requires isolation")
+        if self.parallel is not None:
+            if not isinstance(self.parallel, int) or isinstance(self.parallel, bool):
+                raise ConfigError(
+                    f"parallel must be an integer or null, got {self.parallel!r}"
+                )
+            if self.parallel < 1:
+                raise ConfigError(f"parallel must be >= 1, got {self.parallel!r}")
+            if self.parallel > 1 and not self.isolated:
+                raise ConfigError("parallel > 1 requires isolation")
         if not isinstance(self.retries, int) or isinstance(self.retries, bool):
             raise ConfigError(f"retries must be an integer, got {self.retries!r}")
         if self.retries < 0:

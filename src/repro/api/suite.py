@@ -2,7 +2,8 @@
 
 :func:`run_suite` is the body the runner's ``main`` historically inlined:
 apply a resolved :class:`~repro.api.config.RunConfig`, run the selected
-experiments (crash-isolated, optionally ``parallel`` at a time), render
+experiments (crash-isolated, ``parallel`` at a time: by default one per
+usable CPU, at most one per experiment), render
 each record through :mod:`repro.obs.report`, and wrap everything into a
 schema-valid run report.  The CLI prints the emitted lines; the service
 captures the report per job; tests call it in-process — all three share
@@ -14,12 +15,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.experiments.common import (
     ALL_EXPERIMENTS,
     DEFAULT_SEED,
+    import_experiments,
     run_experiment_guarded,
 )
 from repro.obs import analyze as obs_analyze
@@ -59,6 +61,14 @@ class UnknownExperimentError(ValueError):
             f"unknown experiment(s) {', '.join(map(repr, self.unknown))}; "
             f"known: {', '.join(ALL_EXPERIMENTS)}"
         )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def list_experiments() -> Dict[str, str]:
@@ -110,6 +120,10 @@ def run_suite(
     """Run ``experiments`` (default: all) under ``config`` (default: resolved
     purely from the environment) and return records + a validated report.
 
+    ``config.parallel=None`` (auto) is resolved here, once: the usable
+    CPUs, at most one per selected experiment, and 1 for inline runs; the
+    report's ``summary.config.parallel`` records the resolved count.
+
     ``emit`` receives every human-output line (the CLI passes ``print``;
     the service captures them into its job log).  ``on_record`` fires
     after each experiment completes with ``(experiment_id, record, done,
@@ -124,6 +138,12 @@ def run_suite(
     unknown = [e for e in selected if e not in ALL_EXPERIMENTS]
     if unknown:
         raise UnknownExperimentError(unknown)
+
+    if config.parallel is None:
+        # The report records the count that ran, so a saved summary.config
+        # replays the same run.
+        workers = min(_usable_cpus(), len(selected)) if config.isolated else 1
+        config = replace(config, parallel=workers)
 
     def say(line: str) -> None:
         if emit is not None:
@@ -197,21 +217,11 @@ def run_suite(
         return outcome.ok
 
     obs_progress.begin("experiments", len(selected), "experiments")
+    if config.isolated:
+        import_experiments(selected)
 
     try:
         if config.parallel > 1:
-            # Pre-import every selected experiment module, so forked children
-            # never race the import machinery from worker threads.
-            import importlib
-
-            for experiment_id in selected:
-                module_name, _claim = ALL_EXPERIMENTS[experiment_id]
-                if "." not in module_name:
-                    module_name = f"repro.experiments.{module_name}"
-                try:
-                    importlib.import_module(module_name)
-                except Exception:  # noqa: BLE001 - the guarded child reports it
-                    pass
             from concurrent.futures import ThreadPoolExecutor
 
             # Each worker thread just babysits an isolated child process, so

@@ -23,7 +23,7 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.obs import profile as _profile
@@ -36,6 +36,7 @@ __all__ = [
     "ExperimentReport",
     "ExperimentOutcome",
     "ALL_EXPERIMENTS",
+    "import_experiments",
     "run_experiment",
     "run_experiment_guarded",
     "experiment_seed",
@@ -102,15 +103,33 @@ def experiment_seed(default: int = DEFAULT_SEED) -> int:
     return _EXPERIMENT_SEED if _EXPERIMENT_SEED is not None else default
 
 
-def run_experiment(experiment_id: str, *, fast: bool = True) -> ExperimentReport:
-    """Run one experiment by id (``"E1"`` .. ``"E15"``).
-
-    Registry entries whose module name contains a dot are imported as
-    absolute module paths (the hook the resilience tests use to inject
-    crashing/hanging experiments).
-    """
+def _module_path(experiment_id: str) -> str:
+    """The experiment's module; registry entries whose name contains a dot
+    are absolute module paths (the hook the resilience tests use to inject
+    crashing/hanging experiments)."""
     module_name, _claim = ALL_EXPERIMENTS[experiment_id]
-    qualified = module_name if "." in module_name else f"repro.experiments.{module_name}"
+    return module_name if "." in module_name else f"repro.experiments.{module_name}"
+
+
+def import_experiments(experiment_ids: Iterable[str]) -> None:
+    """Import the experiments' modules into this process.
+
+    Call it before the first child forks, from the thread that starts the
+    babysitter threads: every child then inherits the compiled modules
+    instead of compiling them again, and no fork can catch a babysitter
+    inside the import machinery.  A module that fails to import is left to
+    the guarded child, which reports it.
+    """
+    for experiment_id in experiment_ids:
+        try:
+            importlib.import_module(_module_path(experiment_id))
+        except Exception:  # noqa: BLE001 - the guarded child reports it
+            pass
+
+
+def run_experiment(experiment_id: str, *, fast: bool = True) -> ExperimentReport:
+    """Run one experiment by id (``"E1"`` .. ``"E15"``)."""
+    qualified = _module_path(experiment_id)
     with _trace.span("experiment", id=experiment_id, fast=fast):
         with _trace.span("experiment.import", module=qualified):
             module = importlib.import_module(qualified)

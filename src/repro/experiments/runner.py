@@ -11,7 +11,7 @@ Usage::
 
 Performance (see ``docs/performance.md``)::
 
-    python -m repro.experiments.runner --parallel 4    # 4 experiments at a time
+    python -m repro.experiments.runner --parallel 1    # one experiment at a time
     python -m repro.experiments.runner --cache off     # disable memoization
     python -m repro.experiments.runner --cache stats   # print cache statistics
     python -m repro.experiments.runner --cache-dir .cache/repro    # store directory
@@ -44,10 +44,15 @@ Every experiment runs in its own subprocess (see
 :func:`repro.experiments.common.run_experiment_guarded`): an experiment that
 raises, segfaults or hangs is reported as ``[ERROR]`` / ``[TIMEOUT]`` with
 its traceback, and the suite keeps going unless ``--fail-fast`` is
-given.  All human output is rendered from the same per-experiment records
-the JSON report contains (:mod:`repro.obs.report`), so the two cannot
-drift.  The exit code is 1 as soon as any experiment did not pass, 2 for
-unknown experiment ids or an invalid ``--report`` file, 0 otherwise.
+given.  By default as many experiments run at a time as the process has
+usable CPUs (at most one per selected experiment; ``--parallel N`` pins
+the count, ``--no-isolation`` runs them inline, one by one); output and
+report are the same at every count.  All human output is rendered from
+the same per-experiment records the JSON report contains
+(:mod:`repro.obs.report`), so the two cannot drift.  The exit code is 1 as soon as any experiment did not pass, 2 for
+unknown experiment ids, an invalid configuration (``--parallel 0``,
+``--parallel 2 --no-isolation``, a bad ``--backend``) or an invalid
+``--report`` file, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -113,9 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--parallel",
         type=int,
-        default=1,
+        default=None,
         metavar="N",
-        help="run up to N experiments concurrently (requires isolation)",
+        help=(
+            "run up to N experiments concurrently; N > 1 requires isolation "
+            "(default: one per usable CPU, at most one per experiment; "
+            "1 with --no-isolation)"
+        ),
     )
     parser.add_argument(
         "--cache",
@@ -214,7 +223,7 @@ def main(argv=None) -> int:
             seed=args.seed,
             isolated=not args.no_isolation,
             keep_going=not args.fail_fast,
-            parallel=max(1, args.parallel),
+            parallel=args.parallel,
             cache=args.cache,
             cache_dir=args.cache_dir,
             backend=args.backend,

@@ -197,6 +197,7 @@ class TestFacade:
         out = tmp_path / "report.json"
         payload = api.run_sweep(["E1"], metrics_out=str(out))
         validate_report(payload)
+        # One experiment: the auto worker count resolves to 1.
         assert payload["summary"]["config"]["parallel"] == 1
         assert json.loads(out.read_text())["summary"] == payload["summary"]
 
@@ -247,6 +248,150 @@ class TestFacade:
         assert list(listed) == list(ALL_EXPERIMENTS)
         assert listed["E1"] == ALL_EXPERIMENTS["E1"][1]
 
+
+
+class TestAutoParallelism:
+    """``parallel=None`` (the default) resolves once per run: the usable
+    CPUs, at most one per selected experiment, and 1 for inline runs."""
+
+    PAIR = ["E4", "E9"]
+
+    @staticmethod
+    def track(monkeypatch, barrier=None):
+        """Count experiments in flight; with ``barrier``, each waits there
+        until enough others run at the same time."""
+        import threading
+
+        from repro.api import suite
+
+        real = suite.run_experiment_guarded
+        lock = threading.Lock()
+        seen = {"now": 0, "max": 0}
+
+        def tracked(*args, **kwargs):
+            with lock:
+                seen["now"] += 1
+                seen["max"] = max(seen["max"], seen["now"])
+            try:
+                if barrier is not None:
+                    barrier.wait()
+                return real(*args, **kwargs)
+            finally:
+                with lock:
+                    seen["now"] -= 1
+
+        monkeypatch.setattr(suite, "run_experiment_guarded", tracked)
+        return seen
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    def test_default_is_auto(self):
+        assert RunConfig().parallel is None
+        assert resolve_config(env={}).parallel is None
+
+    def test_inline_resolves_to_one(self, monkeypatch):
+        self.cpus(monkeypatch, 4)
+        seen = self.track(monkeypatch)
+        result = api.run_suite(self.PAIR, config=RunConfig(isolated=False))
+        assert result.ok and result.report["summary"]["config"]["parallel"] == 1
+        assert seen["max"] == 1
+
+    def test_single_experiment_resolves_to_one(self, monkeypatch):
+        self.cpus(monkeypatch, 4)
+        result = api.run_suite(["E9"])
+        assert result.report["summary"]["config"]["parallel"] == 1
+
+    def test_one_usable_cpu_resolves_to_one(self, monkeypatch):
+        self.cpus(monkeypatch, 1)
+        seen = self.track(monkeypatch)
+        result = api.run_suite(self.PAIR)
+        assert result.ok and result.report["summary"]["config"]["parallel"] == 1
+        assert seen["max"] == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        result = api.run_suite(self.PAIR)
+        assert result.report["summary"]["config"]["parallel"] == 1
+
+    def test_capped_by_experiments(self, monkeypatch):
+        import threading
+
+        self.cpus(monkeypatch, 8)
+        # Both children must be in flight at once to get past the barrier.
+        seen = self.track(monkeypatch, threading.Barrier(2, timeout=60))
+        result = api.run_suite(self.PAIR)
+        assert result.ok and result.report["summary"]["config"]["parallel"] == 2
+        assert seen["max"] == 2
+
+    def test_capped_by_cpus(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        seen = self.track(monkeypatch)
+        result = api.run_suite(["E4", "E9", "E5"])
+        assert result.ok and result.report["summary"]["config"]["parallel"] == 2
+        assert seen["max"] <= 2
+
+    def test_explicit_one_stays_serial(self, monkeypatch):
+        self.cpus(monkeypatch, 4)
+        seen = self.track(monkeypatch)
+        result = api.run_suite(self.PAIR, config=RunConfig(parallel=1))
+        assert result.ok and result.report["summary"]["config"]["parallel"] == 1
+        assert seen["max"] == 1
+
+    def test_recorded_count_round_trips(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        config = RunConfig(seed=3)
+        recorded = api.run_suite(self.PAIR, config=config).report["summary"]["config"]
+        assert isinstance(recorded["parallel"], int) and recorded["parallel"] == 2
+        assert RunConfig.from_dict(recorded) == RunConfig(seed=3, parallel=2)
+
+    def test_explicit_values_keep_their_checks(self):
+        with pytest.raises(ConfigError, match=">= 1"):
+            RunConfig(parallel=0)
+        with pytest.raises(ConfigError, match="isolation"):
+            RunConfig(parallel=2, isolated=False)
+        with pytest.raises(ConfigError, match="integer"):
+            RunConfig(parallel=True)
+        assert RunConfig(parallel=1, isolated=False).parallel == 1
+
+
+class TestPreImport:
+    """Isolated runs import the experiment modules in the parent before any
+    child forks, so children inherit them compiled."""
+
+    MODULE = "tests.faultyexp.failing"
+
+    @pytest.fixture
+    def unloaded(self, monkeypatch):
+        import sys
+
+        from repro.experiments import common
+
+        monkeypatch.setitem(
+            common.ALL_EXPERIMENTS, "EX-FAIL", (self.MODULE, "a claim that does not hold")
+        )
+        monkeypatch.delitem(sys.modules, self.MODULE, raising=False)
+        return sys.modules
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_suite_imports_in_the_parent(self, unloaded, workers):
+        result = api.run_suite(["EX-FAIL", "E9"], config=RunConfig(parallel=workers))
+        assert [r["status"] for r in result.records] == ["fail", "pass"]
+        assert self.MODULE in unloaded
+
+    def test_run_experiment_imports_in_the_parent(self, unloaded):
+        assert api.run_experiment("EX-FAIL").status == "fail"
+        assert self.MODULE in unloaded
+
+    def test_a_module_that_fails_to_import_is_reported_by_its_child(self, monkeypatch):
+        from repro.experiments import common
+
+        monkeypatch.setitem(common.ALL_EXPERIMENTS, "EX-GONE", ("tests.faultyexp.absent", "?"))
+        result = api.run_suite(["EX-GONE", "E9"])
+        assert [r["status"] for r in result.records] == ["error", "pass"]
+        assert "ModuleNotFoundError" in result.records[0]["error"]
 
 
 class TestDeprecationShims:

@@ -1,9 +1,12 @@
-"""The runtime import footprint: the standard library only.
+"""The runtime import footprint: the standard library only, and no more of
+``repro`` than an entry point uses.
 
 Every experiment runs in a forked child of the runner, so any package an
 experiment imports that the runner parent has not already loaded is paid
-again by every child.  These checks run in a fresh interpreter so the test
-session's own imports (pytest, hypothesis, ...) cannot mask a new one.
+again by every child.  Every fresh process (runner, service, worker)
+compiles what ``import repro.api`` pulls in, so the package's re-exports
+load only when first used.  These checks run in a fresh interpreter so the
+test session's own imports (pytest, hypothesis, ...) cannot mask a new one.
 """
 
 import subprocess
@@ -58,3 +61,46 @@ def test_experiments_add_no_package_to_the_runner_parent():
     # library modules at most: no installed distribution, numpy included.
     assert lines["numpy-loaded"] == "False"
     assert lines["after-run"] == ""
+
+
+LAZY_PROBE = textwrap.dedent(
+    """
+    import sys
+
+    import repro.api
+
+    heavy = ("repro.core", "repro.semantics", "repro.secure", "repro.systems")
+    print("api-loaded", *sorted(
+        name for name in sys.modules
+        if any(name == h or name.startswith(h + ".") for h in heavy)
+    ))
+    import repro
+
+    listed = set(dir(repro))
+    print("dir-missing", *sorted(set(repro.__all__) - listed))
+    missing = [name for name in repro.__all__ if getattr(repro, name, None) is None]
+    print("unresolved", *missing)
+    namespace = {}
+    exec("from repro import *", namespace)
+    print("star-missing", *sorted(set(repro.__all__) - set(namespace)))
+    """
+)
+
+
+def test_package_reexports_load_on_first_use():
+    completed = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    lines = dict(line.partition(" ")[::2] for line in completed.stdout.splitlines())
+    # The facade needs none of the model layers; they load with the first
+    # experiment (in the runner parent, before any child forks).
+    assert lines["api-loaded"] == ""
+    # Every public name still resolves, is listed and is star-exported.
+    assert lines["dir-missing"] == ""
+    assert lines["unresolved"] == ""
+    assert lines["star-missing"] == ""

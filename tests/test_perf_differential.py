@@ -14,6 +14,7 @@ The memoization and parallelism machinery must be *invisible* in results:
 """
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,15 @@ def _normalized(report):
     return (report.experiment, report.claim, bool(report.passed), report.table, repr(data))
 
 
+def _scrub_record(record):
+    record = {k: v for k, v in record.items() if k not in VOLATILE_RECORD_KEYS}
+    record["attempt_history"] = [
+        {k: v for k, v in entry.items() if k != "elapsed_s"}
+        for entry in record.get("attempt_history", [])
+    ]
+    return record
+
+
 def _scrub(payload):
     payload = {k: v for k, v in payload.items() if k not in VOLATILE_REPORT_KEYS}
     payload["summary"] = {
@@ -65,15 +75,7 @@ def _scrub(payload):
         for k, v in payload["summary"].items()
         if k not in VOLATILE_REPORT_KEYS and k not in OPTIONAL_SUMMARY_BLOCKS
     }
-    experiments = []
-    for record in payload["experiments"]:
-        record = {k: v for k, v in record.items() if k not in VOLATILE_RECORD_KEYS}
-        record["attempt_history"] = [
-            {k: v for k, v in entry.items() if k != "elapsed_s"}
-            for entry in record.get("attempt_history", [])
-        ]
-        experiments.append(record)
-    payload["experiments"] = experiments
+    payload["experiments"] = [_scrub_record(r) for r in payload["experiments"]]
     return json.dumps(payload, sort_keys=True)
 
 
@@ -111,24 +113,60 @@ class TestRunnerParallelism:
 
         subset = ["E1", "E5", "E9", "E12", "E15"]
         scrubbed = {}
-        for workers in (1, 2, 4):
+        # ``None`` passes no flag: the auto worker count.
+        for workers in (None, 1, 2, 4):
             out = tmp_path / f"report-{workers}.json"
-            code = runner.main(
-                subset + ["--parallel", str(workers), "--metrics-out", str(out)]
-            )
+            flag = [] if workers is None else ["--parallel", str(workers)]
+            code = runner.main(subset + flag + ["--metrics-out", str(out)])
             assert code == 0
             # The backend may sit on a faulty transport (the CI chaos job
             # runs this suite through chaos proxies): how it recovered may
             # differ between runs, what it computed may not.
             payload = _scrub_transport_recovery(json.loads(out.read_text()))
             scrubbed[workers] = _scrub(payload)
-        assert scrubbed[1] == scrubbed[2] == scrubbed[4]
+        assert scrubbed[None] == scrubbed[1] == scrubbed[2] == scrubbed[4]
+
+    def test_fail_fast_records_identical_under_auto(self, monkeypatch):
+        from repro import api
+        from repro.experiments import common
+
+        monkeypatch.setitem(
+            common.ALL_EXPERIMENTS, "EX-FAIL",
+            ("tests.faultyexp.failing", "a claim that does not hold"),
+        )
+        # Three usable CPUs: auto runs all three at once, so E9 is already
+        # running when EX-FAIL stops the suite.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        selection = ["E4", "EX-FAIL", "E9"]
+        records = {}
+        for workers in (None, 1):
+            config = api.RunConfig(keep_going=False, parallel=workers)
+            result = api.run_suite(selection, config=config)
+            assert result.exit_code == 1
+            records[workers] = [_scrub_record(r) for r in result.records]
+        assert [r["experiment"] for r in records[1]] == ["E4", "EX-FAIL"]
+        assert records[None] == records[1]
 
     def test_parallel_requires_isolation(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "on")
         from repro.experiments import runner
 
         assert runner.main(["E1", "--parallel", "2", "--no-isolation"]) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_worker_count_rejected(self, workers, capsys):
+        from repro.experiments import runner
+
+        assert runner.main(["E1", "--parallel", workers]) == 2
+        assert "parallel must be >= 1" in capsys.readouterr().out
+
+    def test_no_isolation_alone_runs_inline(self, tmp_path):
+        from repro.experiments import runner
+
+        out = tmp_path / "report.json"
+        assert runner.main(["E1", "E9", "--no-isolation", "--metrics-out", str(out)]) == 0
+        config = json.loads(out.read_text())["summary"]["config"]
+        assert config["isolated"] is False and config["parallel"] == 1
 
     def test_report_carries_cache_summary(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "on")

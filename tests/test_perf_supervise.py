@@ -582,7 +582,7 @@ print(result.exit_code, backend["workers_started"], survivors())
 """
 
 #: Kill one of the run's workers between E12 and E15: the parent must heal
-#: the pool before E15's child forks.
+#: the pool before E15's child forks, so the two run one after the other.
 _HEAL_BETWEEN_EXPERIMENTS = _SUBREAPER + """
 def kill_after_e12(experiment_id, record, done, total):
     if experiment_id == "E12":
@@ -591,7 +591,9 @@ def kill_after_e12(experiment_id, record, done, total):
         victim.process.wait()
 
 result = api.run_suite(
-    ["E12", "E15"], config=api.RunConfig(backend="pool:2"), on_record=kill_after_e12
+    ["E12", "E15"],
+    config=api.RunConfig(backend="pool:2", parallel=1),
+    on_record=kill_after_e12,
 )
 reference = api.run_suite(
     ["E12", "E15"], config=api.RunConfig(cache="off", isolated=False)
@@ -608,7 +610,8 @@ print(json.dumps({
 
 #: Three experiments on one pool:1.  The first sweeps over the parent's
 #: worker; the second kills it mid-chunk and respawns its own; the third
-#: sweeps over the worker the parent respawned in between.
+#: sweeps over the worker the parent respawned in between, so the three run
+#: one after the other.
 _CHILD_RESPAWN = _SUBREAPER + """
 import tempfile
 from tests.faultyexp import pool_kill
@@ -637,7 +640,9 @@ def check(experiment_id, record, done, total):
 
 result = api.run_suite(
     ["EX-A", "EX-KILL", "EX-B"],
-    config=api.RunConfig(backend="pool:1;backoff_base_s=0.01;backoff_max_s=0.05"),
+    config=api.RunConfig(
+        backend="pool:1;backoff_base_s=0.01;backoff_max_s=0.05", parallel=1
+    ),
     on_record=check,
 )
 print(json.dumps({

@@ -109,7 +109,11 @@ class TestLifecycle:
         report = client.report(job["id"])
         validate_report(report)
         assert report["summary"]["passed"] == 2
-        assert report["summary"]["config"] == final["config"]
+        # The job keeps the submitted config; the report records what ran,
+        # with the auto worker count resolved: a CPU per experiment.
+        assert final["config"]["parallel"] is None
+        workers = min(len(os.sched_getaffinity(0)), 2)
+        assert report["summary"]["config"] == {**final["config"], "parallel": workers}
         assert report["argv"] == ["service", "E1", "E4"]
 
     def test_job_config_does_not_leak_into_the_next_job(

@@ -8,8 +8,8 @@ exactly one place (:func:`resolve_config`), by **one documented order**:
    represented as ``None`` (or ``False`` for pure switches) and falls
    through to the next layer.
 2. **Environment gates** — ``REPRO_CACHE``, ``REPRO_CACHE_DIR``,
-   ``REPRO_BACKEND``, ``REPRO_CHUNK_DEADLINE``,
-   ``REPRO_PROFILE``, ``REPRO_TRACE``, ``REPRO_PROGRESS``.
+   ``REPRO_BACKEND``, ``REPRO_CHUNK_DEADLINE``, ``REPRO_TRACE``,
+   ``REPRO_PROGRESS``.
 3. **Defaults** — the dataclass field defaults below.
 
 The environment is read once, at the entry points, and nowhere else:
@@ -21,9 +21,9 @@ The environment is read once, at the entry points, and nowhere else:
   (its backend is always ``serial``).
 
 :meth:`RunConfig.apply` then sets each subsystem's in-process switch (cache,
-store directory, backend, base supervision policy, tracer, profiler,
-progress) and writes nothing to ``os.environ``.  Forked experiment children
-inherit those switches through memory; socket and pool workers receive
+store directory, backend, base supervision policy, tracer, progress) and
+writes nothing to ``os.environ``.  Forked experiment children inherit
+those switches through memory; socket and pool workers receive
 them per chunk in the run frame's ``ctx``.  So a
 setting depends only on the config that asked for it: one service job can
 never leak its settings into the next.  :meth:`RunConfig.describe` renders
@@ -49,7 +49,6 @@ ENV_GATES = {
     "cache_dir": "REPRO_CACHE_DIR",
     "backend": "REPRO_BACKEND",
     "chunk_deadline": "REPRO_CHUNK_DEADLINE",
-    "profile": "REPRO_PROFILE",
     "trace": "REPRO_TRACE",
     "progress": "REPRO_PROGRESS",
 }
@@ -102,10 +101,6 @@ class RunConfig:
     trace: bool = False
     #: save one trace JSON per experiment into this directory
     trace_dir: Optional[str] = None
-    #: deterministic phase profiler
-    profile: bool = False
-    #: save one collapsed-stack ``.folded`` file per experiment (implies profile)
-    profile_dir: Optional[str] = None
     #: live stderr progress heartbeats
     progress: bool = False
 
@@ -137,13 +132,12 @@ class RunConfig:
                 isinstance(value, bool) or not isinstance(value, (int, float))
             ):
                 raise ConfigError(f"{name} must be a number or null, got {value!r}")
-        for name in ("full", "isolated", "keep_going", "trace", "profile",
-                     "progress"):
+        for name in ("full", "isolated", "keep_going", "trace", "progress"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(
                     f"{name} must be a boolean, got {getattr(self, name)!r}"
                 )
-        for name in ("cache_dir", "backend", "trace_dir", "profile_dir"):
+        for name in ("cache_dir", "backend", "trace_dir"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"{name} must be a string or null, got {value!r}")
@@ -182,7 +176,6 @@ class RunConfig:
         switches through memory, and socket workers get them per chunk
         from the run frame.
         """
-        from repro.obs import profile as obs_profile
         from repro.obs import progress as obs_progress
         from repro.obs import trace as obs_trace
         from repro.perf import backends as perf_backends
@@ -199,7 +192,6 @@ class RunConfig:
         perf_supervise.configure_policy(policy)
         for switch, on in (
             (obs_trace, self.trace),
-            (obs_profile, self.profile),
             (obs_progress, self.progress),
         ):
             if on:
@@ -216,15 +208,14 @@ def resolve_config(
     ``overrides`` are the caller's explicit choices (CLI flags, a job
     submission's config fields).  ``None`` means "not specified" for every
     value field, and ``False`` means "not specified" for the pure switches
-    (``trace``, ``profile``, ``progress``) — a switch flag
+    (``trace``, ``progress``) — a switch flag
     can only turn a feature *on*; turning one off against the environment
     is done through the environment (matching the CLI's historic
     semantics).  Unknown override names raise :class:`ConfigError`.
 
     Values are normalized here, once: the backend spec is canonicalized
     (``" Pool:8 "`` -> ``"pool:8"``), ``cache_dir`` is made absolute, a
-    non-positive ``timeout`` becomes ``None`` (unbounded) and
-    ``profile_dir`` implies ``profile``.
+    non-positive ``timeout`` becomes ``None`` (unbounded).
     """
     environ = os.environ if env is None else env
     known = {f.name for f in fields(RunConfig)}
@@ -256,8 +247,7 @@ def resolve_config(
     for name in ("full", "isolated", "keep_going"):
         if name in overrides and overrides[name] is not None:
             values[name] = bool(overrides[name])
-    for name in ("timeout", "retries", "seed", "parallel", "trace_dir",
-                 "profile_dir"):
+    for name in ("timeout", "retries", "seed", "parallel", "trace_dir"):
         if name in overrides and overrides[name] is not None:
             values[name] = overrides[name]
 
@@ -300,7 +290,7 @@ def resolve_config(
                     f"REPRO_CHUNK_DEADLINE needs a number, got {raw!r}"
                 )
 
-    for switch_field in ("trace", "profile", "progress"):
+    for switch_field in ("trace", "progress"):
         if pick(switch_field, switch=True):
             values[switch_field] = True
         else:
@@ -326,6 +316,4 @@ def resolve_config(
             updates["backend"] = perf_backends.normalize_spec(config.backend)
         except perf_backends.BackendSpecError as exc:
             raise ConfigError(f"invalid backend spec: {exc}")
-    if config.profile_dir and not config.profile:
-        updates["profile"] = True
     return replace(config, **updates) if updates else config

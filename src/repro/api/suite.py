@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -34,7 +35,7 @@ from repro.obs.report import (
     format_record,
     format_suite_summary,
     outcome_record,
-    profile_summary,
+    phases_summary,
     resilience_summary,
     validate_report,
 )
@@ -123,6 +124,9 @@ def run_suite(
     ``config.parallel=None`` (auto) is resolved here, once: the usable
     CPUs, at most one per selected experiment, and 1 for inline runs; the
     report's ``summary.config.parallel`` records the resolved count.
+    With ``config.keep_going=False`` the first non-passing record (in
+    experiment order) stops the suite, and experiments still running
+    then are terminated, not waited for.
 
     ``emit`` receives every human-output line (the CLI passes ``print``;
     the service captures them into its job log).  ``on_record`` fires
@@ -166,10 +170,8 @@ def run_suite(
             return None
         return os.path.join(config.trace_dir, f"{experiment_id}.trace.json")
 
-    def profile_path_for(experiment_id: str) -> Optional[str]:
-        if not config.profile_dir:
-            return None
-        return os.path.join(config.profile_dir, f"{experiment_id}.folded")
+    # Set when --fail-fast stops the suite: children still running end now.
+    stop = threading.Event()
 
     def run_one(experiment_id: str):
         backend.start()  # respawn what died, so the child inherits a healthy pool
@@ -181,15 +183,13 @@ def run_suite(
             seed=config.seed,
             isolated=config.isolated,
             trace_path=trace_path_for(experiment_id),
-            profile_path=profile_path_for(experiment_id),
+            stop=stop,
         )
 
     records: List[Dict[str, Any]] = []
-    # Profile lanes and folded files ride the outcomes, not the records:
-    # per-experiment records must stay byte-identical with profiling on or
-    # off, so phase data only ever lands in summary.profile.
-    profile_lanes: List[Dict[str, Any]] = []
-    folded_files: List[str] = []
+    # Phase timers ride the outcomes' metrics, not the records: times vary
+    # run to run, so they only ever land in summary.phases.
+    timers: Dict[str, Dict[str, Dict[str, int]]] = {}
 
     def record_outcome(experiment_id: str, outcome) -> bool:
         record = outcome_record(
@@ -199,16 +199,7 @@ def run_suite(
             trace_file=outcome.trace_path,
         )
         records.append(record)
-        for lane in outcome.profile or []:
-            profile_lanes.append(
-                {
-                    "pid": lane.get("pid", 0),
-                    "lane": f"{experiment_id}: {lane.get('lane', '?')}",
-                    "phases": lane.get("phases") or {},
-                }
-            )
-        if outcome.profile_path:
-            folded_files.append(outcome.profile_path)
+        timers[experiment_id] = (outcome.metrics or {}).get("timers", {})
         say(format_record(record))
         say("")
         obs_progress.advance()
@@ -233,6 +224,7 @@ def run_suite(
                 for experiment_id, future in futures:
                     ok = record_outcome(experiment_id, future.result())
                     if not ok and not config.keep_going:
+                        stop.set()
                         for _e, pending in futures:
                             pending.cancel()
                         break
@@ -293,21 +285,10 @@ def run_suite(
             merged = obs_distributed.merge_trace_files(trace_files)
             trace_block = obs_distributed.summarize_events(merged["traceEvents"])
             trace_block["files"] = list(trace_files)
-            # Analytics piggyback on tracing alone (never on profiling), so
-            # the profile on/off differential guarantee holds.
             analysis_block = obs_analyze.analyze_events(merged["traceEvents"])
         except (OSError, ValueError, json.JSONDecodeError):
             trace_block = None  # a corrupt trace must not fail the run
             analysis_block = None
-
-    # Same only-when-active contract for the phase-profile block.
-    profile_block = None
-    if config.profile:
-        profile_block = profile_summary(
-            profile_lanes,
-            enabled=True,
-            folded_files=folded_files if folded_files else None,
-        )
 
     # The resilience block exists exactly when supervision can act: on a
     # remote backend.  Serial runs emit reports without it.
@@ -326,7 +307,7 @@ def run_suite(
         backend=backend_block,
         trace=trace_block,
         resilience=resilience_block,
-        profile=profile_block,
+        phases=phases_summary(timers),
         analysis=analysis_block,
         config=config.describe(),
     )

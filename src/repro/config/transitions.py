@@ -13,12 +13,13 @@
 
 from __future__ import annotations
 
+from time import perf_counter_ns as _clock
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.config.configuration import Configuration
 from repro.core.psioa import PSIOA, PsioaError
 from repro.core.signature import Action
-from repro.obs.metrics import counter as _counter
+from repro.obs.metrics import counter as _counter, timer as _timer
 from repro.probability.measures import DiscreteMeasure, dirac, product
 
 __all__ = ["preserving_transition", "intrinsic_transition"]
@@ -28,6 +29,9 @@ __all__ = ["preserving_transition", "intrinsic_transition"]
 _PRESERVING_CALLS = _counter("pca.transitions.preserving")
 _INTRINSIC_CALLS = _counter("pca.transitions.intrinsic")
 _SUPPORT_ENUMERATED = _counter("pca.support.enumerated")
+#: Phase clock: one call per transition asked for; the preserving step an
+#: intrinsic transition takes inside is part of that call, not another one.
+_TRANSITION_TIME = _timer("pca.transition")
 
 
 def preserving_transition(configuration: Configuration, action: Action) -> DiscreteMeasure:
@@ -38,6 +42,14 @@ def preserving_transition(configuration: Configuration, action: Action) -> Discr
     measure over joint states is pushed onto configurations over the *same*
     automaton set (first bullet of Definition 2.13).
     """
+    start = _clock()
+    try:
+        return _preserving(configuration, action)
+    finally:
+        _TRANSITION_TIME.record(_clock() - start)
+
+
+def _preserving(configuration: Configuration, action: Action) -> DiscreteMeasure:
     _PRESERVING_CALLS.inc()
     if not configuration.is_compatible():
         raise PsioaError(
@@ -87,6 +99,16 @@ def intrinsic_transition(
     (``eta_nr``), and each outcome is then reduced, destroyed automata
     dropping out with their mass merged (last bullet of Definition 2.14).
     """
+    start = _clock()
+    try:
+        return _intrinsic(configuration, action, created)
+    finally:
+        _TRANSITION_TIME.record(_clock() - start)
+
+
+def _intrinsic(
+    configuration: Configuration, action: Action, created: Iterable[PSIOA]
+) -> DiscreteMeasure:
     _INTRINSIC_CALLS.inc()
     if not configuration.is_reduced():
         raise PsioaError(f"intrinsic transition requires a reduced configuration: {configuration!r}")
@@ -98,7 +120,7 @@ def intrinsic_transition(
     if clash:
         raise PsioaError(f"creation set overlaps configuration: {sorted(map(repr, clash))}")
 
-    eta_p = preserving_transition(configuration, action)
+    eta_p = _preserving(configuration, action)
 
     fresh: List[Tuple[PSIOA, object]] = [(a, a.start) for a in phi]
 

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import importlib
 import multiprocessing
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import metrics as _metrics
-from repro.obs import profile as _profile
 from repro.obs import trace as _trace
 from repro.obs.procinfo import peak_rss_bytes as _peak_rss_bytes
 from repro.perf import backends as _perf_backends
@@ -155,11 +155,6 @@ class ExperimentOutcome:
     hard-killed/timed-out child yields ``None``), ``peak_rss_bytes`` its
     :func:`repro.obs.procinfo.peak_rss_bytes`, and ``trace_path`` the file
     the child saved its Chrome trace to (when tracing was requested).
-    ``profile`` holds the attempt's phase-profile lanes
-    (:func:`repro.obs.profile.lanes` without the per-stack data — the
-    runner's experiment lane plus one lane per sweep executor; ``None``
-    when profiling was off) and ``profile_path`` the ``*.folded``
-    collapsed-stack file the child saved (when one was requested).
     """
 
     experiment: str
@@ -172,8 +167,6 @@ class ExperimentOutcome:
     metrics: Optional[Dict[str, Any]] = None
     peak_rss_bytes: Optional[int] = None
     trace_path: Optional[str] = None
-    profile: Optional[List[Dict[str, Any]]] = None
-    profile_path: Optional[str] = None
     #: Per-attempt outcomes (attempt index, seed, status, error class,
     #: duration) — ``--retries`` rotates seeds, and without this history a
     #: report only shows the last attempt, hiding *what* the retry survived.
@@ -215,16 +208,12 @@ def _attempt_error_class(status: str, error: Optional[str]) -> Optional[str]:
     return status
 
 
-def _observability_extras(
-    trace_path: Optional[str], profile_path: Optional[str] = None
-) -> Dict[str, Any]:
-    """The per-attempt observability payload (metrics, RSS, trace, profile)."""
+def _observability_extras(trace_path: Optional[str]) -> Dict[str, Any]:
+    """The per-attempt observability payload (metrics, RSS, trace)."""
     extras: Dict[str, Any] = {
         "metrics": _metrics.snapshot(),
         "peak_rss_bytes": _peak_rss_bytes(),
         "trace_path": None,
-        "profile": None,
-        "profile_path": None,
     }
     if trace_path is not None:
         try:
@@ -232,20 +221,6 @@ def _observability_extras(
             extras["trace_path"] = str(trace_path)
         except OSError:
             pass
-    if _profile.PROFILER.enabled:
-        lanes = _profile.lanes(lane="experiment")
-        if profile_path is not None:
-            try:
-                _profile.save_folded(profile_path, lanes)
-                extras["profile_path"] = str(profile_path)
-            except OSError:
-                pass
-        # Collapsed stacks live in the .folded file; the lanes shipped to
-        # the parent carry phase totals only (small, report-ready).
-        extras["profile"] = [
-            {"pid": lane["pid"], "lane": lane["lane"], "phases": lane["phases"]}
-            for lane in lanes
-        ]
     return extras
 
 
@@ -255,7 +230,6 @@ def _guarded_child(
     fast: bool,
     seed: Optional[int],
     trace_path: Optional[str],
-    profile_path: Optional[str] = None,
 ) -> None:
     """Child-process entry point: run one experiment, ship the result back.
 
@@ -277,11 +251,6 @@ def _guarded_child(
     _perf_backends.adopt_inherited()
     if trace_path is not None:
         _trace.enable()
-    if profile_path is not None or _profile.PROFILER.enabled:
-        # Fresh slate and an explicit re-install: the inherited hook state
-        # and any parent totals are not this experiment's work.
-        _profile.PROFILER.clear()
-        _profile.PROFILER.enable()
     try:
         set_experiment_seed(seed)
         report = run_experiment(experiment_id, fast=fast)
@@ -291,7 +260,7 @@ def _guarded_child(
     # Close this child's connections; workers a pool:N backend started here
     # (respawns) must not outlive it, the parent's are left running.
     _perf_backends.close_active()
-    extras = _observability_extras(trace_path, profile_path)
+    extras = _observability_extras(trace_path)
     try:
         conn.send(payload + (extras,))
     except Exception as exc:  # the report itself may be untransferable
@@ -308,6 +277,33 @@ def _guarded_child(
 #: (status, report, error, observability extras) of one attempt.
 _Attempt = Tuple[str, Optional[ExperimentReport], Optional[str], Optional[Dict[str, Any]]]
 
+#: How often a child's babysitter looks at its suite's ``stop`` event.
+_STOP_POLL_S = 0.05
+
+#: Held by a babysitter while it creates its child's pipes and forks it.
+#: A sibling forked in between would inherit this child's write ends, and
+#: this babysitter's join (which waits for the child's sentinel pipe to
+#: close) would then wait for the sibling to exit too, up to its 5 s bound.
+_FORK_LOCK = threading.Lock()
+
+
+def _wait_for_child(
+    conn, timeout: Optional[float], stop: Optional[threading.Event]
+) -> Optional[str]:
+    """Wait for the child's result: ``None`` once it can be read, else
+    ``"timeout"`` or ``"stopped"`` (``stop`` was set first)."""
+    deadline = None if timeout is None else time.monotonic() + timeout
+    while True:
+        wait = _STOP_POLL_S
+        if deadline is not None:
+            wait = min(wait, max(0.0, deadline - time.monotonic()))
+        if conn.poll(wait):
+            return None
+        if stop is not None and stop.is_set():
+            return "stopped"
+        if deadline is not None and time.monotonic() >= deadline:
+            return "timeout"
+
 
 def _attempt_isolated(
     experiment_id: str,
@@ -315,25 +311,29 @@ def _attempt_isolated(
     timeout: Optional[float],
     seed: Optional[int],
     trace_path: Optional[str],
-    profile_path: Optional[str] = None,
+    stop: Optional[threading.Event] = None,
 ) -> _Attempt:
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    process = ctx.Process(
-        target=_guarded_child,
-        args=(child_conn, experiment_id, fast, seed, trace_path, profile_path),
-        daemon=True,
-    )
-    process.start()
-    child_conn.close()
+    with _FORK_LOCK:
+        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        process = ctx.Process(
+            target=_guarded_child,
+            args=(child_conn, experiment_id, fast, seed, trace_path),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
     try:
-        if not parent_conn.poll(timeout):
+        waited = _wait_for_child(parent_conn, timeout, stop)
+        if waited is not None:
             process.terminate()
             process.join(5)
             if process.is_alive():
                 process.kill()
                 process.join(5)
+            if waited == "stopped":
+                return "error", None, "stopped: the suite stopped at a failure", None
             return (
                 "timeout",
                 None,
@@ -367,25 +367,20 @@ def _attempt_inline(
     fast: bool,
     seed: Optional[int],
     trace_path: Optional[str],
-    profile_path: Optional[str] = None,
 ) -> _Attempt:
     previous = _EXPERIMENT_SEED
     # Inline attempts share the process-global registry with the caller, so
-    # per-experiment counters are a before/after diff, not a reset.  The
+    # per-experiment counters and timers are a before/after diff, not a reset.  The
     # perf cache *is* cleared (same rationale as the isolated child): cache
     # warmth must not leak across experiments.  It is cleared again when the
     # attempt ends, so the caller does not keep the tables alive and copy
     # them into every process it forks later.
     _perf_cache.clear()
-    before = _metrics.snapshot(include_zero=True)["counters"]
+    before = _metrics.snapshot(include_zero=True)
     tracing_was_enabled = _trace.is_enabled()
     if trace_path is not None:
         _trace.TRACER.clear()
         _trace.enable()
-    profiling_was_enabled = _profile.PROFILER.enabled
-    if profile_path is not None:
-        _profile.PROFILER.clear()
-        _profile.PROFILER.enable()
     try:
         set_experiment_seed(seed)
         report = run_experiment(experiment_id, fast=fast)
@@ -395,12 +390,12 @@ def _attempt_inline(
     finally:
         set_experiment_seed(previous)
         _perf_cache.clear()
-    extras = _observability_extras(trace_path, profile_path)
-    if profile_path is not None and not profiling_was_enabled:
-        _profile.PROFILER.disable()
+    extras = _observability_extras(trace_path)
+    after = _metrics.snapshot(include_zero=True)
     extras["metrics"]["counters"] = _metrics.subtract_counters(
-        _metrics.snapshot(include_zero=True)["counters"], before
+        after["counters"], before["counters"]
     )
+    extras["metrics"]["timers"] = _metrics.subtract_timers(after["timers"], before["timers"])
     if trace_path is not None and not tracing_was_enabled:
         _trace.disable()
     return status, report, error, extras
@@ -415,7 +410,7 @@ def run_experiment_guarded(
     seed: Optional[int] = None,
     isolated: bool = True,
     trace_path: Optional[str] = None,
-    profile_path: Optional[str] = None,
+    stop: Optional[threading.Event] = None,
 ) -> ExperimentOutcome:
     """Run one experiment behind the isolation boundary.
 
@@ -439,13 +434,10 @@ def run_experiment_guarded(
         When set, tracing is enabled for the attempt and the Chrome-trace
         JSON is written there (each retry overwrites — the saved trace and
         the reported metrics describe the *last* attempt).
-    profile_path:
-        When set, phase profiling is enabled for the attempt and the
-        collapsed-stack ``*.folded`` file is written there (same
-        last-attempt semantics as ``trace_path``).  Profiling also runs —
-        without a folded file — when the profiler is already enabled (the
-        run config's ``profile``); either way the outcome carries the
-        per-pid phase lanes.
+    stop:
+        When this event is set, an isolated attempt still running is
+        terminated at once (status ``error``) and no retry follows; the
+        suite sets it when ``--fail-fast`` stops at a failure.
     """
     start = time.perf_counter()
     attempts = 0
@@ -461,11 +453,11 @@ def run_experiment_guarded(
         attempt_start = time.perf_counter()
         if isolated:
             status, report, error, extras = _attempt_isolated(
-                experiment_id, fast, timeout, attempt_seed, trace_path, profile_path
+                experiment_id, fast, timeout, attempt_seed, trace_path, stop
             )
         else:
             status, report, error, extras = _attempt_inline(
-                experiment_id, fast, attempt_seed, trace_path, profile_path
+                experiment_id, fast, attempt_seed, trace_path
             )
         attempt_history.append(
             {
@@ -476,7 +468,7 @@ def run_experiment_guarded(
                 "elapsed_s": time.perf_counter() - attempt_start,
             }
         )
-        if status == "pass":
+        if status == "pass" or (stop is not None and stop.is_set()):
             break
     extras = extras or {}
     return ExperimentOutcome(
@@ -490,8 +482,6 @@ def run_experiment_guarded(
         metrics=extras.get("metrics"),
         peak_rss_bytes=extras.get("peak_rss_bytes"),
         trace_path=extras.get("trace_path"),
-        profile=extras.get("profile"),
-        profile_path=extras.get("profile_path"),
         attempt_history=attempt_history,
     )
 

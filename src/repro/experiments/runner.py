@@ -23,8 +23,6 @@ Observability (see ``docs/observability.md``)::
 
     python -m repro.experiments.runner --metrics-out report.json
     python -m repro.experiments.runner --trace-dir traces/
-    python -m repro.experiments.runner --profile
-    python -m repro.experiments.runner --profile-dir profiles/
     python -m repro.experiments.runner --progress
     python -m repro.experiments.runner --report report.json   # summarize, don't run
 
@@ -83,21 +81,23 @@ def build_parser() -> argparse.ArgumentParser:
     silently clobbered by the flag's default the way it once was."""
     parser = argparse.ArgumentParser(
         description="Run the reproduction's experiment suite.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     parser.add_argument("experiments", nargs="*", help="experiment ids (default: all)")
-    parser.add_argument("--full", action="store_true", help="run the larger sweeps")
+    parser.add_argument("--full", action="store_true", help="run the larger sweeps (default: False)")
     parser.add_argument(
         "--timeout",
         type=float,
         default=600.0,
-        help="wall-clock seconds per experiment attempt (0 disables)",
+        help="wall-clock seconds per experiment attempt (default: 600; 0 disables)",
     )
     parser.add_argument(
         "--retries",
         type=int,
         default=0,
-        help="extra attempts for a non-passing experiment (seed rotates per attempt)",
+        help=(
+            "extra attempts for a non-passing experiment, the seed rotating "
+            "per attempt (default: 0)"
+        ),
     )
     parser.add_argument(
         "--seed",
@@ -108,12 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fail-fast",
         action="store_true",
-        help="stop the suite at the first non-passing experiment",
+        help="stop the suite at the first non-passing experiment (default: False)",
     )
     parser.add_argument(
         "--no-isolation",
         action="store_true",
-        help="run experiments inline (no subprocess; timeouts not enforced)",
+        help=(
+            "run experiments inline, no subprocess and timeouts not enforced "
+            "(default: False)"
+        ),
     )
     parser.add_argument(
         "--parallel",
@@ -166,26 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="save one Chrome-trace JSON per experiment into this directory",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "attribute time to semantic phases (repro.obs.profile); adds a "
-            "summary.profile block to the report, changes nothing else"
-        ),
-    )
-    parser.add_argument(
-        "--profile-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "save one flamegraph-ready collapsed-stack E*.folded file per "
-            "experiment into this directory (implies --profile)"
-        ),
-    )
-    parser.add_argument(
         "--progress",
         action="store_true",
-        help="render a live progress line on stderr (heartbeats per experiment)",
+        help=(
+            "render a live progress line on stderr, heartbeats per experiment "
+            "(default: False)"
+        ),
     )
     parser.add_argument(
         "--metrics-out",
@@ -229,8 +218,6 @@ def main(argv=None) -> int:
             backend=args.backend,
             chunk_deadline=args.chunk_deadline,
             trace_dir=args.trace_dir,
-            profile=args.profile,
-            profile_dir=args.profile_dir,
             progress=args.progress,
         )
     except api.ConfigError as exc:

@@ -10,17 +10,14 @@ ROADMAP's performance work builds on:
   near-zero disabled overhead) emitting Chrome-trace-format JSON that loads
   in ``chrome://tracing`` or Perfetto;
 * :mod:`repro.obs.metrics` — process-local counters / gauges / histograms
-  behind a global registry with a :func:`~repro.obs.metrics.snapshot`
-  export (always on: a counter bump is one attribute increment);
+  / timers behind a global registry with a
+  :func:`~repro.obs.metrics.snapshot` export (always on: a counter bump is
+  one attribute increment, a phase timer one ``perf_counter_ns`` pair per
+  call; the timers become every report's ``summary.phases``);
 * :mod:`repro.obs.distributed` — cross-process trace collection: executors
   ship buffered spans back with their results, the caller clock-aligns
   them into one merged Chrome trace with a named lane per worker (plus the
   ``python -m repro.obs trace`` merge/summarize/check CLI);
-* :mod:`repro.obs.profile` — a deterministic ``sys.setprofile`` phase
-  profiler attributing inclusive/exclusive time and call counts to
-  semantic phases (unfold/compose/decide/transition/cache/transport),
-  off by default (``--profile``) with collapsed-stack
-  (flamegraph) export; profile payloads ride the backends like spans do;
 * :mod:`repro.obs.analyze` — trace analytics (critical-path extraction,
   per-lane straggler/skew detection) and cross-run regression
   attribution (``python -m repro.obs compare A B``);
@@ -49,12 +46,14 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     REGISTRY,
+    Timer,
     counter,
     gauge,
     histogram,
     reset,
     snapshot,
     subtract_counters,
+    timer,
 )
 from repro.obs.distributed import (
     absorb_chunk_trace,
@@ -74,15 +73,6 @@ from repro.obs.expo import render as render_exposition
 from repro.obs.log import configure as configure_log
 from repro.obs.log import correlation, get_logger, set_correlation
 from repro.obs.procinfo import peak_rss_bytes
-from repro.obs.profile import (
-    PROFILER,
-    Profiler,
-    absorb_chunk_profile,
-    chunk_profile_payload,
-    register_phase,
-    registered_phases,
-    save_folded,
-)
 from repro.obs.report import (
     REPORT_SCHEMA,
     ReportSchemaError,
@@ -121,14 +111,6 @@ __all__ = [
     "merge_trace_files",
     "summarize_events",
     "check_trace",
-    # profile
-    "Profiler",
-    "PROFILER",
-    "register_phase",
-    "registered_phases",
-    "chunk_profile_payload",
-    "absorb_chunk_profile",
-    "save_folded",
     # analyze
     "critical_path",
     "lane_analysis",
@@ -140,11 +122,13 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Timer",
     "MetricsRegistry",
     "REGISTRY",
     "counter",
     "gauge",
     "histogram",
+    "timer",
     "snapshot",
     "reset",
     "subtract_counters",

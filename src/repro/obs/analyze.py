@@ -17,8 +17,8 @@ follow-up questions performance work actually asks:
   ROADMAP's adaptive-chunk-sizing item needs.
 * **What changed between run A and run B?**  :func:`compare_reports`
   diffs two validated run reports metric-by-metric (elapsed, counters,
-  RSS), histogram-by-histogram (p50/p90/p99/mean/max), and — when both
-  carry ``summary.profile`` — phase-by-phase, producing a ranked
+  RSS), histogram-by-histogram (p50/p90/p99/mean/max), and — from
+  ``summary.phases`` — phase-by-phase, producing a ranked
   "what changed" table (``python -m repro.obs compare A B``).
 
 Everything here is pure functions over JSON-shaped data: no clocks, no
@@ -265,9 +265,6 @@ def format_analysis(analysis: Dict[str, Any]) -> str:
 #: so /2-era reports without p99/mean still compare).
 _HIST_STATS = ("p50", "p90", "p99", "mean", "max")
 
-#: Phase statistics compared per profile phase.
-_PHASE_STATS = ("inclusive_us", "exclusive_us", "calls")
-
 
 def _record_metrics(report: Dict[str, Any]) -> Dict[str, float]:
     """Flatten a validated run report into comparable ``name -> value``."""
@@ -288,19 +285,10 @@ def _record_metrics(report: Dict[str, Any]) -> Dict[str, float]:
                 value = stats.get(stat)
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
                     out[f"{exp}.hist.{name}.{stat}"] = float(value)
-    profile = summary.get("profile")
-    if isinstance(profile, dict):
-        phases: Dict[str, Dict[str, float]] = {}
-        for lane in profile.get("lanes", []):
-            for phase, totals in (lane.get("phases") or {}).items():
-                bucket = phases.setdefault(phase, {})
-                for stat in _PHASE_STATS:
-                    value = totals.get(stat, 0)
-                    if isinstance(value, (int, float)) and not isinstance(value, bool):
-                        bucket[stat] = bucket.get(stat, 0.0) + float(value)
-        for phase, stats in phases.items():
-            for stat, value in stats.items():
-                out[f"phase.{phase}.{stat}"] = value
+    # Phase calls follow from the counters; only the seconds are new.
+    for exp, timed in (summary.get("phases") or {}).items():
+        for phase, totals in timed.items():
+            out[f"phase.{exp}.{phase}.s"] = float(totals["s"])
     return out
 
 

@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges, histograms, one global registry.
+"""Process-local metrics: counters, gauges, histograms, timers, one global registry.
 
 Counters are the hot-path primitive: instrumented modules bind the counter
 object once at import time and each event costs one attribute increment —
@@ -17,6 +17,21 @@ preserved), so module-level bindings survive registry resets — this is what
 lets the experiment runner's forked children and the test suite each start
 from a clean slate without re-importing anything.
 
+Timers are the phase clocks: a :class:`Timer` holds the calls and inclusive
+nanoseconds of one phase entry point, fed by one ``perf_counter_ns`` pair
+per call::
+
+    _UNFOLD_TIME = timer("measure.unfold")
+
+    start = perf_counter_ns()
+    try:
+        ...
+    finally:
+        _UNFOLD_TIME.record(perf_counter_ns() - start)
+
+They export under their own ``"timers"`` key, apart from ``"counters"``,
+so counters stay deterministic.
+
 :func:`snapshot` exports the registry as plain JSON-serializable dicts; the
 run-report layer (:mod:`repro.obs.report`) ships these across the fork
 boundary of the guarded experiment runner.
@@ -31,14 +46,17 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Timer",
     "MetricsRegistry",
     "REGISTRY",
     "counter",
     "gauge",
     "histogram",
+    "timer",
     "snapshot",
     "reset",
     "subtract_counters",
+    "subtract_timers",
     "merge_snapshot",
 ]
 
@@ -91,6 +109,32 @@ class Gauge:
     def __reduce__(self):
         # See Counter.__reduce__: a named handle to the local registry.
         return (gauge, (self.name,))
+
+
+class Timer:
+    """Calls and inclusive nanoseconds spent in one phase entry point."""
+
+    __slots__ = ("name", "calls", "ns")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.calls = 0
+        self.ns = 0
+
+    def record(self, elapsed_ns: int, calls: int = 1) -> None:
+        self.calls += calls
+        self.ns += elapsed_ns
+
+    def reset(self) -> None:
+        self.calls = 0
+        self.ns = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return {"calls": self.calls, "ns": self.ns}
+
+    def __reduce__(self):
+        # See Counter.__reduce__: a named handle to the local registry.
+        return (timer, (self.name,))
 
 
 def _percentile(ordered: List[Any], q: float) -> Any:
@@ -193,6 +237,7 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._timers: Dict[str, Timer] = {}
 
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
@@ -212,10 +257,17 @@ class MetricsRegistry:
             instrument = self._histograms[name] = Histogram(name)
         return instrument
 
-    def snapshot(self, *, include_zero: bool = False) -> Dict[str, Any]:
-        """Plain-dict export: ``{"counters": ..., "gauges": ..., "histograms": ...}``.
+    def timer(self, name: str) -> Timer:
+        instrument = self._timers.get(name)
+        if instrument is None:
+            instrument = self._timers[name] = Timer(name)
+        return instrument
 
-        Zero counters, unset gauges and empty histograms are omitted unless
+    def snapshot(self, *, include_zero: bool = False) -> Dict[str, Any]:
+        """Plain-dict export: ``{"counters", "gauges", "histograms", "timers"}``.
+
+        Zero counters, unset gauges, empty histograms and unused timers
+        are omitted unless
         ``include_zero`` is true (registration is an import-time side
         effect, so untouched instruments carry no information).
         """
@@ -235,6 +287,11 @@ class MetricsRegistry:
                 for name, h in sorted(self._histograms.items())
                 if include_zero or h.count
             },
+            "timers": {
+                name: t.as_dict()
+                for name, t in sorted(self._timers.items())
+                if include_zero or t.calls
+            },
         }
 
     def reset(self) -> None:
@@ -244,6 +301,8 @@ class MetricsRegistry:
         for instrument in self._gauges.values():
             instrument.reset()
         for instrument in self._histograms.values():
+            instrument.reset()
+        for instrument in self._timers.values():
             instrument.reset()
 
 
@@ -264,6 +323,11 @@ def gauge(name: str) -> Gauge:
 def histogram(name: str) -> Histogram:
     """Get-or-create a histogram on the global registry."""
     return REGISTRY.histogram(name)
+
+
+def timer(name: str) -> Timer:
+    """Get-or-create a timer on the global registry."""
+    return REGISTRY.timer(name)
 
 
 def snapshot(*, include_zero: bool = False) -> Dict[str, Any]:
@@ -290,15 +354,29 @@ def subtract_counters(after: Dict[str, int], before: Dict[str, int]) -> Dict[str
     }
 
 
+def subtract_timers(
+    after: Dict[str, Dict[str, int]], before: Dict[str, Dict[str, int]]
+) -> Dict[str, Dict[str, int]]:
+    """Timer delta ``after - before`` (timers without new calls dropped);
+    the inline runner's counterpart of :func:`subtract_counters`."""
+    out: Dict[str, Dict[str, int]] = {}
+    for name, totals in after.items():
+        prior = before.get(name, {})
+        calls = totals["calls"] - prior.get("calls", 0)
+        if calls > 0:
+            out[name] = {"calls": calls, "ns": totals["ns"] - prior.get("ns", 0)}
+    return out
+
+
 def merge_snapshot(snap: Dict[str, Any]) -> None:
     """Fold a :func:`snapshot` export into the global registry.
 
     The fork-boundary merge used by :func:`repro.perf.parallel.parallel_map`:
     worker processes snapshot their (freshly reset) registries and the
     parent adds the deltas here, so counters accumulated inside workers
-    appear in the parent's per-experiment totals.  Counters add, histograms
-    fold (sample prefixes concatenate up to the cap), gauges are
-    last-writer-wins in worker order.
+    appear in the parent's per-experiment totals.  Counters and timers
+    add, histograms fold (sample prefixes concatenate up to the cap),
+    gauges are last-writer-wins in worker order.
     """
     for name, value in snap.get("counters", {}).items():
         REGISTRY.counter(name).inc(value)
@@ -307,3 +385,5 @@ def merge_snapshot(snap: Dict[str, Any]) -> None:
             REGISTRY.gauge(name).set(value)
     for name, exported in snap.get("histograms", {}).items():
         REGISTRY.histogram(name).merge(exported)
+    for name, totals in snap.get("timers", {}).items():
+        REGISTRY.timer(name).record(totals["ns"], totals["calls"])

@@ -69,13 +69,10 @@ accepts)::
           "slowest_spans": [{"name": "parallel.map", "pid": 1,
                              "dur_us": 5400.0}, ...]
         },
-        "profile": {                                           # optional:
-          "enabled": true,                                     # only when
-          "lanes": [{"pid": 1, "lane": "E15: runner",          # --profile
-                     "phases": {"measure.unfold":              # ran
-                        {"calls": 120, "inclusive_us": 9000.0,
-                         "exclusive_us": 1500.0}, ...}}, ...],
-          "folded_files": ["profiles/E15.folded"]              # flamegraph input
+        "phases": {                                            # every run:
+          "E15": {"measure.unfold": {"calls": 120, "s": 0.09}, # inclusive
+                  "scheduler.step": {"calls": 900, "s": 0.03}, # seconds per
+                  ...}, ...                                    # phase timer
         },
         "config": {                                            # optional:
           "full": false, "parallel": 2, "cache": "on",         # the resolved
@@ -99,10 +96,15 @@ accepts)::
 The ``summary.trace`` block is :func:`repro.obs.distributed.summarize_events`
 output over the run's saved trace files; it appears **only** when tracing
 was on, so disabled-path reports are byte-identical to pre-tracing ones.
-The same only-when-active contract holds for ``summary.profile``
-(:mod:`repro.obs.profile` lanes, present only when phase profiling ran)
-and ``summary.analysis`` (:func:`repro.obs.analyze.analyze_events` over
-the merged trace, present only when tracing produced events).
+The same only-when-active contract holds for ``summary.analysis``
+(:func:`repro.obs.analyze.analyze_events` over the merged trace, present
+only when tracing produced events).  ``summary.phases`` is always there
+in reports the suite writes (:func:`phases_summary` over the phase timers
+of :mod:`repro.obs.metrics`): per experiment, the calls and inclusive
+seconds of each timed phase, chunks run on other processes included.
+Phase times are wall-clock figures, so they stay out of the records;
+reports written before the timers existed have no block and still
+validate.
 
 ERROR/TIMEOUT outcomes are reproducible from the report alone: re-run the
 experiment with ``--seed <seed>`` (or no flag when ``seed`` is null — the
@@ -128,7 +130,7 @@ __all__ = [
     "build_report",
     "cache_summary",
     "resilience_summary",
-    "profile_summary",
+    "phases_summary",
     "validate_report",
     "format_record",
     "format_suite_summary",
@@ -202,7 +204,7 @@ def build_report(
     backend: Optional[Dict[str, Any]] = None,
     resilience: Optional[Dict[str, Any]] = None,
     trace: Optional[Dict[str, Any]] = None,
-    profile: Optional[Dict[str, Any]] = None,
+    phases: Optional[Dict[str, Any]] = None,
     analysis: Optional[Dict[str, Any]] = None,
     config: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
@@ -221,15 +223,11 @@ def build_report(
     (:func:`repro.obs.distributed.summarize_events` output, plus a
     ``files`` list); when given it lands in ``summary.trace`` — pass it
     only when tracing actually ran, so untraced reports stay byte-stable.
-    ``profile`` is the optional phase-profile block (:func:`profile_summary`
-    over :func:`repro.obs.profile.lanes`); when given it lands in
-    ``summary.profile`` — pass it only when profiling ran, so unprofiled
-    reports stay byte-stable.
+    ``phases`` is the phase-timer block (:func:`phases_summary`); when
+    given it lands in ``summary.phases``.
     ``analysis`` is the optional trace-analytics block
     (:func:`repro.obs.analyze.analyze_events` over the merged trace); when
-    given it lands in ``summary.analysis`` — its presence must depend on
-    tracing alone (never on profiling) so the profile-differential
-    guarantee holds.
+    given it lands in ``summary.analysis``.
     ``config`` is the optional resolved run configuration
     (:meth:`repro.api.RunConfig.describe`: flat scalar fields); when given
     it lands in ``summary.config``, recording exactly which knobs the run
@@ -260,8 +258,8 @@ def build_report(
         summary["resilience"] = resilience
     if trace is not None:
         summary["trace"] = trace
-    if profile is not None:
-        summary["profile"] = profile
+    if phases is not None:
+        summary["phases"] = phases
     if analysis is not None:
         summary["analysis"] = analysis
     if config is not None:
@@ -307,40 +305,22 @@ def cache_summary(
     return block
 
 
-def profile_summary(
-    lanes: Sequence[Dict[str, Any]],
-    *,
-    enabled: bool,
-    folded_files: Optional[Sequence[str]] = None,
-) -> Dict[str, Any]:
-    """The ``summary.profile`` block: per-pid phase-attribution lanes.
+def phases_summary(
+    timers: Dict[str, Dict[str, Dict[str, int]]]
+) -> Dict[str, Dict[str, Dict[str, Any]]]:
+    """The ``summary.phases`` block from per-experiment timer exports.
 
-    ``lanes`` is :func:`repro.obs.profile.lanes` output (or absorbed chunk
-    payloads of the same shape); per-stack data is dropped here — collapsed
-    stacks go to ``*.folded`` files, whose report-relative paths land in
-    ``folded_files``.  Phase totals are rounded to whole microseconds so
-    the block diffs cleanly between runs.
+    ``timers`` maps experiment id to the ``"timers"`` part of its
+    :func:`repro.obs.metrics.snapshot` (``{phase: {"calls", "ns"}}``); the
+    block keeps the calls and turns nanoseconds into seconds.
     """
-    slim: List[Dict[str, Any]] = []
-    for lane in lanes:
-        slim.append(
-            {
-                "pid": int(lane.get("pid", 0)),
-                "lane": str(lane.get("lane", "?")),
-                "phases": {
-                    phase: {
-                        "calls": int(totals.get("calls", 0)),
-                        "inclusive_us": round(float(totals.get("inclusive_us", 0.0))),
-                        "exclusive_us": round(float(totals.get("exclusive_us", 0.0))),
-                    }
-                    for phase, totals in sorted((lane.get("phases") or {}).items())
-                },
-            }
-        )
-    block: Dict[str, Any] = {"enabled": bool(enabled), "lanes": slim}
-    if folded_files is not None:
-        block["folded_files"] = list(folded_files)
-    return block
+    return {
+        experiment: {
+            phase: {"calls": int(totals["calls"]), "s": round(totals["ns"] / 1e9, 6)}
+            for phase, totals in sorted(phases.items())
+        }
+        for experiment, phases in timers.items()
+    }
 
 
 #: Counter namespaces that describe transport/supervision health.
@@ -601,45 +581,27 @@ def validate_report(payload: Any) -> None:
                 and span["dur_us"] >= 0,
                 f"{where}.dur_us must be a number >= 0",
             )
-    if "profile" in summary:
-        profile = summary["profile"]
-        _require(isinstance(profile, dict), "summary.profile must be an object")
-        _require(isinstance(profile.get("enabled"), bool),
-                 "summary.profile.enabled must be a boolean")
-        _require(isinstance(profile.get("lanes"), list),
-                 "summary.profile.lanes must be a list")
-        for index, lane in enumerate(profile["lanes"]):
-            where = f"summary.profile.lanes[{index}]"
-            _require(isinstance(lane, dict), f"{where} must be an object")
-            _require(
-                isinstance(lane.get("pid"), int) and not isinstance(lane["pid"], bool),
-                f"{where}.pid must be an integer",
-            )
-            _require(isinstance(lane.get("lane"), str), f"{where}.lane must be a string")
-            _require(isinstance(lane.get("phases"), dict),
-                     f"{where}.phases must be an object")
-            for phase, totals in lane["phases"].items():
-                at = f"{where}.phases[{phase!r}]"
-                _require(isinstance(phase, str) and isinstance(totals, dict),
-                         f"{where}.phases must map str -> object")
+    if "phases" in summary:
+        phases = summary["phases"]
+        _require(isinstance(phases, dict), "summary.phases must be an object")
+        for experiment, timed in phases.items():
+            where = f"summary.phases[{experiment!r}]"
+            _require(isinstance(timed, dict), f"{where} must be an object")
+            for phase, totals in timed.items():
+                at = f"{where}[{phase!r}]"
+                _require(isinstance(totals, dict), f"{at} must be an object")
                 _require(
                     isinstance(totals.get("calls"), int)
                     and not isinstance(totals["calls"], bool)
                     and totals["calls"] >= 0,
                     f"{at}.calls must be an integer >= 0",
                 )
-                for field in ("inclusive_us", "exclusive_us"):
-                    _require(
-                        isinstance(totals.get(field), (int, float))
-                        and not isinstance(totals[field], bool),
-                        f"{at}.{field} must be a number",
-                    )
-        if "folded_files" in profile:
-            _require(
-                isinstance(profile["folded_files"], list)
-                and all(isinstance(f, str) for f in profile["folded_files"]),
-                "summary.profile.folded_files must be a list of strings",
-            )
+                _require(
+                    isinstance(totals.get("s"), (int, float))
+                    and not isinstance(totals["s"], bool)
+                    and totals["s"] >= 0,
+                    f"{at}.s must be a number >= 0",
+                )
     if "analysis" in summary:
         analysis = summary["analysis"]
         _require(isinstance(analysis, dict), "summary.analysis must be an object")
@@ -727,6 +689,9 @@ def format_suite_summary(records: Sequence[Dict[str, Any]]) -> str:
     return f"all {len(records)} experiments passed"
 
 
+#: Phases shown per experiment in the summary table, slowest first.
+_TOP_PHASES = 3
+
 _TABLE_COUNTERS = (
     ("steps", "scheduler.steps"),
     ("compose", "measure.compose.calls"),
@@ -787,20 +752,15 @@ def format_summary_table(payload: Dict[str, Any]) -> str:
             f"trace: {trace.get('events')} events across "
             f"{len(trace.get('processes', []))} process lane(s)"
         )
-    if "profile" in summary:
-        profile = summary["profile"]
-        phase_totals: Dict[str, float] = {}
-        for lane in profile.get("lanes", []):
-            for phase, totals in (lane.get("phases") or {}).items():
-                phase_totals[phase] = phase_totals.get(phase, 0.0) + float(
-                    totals.get("inclusive_us", 0.0)
-                )
-        ranked = sorted(phase_totals.items(), key=lambda kv: kv[1], reverse=True)
-        rendered = ", ".join(f"{phase} {total / 1000.0:.1f}ms" for phase, total in ranked)
-        lines.append(
-            f"profile: {len(profile.get('lanes', []))} lane(s)"
-            + (f" — {rendered}" if rendered else "")
-        )
+    if summary.get("phases"):
+        lines.append("phases (inclusive seconds/calls; nested phases overlap):")
+        for experiment, timed in summary["phases"].items():
+            ranked = sorted(timed.items(), key=lambda kv: kv[1]["s"], reverse=True)
+            rendered = ", ".join(
+                f"{phase} {totals['s']:.3f}s/{totals['calls']}"
+                for phase, totals in ranked[:_TOP_PHASES]
+            )
+            lines.append(f"  {experiment}: {rendered or '-'}")
     if "analysis" in summary:
         steps = summary["analysis"].get("critical_path", {}).get("steps", [])
         if steps:

@@ -81,10 +81,9 @@ class ChunkOutcome:
     ``(index, error_traceback_or_None, value)`` per item, or ``None`` when
     the chunk was **lost** (its executor died without reporting) —
     ``parallel_map`` then recomputes the chunk in the caller.  ``metrics``
-    is the executor's :func:`repro.obs.metrics.snapshot` delta, ``trace``
-    its span payload (:func:`repro.obs.distributed.chunk_payload`) and
-    ``profile`` its phase-profile payload
-    (:func:`repro.obs.profile.chunk_profile_payload`); each is ``None``
+    is the executor's :func:`repro.obs.metrics.snapshot` delta (phase
+    timers included) and ``trace`` its span payload
+    (:func:`repro.obs.distributed.chunk_payload`); each is ``None``
     when the work ran in the caller's own process, when that recording is
     off, or when the chunk was lost.  Payloads are atomic: a lost chunk
     contributed *nothing*, so the caller-side recompute can never
@@ -96,7 +95,6 @@ class ChunkOutcome:
     metrics: Optional[Dict[str, Any]] = None
     detail: Optional[str] = None
     trace: Optional[Dict[str, Any]] = None
-    profile: Optional[Dict[str, Any]] = None
     quarantined: bool = False
 
     @property
@@ -106,14 +104,11 @@ class ChunkOutcome:
     def stamp(self, lane: str, recv_ns: int) -> "ChunkOutcome":
         """Record the transport facts and return ``self``: the caller's
         ``recv_ns`` receive stamp, which aligns the trace's clock (see
-        :mod:`repro.obs.distributed`), and the ``lane`` of the trace and
-        profile (a worker's address is known only to the caller).  Phase
-        totals are durations: no clock alignment."""
+        :mod:`repro.obs.distributed`), and the ``lane`` of the trace (a
+        worker's address is known only to the caller)."""
         if self.trace is not None:
             self.trace["recv_ns"] = recv_ns
             self.trace["lane"] = lane
-        if self.profile is not None:
-            self.profile["lane"] = lane
         return self
 
     def covers(self, chunk: Chunk) -> bool:
@@ -133,7 +128,7 @@ class ChunkOutcome:
         ]
         return indices == [index for index, _item in chunk] and all(
             part is None or isinstance(part, dict)
-            for part in (self.metrics, self.trace, self.profile)
+            for part in (self.metrics, self.trace)
         )
 
 

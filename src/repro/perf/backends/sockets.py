@@ -11,17 +11,17 @@ the pool.  The wire protocol is deliberately small:
 * **framing** — every message is an 8-byte big-endian length followed by a
   pickle of a tuple; requests are ``("ping",)`` and
   ``("run", fn_blob, chunk_blob, ctx)``.  ``ctx`` carries the caller's run
-  settings for that one chunk: ``cache`` (the cache switch), ``trace`` and
-  ``profile`` (whether to record spans and phases), ``job`` (the
+  settings for that one chunk: ``cache`` (the cache switch), ``trace``
+  (whether to record spans), ``job`` (the
   correlation id, when one is set — see :mod:`repro.obs.log`) and
   ``heartbeat_s`` (the heartbeat cadence).  Replies are
   ``("pong", info)``, ``("ok", outcome)``, ``("lost", detail)``,
   ``("fatal", traceback)`` and ``("hb", seq)`` liveness frames interleaved
   while a chunk runs.  ``outcome`` is the
   :class:`~repro.perf.backends.ChunkOutcome` the worker's chunk child
-  pickled, forwarded unopened: results, metrics snapshot, trace payload
-  and profile payload ride in one frame, so a chunk's spans and phase
-  totals are exactly as atomic as its results and metrics.  The client
+  pickled, forwarded unopened: results, metrics snapshot (phase timers
+  included) and trace payload ride in one frame, so a chunk's spans are
+  exactly as atomic as its results and metrics.  The client
   accepts an ``ok`` only when the outcome :meth:`covers
   <repro.perf.backends.ChunkOutcome.covers>` the chunk it sent; any other
   reply is a protocol violation;
@@ -84,7 +84,6 @@ import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import log as _obs_log
-from repro.obs import profile as _profile
 from repro.obs import progress as _progress
 from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
@@ -542,7 +541,6 @@ class SocketBackend(ExecutionBackend):
         ctx: Dict[str, Any] = {
             "cache": _perf_cache.CACHE.enabled,
             "trace": _trace.TRACER.enabled,
-            "profile": _profile.PROFILER.enabled,
             "heartbeat_s": self._policy.heartbeat_s,
         }
         job = _obs_log.correlation()

@@ -49,7 +49,6 @@ from typing import Any, Callable, Iterable, List, Tuple, Union
 
 from repro.obs import distributed as _distributed
 from repro.obs import metrics as _metrics
-from repro.obs import profile as _profile
 from repro.obs import progress as _progress
 from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
@@ -148,11 +147,11 @@ def parallel_map(
                 for index, item in chunk:
                     results[index] = fn(item)
             continue
-        # The one merge of a chunk outcome: metrics, spans, then phase totals.
+        # The one merge of a chunk outcome: metrics (phase timers included),
+        # then spans.
         if outcome.metrics is not None:
             _metrics.merge_snapshot(outcome.metrics)
         _distributed.absorb_chunk_trace(outcome.trace)
-        _profile.absorb_chunk_profile(outcome.profile)
         for index, error, value in outcome.results:
             if error is not None:
                 failures.append((index, error))

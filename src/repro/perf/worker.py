@@ -52,7 +52,6 @@ from repro.api.config import ConfigError, resolve_config
 from repro.obs import distributed as _distributed
 from repro.obs import log as _obs_log
 from repro.obs import metrics as _metrics
-from repro.obs import profile as _profile
 from repro.obs import trace as _trace
 from repro.perf import cache as _perf_cache
 from repro.perf import pickling
@@ -79,8 +78,8 @@ _LEN = struct.Struct(">Q")
 
 def _install_run_settings(ctx: Mapping[str, Any]) -> None:
     """Install a run frame's settings (see :mod:`repro.perf.backends.sockets`)
-    in this chunk child.  ``trace`` and ``profile`` only switch recording
-    on: a worker started with its own tracing keeps tracing."""
+    in this chunk child.  ``trace`` only switches recording on: a worker
+    started with its own tracing keeps tracing."""
     if ctx.get("job") is not None:
         _obs_log.set_correlation(ctx["job"])
     if "cache" in ctx:
@@ -99,19 +98,13 @@ def _chunk_child(
     harness teardown.  The caller's settings come from the run frame's
     ``ctx``.  The inherited metrics registry is zeroed and the inherited
     span buffer cleared so the shipped payloads are exactly this child's
-    contribution.  When profiling is on, the hook is re-installed post-fork
-    — a ``sys.setprofile`` hook does not survive into a forked child's new
-    frames reliably, and the accumulated worker totals are not this chunk's
-    work either.
+    contribution.
     """
     exit_code = 0
     try:
         _install_run_settings(ctx)
         _metrics.reset()
         _trace.TRACER.clear()  # buffered worker events are not this chunk's work
-        if ctx.get("profile") or _profile.PROFILER.enabled:
-            _profile.PROFILER.clear()
-            _profile.PROFILER.enable()
         # Chaos hook (tests/CI only): REPRO_CHAOS_FORK arms seeded mid-chunk
         # kill/hang/delay faults so the supervision layer's lost-chunk and
         # deadline paths can be driven deterministically.  Unset, this is
@@ -138,7 +131,6 @@ def _chunk_child(
             results=results,
             metrics=_metrics.snapshot(),
             trace=_distributed.chunk_payload("worker"),
-            profile=_profile.chunk_profile_payload("worker"),
         )
         payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
         with open(write_fd, "wb") as pipe:
@@ -154,8 +146,8 @@ def run_chunk_in_fork(
 ) -> Optional[ChunkOutcome]:
     """Execute one chunk in a fresh forked child.
 
-    Returns the child's :class:`ChunkOutcome` — results, metrics snapshot,
-    trace payload and profile payload, exactly as the child built them —
+    Returns the child's :class:`ChunkOutcome` — results, metrics snapshot
+    and trace payload, exactly as the child built them —
     or ``None`` when the child died without reporting.  ``ctx`` holds run
     settings to install in the child only.  The outcome is not stamped:
     the client that receives it stamps the lane and its receive time.
@@ -250,7 +242,6 @@ def _handle_run(
     failed = sum(1 for _index, error, _value in outcome.results if error is not None)
     status = "ok" if not failed else f"ok with {failed} item error(s)"
     traced = ", traced" if outcome.trace is not None else ""
-    profiled = ", profiled" if outcome.profile is not None else ""
     _WORKER_LOG.info(
         "worker.chunk",
         job=job,
@@ -260,7 +251,7 @@ def _handle_run(
         traced=True if outcome.trace is not None else None,
         heartbeats=beats or None,
     )
-    return f"{status} ({len(chunk)} items, {elapsed:.2f}s{traced}{profiled}{beaten})"
+    return f"{status} ({len(chunk)} items, {elapsed:.2f}s{traced}{beaten})"
 
 
 def _serve_connection(conn: socket.socket, peer: Tuple[str, int]) -> None:

@@ -23,14 +23,17 @@ checks can assert exact equalities.
 from __future__ import annotations
 
 from fractions import Fraction
+from time import perf_counter_ns as _clock
 from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, Mapping, Tuple
 
-from repro.obs.metrics import counter as _counter
+from repro.obs.metrics import counter as _counter, timer as _timer
 
 #: Hot-path instruments (bound once; an event is one attribute increment).
 _COMPOSE_CALLS = _counter("measure.compose.calls")
 _CONVEX_CALLS = _counter("measure.convex.calls")
 _CORRESPONDENCE_CHECKS = _counter("measure.correspondence.checks")
+#: Phase clock of :func:`product`.
+_COMPOSE_TIME = _timer("measure.compose")
 
 __all__ = [
     "DiscreteMeasure",
@@ -301,16 +304,22 @@ def product(*measures: DiscreteMeasure) -> DiscreteMeasure:
     The outcome space is the Cartesian product; outcomes are tuples.
     """
     _COMPOSE_CALLS.inc()
-    if not measures:
-        return dirac(())
-    weights: Dict[Outcome, Any] = {(): 1}
-    for eta in measures:
-        new_weights: Dict[Outcome, Any] = {}
-        for prefix, prefix_weight in weights.items():
-            for outcome, weight in eta.items():
-                new_weights[prefix + (outcome,)] = prefix_weight * weight
-        weights = new_weights
-    return DiscreteMeasure(weights, require_probability=all(m.total_mass == 1 for m in measures))
+    start = _clock()
+    try:
+        if not measures:
+            return dirac(())
+        weights: Dict[Outcome, Any] = {(): 1}
+        for eta in measures:
+            new_weights: Dict[Outcome, Any] = {}
+            for prefix, prefix_weight in weights.items():
+                for outcome, weight in eta.items():
+                    new_weights[prefix + (outcome,)] = prefix_weight * weight
+            weights = new_weights
+        return DiscreteMeasure(
+            weights, require_probability=all(m.total_mass == 1 for m in measures)
+        )
+    finally:
+        _COMPOSE_TIME.record(_clock() - start)
 
 
 def convex_combination(

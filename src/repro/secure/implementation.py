@@ -35,12 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from time import perf_counter_ns as _clock
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bounded.bounds import measure_time_bound
 from repro.bounded.families import PSIOAFamily, SchedulerFamily
 from repro.core.psioa import PSIOA
-from repro.obs.metrics import counter as _counter
+from repro.obs.metrics import counter as _counter, timer as _timer
 from repro.probability.asymptotics import is_negligible_fit
 from repro.probability.measures import total_variation
 from repro.semantics.insight import InsightFunction, compose_world, f_dist
@@ -58,6 +59,9 @@ __all__ = [
 #: Total-variation evaluations in the existential search (one per
 #: ``(sigma, sigma')`` pair actually scored); shows what pruning saves.
 _TV_CALLS = _counter("secure.tv.calls")
+#: Phase clock of :func:`_min_distance`, one call per evaluation it counts.
+#: Its time includes the perceptions it draws lazily (their unfoldings).
+_TV_TIME = _timer("secure.tv")
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,7 @@ def _exact_key(measure):
 def _min_distance(dist_first, perceptions: Iterable[object], *, stop_at=0):
     """min over ``perceptions`` of TV(dist_first, perception), stopping at the
     first one within ``stop_at``; ``None`` when there is none."""
+    start = _clock()
     best = None
     calls = 0
     for dist_second in perceptions:
@@ -139,6 +144,7 @@ def _min_distance(dist_first, perceptions: Iterable[object], *, stop_at=0):
             if best <= stop_at:
                 break
     _TV_CALLS.inc(calls)
+    _TV_TIME.record(_clock() - start, calls)
     return best
 
 

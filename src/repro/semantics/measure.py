@@ -19,11 +19,12 @@ is preserved when both the automaton and the scheduler use exact weights.
 
 from __future__ import annotations
 
+from time import perf_counter_ns as _clock
 from typing import Dict, Optional
 
 from repro.core.executions import Fragment
 from repro.core.psioa import PSIOA
-from repro.obs.metrics import counter as _counter
+from repro.obs.metrics import counter as _counter, timer as _timer
 from repro.obs.trace import NULL_SPAN as _NULL_SPAN, TRACER as _TRACER, span as _span
 from repro.perf import cache as _perf_cache
 from repro.probability.measures import DiscreteMeasure
@@ -36,6 +37,8 @@ _UNFOLD_CALLS = _counter("measure.unfold.calls")
 _UNFOLD_FRAGMENTS = _counter("measure.unfold.fragments")
 _UNFOLD_TRANSITIONS = _counter("measure.unfold.transitions")
 _UNFOLD_MEMO_HITS = _counter("measure.unfold.memo_hits")
+#: Phase clock: one call per unfolding asked for, memo hits included.
+_UNFOLD_TIME = _timer("measure.unfold")
 
 __all__ = ["execution_measure", "cone_probability", "UnboundedUnfoldingError"]
 
@@ -89,7 +92,21 @@ def execution_measure(
         raise UnboundedUnfoldingError(
             "scheduler has no intrinsic step bound; pass max_depth explicitly"
         )
+    start = _clock()
+    try:
+        return _unfold(automaton, scheduler, bound, truncate, mass_epsilon)
+    finally:
+        _UNFOLD_TIME.record(_clock() - start)
 
+
+def _unfold(
+    automaton: PSIOA,
+    scheduler: Scheduler,
+    bound: int,
+    truncate: bool,
+    mass_epsilon: float,
+) -> DiscreteMeasure:
+    """The body of :func:`execution_measure` once the depth bound is known."""
     # Whole-unfolding memo: epsilon_sigma is a pure function of the
     # (automaton, scheduler) pair and the unfolding parameters, so repeated
     # unfoldings of the same pair are served from the perf cache.  Keys are

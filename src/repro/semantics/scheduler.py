@@ -23,18 +23,21 @@ The module ships the scheduler shapes used throughout the paper:
 
 from __future__ import annotations
 
+from time import perf_counter_ns as _clock
 from typing import Callable, Hashable, Optional, Sequence, Tuple
 
 from repro.core.executions import Fragment
 from repro.core.psioa import PSIOA
 from repro.core.signature import Action
-from repro.obs.metrics import counter as _counter
+from repro.obs.metrics import counter as _counter, timer as _timer
 from repro.perf import cache as _perf_cache
 from repro.probability.measures import SubDiscreteMeasure, convex_combination
 
 #: One increment per checked scheduling decision — the step count every
 #: execution-measure unfolding and implementation check is made of.
 _SCHEDULER_STEPS = _counter("scheduler.steps")
+#: Phase clock of the same decisions.
+_STEP_TIME = _timer("scheduler.step")
 
 __all__ = [
     "Scheduler",
@@ -73,9 +76,13 @@ class Scheduler:
         # under the decision cache; ``perf.cache.decision.hits`` tells how
         # many of them were served without recomputation.
         _SCHEDULER_STEPS.inc()
-        if _perf_cache.CACHE.enabled and self.cacheable:
-            return _perf_cache.cached_decision(self, automaton, fragment)
-        return self._decide_checked_uncached(automaton, fragment)
+        start = _clock()
+        try:
+            if _perf_cache.CACHE.enabled and self.cacheable:
+                return _perf_cache.cached_decision(self, automaton, fragment)
+            return self._decide_checked_uncached(automaton, fragment)
+        finally:
+            _STEP_TIME.record(_clock() - start)
 
     def _decide_checked_uncached(self, automaton: PSIOA, fragment: Fragment) -> SubDiscreteMeasure:
         decision = self.decide(automaton, fragment)

@@ -3,7 +3,7 @@
 The resolver's contract is one documented precedence — explicit overrides
 > environment gates > defaults — applied in exactly one place.  The tests
 pin that order, the normalizations (spec canonicalization, abspath,
-``profile_dir`` implies ``profile``), the historic precedence bug it
+non-positive timeouts), the historic precedence bug it
 fixes (``REPRO_CACHE=off`` used to be clobbered by the CLI flag default),
 the facade wrappers the CLI/service build on, and that applying a config
 never touches the environment.
@@ -25,7 +25,7 @@ class TestResolverPrecedence:
         config = resolve_config(env={})
         assert config == RunConfig()
         assert config.cache == "on" and config.backend is None
-        assert not config.trace and not config.profile
+        assert not config.trace
 
     def test_env_gates_fill_unspecified_fields(self, tmp_path):
         env = {
@@ -33,7 +33,6 @@ class TestResolverPrecedence:
             "REPRO_CACHE_DIR": str(tmp_path / "store"),
             "REPRO_BACKEND": "pool:2",
             "REPRO_CHUNK_DEADLINE": "30",
-            "REPRO_PROFILE": "on",
             "REPRO_TRACE": "on",
             "REPRO_PROGRESS": "on",
         }
@@ -41,7 +40,7 @@ class TestResolverPrecedence:
         assert config.cache == "off"
         assert config.cache_dir == os.path.abspath(str(tmp_path / "store"))
         assert config.backend == "pool:2"
-        assert config.profile and config.trace
+        assert config.trace
         assert config.progress
         assert config.chunk_deadline == 30.0
 
@@ -72,10 +71,6 @@ class TestResolverPrecedence:
     def test_zero_timeout_means_unbounded(self):
         assert resolve_config(env={}, timeout=0).timeout is None
         assert resolve_config(env={}, timeout=12.5).timeout == 12.5
-
-    def test_profile_dir_implies_profile(self, tmp_path):
-        config = resolve_config(env={}, profile_dir=str(tmp_path))
-        assert config.profile
 
     def test_parallel_without_isolation_rejected(self):
         with pytest.raises(ConfigError, match="isolation"):
@@ -140,21 +135,16 @@ class TestRunConfigShape:
         assert not trace.is_enabled()
 
     def test_run_suite_leaves_environment_untouched(self, tmp_path):
-        from repro.obs import profile
-
         before = dict(os.environ)
         settings = dict(
             full=True, timeout=120.0, retries=1, seed=5, isolated=True,
             keep_going=False, parallel=2, cache="stats",
             cache_dir=str(tmp_path / "store"), backend="pool:2",
             chunk_deadline=30.0, trace=True, trace_dir=str(tmp_path / "traces"),
-            profile=True, profile_dir=str(tmp_path / "profiles"), progress=True,
+            progress=True,
         )
         assert set(settings) == {f.name for f in fields(RunConfig)}
-        try:
-            result = api.run_suite(["E9"], config=RunConfig(**settings))
-        finally:
-            profile.disable()
+        result = api.run_suite(["E9"], config=RunConfig(**settings))
         assert result.ok
         assert dict(os.environ) == before
 

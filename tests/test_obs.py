@@ -200,6 +200,36 @@ class TestMetrics:
         before = {"a": 3, "b": 2}
         assert metrics.subtract_counters(after, before) == {"a": 2, "c": 1}
 
+    def test_timer_binding_survives_reset_and_pickles_by_name(self):
+        import pickle
+
+        bound = metrics.timer("test.phase")
+        bound.record(500)
+        bound.record(250, calls=3)
+        assert (bound.calls, bound.ns) == (4, 750)
+        metrics.reset()
+        assert (bound.calls, bound.ns) == (0, 0)
+        assert metrics.timer("test.phase") is bound
+        assert pickle.loads(pickle.dumps(bound)) is bound
+
+    def test_snapshot_keeps_timers_apart_from_counters(self):
+        metrics.timer("test.idle")
+        metrics.timer("test.busy").record(1000, calls=2)
+        snap = metrics.snapshot()
+        assert snap["timers"] == {"test.busy": {"calls": 2, "ns": 1000}}
+        assert "test.busy" not in snap["counters"]
+        assert metrics.snapshot(include_zero=True)["timers"]["test.idle"] == {
+            "calls": 0, "ns": 0,
+        }
+
+    def test_merge_snapshot_adds_timers_and_subtract_timers_diffs(self):
+        metrics.timer("test.merged").record(100)
+        metrics.merge_snapshot({"timers": {"test.merged": {"calls": 2, "ns": 50}}})
+        assert metrics.snapshot()["timers"]["test.merged"] == {"calls": 3, "ns": 150}
+        after = {"a": {"calls": 5, "ns": 900}, "b": {"calls": 1, "ns": 10}}
+        before = {"a": {"calls": 2, "ns": 300}, "b": {"calls": 1, "ns": 10}}
+        assert metrics.subtract_timers(after, before) == {"a": {"calls": 3, "ns": 600}}
+
     # The two tests below verify the suite-wide autouse reset fixture: the
     # first leaks a counter bump on purpose, the second (running later in
     # file order) must start from a clean registry regardless.

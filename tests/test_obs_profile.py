@@ -1,25 +1,22 @@
-"""Phase profiling and trace analytics (:mod:`repro.obs.profile` / ``.analyze``).
+"""Phase timers and trace analytics (:mod:`repro.obs.metrics` / ``.analyze``).
 
-Covers the profiler's attribution semantics (anchored calls, nesting,
-recursion counted once, exclusive-time disjointness), the collapsed-stack
-export, lane payloads and ``(pid, lane)`` merging, the disabled-path
-contract (no hook installed at all, tracer parity), the ``REPRO_PROFILE``
-environment gate, critical-path extraction and straggler detection over
-synthetic traces, the ``summary.profile`` schema block, and cross-run
-regression attribution (identical reports compare clean; an inflated
-phase ranks first).
+Covers what the phase timers at the semantic entry points record on real
+work (calls, inclusive time, how the phases nest, one call per PCA
+transition), the ``summary.phases`` report block (round trip, rendering,
+validation, absence in reports that predate it), critical-path extraction
+and straggler detection over synthetic traces, and cross-run regression
+attribution (identical reports compare clean; an inflated phase ranks
+first; reports written with the removed ``summary.profile`` block still
+validate and compare).
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from repro.obs import analyze, profile
+from repro.obs import analyze, metrics
 from repro.obs.analyze import (
     analyze_events,
     compare_reports,
@@ -28,276 +25,83 @@ from repro.obs.analyze import (
     format_comparison,
     lane_analysis,
 )
-from repro.obs.profile import Profiler, merge_lane_phases, save_folded
 from repro.obs.report import (
     ReportSchemaError,
     build_report,
     format_summary_table,
     outcome_record,
-    profile_summary,
+    phases_summary,
     validate_report,
 )
-
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def _subprocess_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return env
+from repro.semantics.measure import execution_measure
+from repro.semantics.scheduler import ActionSequenceScheduler
+from tests.helpers import coin_automaton
 
 
-# -- attribution ------------------------------------------------------------------
+def _timers():
+    return metrics.snapshot()["timers"]
 
 
-def _spin(n=2000):
-    acc = 0
-    for i in range(n):
-        acc += i & 7
-    return acc
-
-
-def _anchored_inner():
-    return _spin()
-
-
-def _anchored_outer():
-    _spin()
-    return _anchored_inner()
-
-
-def _anchored_recursive(n):
-    _spin(200)
-    if n > 1:
-        _anchored_recursive(n - 1)
-
-
-def _test_profiler():
-    return Profiler(
-        anchors={
-            (__name__, "_anchored_outer"): "phase.outer",
-            (__name__, "_anchored_inner"): "phase.inner",
-            (__name__, "_anchored_recursive"): "phase.rec",
-        }
-    )
-
-
-@pytest.fixture
-def profiler():
-    p = _test_profiler()
-    p.enable()
-    yield p
-    p.disable()
+# -- what the timers record --------------------------------------------------------
 
 
 class TestAttribution:
-    def test_anchored_call_accounts_calls_and_time(self, profiler):
-        _anchored_inner()
-        profiler.disable()
-        snap = profiler.snapshot()
-        inner = snap["phases"]["phase.inner"]
-        assert inner["calls"] == 1
-        assert inner["inclusive_us"] > 0
-        assert 0 < inner["exclusive_us"] <= inner["inclusive_us"]
-        assert snap["stacks"].get("phase.inner", 0) > 0
-
-    def test_unanchored_calls_account_nothing(self, profiler):
-        _spin()
-        profiler.disable()
-        assert profiler.snapshot() == {"phases": {}, "stacks": {}}
-
-    def test_nesting_splits_exclusive_from_inclusive(self, profiler):
-        _anchored_outer()
-        profiler.disable()
-        snap = profiler.snapshot()
-        outer, inner = snap["phases"]["phase.outer"], snap["phases"]["phase.inner"]
-        assert outer["calls"] == 1 and inner["calls"] == 1
-        # The inner phase's time is inside the outer's inclusive but
-        # outside its exclusive.
-        assert outer["exclusive_us"] < outer["inclusive_us"]
-        assert inner["inclusive_us"] <= outer["inclusive_us"]
-        assert outer["exclusive_us"] + inner["inclusive_us"] == pytest.approx(
-            outer["inclusive_us"], rel=0.25
-        )
-        # Collapsed stacks carry the nesting.
-        assert "phase.outer;phase.inner" in snap["stacks"]
-        assert "phase.outer" in snap["stacks"]
-
-    def test_recursion_adds_calls_not_inclusive_time(self, profiler):
-        _anchored_recursive(5)
-        profiler.disable()
-        rec = profiler.snapshot()["phases"]["phase.rec"]
-        assert rec["calls"] == 5
-        # Inclusive is the outermost occurrence only: were recursion
-        # double-counted it would be ~5x the exclusive sum (every level
-        # spins the same loop), not about equal to it.
-        assert rec["inclusive_us"] == pytest.approx(rec["exclusive_us"], rel=0.5)
-
     def test_semantic_phases_attributed_on_a_real_unfolding(self):
-        from fractions import Fraction
-
-        from tests.helpers import coin_automaton
-        from repro.semantics.measure import execution_measure
-        from repro.semantics.scheduler import ActionSequenceScheduler
-
         coin = coin_automaton("coin", Fraction(1, 2))
-        scheduler = ActionSequenceScheduler(["toss", "head", "tail"])
-        profile.clear()
-        profile.enable()
-        try:
-            execution_measure(coin, scheduler)
-        finally:
-            profile.disable()
-        phases = profile.snapshot()["phases"]
-        profile.clear()
-        assert "measure.unfold" in phases
-        assert "scheduler.step" in phases
-        assert phases["measure.unfold"]["calls"] >= 1
+        execution_measure(coin, ActionSequenceScheduler(["toss", "head", "tail"]))
+        timers = _timers()
+        counters = metrics.snapshot()["counters"]
+        assert timers["measure.unfold"]["calls"] == 1
+        assert timers["scheduler.step"]["calls"] == counters["scheduler.steps"] > 0
+        assert timers["measure.unfold"]["ns"] > 0
+        # No timing ever enters the counters.
+        assert not any(name in counters for name in timers)
 
     def test_registered_phases_cover_the_spec_registry(self):
-        registry = profile.registered_phases()
+        import repro.config.transitions  # noqa: F401 - registers its timer
+        import repro.secure.implementation  # noqa: F401 - registers its timer
+
+        registered = metrics.snapshot(include_zero=True)["timers"]
         for phase in (
             "measure.unfold",
-            "measure.compose",
-            "fragment.decide",
             "scheduler.step",
             "pca.transition",
-            "cache.lookup",
-            "transport.pickle",
+            "measure.compose",
+            "secure.tv",
         ):
-            assert phase in registry, phase
-            assert registry[phase]  # at least one anchor label each
+            assert phase in registered, phase
 
-    def test_register_extends_and_reclassifies(self):
-        p = _test_profiler()
-        p.register("phase.extra", __name__, "_spin")
-        p.enable()
-        try:
-            _spin()
-        finally:
-            p.disable()
-        assert "phase.extra" in p.snapshot()["phases"]
+    def test_phases_nest_inclusively(self):
+        coin = coin_automaton("coin", Fraction(1, 3))
+        for actions in (["toss"], ["toss", "head"], ["toss", "tail", "head"]):
+            execution_measure(coin, ActionSequenceScheduler(actions))
+        timers = _timers()
+        # Every scheduler step runs inside an unfolding.
+        assert timers["scheduler.step"]["ns"] <= timers["measure.unfold"]["ns"]
 
+    def test_memo_hits_are_unfold_calls(self):
+        coin = coin_automaton("coin", Fraction(1, 2))
+        scheduler = ActionSequenceScheduler(["toss", "head"])
+        execution_measure(coin, scheduler)
+        execution_measure(coin, scheduler)
+        counters = metrics.snapshot()["counters"]
+        assert _timers()["measure.unfold"]["calls"] == 2 == counters.get(
+            "measure.unfold.calls", 0
+        ) + counters.get("measure.unfold.memo_hits", 0)
 
-# -- disabled path (tracer parity) -------------------------------------------------
+    def test_intrinsic_transition_is_one_pca_transition(self):
+        from repro.config.configuration import Configuration
+        from repro.config.transitions import intrinsic_transition, preserving_transition
 
-
-class TestDisabledContract:
-    def test_no_hook_installed_when_disabled(self):
-        # The strictest disabled contract: not a cheap hook — *no* hook.
-        assert not profile.is_enabled()
-        assert sys.getprofile() is None
-
-    def test_enable_installs_and_disable_removes_the_hook(self):
-        profile.enable()
-        try:
-            assert sys.getprofile() is not None
-            assert profile.is_enabled()
-        finally:
-            profile.disable()
-            profile.clear()
-        assert sys.getprofile() is None
-        assert not profile.is_enabled()
-
-    def test_disabled_payload_is_none_and_absorb_noop(self):
-        assert profile.chunk_profile_payload("lane") is None
-        assert profile.absorb_chunk_profile(None) is False
-        assert (
-            profile.absorb_chunk_profile(
-                {"pid": 1, "lane": "w", "phases": {}, "stacks": {}}
-            )
-            is False
-        )
-
-    def test_repro_profile_gates_a_fresh_process(self):
-        # Importing never reads the gate; the entry-point resolution does.
-        script = (
-            "import sys; from repro.obs import profile; "
-            "assert not profile.is_enabled() and sys.getprofile() is None; "
-            "from repro.api import resolve_config; resolve_config().apply(); "
-            "print('enabled' if profile.is_enabled() else 'disabled', "
-            "'hooked' if sys.getprofile() is not None else 'unhooked')"
-        )
-        for value, expected in (
-            ("on", "enabled hooked"),
-            ("1", "enabled hooked"),
-            ("", "disabled unhooked"),
-            ("off", "disabled unhooked"),
-        ):
-            env = _subprocess_env()
-            env["REPRO_PROFILE"] = value
-            out = subprocess.run(
-                [sys.executable, "-c", script], capture_output=True, text=True, env=env
-            )
-            assert out.stdout.strip() == expected, (value, out.stdout)
-
-
-# -- lanes, payloads, folded export ------------------------------------------------
-
-
-def _lane_payload(pid=111, lane="worker x", calls=2, inclusive=10.0, exclusive=6.0):
-    return {
-        "pid": pid,
-        "lane": lane,
-        "phases": {
-            "phase.p": {
-                "calls": calls,
-                "inclusive_us": inclusive,
-                "exclusive_us": exclusive,
-            }
-        },
-        "stacks": {"phase.p": exclusive},
-    }
-
-
-class TestLanes:
-    def test_absorb_merges_by_pid_and_lane(self):
-        profile.enable()
-        try:
-            profile.clear()
-            assert profile.absorb_chunk_profile(_lane_payload()) is True
-            assert profile.absorb_chunk_profile(_lane_payload()) is True
-            assert profile.absorb_chunk_profile(_lane_payload(pid=222)) is True
-            lanes = profile.lanes(lane="caller")
-        finally:
-            profile.disable()
-            profile.clear()
-        assert lanes[0]["lane"] == "caller" and lanes[0]["pid"] == os.getpid()
-        absorbed = {(lane["pid"], lane["lane"]): lane for lane in lanes[1:]}
-        assert set(absorbed) == {(111, "worker x"), (222, "worker x")}
-        merged = absorbed[(111, "worker x")]["phases"]["phase.p"]
-        assert merged["calls"] == 4  # two chunks, one lane
-        assert merged["inclusive_us"] == pytest.approx(20.0)
-        assert absorbed[(111, "worker x")]["stacks"]["phase.p"] == pytest.approx(12.0)
-
-    def test_merge_lane_phases_is_addition(self):
-        into = {"a": {"calls": 1, "inclusive_us": 2.0, "exclusive_us": 1.0}}
-        merge_lane_phases(into, {"a": {"calls": 2, "inclusive_us": 3.0, "exclusive_us": 1.5},
-                                 "b": {"calls": 1, "inclusive_us": 1.0, "exclusive_us": 1.0}})
-        assert into["a"] == {"calls": 3, "inclusive_us": 5.0, "exclusive_us": 2.5}
-        assert "b" in into
-
-    def test_save_folded_writes_collapsed_stacks(self, tmp_path):
-        out = tmp_path / "nested" / "profile.folded"
-        save_folded(
-            out,
-            [
-                {
-                    "pid": 7,
-                    "lane": "experiment",
-                    "stacks": {"a;b": 1500.4, "a": 2.6, "zero": 0.0},
-                }
-            ],
-        )
-        lines = out.read_text().splitlines()
-        assert "experiment (pid 7);a;b 1500" in lines
-        assert "experiment (pid 7);a 3" in lines
-        # Zero-weight stacks are dropped (flamegraph.pl chokes on them).
-        assert not any(line.endswith(" 0") for line in lines)
-
-    def test_format_lanes_ranks_phases(self):
-        text = profile.format_lanes([_lane_payload()])
-        assert "worker x (pid 111)" in text and "phase.p" in text
+        coin = coin_automaton("coin", Fraction(1, 2))
+        configuration = Configuration([(coin, coin.start)])
+        intrinsic_transition(configuration, "toss")
+        preserving_transition(configuration, "toss")
+        counters = metrics.snapshot()["counters"]
+        # The preserving step inside the intrinsic one is not another call.
+        assert _timers()["pca.transition"]["calls"] == 2
+        assert counters["pca.transitions.preserving"] == 2
+        assert counters["pca.transitions.intrinsic"] == 1
 
 
 # -- critical path and stragglers --------------------------------------------------
@@ -392,7 +196,7 @@ class TestLaneAnalysis:
         assert "critical path" in text and "straggler" in text
 
 
-# -- summary.profile schema --------------------------------------------------------
+# -- summary.phases schema ---------------------------------------------------------
 
 
 def _outcome(**overrides):
@@ -413,94 +217,73 @@ def _outcome(**overrides):
     return SimpleNamespace(**base)
 
 
-def _profile_block(inclusive=1000.0, folded=None):
-    return profile_summary(
-        [
-            {
-                "pid": 1,
-                "lane": "experiment",
-                "phases": {
-                    "measure.unfold": {
-                        "calls": 10,
-                        "inclusive_us": inclusive,
-                        "exclusive_us": inclusive * 0.8,
-                    }
-                },
+def _phases_block(unfold_ns=1_000_000):
+    return phases_summary(
+        {
+            "E1": {
+                "measure.unfold": {"calls": 10, "ns": unfold_ns},
+                "scheduler.step": {"calls": 42, "ns": unfold_ns // 2},
             }
-        ],
-        enabled=True,
-        folded_files=folded,
+        }
     )
 
 
 class TestProfileReportBlock:
+    """The report's phase-profile block, ``summary.phases``."""
+
     def test_profile_block_round_trips_and_renders(self):
         payload = build_report(
             [outcome_record(_outcome(), "claim", default_seed=1)],
             fast=True,
-            profile=_profile_block(folded=["profiles/E1.folded"]),
+            phases=_phases_block(),
         )
         restored = json.loads(json.dumps(payload))
         validate_report(restored)
-        block = restored["summary"]["profile"]
-        assert block["enabled"] is True
-        assert block["lanes"][0]["phases"]["measure.unfold"]["calls"] == 10
-        assert block["folded_files"] == ["profiles/E1.folded"]
-        assert "profile:" in format_summary_table(restored)
+        block = restored["summary"]["phases"]
+        assert block["E1"]["measure.unfold"] == {"calls": 10, "s": 0.001}
+        table = format_summary_table(restored)
+        assert "E1: measure.unfold 0.001s/10, scheduler.step 0.001s/42" in table
 
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda b: b.update(enabled="yes"),
-            lambda b: b.update(lanes="not-a-list"),
-            lambda b: b["lanes"][0].update(pid="one"),
-            lambda b: b["lanes"][0]["phases"]["measure.unfold"].update(calls=-1),
-            lambda b: b["lanes"][0]["phases"]["measure.unfold"].pop("inclusive_us"),
+            lambda b: b.update(E2="not-an-object"),
+            lambda b: b["E1"].update({"measure.unfold": 5}),
+            lambda b: b["E1"]["measure.unfold"].update(calls=-1),
+            lambda b: b["E1"]["measure.unfold"].update(calls=True),
+            lambda b: b["E1"]["measure.unfold"].pop("s"),
         ],
     )
     def test_validation_rejects_bad_profile_block(self, mutate):
         payload = build_report(
             [outcome_record(_outcome(), "claim", default_seed=1)],
             fast=True,
-            profile=_profile_block(),
+            phases=_phases_block(),
         )
         corrupted = json.loads(json.dumps(payload))
-        mutate(corrupted["summary"]["profile"])
+        mutate(corrupted["summary"]["phases"])
         with pytest.raises(ReportSchemaError):
             validate_report(corrupted)
 
     def test_report_without_profile_has_no_block(self):
+        # Reports from before the timers carry no block and stay valid.
         payload = build_report(
             [outcome_record(_outcome(), "claim", default_seed=1)], fast=True
         )
-        assert "profile" not in payload["summary"]
+        assert "phases" not in payload["summary"]
         validate_report(payload)
+        assert "phases" not in format_summary_table(payload)
 
 
 # -- cross-run comparison ----------------------------------------------------------
 
 
-def _mini_report(profile_inclusive=1000.0, steps=42, elapsed=1.0):
+def _mini_report(unfold_s=0.001, steps=42, elapsed=1.0):
     return {
         "schema": "repro.obs.run-report/4",
         "summary": {
             "wall_time_s": 10.0,
-            "profile": {
-                "enabled": True,
-                "lanes": [
-                    {
-                        "pid": 1,
-                        "lane": "experiment",
-                        "phases": {
-                            "measure.unfold": {
-                                "calls": 10,
-                                "inclusive_us": profile_inclusive,
-                                "exclusive_us": profile_inclusive * 0.8,
-                            }
-                        },
-                    }
-                ],
-            },
+            "phases": {"E1": {"measure.unfold": {"calls": 10, "s": unfold_s}}},
         },
         "experiments": [
             {
@@ -528,20 +311,47 @@ class TestCompareReports:
     def test_inflated_phase_ranks_first(self):
         a = _mini_report()
         # Inflate one phase 10x; nudge elapsed by 1% (below the threshold).
-        b = _mini_report(profile_inclusive=10_000.0, elapsed=1.01)
+        b = _mini_report(unfold_s=0.01, elapsed=1.01)
         comparison = compare_reports(a, b, threshold=0.05)
         top = comparison["rows"][0]
-        assert top["metric"].startswith("phase.measure.unfold.")
+        assert top["metric"] == "phase.E1.measure.unfold.s"
         assert top["pct"] == pytest.approx(9.0)
         regressed = {row["metric"] for row in comparison["regressions"]}
-        assert "phase.measure.unfold.inclusive_us" in regressed
+        assert "phase.E1.measure.unfold.s" in regressed
         assert "E1.elapsed_s" not in regressed  # within threshold
         table = format_comparison(comparison)
-        assert table.count("phase.measure.unfold") >= 1
+        assert table.count("phase.E1.measure.unfold") >= 1
+
+    def test_pre_timer_reports_validate_and_compare(self, tmp_path, capsys):
+        # A report written with the removed profiler: its summary.profile
+        # block is ignored, so it still validates and compares against a
+        # report that carries summary.phases.
+        old = build_report(
+            [outcome_record(_outcome(), "claim", default_seed=1)], fast=True
+        )
+        old["summary"]["profile"] = {
+            "enabled": True,
+            "lanes": [{"pid": 1, "lane": "E1: experiment", "phases": {
+                "measure.unfold": {"calls": 10, "inclusive_us": 900, "exclusive_us": 400},
+            }}],
+        }
+        validate_report(old)
+        new = build_report(
+            [outcome_record(_outcome(), "claim", default_seed=1)],
+            fast=True,
+            phases=_phases_block(),
+        )
+        a, b = tmp_path / "old.json", tmp_path / "new.json"
+        a.write_text(json.dumps(old))
+        b.write_text(json.dumps(new))
+        assert analyze.main_compare([str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        assert "phase.E1.measure.unfold.s" in out
+        assert "inclusive_us" not in out
 
     def test_appearing_metric_ranks_above_finite_changes(self):
         a = _mini_report()
-        b = _mini_report(profile_inclusive=2000.0)
+        b = _mini_report(unfold_s=0.002)
         b["experiments"][0]["counters"]["brand.new"] = 5
         comparison = compare_reports(a, b)
         assert comparison["rows"][0]["metric"] == "E1.counter.brand.new"

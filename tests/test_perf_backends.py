@@ -534,7 +534,7 @@ class TestWorkerCLI:
 #: counters (per-chunk-process cache warmth changes hit/miss tallies, and
 #: transport counters differ across backends by construction).
 _VOLATILE_REPORT = {"created_unix", "argv"}
-_VOLATILE_SUMMARY = {"wall_time_s", "cache", "backend", "resilience", "config"}
+_VOLATILE_SUMMARY = {"wall_time_s", "cache", "backend", "resilience", "config", "phases"}
 _VOLATILE_RECORD = {"elapsed_s", "peak_rss_bytes", "trace_file", "counters"}
 
 

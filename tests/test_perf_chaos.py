@@ -315,7 +315,7 @@ class TestLostChunkCacheCounters:
 # -- the acceptance scenario -----------------------------------------------------
 
 _VOLATILE_REPORT = {"created_unix", "argv"}
-_VOLATILE_SUMMARY = {"wall_time_s", "cache", "backend", "resilience", "config"}
+_VOLATILE_SUMMARY = {"wall_time_s", "cache", "backend", "resilience", "config", "phases"}
 _VOLATILE_RECORD = {"elapsed_s", "peak_rss_bytes", "trace_file", "counters"}
 
 

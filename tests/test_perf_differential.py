@@ -10,11 +10,15 @@ The memoization and parallelism machinery must be *invisible* in results:
   not change experiment results either;
 * the unfolding engine decides every fragment exactly once (the historical
   double-decide of depth-bound fragments in ``execution_measure`` stays
-  fixed), pinned by counting scheduler invocations.
+  fixed), pinned by counting scheduler invocations;
+* the phase timers of chunks run elsewhere merge exactly once: a sweep's
+  phase call counts are the same on every backend, a lost chunk included.
 """
 
 import json
+import multiprocessing
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,12 +40,12 @@ VOLATILE_REPORT_KEYS = {"created_unix", "argv", "wall_time_s"}
 VOLATILE_RECORD_KEYS = {"elapsed_s", "peak_rss_bytes", "trace_file"}
 #: Experiment ``data`` keys that carry wall-clock measurements.
 VOLATILE_DATA_KEYS = {"timings_ms"}
-#: Optional observability summary blocks: their *presence* is the feature
-#: under differential test, so they are scrubbed before byte comparison —
-#: everything outside them must be identical with profiling on or off.
-#: ``summary.config`` rides along: it records the resolved RunConfig, and
-#: differential runs intentionally vary knobs — provenance, like ``argv``.
-OPTIONAL_SUMMARY_BLOCKS = {"trace", "profile", "analysis", "config"}
+#: Observability summary blocks scrubbed before byte comparison: trace
+#: blocks exist only on traced runs, and ``summary.phases`` holds wall-clock
+#: phase times.  ``summary.config`` rides along: it records the resolved
+#: RunConfig, and differential runs intentionally vary knobs — provenance,
+#: like ``argv``.
+OPTIONAL_SUMMARY_BLOCKS = {"trace", "phases", "analysis", "config"}
 #: Counters of transport recovery: retries, dead workers, caller fallbacks
 #: and supervision (reconnects, quarantines, heartbeats).  They count how
 #: the transport recovered from faults, so they differ between runs when a
@@ -147,6 +151,33 @@ class TestRunnerParallelism:
         assert [r["experiment"] for r in records[1]] == ["E4", "EX-FAIL"]
         assert records[None] == records[1]
 
+    def test_fail_fast_stops_experiments_still_running(self, monkeypatch):
+        from repro import api
+        from repro.experiments import common
+
+        monkeypatch.setitem(
+            common.ALL_EXPERIMENTS, "EX-FAIL",
+            ("tests.faultyexp.failing", "a claim that does not hold"),
+        )
+        monkeypatch.setitem(
+            common.ALL_EXPERIMENTS, "EX-HANG", ("tests.faultyexp.hanging", "hangs")
+        )
+        # Two usable CPUs: auto runs both, so EX-HANG is running when
+        # EX-FAIL stops the suite, and must be terminated, not waited for.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        records = {}
+        for workers in (None, 1):
+            config = api.RunConfig(keep_going=False, timeout=6, parallel=workers)
+            start = time.perf_counter()
+            result = api.run_suite(["EX-FAIL", "EX-HANG"], config=config)
+            assert time.perf_counter() - start < 2.0, workers
+            assert result.exit_code == 1
+            assert result.report["summary"]["config"]["parallel"] == (workers or 2)
+            records[workers] = [_scrub_record(r) for r in result.records]
+            assert multiprocessing.active_children() == []
+        assert [r["status"] for r in records[1]] == ["fail"]
+        assert records[None] == records[1]
+
     def test_parallel_requires_isolation(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "on")
         from repro.experiments import runner
@@ -209,59 +240,37 @@ class TestInnerSweepParallelism:
         assert _normalized(serial) == _normalized(fanned)
 
 
-class TestProfileDifferential:
-    """``REPRO_PROFILE`` must be invisible in results: the full 15-experiment
-    run report is byte-identical with profiling on or off outside the
-    optional ``summary.profile`` / ``summary.analysis`` blocks, on every
-    backend the sweeps can fan out over."""
+class TestPhaseTimersAcrossBackends:
+    """Phase timers ride the chunk's metrics snapshot, so a sweep's phase
+    call counts do not depend on where its chunks ran: E12 reports the same
+    ones on serial, ``pool:2`` (a lost chunk included) and ``socket:``.
+    The cache is off: a chunk starts from cold cache tables, so with it on
+    ``measure.compose`` (like its counter) depends on the chunking."""
 
     @staticmethod
-    def _suite_report(tmp_path, monkeypatch, label, profiled):
-        from repro.experiments import runner
-        from repro.obs import profile as obs_profile
+    def _e12_phase_calls(backend):
+        from repro import api
 
-        out = tmp_path / f"report-{label}.json"
-        if profiled:
-            monkeypatch.setenv("REPRO_PROFILE", "1")
-        else:
-            monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        try:
-            code = runner.main(["--parallel", "4", "--metrics-out", str(out)])
-        finally:
-            obs_profile.disable()
-            obs_profile.clear()
-        assert code == 0
-        payload = json.loads(out.read_text())
-        if profiled:
-            block = payload["summary"]["profile"]
-            assert block["enabled"] is True and block["lanes"]
-        else:
-            assert "profile" not in payload["summary"]
-        # No record ever carries phase data — only summary.profile does.
-        for record in payload["experiments"]:
-            assert "profile" not in record
-        return _scrub(payload)
+        config = api.RunConfig(backend=backend, cache="off", parallel=1)
+        result = api.run_suite(["E12"], config=config)
+        assert result.ok
+        (record,) = result.records
+        phases = result.report["summary"]["phases"]["E12"]
+        return {phase: t["calls"] for phase, t in phases.items()}, record["counters"]
 
-    @pytest.mark.parametrize("backend", ["serial", "pool:2"])
-    def test_profiled_suite_byte_identical_outside_summary_blocks(
-        self, tmp_path, monkeypatch, backend
-    ):
-        monkeypatch.setenv("REPRO_CACHE", "on")
-        monkeypatch.setenv("REPRO_BACKEND", backend)
-        plain = self._suite_report(tmp_path, monkeypatch, f"{backend}-off", False)
-        profiled = self._suite_report(tmp_path, monkeypatch, f"{backend}-on", True)
-        assert plain == profiled
-
-    def test_profiled_socket_suite_byte_identical(
-        self, tmp_path, monkeypatch, spawn_worker
-    ):
+    def test_e12_phase_calls_equal_on_every_backend(self, monkeypatch, spawn_worker):
+        serial, _ = self._e12_phase_calls("serial")
+        pooled, _ = self._e12_phase_calls("pool:2")
         _, p1 = spawn_worker()
         _, p2 = spawn_worker()
-        monkeypatch.setenv("REPRO_CACHE", "on")
-        monkeypatch.setenv("REPRO_BACKEND", f"socket:127.0.0.1:{p1},127.0.0.1:{p2}")
-        plain = self._suite_report(tmp_path, monkeypatch, "socket-off", False)
-        profiled = self._suite_report(tmp_path, monkeypatch, "socket-on", True)
-        assert plain == profiled
+        remote, _ = self._e12_phase_calls(f"socket:127.0.0.1:{p1},127.0.0.1:{p2}")
+        # Read by the pool's chunk children: roughly half of the chunks
+        # die mid-way and are recomputed in the experiment's own process.
+        monkeypatch.setenv("REPRO_CHAOS_FORK", "seed=1,kill=0.5")
+        lossy, counters = self._e12_phase_calls("pool:2")
+        assert counters.get("perf.parallel.chunk_fallbacks", 0) > 0
+        assert {"measure.unfold", "scheduler.step", "measure.compose"} <= set(serial)
+        assert serial == pooled == remote == lossy
 
 
 class _CountingScheduler(Scheduler):

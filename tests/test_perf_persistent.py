@@ -34,7 +34,7 @@ VOLATILE_SUMMARY_KEYS = {
     "cache",
     "backend",
     "trace",
-    "profile",
+    "phases",
     "analysis",
     "resilience",
 }

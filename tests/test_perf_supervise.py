@@ -26,9 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import resolve_config
+from repro.api import RunConfig, resolve_config
 from repro.obs import log as obs_log
-from repro.obs import metrics, profile, progress, trace
+from repro.obs import metrics, progress, trace
 from repro.perf import cache as perf_cache
 from repro.perf.backends import BackendSpecError, make_backend, normalize_spec
 from repro.perf.parallel import parallel_map
@@ -416,11 +416,10 @@ class TestForkedWorkers:
     ):
         # sys.stdout is in memory (as under pytest), sys.stderr is stuck in
         # another thread's write to a full pipe, and another thread holds
-        # the tracer, progress and profiler locks.  The worker (progress and
-        # profiling on, so its chunks take those locks) must still announce
-        # itself within 10 s, serve a sweep and log it to the structured sink.
+        # the tracer and progress locks.  The worker (progress on, so its
+        # chunks take that lock) must still announce itself within 10 s,
+        # serve a sweep and log it to the structured sink.
         monkeypatch.setenv("REPRO_PROGRESS", "1")
-        monkeypatch.setenv("REPRO_PROFILE", "1")
         log_path = tmp_path / "log.jsonl"
         obs_log.configure(str(log_path))
         read_fd, write_fd = os.pipe()
@@ -429,7 +428,7 @@ class TestForkedWorkers:
         holding, release = threading.Event(), threading.Event()
 
         def hold():
-            with trace.TRACER._lock, progress.PROGRESS._lock, profile.PROFILER._lock:
+            with trace.TRACER._lock, progress.PROGRESS._lock:
                 holding.set()
                 release.wait()
 
@@ -488,6 +487,10 @@ class TestForkedWorkers:
         assert logged, "the worker wrote no record to the structured log"
 
     def test_worker_starts_from_a_fresh_slate(self):
+        # The premise is a warm cache, so the cache is on whatever the
+        # environment says (REPRO_CACHE=off would leave the tables empty).
+        RunConfig(cache="on").apply()
+
         def sweep(backend):
             metrics.reset()
             outcome = parallel_map(_unfold_and_probe, PROBES, backend=backend)

@@ -223,3 +223,76 @@ class TestRunnerCliReports:
         out = capsys.readouterr().out
         assert "invalid backend spec" in out
         assert "PASS" not in out  # nothing ran
+
+
+#: Each phase timer and the counters its calls mirror.
+def _mirrored_calls(counters):
+    return {
+        "measure.unfold": counters.get("measure.unfold.calls", 0)
+        + counters.get("measure.unfold.memo_hits", 0),
+        "scheduler.step": counters.get("scheduler.steps", 0),
+        "measure.compose": counters.get("measure.compose.calls", 0),
+        "pca.transition": counters.get("pca.transitions.preserving", 0),
+        "secure.tv": counters.get("secure.tv.calls", 0),
+    }
+
+
+class TestPhaseTimers:
+    def _assert_phases_mirror_counters(self, payload):
+        validate_report(payload)
+        phases = payload["summary"]["phases"]
+        assert list(phases) == [r["experiment"] for r in payload["experiments"]]
+        for record in payload["experiments"]:
+            assert "timers" not in record
+            timed = phases[record["experiment"]]
+            calls = {phase: totals["calls"] for phase, totals in timed.items()}
+            expected = {
+                phase: count
+                for phase, count in _mirrored_calls(record["counters"]).items()
+                if count
+            }
+            assert calls == expected, record["experiment"]
+
+    def test_default_run_reports_phases_for_every_experiment(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        paper = [f"E{number}" for number in range(1, 16)]  # not the injected fixture
+        assert main(paper + ["--metrics-out", str(out_path)]) == 0
+        payload = json.loads(out_path.read_text())
+        self._assert_phases_mirror_counters(payload)
+        assert len(payload["summary"]["phases"]) == 15
+        assert all(
+            payload["summary"]["phases"][e]["measure.unfold"]["s"] > 0
+            for e in ("E4", "E11", "E12", "E15")
+        )
+
+    def test_inline_run_reports_per_experiment_phases(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        assert main(["E4", "E4", "E9", "--no-isolation", "--metrics-out", str(out_path)]) == 0
+        payload = json.loads(out_path.read_text())
+        validate_report(payload)
+        # Deltas, not the shared registry's running totals.
+        for record in payload["experiments"]:
+            timed = payload["summary"]["phases"][record["experiment"]]
+            assert timed["scheduler.step"]["calls"] == record["counters"]["scheduler.steps"]
+
+    def test_pool_run_reports_phases(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        out_path = tmp_path / "report.json"
+        assert main(["E12", "--backend", "pool:2", "--metrics-out", str(out_path)]) == 0
+        payload = json.loads(out_path.read_text())
+        self._assert_phases_mirror_counters(payload)
+        assert payload["experiments"][0]["counters"]["perf.parallel.socket.chunks"] > 0
+
+
+class TestHelp:
+    def test_help_names_real_defaults_only(self, capsys):
+        from repro.experiments.runner import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default: None)" not in text
+        assert "(default: 600" in text and "(default: 0)" in text
+        for action in build_parser()._actions:
+            assert (action.help or "").count("(default:") <= 1, action.option_strings

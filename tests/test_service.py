@@ -32,7 +32,7 @@ from repro.service import (
 #: must include the resolved RunConfig.
 VOLATILE_REPORT_KEYS = {"created_unix", "argv"}
 VOLATILE_SUMMARY_KEYS = {
-    "wall_time_s", "cache", "backend", "trace", "profile", "analysis",
+    "wall_time_s", "cache", "backend", "trace", "phases", "analysis",
     "resilience",
 }
 VOLATILE_RECORD_KEYS = {
@@ -115,6 +115,13 @@ class TestLifecycle:
         workers = min(len(os.sched_getaffinity(0)), 2)
         assert report["summary"]["config"] == {**final["config"], "parallel": workers}
         assert report["argv"] == ["service", "E1", "E4"]
+        # Jobs report where their time went, like every suite run.
+        phases = report["summary"]["phases"]
+        assert list(phases) == ["E1", "E4"]
+        assert phases["E4"]["scheduler.step"]["calls"] == next(
+            r["counters"]["scheduler.steps"] for r in report["experiments"]
+            if r["experiment"] == "E4"
+        )
 
     def test_job_config_does_not_leak_into_the_next_job(
         self, live, monkeypatch, tmp_path
@@ -182,6 +189,14 @@ class TestErrorPaths:
             client.submit(["E4"], config={"backend": "fork:2"})
         assert excinfo.value.status == 400
         assert "unknown backend 'fork' (known: pool, serial, socket" in str(excinfo.value)
+
+    def test_removed_profile_fields_rejected(self, live):
+        _, client = live
+        for field in ("profile", "profile_dir"):
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.submit(["E1"], config={field: True})
+            assert excinfo.value.status == 400
+            assert f"unknown config field(s) '{field}'" in str(excinfo.value)
 
     def test_unknown_submission_field_rejected(self, live):
         _, client = live

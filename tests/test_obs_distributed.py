@@ -595,18 +595,6 @@ class TestRunnerAcceptance:
         assert len(trace_block["processes"]) >= 3
         assert trace_block["events"] == len(events)
 
-        # Phase timers cover the chunks both workers ran: each phase's calls
-        # equal the counter it mirrors, which merges the same way.
-        (record,) = payload["experiments"]
-        phases = payload["summary"]["phases"]["E15"]
-        counters = record["counters"]
-        assert counters.get("perf.parallel.socket.chunks", 0) > 0
-        assert phases["measure.unfold"]["calls"] == counters[
-            "measure.unfold.calls"
-        ] + counters.get("measure.unfold.memo_hits", 0)
-        assert phases["scheduler.step"]["calls"] == counters["scheduler.steps"]
-        assert phases["measure.unfold"]["s"] > 0
-
         # The analysis block (riding the merged trace) found a critical
         # path rooted in a real span.
         analysis = payload["summary"]["analysis"]
@@ -619,3 +607,38 @@ class TestRunnerAcceptance:
         assert distributed.main(
             [str(trace_file), "--out", str(merged_out), "--check", "--min-lanes", "3"]
         ) == 0
+
+    def test_profiled_e15_socket_sweep_reports_phase_lanes(
+        self, tmp_path, monkeypatch, spawn_worker
+    ):
+        # Phase timers are always on: an untraced socket sweep still
+        # reports them, merged over the chunks both workers ran.
+        monkeypatch.setenv("REPRO_CACHE", "on")
+        from repro.experiments import runner
+        from repro.obs.report import format_summary_table
+
+        _, p1 = spawn_worker()
+        _, p2 = spawn_worker()
+        monkeypatch.setenv("REPRO_BACKEND", f"socket:127.0.0.1:{p1},127.0.0.1:{p2}")
+        report_path = tmp_path / "report.json"
+        assert runner.main(["E15", "--metrics-out", str(report_path)]) == 0
+
+        payload = json.loads(report_path.read_text())
+        validate_report(payload)
+        assert "trace" not in payload["summary"]
+
+        # Each phase's calls equal the counter it mirrors, which merges
+        # across the chunk transport the same way.
+        (record,) = payload["experiments"]
+        phases = payload["summary"]["phases"]["E15"]
+        counters = record["counters"]
+        assert counters.get("perf.parallel.socket.chunks", 0) > 0
+        assert phases["measure.unfold"]["calls"] == counters[
+            "measure.unfold.calls"
+        ] + counters.get("measure.unfold.memo_hits", 0)
+        assert phases["scheduler.step"]["calls"] == counters["scheduler.steps"]
+        assert phases["measure.unfold"]["s"] > 0
+
+        # The summary table ranks them; phase data never lands in records.
+        assert "  E15: " in format_summary_table(payload)
+        assert "phases" not in record and "profile" not in record

@@ -46,8 +46,6 @@ __all__ = [
     "begin",
     "advance",
     "finish",
-    "add_listener",
-    "remove_listener",
 ]
 
 
@@ -199,73 +197,19 @@ def is_enabled() -> bool:
     return PROGRESS.enabled
 
 
-# -- listeners -----------------------------------------------------------------
-#
-# Programmatic observers of the heartbeat stream (the job service turns
-# them into per-job progress events).  Listeners fire regardless of the
-# renderer's enabled flag, so a headless server can observe progress
-# without drawing anything; the disabled-and-unobserved path stays a
-# single truthiness test per hook.  Listeners are registered per process:
-# a hook firing in a forked child only notifies listeners the *child*
-# registered (the inherited registrations are ignored — the parent's
-# observer objects do not exist in the child in any useful sense).
-
-_LISTENERS: list = []
-
-
-def add_listener(listener) -> None:
-    """Register ``listener(event, **details)`` for heartbeat notifications.
-
-    ``event`` is ``"begin"`` (details: ``label``, ``total``, ``unit``),
-    ``"advance"`` (details: ``n``) or ``"finish"`` (details: ``message``).
-    A listener that raises is dropped from the stream (progress is
-    best-effort observability; it must never fail the run).
-    """
-    _LISTENERS.append((os.getpid(), listener))
-
-
-def remove_listener(listener) -> None:
-    """Unregister a listener previously passed to :func:`add_listener`."""
-    _LISTENERS[:] = [
-        entry for entry in _LISTENERS if entry[1] is not listener
-    ]
-
-
-def _notify(event: str, **details) -> None:
-    pid = os.getpid()
-    dead = []
-    for entry in list(_LISTENERS):
-        registered_pid, listener = entry
-        if registered_pid != pid:
-            continue
-        try:
-            listener(event, **details)
-        except Exception:  # noqa: BLE001 - observability must not fail the run
-            dead.append(entry)
-    for entry in dead:
-        if entry in _LISTENERS:
-            _LISTENERS.remove(entry)
-
-
 def begin(label: str, total: int, unit: str = "items") -> None:
     """Module-level shorthand for :meth:`Progress.begin` on :data:`PROGRESS`."""
     if PROGRESS.enabled:
         PROGRESS.begin(label, total, unit)
-    if _LISTENERS:
-        _notify("begin", label=label, total=total, unit=unit)
 
 
 def advance(n: int = 1) -> None:
     """Module-level shorthand for :meth:`Progress.advance` on :data:`PROGRESS`."""
     if PROGRESS.enabled:
         PROGRESS.advance(n)
-    if _LISTENERS:
-        _notify("advance", n=n)
 
 
 def finish(message: Optional[str] = None) -> None:
     """Module-level shorthand for :meth:`Progress.finish` on :data:`PROGRESS`."""
     if PROGRESS.enabled:
         PROGRESS.finish(message)
-    if _LISTENERS:
-        _notify("finish", message=message)

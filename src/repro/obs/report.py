@@ -93,18 +93,24 @@ accepts)::
       }
     }
 
-The ``summary.trace`` block is :func:`repro.obs.distributed.summarize_events`
-output over the run's saved trace files; it appears **only** when tracing
-was on, so disabled-path reports are byte-identical to pre-tracing ones.
-The same only-when-active contract holds for ``summary.analysis``
-(:func:`repro.obs.analyze.analyze_events` over the merged trace, present
-only when tracing produced events).  ``summary.phases`` is always there
-in reports the suite writes (:func:`phases_summary` over the phase timers
-of :mod:`repro.obs.metrics`): per experiment, the calls and inclusive
-seconds of each timed phase, chunks run on other processes included.
-Phase times are wall-clock figures, so they stay out of the records;
-reports written before the timers existed have no block and still
-validate.
+Each summary block after ``wall_time_s`` has one builder, and
+:func:`build_report` takes the block by name: ``cache``
+(:func:`cache_summary`), ``backend`` (``ExecutionBackend.describe()``),
+``resilience`` (:func:`resilience_summary`), ``trace``
+(:func:`repro.obs.distributed.summarize_events` over the saved trace files,
+plus ``files``), ``phases`` (:func:`phases_summary` over the phase timers of
+:mod:`repro.obs.metrics`), ``analysis`` (:func:`repro.obs.analyze.analyze_events`
+over the merged trace) and ``config`` (:meth:`repro.api.RunConfig.describe`).
+``trace`` and ``analysis`` appear **only** when tracing ran, so untraced
+reports are byte-identical to pre-tracing ones.  ``phases`` is in every
+report the suite writes: per experiment, the calls and inclusive seconds of
+each timed phase, chunks run on other processes included; the times are
+wall-clock figures, so they stay out of the records.
+
+The ``_FORMAT`` table states this format once, and :func:`validate_report`
+walks it.  Keys the table does not name pass, so reports written before a
+block existed (no ``phases``) or carrying one that has gone (``profile``)
+still validate.  A new block is one table entry plus its builder.
 
 ERROR/TIMEOUT outcomes are reproducible from the report alone: re-run the
 experiment with ``--seed <seed>`` (or no flag when ``seed`` is null — the
@@ -121,7 +127,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -138,8 +144,6 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = "repro.obs.run-report/4"
-
-_STATUSES = ("pass", "fail", "error", "timeout")
 
 
 class ReportSchemaError(ValueError):
@@ -210,30 +214,9 @@ def build_report(
 ) -> Dict[str, Any]:
     """Wrap per-experiment records into a schema-valid run report.
 
-    ``cache`` is the optional perf-cache summary block
-    (``{"enabled": bool, "counters": {str: int}}``, see
-    :func:`cache_summary`); when given it lands in ``summary.cache``.
-    ``backend`` is the optional execution-backend description
-    (``ExecutionBackend.describe()``: at least ``name``, ``spec`` and
-    ``parallelism``); when given it lands in ``summary.backend``.
-    ``resilience`` is the optional supervision/transport-health block
-    (:func:`resilience_summary`); when given it lands in
-    ``summary.resilience``.
-    ``trace`` is the optional distributed-trace summary
-    (:func:`repro.obs.distributed.summarize_events` output, plus a
-    ``files`` list); when given it lands in ``summary.trace`` — pass it
-    only when tracing actually ran, so untraced reports stay byte-stable.
-    ``phases`` is the phase-timer block (:func:`phases_summary`); when
-    given it lands in ``summary.phases``.
-    ``analysis`` is the optional trace-analytics block
-    (:func:`repro.obs.analyze.analyze_events` over the merged trace); when
-    given it lands in ``summary.analysis``.
-    ``config`` is the optional resolved run configuration
-    (:meth:`repro.api.RunConfig.describe`: flat scalar fields); when given
-    it lands in ``summary.config``, recording exactly which knobs the run
-    resolved to (an optional key like ``cache.persistent`` — no schema
-    bump).  Like ``argv``, it is provenance: differential comparisons
-    treat it as volatile.
+    Each block given lands in ``summary`` under its own name; the module
+    docstring names each block's builder.  Like ``argv``, ``config`` is
+    provenance, which differential comparisons treat as volatile.
     """
     failures = [
         {"experiment": r["experiment"], "status": r["status"]}
@@ -250,20 +233,11 @@ def build_report(
             else sum(r["elapsed_s"] for r in records)
         ),
     }
-    if cache is not None:
-        summary["cache"] = cache
-    if backend is not None:
-        summary["backend"] = backend
-    if resilience is not None:
-        summary["resilience"] = resilience
-    if trace is not None:
-        summary["trace"] = trace
-    if phases is not None:
-        summary["phases"] = phases
-    if analysis is not None:
-        summary["analysis"] = analysis
-    if config is not None:
-        summary["config"] = config
+    blocks = {
+        "cache": cache, "backend": backend, "resilience": resilience, "trace": trace,
+        "phases": phases, "analysis": analysis, "config": config,
+    }
+    summary.update((name, block) for name, block in blocks.items() if block is not None)
     payload = {
         "schema": REPORT_SCHEMA,
         "created_unix": time.time(),
@@ -282,23 +256,18 @@ def cache_summary(
     enabled: bool,
     persistent: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Aggregate the perf-layer counters across per-experiment records.
+    """Sum the ``perf.cache.*`` / ``perf.intern.*`` / ``perf.parallel.*``
+    counters across per-experiment records.
 
-    Sums every ``perf.cache.*`` / ``perf.intern.*`` / ``perf.parallel.*``
-    counter (each experiment starts from a cleared cache, so the sums are
-    deterministic and independent of runner parallelism).  ``persistent``
-    is the active :class:`repro.perf.store.PersistentStore`'s ``stats()``
-    block (directory, entry count, byte size); it appears only when a
-    store was active, so store-less reports are byte-identical to
+    ``persistent`` is the active :class:`repro.perf.store.PersistentStore`'s
+    ``stats()`` block (directory, entry count, byte size); it appears only
+    when a store was active, so store-less reports are byte-identical to
     pre-store ones."""
-    totals: Dict[str, int] = {}
-    for record in records:
-        for name, value in record.get("counters", {}).items():
-            if name.startswith(("perf.cache.", "perf.intern.", "perf.parallel.")):
-                totals[name] = totals.get(name, 0) + value
     block: Dict[str, Any] = {
         "enabled": bool(enabled),
-        "counters": dict(sorted(totals.items())),
+        "counters": _counter_sums(
+            records, ("perf.cache.", "perf.intern.", "perf.parallel.")
+        ),
     }
     if persistent is not None:
         block["persistent"] = dict(persistent)
@@ -323,9 +292,10 @@ def phases_summary(
     }
 
 
-#: Counter namespaces that describe transport/supervision health.
-_RESILIENCE_PREFIXES = ("perf.supervise.", "perf.parallel.socket.")
-_RESILIENCE_EXACT = ("perf.parallel.chunk_fallbacks",)
+#: Counter names that describe transport/supervision health.
+_RESILIENCE_PREFIXES = (
+    "perf.supervise.", "perf.parallel.socket.", "perf.parallel.chunk_fallbacks"
+)
 
 
 def resilience_summary(
@@ -333,331 +303,228 @@ def resilience_summary(
     *,
     chunk_deadline_s: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Aggregate supervision and transport-health counters across records.
-
-    Sums every ``perf.supervise.*`` / ``perf.parallel.socket.*`` counter
-    plus ``perf.parallel.chunk_fallbacks`` — the retries, respawns,
-    breaker openings, deadline misses and quarantines a run survived.
-    The sums come from per-record counters (deterministic across runner
-    parallelism), so resilience blocks diff cleanly between runs.
-    """
-    totals: Dict[str, int] = {}
-    for record in records:
-        for name, value in record.get("counters", {}).items():
-            if name.startswith(_RESILIENCE_PREFIXES) or name in _RESILIENCE_EXACT:
-                totals[name] = totals.get(name, 0) + value
+    """Sum the ``perf.supervise.*`` / ``perf.parallel.socket.*`` counters
+    and ``perf.parallel.chunk_fallbacks`` across records: the retries,
+    respawns, breaker openings, deadline misses and quarantines a run
+    survived."""
     return {
         "chunk_deadline_s": None if chunk_deadline_s is None else float(chunk_deadline_s),
-        "counters": dict(sorted(totals.items())),
+        "counters": _counter_sums(records, _RESILIENCE_PREFIXES),
     }
 
 
-# -- validation ----------------------------------------------------------------
+def _counter_sums(
+    records: Sequence[Dict[str, Any]], prefixes: Tuple[str, ...]
+) -> Dict[str, int]:
+    """The records' counters named with one of ``prefixes``, summed, by name.
 
-_RECORD_FIELDS = {
-    "experiment": (str,),
-    "claim": (str,),
-    "status": (str,),
-    "ok": (bool,),
-    "elapsed_s": (int, float),
-    "attempts": (int,),
-    "seed": (int, type(None)),
-    "default_seed": (int, type(None)),
-    "attempt_history": (list,),
-    "fault_seeds": (list,),
-    "peak_rss_bytes": (int, type(None)),
-    "counters": (dict,),
-    "histograms": (dict,),
-    "table": (str, type(None)),
-    "error": (str, type(None)),
-    "trace_file": (str, type(None)),
-}
-
-#: The fields every ``attempt_history`` entry must carry.
-_ATTEMPT_FIELDS = {
-    "attempt": (int,),
-    "seed": (int, type(None)),
-    "status": (str,),
-    "error_class": (str, type(None)),
-    "elapsed_s": (int, float),
-}
-
-#: The numeric fields every ``summary.trace`` process entry must carry.
-_TRACE_PROCESS_FIELDS = ("busy_us", "idle_us", "wall_us")
+    Each experiment starts from cleared counters and caches, so the sums
+    are deterministic and independent of runner parallelism: the blocks
+    diff cleanly between runs."""
+    totals: Dict[str, int] = {}
+    for record in records:
+        for name, value in record.get("counters", {}).items():
+            if name.startswith(prefixes):
+                totals[name] = totals.get(name, 0) + value
+    return dict(sorted(totals.items()))
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ReportSchemaError(message)
+# -- the format (see the module docstring) -------------------------------------
+#
+# A bool is never a number.  The rules that relate two fields follow the walk.
+
+
+class _Spec(NamedTuple):
+    """What one value of the report must be; no ``types`` means anything."""
+
+    types: Tuple[type, ...]
+    null: bool = False  # None is accepted
+    optional: bool = False  # the key may be missing from its object
+    ge: Optional[float] = None  # the value is >= ge
+    gt: Optional[float] = None  # the value is > gt
+    choices: Tuple[Any, ...] = ()  # the value is one of these
+    fields: Optional[Dict[str, "_Spec"]] = None  # an object's named keys
+    values: Optional["_Spec"] = None  # every value of a string-keyed object
+    items: Optional["_Spec"] = None  # every element of a list
+
+
+def _val(*types: type, **rules: Any) -> _Spec:
+    return _Spec(types, **rules)
+
+
+def _obj(fields: Optional[Dict[str, _Spec]] = None, **rules: Any) -> _Spec:
+    return _Spec((dict,), fields=fields, **rules)
+
+
+_ANY = _Spec(())
+_STR, _BOOL, _INT, _NUM = _val(str), _val(bool), _val(int), _val(int, float)
+_COUNT = _val(int, ge=0)
+_AMOUNT = _val(int, float, ge=0)
+_STATUS = _val(str, choices=("pass", "fail", "error", "timeout"))
+_COUNTERS = _obj(values=_INT)
+
+_ATTEMPT = _obj({
+    "attempt": _INT,
+    "seed": _val(int, null=True),
+    "status": _STATUS,
+    "error_class": _val(str, null=True),
+    "elapsed_s": _AMOUNT,
+})
+
+_HISTOGRAM = _obj({
+    "count": _COUNT,
+    "sum": _ANY, "min": _ANY, "max": _ANY, "p50": _ANY, "p90": _ANY,
+    "samples": _val(list),
+    "p99": _val(int, float, null=True, optional=True),
+    "mean": _val(int, float, null=True, optional=True),
+})
+
+_RECORD = _obj({
+    "experiment": _STR,
+    "claim": _STR,
+    "status": _STATUS,
+    "ok": _BOOL,
+    "elapsed_s": _NUM,
+    "attempts": _INT,
+    "seed": _val(int, null=True),
+    "default_seed": _val(int, null=True),
+    "attempt_history": _val(list, items=_ATTEMPT),
+    "fault_seeds": _val(list),
+    "peak_rss_bytes": _val(int, null=True),
+    "counters": _COUNTERS,
+    "histograms": _obj(values=_HISTOGRAM),
+    "table": _val(str, null=True),
+    "error": _val(str, null=True),
+    "trace_file": _val(str, null=True),
+})
+
+_SUMMARY = _obj({
+    "total": _COUNT,
+    "passed": _COUNT,
+    "failures": _val(list),
+    "wall_time_s": _NUM,
+    "cache": _obj({
+        "enabled": _BOOL,
+        "counters": _COUNTERS,
+        "persistent": _obj({"dir": _STR, "entries": _INT, "bytes": _INT}, optional=True),
+    }, optional=True),
+    "backend": _obj({
+        "name": _STR,
+        "spec": _STR,
+        "parallelism": _val(int, ge=1),
+        "workers_started": _val(int, ge=0, optional=True),
+    }, optional=True),
+    "resilience": _obj({
+        "chunk_deadline_s": _val(int, float, gt=0, null=True, optional=True),
+        "counters": _COUNTERS,
+    }, optional=True),
+    "trace": _obj({
+        "events": _COUNT,
+        "files": _val(list, items=_STR, optional=True),
+        "processes": _val(list, items=_obj({
+            "pid": _INT,
+            "name": _val(str, null=True, optional=True),
+            "spans": _COUNT,
+            "instants": _COUNT,
+            "busy_us": _AMOUNT,
+            "idle_us": _AMOUNT,
+            "wall_us": _AMOUNT,
+        })),
+        "slowest_spans": _val(list, items=_obj({
+            "name": _STR, "pid": _INT, "dur_us": _AMOUNT,
+        })),
+    }, optional=True),
+    "phases": _obj(
+        values=_obj(values=_obj({"calls": _COUNT, "s": _AMOUNT})), optional=True
+    ),
+    "analysis": _obj({
+        "critical_path": _obj({
+            "wall_us": _AMOUNT,
+            "steps": _val(list, items=_obj({
+                "name": _STR, "pid": _INT, "start_us": _NUM, "dur_us": _NUM,
+            })),
+        }),
+        "lanes": _val(list, items=_obj({
+            "pid": _INT,
+            "chunks": _COUNT,
+            "skew": _AMOUNT,
+            "utilization": _AMOUNT,
+            "idle_gaps": _obj(),
+            "straggler": _BOOL,
+        })),
+        "stragglers": _val(list),
+    }, optional=True),
+    "config": _obj(values=_val(str, int, float, bool, null=True), optional=True),
+})
+
+#: The run report, ``repro.obs.run-report/4``.
+_FORMAT = _obj({
+    "schema": _val(str, choices=(REPORT_SCHEMA,)),
+    "created_unix": _NUM,
+    "argv": _val(list, null=True, optional=True),
+    "fast": _BOOL,
+    "experiments": _val(list, items=_RECORD),
+    "summary": _SUMMARY,
+})
+
+
+def _fail(path: str, problem: str) -> None:
+    raise ReportSchemaError(f"{path or 'report'} {problem}")
+
+
+def _check(spec: _Spec, value: Any, path: str) -> None:
+    """Raise :class:`ReportSchemaError` unless ``value`` (at ``path``) fits ``spec``."""
+    if not spec.types or (value is None and spec.null):
+        return
+    if not isinstance(value, spec.types) or (
+        isinstance(value, bool) and bool not in spec.types
+    ):
+        expected = "/".join([t.__name__ for t in spec.types] + ["null"] * spec.null)
+        _fail(path, f"must be {expected}, got {type(value).__name__}")
+    if spec.choices and value not in spec.choices:
+        _fail(path, f"must be one of {', '.join(map(repr, spec.choices))}, got {value!r}")
+    if spec.ge is not None and value < spec.ge:
+        _fail(path, f"must be >= {spec.ge}, got {value!r}")
+    if spec.gt is not None and value <= spec.gt:
+        _fail(path, f"must be > {spec.gt}, got {value!r}")
+    if spec.fields is not None:
+        for name, field in spec.fields.items():
+            if name in value:
+                _check(field, value[name], f"{path}.{name}" if path else name)
+            elif not field.optional:
+                _fail(path, f"missing field {name!r}")
+    if spec.values is not None:
+        for key, item in value.items():
+            if not isinstance(key, str):
+                _fail(path, f"keys must be strings, got {key!r}")
+            _check(spec.values, item, f"{path}[{key!r}]")
+    if spec.items is not None:
+        for index, item in enumerate(value):
+            _check(spec.items, item, f"{path}[{index}]")
 
 
 def validate_report(payload: Any) -> None:
     """Raise :class:`ReportSchemaError` unless ``payload`` is a valid report."""
-    _require(isinstance(payload, dict), "report must be a JSON object")
-    schema = payload.get("schema")
-    _require(schema == REPORT_SCHEMA,
-             f"schema must be {REPORT_SCHEMA!r}, got {schema!r}")
-    _require(isinstance(payload.get("created_unix"), (int, float)),
-             "created_unix must be a number")
-    _require(payload.get("argv") is None or isinstance(payload["argv"], list),
-             "argv must be a list or null")
-    _require(isinstance(payload.get("fast"), bool), "fast must be a boolean")
-    experiments = payload.get("experiments")
-    _require(isinstance(experiments, list), "experiments must be a list")
+    _check(_FORMAT, payload, "")
+    experiments = payload["experiments"]
     for index, record in enumerate(experiments):
         where = f"experiments[{index}]"
-        _require(isinstance(record, dict), f"{where} must be an object")
-        for name, types in _RECORD_FIELDS.items():
-            _require(name in record, f"{where} missing field {name!r}")
-            _require(
-                isinstance(record[name], types)
-                and not (bool not in types and isinstance(record[name], bool)),
-                f"{where}.{name} has type {type(record[name]).__name__}, "
-                f"expected {'/'.join(t.__name__ for t in types)}",
-            )
-        _require(record["status"] in _STATUSES,
-                 f"{where}.status {record['status']!r} not in {_STATUSES}")
-        _require(record["ok"] == (record["status"] == "pass"),
-                 f"{where}.ok inconsistent with status {record['status']!r}")
-        for position, entry in enumerate(record.get("attempt_history", [])):
-            at = f"{where}.attempt_history[{position}]"
-            _require(isinstance(entry, dict), f"{at} must be an object")
-            for name, types in _ATTEMPT_FIELDS.items():
-                _require(name in entry, f"{at} missing field {name!r}")
-                _require(
-                    isinstance(entry[name], types)
-                    and not (bool not in types and isinstance(entry[name], bool)),
-                    f"{at}.{name} has type {type(entry[name]).__name__}, "
-                    f"expected {'/'.join(t.__name__ for t in types)}",
-                )
-            _require(entry["attempt"] == position + 1,
-                     f"{at}.attempt must be {position + 1} (1-based, in order)")
-            _require(entry["status"] in _STATUSES,
-                     f"{at}.status {entry['status']!r} not in {_STATUSES}")
-            _require(entry["elapsed_s"] >= 0, f"{at}.elapsed_s must be >= 0")
-        if record.get("attempt_history"):
-            _require(
-                len(record["attempt_history"]) == record["attempts"],
-                f"{where}.attempt_history length does not match attempts",
-            )
-            _require(
-                record["attempt_history"][-1]["status"] == record["status"],
-                f"{where}.attempt_history last status does not match status",
-            )
-        for key, value in record["counters"].items():
-            _require(isinstance(key, str) and isinstance(value, int),
-                     f"{where}.counters must map str -> int")
-        for key, value in record.get("histograms", {}).items():
-            _require(isinstance(key, str) and isinstance(value, dict),
-                     f"{where}.histograms must map str -> object")
-            for field in ("count", "sum", "min", "max", "p50", "p90", "samples"):
-                _require(field in value,
-                         f"{where}.histograms[{key!r}] missing field {field!r}")
-            _require(isinstance(value["count"], int) and value["count"] >= 0,
-                     f"{where}.histograms[{key!r}].count must be an integer >= 0")
-            _require(isinstance(value["samples"], list),
-                     f"{where}.histograms[{key!r}].samples must be a list")
-            for field in ("p99", "mean"):  # optional keys, no schema bump
-                if field in value:
-                    _require(
-                        value[field] is None
-                        or (
-                            isinstance(value[field], (int, float))
-                            and not isinstance(value[field], bool)
-                        ),
-                        f"{where}.histograms[{key!r}].{field} must be a number or null",
-                    )
-    summary = payload.get("summary")
-    _require(isinstance(summary, dict), "summary must be an object")
-    _require(summary.get("total") == len(experiments),
-             "summary.total does not match len(experiments)")
-    _require(summary.get("passed") == sum(1 for r in experiments if r["ok"]),
-             "summary.passed does not match the records")
-    _require(isinstance(summary.get("failures"), list), "summary.failures must be a list")
-    _require(isinstance(summary.get("wall_time_s"), (int, float)),
-             "summary.wall_time_s must be a number")
-    if "cache" in summary:
-        cache = summary["cache"]
-        _require(isinstance(cache, dict), "summary.cache must be an object")
-        _require(isinstance(cache.get("enabled"), bool),
-                 "summary.cache.enabled must be a boolean")
-        _require(isinstance(cache.get("counters"), dict),
-                 "summary.cache.counters must be an object")
-        for key, value in cache["counters"].items():
-            _require(isinstance(key, str) and isinstance(value, int),
-                     "summary.cache.counters must map str -> int")
-        if "persistent" in cache:
-            persistent = cache["persistent"]
-            _require(isinstance(persistent, dict),
-                     "summary.cache.persistent must be an object")
-            _require(isinstance(persistent.get("dir"), str),
-                     "summary.cache.persistent.dir must be a string")
-            _require(isinstance(persistent.get("entries"), int),
-                     "summary.cache.persistent.entries must be an integer")
-            _require(isinstance(persistent.get("bytes"), int),
-                     "summary.cache.persistent.bytes must be an integer")
-    if "backend" in summary:
-        backend = summary["backend"]
-        _require(isinstance(backend, dict), "summary.backend must be an object")
-        _require(isinstance(backend.get("name"), str),
-                 "summary.backend.name must be a string")
-        _require(isinstance(backend.get("spec"), str),
-                 "summary.backend.spec must be a string")
-        _require(
-            isinstance(backend.get("parallelism"), int)
-            and not isinstance(backend["parallelism"], bool)
-            and backend["parallelism"] >= 1,
-            "summary.backend.parallelism must be an integer >= 1",
-        )
-        if "workers_started" in backend:
-            _require(
-                isinstance(backend["workers_started"], int)
-                and not isinstance(backend["workers_started"], bool)
-                and backend["workers_started"] >= 0,
-                "summary.backend.workers_started must be an integer >= 0",
-            )
-    if "resilience" in summary:
-        resilience = summary["resilience"]
-        _require(isinstance(resilience, dict), "summary.resilience must be an object")
-        _require(
-            resilience.get("chunk_deadline_s") is None
-            or (
-                isinstance(resilience["chunk_deadline_s"], (int, float))
-                and not isinstance(resilience["chunk_deadline_s"], bool)
-                and resilience["chunk_deadline_s"] > 0
-            ),
-            "summary.resilience.chunk_deadline_s must be a positive number or null",
-        )
-        _require(isinstance(resilience.get("counters"), dict),
-                 "summary.resilience.counters must be an object")
-        for key, value in resilience["counters"].items():
-            _require(isinstance(key, str) and isinstance(value, int),
-                     "summary.resilience.counters must map str -> int")
-    if "trace" in summary:
-        trace = summary["trace"]
-        _require(isinstance(trace, dict), "summary.trace must be an object")
-        _require(
-            isinstance(trace.get("events"), int)
-            and not isinstance(trace["events"], bool)
-            and trace["events"] >= 0,
-            "summary.trace.events must be an integer >= 0",
-        )
-        if "files" in trace:
-            _require(
-                isinstance(trace["files"], list)
-                and all(isinstance(f, str) for f in trace["files"]),
-                "summary.trace.files must be a list of strings",
-            )
-        _require(isinstance(trace.get("processes"), list),
-                 "summary.trace.processes must be a list")
-        for index, proc in enumerate(trace["processes"]):
-            where = f"summary.trace.processes[{index}]"
-            _require(isinstance(proc, dict), f"{where} must be an object")
-            _require(isinstance(proc.get("pid"), int), f"{where}.pid must be an integer")
-            _require(proc.get("name") is None or isinstance(proc["name"], str),
-                     f"{where}.name must be a string or null")
-            for field in ("spans", "instants"):
-                _require(
-                    isinstance(proc.get(field), int) and proc[field] >= 0,
-                    f"{where}.{field} must be an integer >= 0",
-                )
-            for field in _TRACE_PROCESS_FIELDS:
-                _require(
-                    isinstance(proc.get(field), (int, float))
-                    and not isinstance(proc[field], bool)
-                    and proc[field] >= 0,
-                    f"{where}.{field} must be a number >= 0",
-                )
-        _require(isinstance(trace.get("slowest_spans"), list),
-                 "summary.trace.slowest_spans must be a list")
-        for index, span in enumerate(trace["slowest_spans"]):
-            where = f"summary.trace.slowest_spans[{index}]"
-            _require(isinstance(span, dict), f"{where} must be an object")
-            _require(isinstance(span.get("name"), str), f"{where}.name must be a string")
-            _require(isinstance(span.get("pid"), int), f"{where}.pid must be an integer")
-            _require(
-                isinstance(span.get("dur_us"), (int, float))
-                and not isinstance(span["dur_us"], bool)
-                and span["dur_us"] >= 0,
-                f"{where}.dur_us must be a number >= 0",
-            )
-    if "phases" in summary:
-        phases = summary["phases"]
-        _require(isinstance(phases, dict), "summary.phases must be an object")
-        for experiment, timed in phases.items():
-            where = f"summary.phases[{experiment!r}]"
-            _require(isinstance(timed, dict), f"{where} must be an object")
-            for phase, totals in timed.items():
-                at = f"{where}[{phase!r}]"
-                _require(isinstance(totals, dict), f"{at} must be an object")
-                _require(
-                    isinstance(totals.get("calls"), int)
-                    and not isinstance(totals["calls"], bool)
-                    and totals["calls"] >= 0,
-                    f"{at}.calls must be an integer >= 0",
-                )
-                _require(
-                    isinstance(totals.get("s"), (int, float))
-                    and not isinstance(totals["s"], bool)
-                    and totals["s"] >= 0,
-                    f"{at}.s must be a number >= 0",
-                )
-    if "analysis" in summary:
-        analysis = summary["analysis"]
-        _require(isinstance(analysis, dict), "summary.analysis must be an object")
-        path = analysis.get("critical_path")
-        _require(isinstance(path, dict), "summary.analysis.critical_path must be an object")
-        _require(
-            isinstance(path.get("wall_us"), (int, float))
-            and not isinstance(path["wall_us"], bool)
-            and path["wall_us"] >= 0,
-            "summary.analysis.critical_path.wall_us must be a number >= 0",
-        )
-        _require(isinstance(path.get("steps"), list),
-                 "summary.analysis.critical_path.steps must be a list")
-        for index, step in enumerate(path["steps"]):
-            where = f"summary.analysis.critical_path.steps[{index}]"
-            _require(isinstance(step, dict), f"{where} must be an object")
-            _require(isinstance(step.get("name"), str), f"{where}.name must be a string")
-            _require(isinstance(step.get("pid"), int), f"{where}.pid must be an integer")
-            for field in ("start_us", "dur_us"):
-                _require(
-                    isinstance(step.get(field), (int, float))
-                    and not isinstance(step[field], bool),
-                    f"{where}.{field} must be a number",
-                )
-        _require(isinstance(analysis.get("lanes"), list),
-                 "summary.analysis.lanes must be a list")
-        for index, lane in enumerate(analysis["lanes"]):
-            where = f"summary.analysis.lanes[{index}]"
-            _require(isinstance(lane, dict), f"{where} must be an object")
-            _require(isinstance(lane.get("pid"), int), f"{where}.pid must be an integer")
-            _require(
-                isinstance(lane.get("chunks"), int) and lane["chunks"] >= 0,
-                f"{where}.chunks must be an integer >= 0",
-            )
-            for field in ("skew", "utilization"):
-                _require(
-                    isinstance(lane.get(field), (int, float))
-                    and not isinstance(lane[field], bool)
-                    and lane[field] >= 0,
-                    f"{where}.{field} must be a number >= 0",
-                )
-            _require(isinstance(lane.get("idle_gaps"), dict),
-                     f"{where}.idle_gaps must be an object")
-            _require(isinstance(lane.get("straggler"), bool),
-                     f"{where}.straggler must be a boolean")
-        _require(isinstance(analysis.get("stragglers"), list),
-                 "summary.analysis.stragglers must be a list")
-    if "config" in summary:
-        config = summary["config"]
-        _require(isinstance(config, dict), "summary.config must be an object")
-        for key, value in config.items():
-            _require(
-                isinstance(key, str)
-                and (value is None or isinstance(value, (str, int, float, bool))),
-                "summary.config must map str -> scalar or null",
-            )
+        if record["ok"] != (record["status"] == "pass"):
+            _fail(f"{where}.ok", f"inconsistent with status {record['status']!r}")
+        history = record["attempt_history"]
+        for position, entry in enumerate(history):
+            if entry["attempt"] != position + 1:
+                _fail(f"{where}.attempt_history[{position}].attempt",
+                      f"must be {position + 1} (1-based, in order)")
+        if history and len(history) != record["attempts"]:
+            _fail(f"{where}.attempt_history", "length does not match attempts")
+        if history and history[-1]["status"] != record["status"]:
+            _fail(f"{where}.attempt_history", "last status does not match status")
+    summary = payload["summary"]
+    if summary["total"] != len(experiments):
+        _fail("summary.total", "does not match len(experiments)")
+    if summary["passed"] != sum(1 for r in experiments if r["ok"]):
+        _fail("summary.passed", "does not match the records")
 
 
 # -- human rendering (the runner's only output path) ----------------------------

@@ -75,7 +75,7 @@ class Job:
     state: str = QUEUED
     started_unix: Optional[float] = None
     finished_unix: Optional[float] = None
-    #: experiments completed / total (advanced from progress heartbeats)
+    #: experiments completed / total (advanced as each record arrives)
     done: int = 0
     total: int = 0
     #: suite exit code (0 all passed, 1 some experiment did not pass)

@@ -74,7 +74,6 @@ from repro.obs import distributed as obs_distributed
 from repro.obs import expo as obs_expo
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
-from repro.obs import progress as obs_progress
 from repro.perf.fingerprint import try_fingerprint
 from repro.perf.supervise import WorkerProcess
 from repro.service.admission import AdmissionController, AdmissionPolicy
@@ -410,32 +409,14 @@ class JobService:
         if overrides:
             config = api.RunConfig(**{**config.describe(), **overrides})
 
-        progress_state = {"label": None, "done": 0}
-
-        def on_heartbeat(event: str, **details: Any) -> None:
-            # repro.obs.progress heartbeats -> job progress events.  Only
-            # the suite-level phase counts: sweep phases inside inline
-            # experiments advance in this process too, but they belong to
-            # an experiment, not the job.
-            if event == "begin":
-                progress_state["label"] = details.get("label")
-            elif (
-                event == "advance"
-                and progress_state["label"] == "experiments"
-            ):
-                progress_state["done"] += int(details.get("n", 1))
-                self.registry.record_progress(
-                    job, progress_state["done"], job.total
-                )
-
         def on_record(
             experiment_id: str, record: Dict[str, Any], done: int, total: int
         ) -> None:
+            self.registry.record_progress(job, done, total)
             self.registry.record_experiment(
                 job, experiment_id, record["status"], record["ok"]
             )
 
-        obs_progress.add_listener(on_heartbeat)
         obs_metrics.counter("service.jobs.started").inc()
         # The correlation bracket: from here until the finally, every log
         # record, trace lane and chunk payload produced anywhere in this
@@ -467,7 +448,6 @@ class JobService:
             )
         finally:
             obs_log.set_correlation(None)
-            obs_progress.remove_listener(on_heartbeat)
 
     # -- health ------------------------------------------------------------------
 

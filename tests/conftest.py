@@ -18,7 +18,7 @@ import pytest
 
 from repro.api import resolve_config
 from repro.obs import log as obs_log
-from repro.obs import metrics, progress, trace
+from repro.obs import metrics, trace
 from repro.perf import cache as perf_cache
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -66,7 +66,6 @@ def spawn_worker():
 def _clean_observability():
     metrics.reset()
     trace.TRACER.clear()
-    del progress._LISTENERS[:]
     perf_cache.clear()
     resolve_config().apply()
     # The structured log sink and the job correlation id are process-global;

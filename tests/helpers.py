@@ -6,6 +6,7 @@ tests.  The example *systems* shipped with the library live in
 reason about exact probabilities.
 """
 
+import json
 from fractions import Fraction
 
 from repro.core.psioa import TablePSIOA
@@ -122,3 +123,44 @@ def driver(name, actions):
     signatures[len(actions)] = Signature(inputs={("idle", name)})
     transitions[(len(actions), ("idle", name))] = dirac(len(actions))
     return TablePSIOA(name, 0, signatures, transitions)
+
+
+# -- run reports -----------------------------------------------------------------
+
+#: What differs between any two runs of one suite, dropped at every
+#: comparison: when and how the run was started, wall-clock times (the
+#: phase timers included), peak memory and trace file paths.
+RUN_REPORT_KEYS = ("created_unix", "argv")
+RUN_SUMMARY_KEYS = ("wall_time_s", "phases")
+RUN_RECORD_KEYS = ("elapsed_s", "peak_rss_bytes", "trace_file")
+
+
+def scrub_record(record, drop=()):
+    """``record`` without :data:`RUN_RECORD_KEYS` and ``drop``; its attempts
+    without their ``elapsed_s``."""
+    record = {
+        k: v for k, v in record.items() if k not in RUN_RECORD_KEYS and k not in drop
+    }
+    record["attempt_history"] = [
+        {k: v for k, v in entry.items() if k != "elapsed_s"}
+        for entry in record.get("attempt_history", [])
+    ]
+    return record
+
+
+def scrub_report(payload, *, summary=(), record=()):
+    """A run report as canonical JSON, without the keys that differ between
+    any two runs and without the ``summary`` and ``record`` keys a
+    comparison names on top of them.
+
+    Runs from the repo root as ``PYTHONPATH=src:. python -c "from
+    tests.helpers import scrub_report ..."`` too.
+    """
+    payload = {k: v for k, v in payload.items() if k not in RUN_REPORT_KEYS}
+    payload["summary"] = {
+        k: v
+        for k, v in payload["summary"].items()
+        if k not in RUN_SUMMARY_KEYS and k not in summary
+    }
+    payload["experiments"] = [scrub_record(r, record) for r in payload["experiments"]]
+    return json.dumps(payload, sort_keys=True)

@@ -48,6 +48,7 @@ from repro.perf.backends.sockets import (
 )
 from repro.perf.parallel import ParallelWorkerError, parallel_map
 from repro.perf.worker import run_chunk_in_fork
+from tests.helpers import scrub_report
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -529,33 +530,15 @@ class TestWorkerCLI:
 
 # -- the acceptance bar: runner reports identical across backends --------------
 
-#: Fields that legitimately differ between backends/runs: timing, process
-#: identity, file paths, the backend/cache description itself, and the
-#: counters (per-chunk-process cache warmth changes hit/miss tallies, and
-#: transport counters differ across backends by construction).
-_VOLATILE_REPORT = {"created_unix", "argv"}
-_VOLATILE_SUMMARY = {"wall_time_s", "cache", "backend", "resilience", "config", "phases"}
-_VOLATILE_RECORD = {"elapsed_s", "peak_rss_bytes", "trace_file", "counters"}
-
-
-def _scrub_record(record):
-    record = {k: v for k, v in record.items() if k not in _VOLATILE_RECORD}
-    # Per-attempt wall clocks are timing; everything else in the attempt
-    # history (index, seed, status, error class) must match exactly.
-    record["attempt_history"] = [
-        {k: v for k, v in entry.items() if k != "elapsed_s"}
-        for entry in record.get("attempt_history", [])
-    ]
-    return record
-
-
 def _scrub_cross_backend(payload):
-    payload = {k: v for k, v in payload.items() if k not in _VOLATILE_REPORT}
-    payload["summary"] = {
-        k: v for k, v in payload["summary"].items() if k not in _VOLATILE_SUMMARY
-    }
-    payload["experiments"] = [_scrub_record(r) for r in payload["experiments"]]
-    return json.dumps(payload, sort_keys=True)
+    # Beyond timing: the backend/cache description itself and the counters
+    # (per-chunk-process cache warmth changes hit/miss tallies, and
+    # transport counters differ across backends by construction).
+    return scrub_report(
+        payload,
+        summary=("cache", "backend", "resilience", "config"),
+        record=("counters",),
+    )
 
 
 class TestRunnerAcceptance:

@@ -32,7 +32,7 @@ from repro.perf.chaos import ChaosProxy, fork_fault_plan, parse_fork_spec
 from repro.perf.parallel import parallel_map
 from repro.semantics.measure import execution_measure
 from repro.semantics.scheduler import ActionSequenceScheduler
-from tests.helpers import coin_automaton
+from tests.helpers import coin_automaton, scrub_report
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -314,26 +314,14 @@ class TestLostChunkCacheCounters:
 
 # -- the acceptance scenario -----------------------------------------------------
 
-_VOLATILE_REPORT = {"created_unix", "argv"}
-_VOLATILE_SUMMARY = {"wall_time_s", "cache", "backend", "resilience", "config", "phases"}
-_VOLATILE_RECORD = {"elapsed_s", "peak_rss_bytes", "trace_file", "counters"}
-
-
 def _scrub(payload):
-    payload = {k: v for k, v in payload.items() if k not in _VOLATILE_REPORT}
-    payload["summary"] = {
-        k: v for k, v in payload["summary"].items() if k not in _VOLATILE_SUMMARY
-    }
-    experiments = []
-    for record in payload["experiments"]:
-        record = {k: v for k, v in record.items() if k not in _VOLATILE_RECORD}
-        record["attempt_history"] = [
-            {k: v for k, v in entry.items() if k != "elapsed_s"}
-            for entry in record.get("attempt_history", [])
-        ]
-        experiments.append(record)
-    payload["experiments"] = experiments
-    return json.dumps(payload, sort_keys=True)
+    # Beyond timing: the backend description and the counters, which count
+    # the faults the transport survived.
+    return scrub_report(
+        payload,
+        summary=("cache", "backend", "resilience", "config"),
+        record=("counters",),
+    )
 
 
 @pytest.fixture

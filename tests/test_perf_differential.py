@@ -32,20 +32,16 @@ from repro.perf import cache as perf_cache
 from repro.probability.measures import DiscreteMeasure, dirac
 from repro.semantics.measure import execution_measure
 from repro.semantics.scheduler import ActionSequenceScheduler, Scheduler
-from tests.helpers import coin_automaton
+from tests.helpers import scrub_record, scrub_report
 
-#: Report fields that legitimately differ between runs (timing, process
-#: identity, file paths) and are scrubbed before exact comparison.
-VOLATILE_REPORT_KEYS = {"created_unix", "argv", "wall_time_s"}
-VOLATILE_RECORD_KEYS = {"elapsed_s", "peak_rss_bytes", "trace_file"}
 #: Experiment ``data`` keys that carry wall-clock measurements.
 VOLATILE_DATA_KEYS = {"timings_ms"}
-#: Observability summary blocks scrubbed before byte comparison: trace
-#: blocks exist only on traced runs, and ``summary.phases`` holds wall-clock
-#: phase times.  ``summary.config`` rides along: it records the resolved
-#: RunConfig, and differential runs intentionally vary knobs — provenance,
-#: like ``argv``.
-OPTIONAL_SUMMARY_BLOCKS = {"trace", "phases", "analysis", "config"}
+#: Observability summary blocks scrubbed before byte comparison on top of
+#: the timing :func:`tests.helpers.scrub_report` always drops: trace blocks
+#: exist only on traced runs.  ``summary.config`` rides along: it records
+#: the resolved RunConfig, and differential runs intentionally vary knobs —
+#: provenance, like ``argv``.
+OPTIONAL_SUMMARY_BLOCKS = ("trace", "analysis", "config")
 #: Counters of transport recovery: retries, dead workers, caller fallbacks
 #: and supervision (reconnects, quarantines, heartbeats).  They count how
 #: the transport recovered from faults, so they differ between runs when a
@@ -61,26 +57,6 @@ TRANSPORT_RECOVERY_COUNTERS = (
 def _normalized(report):
     data = {k: v for k, v in report.data.items() if k not in VOLATILE_DATA_KEYS}
     return (report.experiment, report.claim, bool(report.passed), report.table, repr(data))
-
-
-def _scrub_record(record):
-    record = {k: v for k, v in record.items() if k not in VOLATILE_RECORD_KEYS}
-    record["attempt_history"] = [
-        {k: v for k, v in entry.items() if k != "elapsed_s"}
-        for entry in record.get("attempt_history", [])
-    ]
-    return record
-
-
-def _scrub(payload):
-    payload = {k: v for k, v in payload.items() if k not in VOLATILE_REPORT_KEYS}
-    payload["summary"] = {
-        k: v
-        for k, v in payload["summary"].items()
-        if k not in VOLATILE_REPORT_KEYS and k not in OPTIONAL_SUMMARY_BLOCKS
-    }
-    payload["experiments"] = [_scrub_record(r) for r in payload["experiments"]]
-    return json.dumps(payload, sort_keys=True)
 
 
 def _scrub_transport_recovery(payload):
@@ -127,7 +103,7 @@ class TestRunnerParallelism:
             # runs this suite through chaos proxies): how it recovered may
             # differ between runs, what it computed may not.
             payload = _scrub_transport_recovery(json.loads(out.read_text()))
-            scrubbed[workers] = _scrub(payload)
+            scrubbed[workers] = scrub_report(payload, summary=OPTIONAL_SUMMARY_BLOCKS)
         assert scrubbed[None] == scrubbed[1] == scrubbed[2] == scrubbed[4]
 
     def test_fail_fast_records_identical_under_auto(self, monkeypatch):
@@ -147,7 +123,7 @@ class TestRunnerParallelism:
             config = api.RunConfig(keep_going=False, parallel=workers)
             result = api.run_suite(selection, config=config)
             assert result.exit_code == 1
-            records[workers] = [_scrub_record(r) for r in result.records]
+            records[workers] = [scrub_record(r) for r in result.records]
         assert [r["experiment"] for r in records[1]] == ["E4", "EX-FAIL"]
         assert records[None] == records[1]
 
@@ -173,7 +149,7 @@ class TestRunnerParallelism:
             assert time.perf_counter() - start < 2.0, workers
             assert result.exit_code == 1
             assert result.report["summary"]["config"]["parallel"] == (workers or 2)
-            records[workers] = [_scrub_record(r) for r in result.records]
+            records[workers] = [scrub_record(r) for r in result.records]
             assert multiprocessing.active_children() == []
         assert [r["status"] for r in records[1]] == ["fail"]
         assert records[None] == records[1]

@@ -24,44 +24,17 @@ from repro.perf import store as perf_store
 from repro.probability.measures import DiscreteMeasure, dirac
 from repro.semantics.measure import execution_measure
 from repro.semantics.scheduler import ActionSequenceScheduler
-
-#: Report fields that legitimately differ between two runs: timing,
-#: process identity, file paths, and the perf counters (a socket pool's
-#: workers keep their interpreters warm between the two runs).
-VOLATILE_REPORT_KEYS = {"created_unix", "argv"}
-VOLATILE_SUMMARY_KEYS = {
-    "wall_time_s",
-    "cache",
-    "backend",
-    "trace",
-    "phases",
-    "analysis",
-    "resilience",
-}
-VOLATILE_RECORD_KEYS = {
-    "elapsed_s",
-    "peak_rss_bytes",
-    "trace_file",
-    "counters",
-    "histograms",
-}
+from tests.helpers import scrub_report
 
 
 def _scrub(payload):
-    payload = {k: v for k, v in payload.items() if k not in VOLATILE_REPORT_KEYS}
-    payload["summary"] = {
-        k: v for k, v in payload["summary"].items() if k not in VOLATILE_SUMMARY_KEYS
-    }
-    experiments = []
-    for record in payload["experiments"]:
-        record = {k: v for k, v in record.items() if k not in VOLATILE_RECORD_KEYS}
-        record["attempt_history"] = [
-            {k: v for k, v in entry.items() if k != "elapsed_s"}
-            for entry in record.get("attempt_history", [])
-        ]
-        experiments.append(record)
-    payload["experiments"] = experiments
-    return json.dumps(payload, sort_keys=True)
+    # Beyond timing: the perf blocks and counters (a socket pool's workers
+    # keep their interpreters warm between the two runs).
+    return scrub_report(
+        payload,
+        summary=("cache", "backend", "trace", "analysis", "resilience"),
+        record=("counters", "histograms"),
+    )
 
 
 def _run_suite(tmp_path, label):

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from repro.perf import pickling
+from tests.conftest import subprocess_env
 
 _GLOBAL_FACTOR = Fraction(3, 7)
 
@@ -45,7 +46,7 @@ def _roundtrip_in_subprocess(blob_producer, call_arg):
         input=blob,
         capture_output=True,
         check=False,
-        env={"PYTHONPATH": "src"},
+        env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr.decode()
     return pickle.loads(proc.stdout)

@@ -25,37 +25,18 @@ from repro.service import (
     ServiceClient,
     ServiceClientError,
 )
-
-#: Same volatility contract as tests/test_perf_persistent.py — timing,
-#: process identity, and the perf counters.
-#: ``summary.config`` stays *unscrubbed* on purpose: CLI/service parity
-#: must include the resolved RunConfig.
-VOLATILE_REPORT_KEYS = {"created_unix", "argv"}
-VOLATILE_SUMMARY_KEYS = {
-    "wall_time_s", "cache", "backend", "trace", "phases", "analysis",
-    "resilience",
-}
-VOLATILE_RECORD_KEYS = {
-    "elapsed_s", "peak_rss_bytes", "trace_file", "counters", "histograms",
-}
+from tests.helpers import scrub_report
 
 
 def scrub(payload):
-    payload = {k: v for k, v in payload.items() if k not in VOLATILE_REPORT_KEYS}
-    payload["summary"] = {
-        k: v for k, v in payload["summary"].items()
-        if k not in VOLATILE_SUMMARY_KEYS
-    }
-    experiments = []
-    for record in payload["experiments"]:
-        record = {k: v for k, v in record.items() if k not in VOLATILE_RECORD_KEYS}
-        record["attempt_history"] = [
-            {k: v for k, v in entry.items() if k != "elapsed_s"}
-            for entry in record.get("attempt_history", [])
-        ]
-        experiments.append(record)
-    payload["experiments"] = experiments
-    return json.dumps(payload, sort_keys=True)
+    # As in tests/test_perf_persistent.py: the perf blocks and counters too.
+    # ``summary.config`` stays *unscrubbed* on purpose: CLI/service parity
+    # must include the resolved RunConfig.
+    return scrub_report(
+        payload,
+        summary=("cache", "backend", "trace", "analysis", "resilience"),
+        record=("counters", "histograms"),
+    )
 
 
 def serve(service):
@@ -401,6 +382,29 @@ class TestWarmPool:
             follow_up = client.submit(["E1"])
             assert client.wait(follow_up["id"], timeout=120)["state"] == "done"
             assert service.pool_alive() == 1
+        finally:
+            service.stop()
+
+
+    def test_inline_sweep_does_not_stall_job_progress(self):
+        # E12 runs inline, so its sweep over the pool opens a progress phase
+        # in the service process; the job's progress must still count it.
+        service = JobService(pool=2)
+        client = serve(service)
+        try:
+            job = client.submit(["E4", "E12"], config={"isolated": False, "parallel": 1})
+            final = client.wait(job["id"], timeout=300)
+            assert final["state"] == "done" and final["exit_code"] == 0
+            assert final["progress"] == {"done": 2, "total": 2}
+            events = [
+                (e["event"], e.get("done", e.get("experiment")))
+                for e in client.stream_events(job["id"], timeout=30)
+                if e["event"] in ("progress", "experiment")
+            ]
+            assert events == [
+                ("progress", 1), ("experiment", "E4"),
+                ("progress", 2), ("experiment", "E12"),
+            ]
         finally:
             service.stop()
 

@@ -488,7 +488,13 @@ def run_experiment_guarded(
 
 def coin_oblivious_schema(alphabet=("toss", "head", "tail", "acc")):
     """The oblivious (fixed-sequence, locally-controlled) schema over the
-    coin alphabet — the workhorse schema of E4/E5/E6/E12."""
+    coin alphabet — the workhorse schema of E4/E5/E6/E11/E12.
+
+    Members come in length order, so each member's parent ``seq[:-1]`` is
+    among the previous length's members: the implementation checker
+    unfolds the schema along this prefix tree
+    (:func:`repro.semantics.measure.sequence_measures`).
+    """
     import itertools
 
     from repro.semantics.schema import SchedulerSchema

@@ -44,7 +44,7 @@ from repro.core.psioa import PSIOA
 from repro.obs.metrics import counter as _counter, timer as _timer
 from repro.probability.asymptotics import is_negligible_fit
 from repro.probability.measures import total_variation
-from repro.semantics.insight import InsightFunction, compose_world, f_dist
+from repro.semantics.insight import InsightFunction, compose_world, f_dist, f_dists
 from repro.semantics.schema import SchedulerSchema
 from repro.semantics.scheduler import Scheduler
 
@@ -88,26 +88,22 @@ class _Perceptions:
     candidates, each computed the first time an outer scheduler reaches it.
 
     ``f-dist_(E,B)(sigma')`` does not depend on the outer ``sigma``, so
-    ``schema(E||B, q2)`` is enumerated once, lazily and in schema order, and
-    every later pass re-reads the perceptions already computed.  A candidate
-    whose perception equals (:func:`_exact_key`) an earlier one's is dropped:
-    it is at the same distance from every ``sigma``.  A candidate no pass
-    reaches (every pass stopped early) is never unfolded.
+    ``schema(E||B, q2)`` is enumerated once, lazily and in schema order
+    (along its prefix tree, :func:`f_dists`), and every later pass re-reads
+    the perceptions already computed.  A candidate whose perception equals
+    (:func:`_exact_key`) an earlier one's is dropped: it is at the same
+    distance from every ``sigma``.  A candidate no pass reaches (every pass
+    stopped early) is never unfolded.
     """
 
-    def __init__(self, insight, env, second, world, candidates):
-        self._insight = insight
-        self._env = env
-        self._second = second
-        self._world = world
-        self._pending = iter(candidates)
+    def __init__(self, insight, env, world, candidates):
+        self._pending = f_dists(insight, env, candidates, world=world)
         self._seen: List[object] = []
         self._keys: set = set()
 
     def __iter__(self):
         yield from self._seen
-        for candidate in self._pending:
-            dist = f_dist(self._insight, self._env, self._second, candidate, world=self._world)
+        for _candidate, dist in self._pending:
             key = _exact_key(dist)
             if key not in self._keys:
                 self._keys.add(key)
@@ -154,7 +150,8 @@ def _worst_case(first, second, environments, *, schema, insight, q1, q2, witness
     Returns ``(worst, None)``, or ``(best, (E, sigma))`` for the first
     ``sigma`` with no ``sigma'`` or whose minimum exceeds ``epsilon``.
 
-    ``E||A`` and ``E||B`` are composed once per environment.  Each
+    ``E||A`` and ``E||B`` are composed once per environment, and each
+    schema's perceptions are drawn from :func:`f_dists`.  Each
     ``sigma``'s scan stops once its minimum is at most the running ``worst``:
     such a ``sigma`` cannot raise the max.  A ``sigma`` whose minimum
     exceeds ``epsilon >= worst`` is never stopped, so its ``best`` is exact.
@@ -168,10 +165,9 @@ def _worst_case(first, second, environments, *, schema, insight, q1, q2, witness
         world_first = compose_world(env, first)
         world_second = compose_world(env, second)
         if witness is None:
-            shared = _Perceptions(insight, env, second, world_second, schema(world_second, q2))
+            shared = _Perceptions(insight, env, world_second, schema(world_second, q2))
             scanned = {}
-        for scheduler in schema(world_first, q1):
-            dist_first = f_dist(insight, env, first, scheduler, world=world_first)
+        for scheduler, dist_first in f_dists(insight, env, schema(world_first, q1), world=world_first):
             if witness is None:
                 key = _exact_key(dist_first)
                 if key in scanned:

@@ -34,6 +34,7 @@ from repro.semantics.schema import (
 )
 from repro.semantics.measure import (
     execution_measure,
+    sequence_measures,
     cone_probability,
     UnboundedUnfoldingError,
 )
@@ -44,6 +45,7 @@ from repro.semantics.insight import (
     accept_insight,
     print_insight,
     f_dist,
+    f_dists,
 )
 from repro.semantics.balance import balanced, perception_distance
 from repro.semantics.tasks import (
@@ -68,6 +70,7 @@ __all__ = [
     "adaptive_schema",
     "singleton_schema",
     "execution_measure",
+    "sequence_measures",
     "cone_probability",
     "UnboundedUnfoldingError",
     "is_environment",
@@ -77,6 +80,7 @@ __all__ = [
     "accept_insight",
     "print_insight",
     "f_dist",
+    "f_dists",
     "balanced",
     "perception_distance",
     "TaskScheduleScheduler",

@@ -14,6 +14,8 @@ compared.  The paper's three standard instances are provided:
 
 ``f-dist`` (Definition 3.5) is the image of ``epsilon_sigma`` under the
 insight function; with finite supports it is an exact pushforward.
+:func:`f_dists` gives the f-dists of a whole scheduler family, unfolded
+along its prefix tree (:func:`~repro.semantics.measure.sequence_measures`).
 
 Stability by composition (Definition 3.7) — the property that ``E`` has no
 more distinguishing power than ``E || B`` — holds for all three instances
@@ -25,13 +27,13 @@ inequality on concrete systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Tuple
 
 from repro.core.composition import ComposedPSIOA, compose
 from repro.core.executions import Fragment
 from repro.core.psioa import PSIOA
 from repro.probability.measures import DiscreteMeasure, total_variation
-from repro.semantics.measure import execution_measure
+from repro.semantics.measure import execution_measure, sequence_measures
 from repro.semantics.scheduler import Scheduler
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "print_insight",
     "compose_world",
     "f_dist",
+    "f_dists",
     "check_stability_by_composition",
 ]
 
@@ -136,6 +139,28 @@ def f_dist(
         world = compose_world(env, automaton)
     measure = execution_measure(world, scheduler, max_depth=max_depth)
     return measure.map(lambda execution: insight(env, world, execution))
+
+
+def f_dists(
+    insight: InsightFunction,
+    env: PSIOA,
+    schedulers: Iterable[Scheduler],
+    *,
+    world: ComposedPSIOA,
+) -> Iterator[Tuple[Scheduler, DiscreteMeasure]]:
+    """``(sigma, f-dist_(E,A)(sigma))`` for each of ``schedulers``, in order,
+    on the composition ``world = E || A`` (environment first).
+
+    Each perception equals :func:`f_dist`'s item for item.  The measures
+    come from :func:`~repro.semantics.measure.sequence_measures`, and each
+    new one is mapped once: a scheduler whose measure object is reused gets
+    the same perception object back.
+    """
+
+    def perceive(measure: DiscreteMeasure) -> DiscreteMeasure:
+        return measure.map(lambda execution: insight(env, world, execution))
+
+    return sequence_measures(world, schedulers, image=perceive)
 
 
 def check_stability_by_composition(

@@ -84,6 +84,11 @@ def enumerate_action_sequences(
 
     The count grows as ``|acts|^length``; intended for systems with a
     handful of actions.
+
+    Members come in length order (all of length ``k`` before any of length
+    ``k + 1``), so each member's parent ``sequence[:-1]`` is among the
+    previous length's members: the order
+    :func:`~repro.semantics.measure.sequence_measures` unfolds along.
     """
     alphabet = list(actions) if actions is not None else _automaton_actions(automaton, max_states=max_states)
     for length in range(max_length + 1):

@@ -6,11 +6,32 @@ cheap ones are also part of the regular test suite so a regression in any
 layer surfaces here immediately.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.common import ALL_EXPERIMENTS, run_experiment
 
 CHEAP = ["E3", "E4", "E5", "E7", "E8", "E9", "E12", "E14", "E15"]
+
+#: The experiments whose ∀σ∃σ′ checks unfold an oblivious schema.
+OBLIVIOUS = ["E4", "E5", "E6", "E11", "E12"]
+
+_WALL_TIME = re.compile(r"   \(\d+\.\d\ds\)")
+
+
+def recorded_tables():
+    """EXPERIMENTS.md's recorded fast-mode output: experiment id -> table
+    (the block between the ``[PASS]`` header and the wall-time line)."""
+    text = (Path(__file__).resolve().parents[1] / "EXPERIMENTS.md").read_text()
+    block = text.split("## Recorded output (fast sweeps)", 1)[1].split("```\n", 2)[1]
+    tables = {}
+    for chunk in block.split("\n\n")[:-1]:  # the last is the suite's summary line
+        header, *body = chunk.splitlines()
+        assert _WALL_TIME.fullmatch(body[-1]), body[-1]
+        tables[header.split()[1]] = "\n".join(body[:-1])
+    return tables
 
 
 @pytest.mark.parametrize("experiment_id", CHEAP)
@@ -60,3 +81,14 @@ class TestReportShape:
         for name in ("singleton", "oblivious", "adaptive"):
             assert name in report.table
         assert len(set(report.data["advantages"])) == 1
+
+
+class TestRecordedTables:
+    """The tables of the recorded fast run are a regression oracle that no
+    in-repo reference path shares a kernel with."""
+
+    @pytest.mark.parametrize("experiment_id", OBLIVIOUS)
+    def test_table_matches_recorded_output(self, experiment_id):
+        report = run_experiment(experiment_id)
+        assert report.passed
+        assert report.table == recorded_tables()[experiment_id]

@@ -2,11 +2,12 @@
 
 The unfolding engine is the inner loop of every f-dist and every
 implementation check; this bench tracks its scaling with scheduler depth
-and with probabilistic branching — plus the ``repro.perf`` cache's effect
-on repeated unfoldings (recorded into ``BENCH_perf.json`` and gated
-against the committed baseline, see ``conftest.py``).
+and with probabilistic branching — plus the transition memo's effect on
+a real experiment, E2 (both recorded into ``BENCH_perf.json`` and gated,
+see ``conftest.py``).
 """
 
+import statistics
 import time
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ import pytest
 from repro.core.composition import compose
 from repro.core.psioa import TablePSIOA
 from repro.core.signature import Signature
-from repro.obs import metrics
 from repro.perf import cache as perf_cache
 from repro.probability.measures import DiscreteMeasure, dirac
 from repro.semantics.insight import accept_insight, f_dist
@@ -79,44 +79,35 @@ def test_unfold_throughput_point(perf_point):
     )
 
 
-def test_repeated_unfold_cache_speedup(perf_point):
-    """Repeated unfoldings of the same (automaton, scheduler) pair must be
-    >= 2x faster with the cache on — the tentpole's headline claim.
+def test_transition_memo_speedup_on_e2(perf_point):
+    """E2 run in-process must be >= 2x faster with the transition memo on
+    than off.
 
-    Records the first cached-vs-uncached trajectory point, with the cache
-    hit/miss counters attached."""
-    chain = _branching_chain(7)
-    sched = PriorityScheduler([lambda a: True], 14)
-    rounds = 25
+    E2 (the PCA bound) is the experiment the memo pays most on: its
+    composed transitions are asked for again and again within one run.
+    Each run builds its own automata, so every run starts with empty
+    memos.  Five alternating off/on pairs; the speedup is the ratio of
+    the median times."""
+    from repro.experiments.common import run_experiment
 
-    perf_cache.configure(enabled=False)
-    perf_cache.clear()
-    start = time.perf_counter()
-    for _ in range(rounds):
-        uncached = execution_measure(chain, sched)
-    uncached_s = time.perf_counter() - start
-
-    perf_cache.configure(enabled=True)
-    perf_cache.clear()
-    start = time.perf_counter()
-    for _ in range(rounds):
-        cached = execution_measure(chain, sched)
-    cached_s = time.perf_counter() - start
-
-    assert dict(cached.items()) == dict(uncached.items())
-    hits = metrics.counter("perf.cache.measure.hits").value
-    misses = metrics.counter("perf.cache.measure.misses").value
-    assert hits == rounds - 1 and misses >= 1
-    speedup = uncached_s / cached_s if cached_s > 0 else float("inf")
+    times = {False: [], True: []}
+    for _ in range(5):
+        for on in (False, True):
+            perf_cache.configure(enabled=on)
+            start = time.perf_counter()
+            report = run_experiment("E2")
+            times[on].append(time.perf_counter() - start)
+            assert report.passed
+    on_s, off_s = statistics.median(times[True]), statistics.median(times[False])
+    speedup = off_s / on_s if on_s > 0 else float("inf")
     perf_point(
-        "measure.unfold.cached_vs_uncached",
-        ops_s=rounds / cached_s if cached_s > 0 else float("inf"),
+        "experiments.e2.memo_on_vs_off",
+        ops_s=1 / on_s if on_s > 0 else float("inf"),
         speedup=speedup,
-        uncached_ops_s=rounds / uncached_s,
-        cache_hits=hits,
-        cache_misses=misses,
+        off_ops_s=1 / off_s,
+        pairs=5,
     )
-    assert speedup >= 2.0, f"cache speedup {speedup:.2f}x < 2x"
+    assert speedup >= 2.0, f"transition memo speedup on E2 {speedup:.2f}x < 2x"
 
 
 @pytest.mark.parametrize("script_len", [3, 6, 12])

@@ -25,8 +25,8 @@ rule compares a point's field against the committed
 beyond the tolerance (``REPRO_PERF_GATE_TOLERANCE`` overrides it, default
 25% for ``measure.unfold.throughput``); a *floor* rule fails when the field
 falls below an absolute minimum regardless of baseline — used for
-host-independent ratios like the cached-vs-uncached unfold speedup
-(conservative floor 2x; the baseline records ~9.5x).  Set
+host-independent ratios like the speedup of E2 with the transition memo
+on against off (floor 2x; the baseline records ~3.6x).  Set
 ``REPRO_PERF_GATE=off`` to record without gating (e.g. when refreshing the
 baseline).
 """
@@ -39,7 +39,6 @@ import pytest
 
 from repro.api import resolve_config
 from repro.obs import metrics
-from repro.perf import cache as perf_cache
 
 TRAJECTORY_SCHEMA = "repro.obs.bench-trajectory/1"
 PERF_SCHEMA = "repro.perf.bench/1"
@@ -50,7 +49,7 @@ PERF_SCHEMA = "repro.perf.bench/1"
 #: below an absolute minimum, baseline or not.
 GATED_POINTS = {
     "measure.unfold.throughput": ("drop", "normalized", 0.25),
-    "measure.unfold.cached_vs_uncached": ("floor", "speedup", 2.0),
+    "experiments.e2.memo_on_vs_off": ("floor", "speedup", 2.0),
 }
 
 _RUNS = {}
@@ -78,13 +77,11 @@ def _calibration_ops_s():
 
 @pytest.fixture(autouse=True)
 def _obs_capture(request):
-    """Reset metrics and the perf cache per test; collect counters after."""
+    """Reset metrics and the run switches per test; collect counters after."""
     metrics.reset()
-    perf_cache.clear()
     resolve_config().apply()
     start = time.perf_counter()
     yield
-    perf_cache.clear()
     resolve_config().apply()
     snapshot = metrics.snapshot()
     if snapshot["counters"] or snapshot["histograms"]:

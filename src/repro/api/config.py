@@ -89,7 +89,8 @@ class RunConfig:
     #: ``None`` = auto: the usable CPUs, at most one per selected experiment,
     #: and 1 for inline runs (``summary.config`` records the resolved count)
     parallel: Optional[int] = None
-    #: memoization layer: ``"on"``, ``"off"``, or ``"stats"`` (on + stats line)
+    #: the per-automaton transition memo: ``"on"``, ``"off"``, or ``"stats"``
+    #: (on + a hit/miss line)
     cache: str = "on"
     #: disk-backed store directory (reserved; see repro.perf.store)
     cache_dir: Optional[str] = None

@@ -29,6 +29,7 @@ from repro.bounded.encoding import (
     encoded_length,
 )
 from repro.core.psioa import PSIOA
+from repro.perf.cache import transition_once
 from repro.probability.measures import DiscreteMeasure
 
 __all__ = ["CostMeter", "ReferenceDecoders", "operation_counts"]
@@ -243,8 +244,14 @@ def operation_counts(
     scan cost of ``a`` in the ``repr``-sorted inputs, outputs, internals,
     and ``step`` the summed scan costs of the targets in the ``repr``-sorted
     support (:func:`_support_costs`).  The signature is sorted once per
-    state, ``transition`` is called once per action, and one pass over the
-    support yields both ``count`` and ``|<tr>|``.
+    state, the transition function is called once per action, and one pass
+    over the support yields both ``count`` and ``|<tr>|``.
+
+    Callers visit each ``(q, a)`` once, so transitions come from
+    :func:`~repro.perf.cache.transition_once`, which stores nothing in the
+    measured automaton's memo: that would only fill it with entries nothing
+    asks for again.  (The components or base that its transition function
+    calls still memoize their own transitions.)
     """
     signature = automaton.signature(state)
     state_length = encoded_length(state)
@@ -253,7 +260,7 @@ def operation_counts(
     for component in (signature.inputs, signature.outputs, signature.internals):
         scan.extend(sorted(component, key=repr))
     for action, sig_cost in zip(scan, _lookup_costs(scan)):
-        eta = automaton.transition(state, action)
+        eta = transition_once(automaton, state, action)
         width, body, step = _support_costs(eta)
         count = start_cmp + (3 + width) * (state_length + sig_cost) + 2 * body + step
         # <tr> frames q, a and each (target, weight) pair with a separator.

@@ -25,6 +25,7 @@ from repro.probability.measures import DiscreteMeasure
 __all__ = [
     "encode_bits",
     "encoded_length",
+    "clear_memos",
     "encode_state",
     "encode_action",
     "encode_transition",
@@ -72,6 +73,17 @@ def encoded_length(obj: Hashable) -> int:
     """``|<obj>|`` without materializing the padded string (2 bits per raw bit)."""
     raw = _canonical_repr(obj).encode("utf-8")
     return 16 * len(raw)
+
+
+def clear_memos() -> None:
+    """Empty the memos of :func:`encode_bits` and :func:`encoded_length`.
+
+    They hold the objects they encoded, and a configuration (the state of
+    a PCA) holds its automata with their transition memos, so a caller
+    that runs experiments in its own process calls this when each ends.
+    """
+    encode_bits.cache_clear()
+    encoded_length.cache_clear()
 
 
 def encode_state(state: Hashable) -> str:

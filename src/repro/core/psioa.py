@@ -55,7 +55,7 @@ class PSIOA:
         for actions outside the current signature.
     """
 
-    __slots__ = ("name", "start", "_signature", "_transition")
+    __slots__ = ("name", "start", "_signature", "_transition", "_tmemo")
 
     def __init__(
         self,
@@ -68,6 +68,8 @@ class PSIOA:
         self.start = start
         self._signature = signature
         self._transition = transition
+        #: ``(q, a) -> eta``, filled by :meth:`transition` (see repro.perf.cache).
+        self._tmemo: Dict[Tuple[State, Action], DiscreteMeasure] = {}
 
     # -- definitional accessors ------------------------------------------------
 
@@ -79,11 +81,11 @@ class PSIOA:
         """``eta_(A, q, a)`` — the unique transition measure (Definition 2.1).
 
         Transition determinism makes this a pure function of ``(q, a)``, so
-        the perf layer may serve it from an identity-keyed cache (see
-        :mod:`repro.perf.cache`; in-place automaton mutation requires
-        :func:`repro.perf.cache.invalidate`).
+        with the cache switch on each answer is memoized in this automaton's
+        own ``_tmemo`` (see :mod:`repro.perf.cache`); with it off the
+        transition function is called every time.
         """
-        if _perf_cache.CACHE.enabled:
+        if _perf_cache.cache_enabled():
             return _perf_cache.cached_transition(self, state, action)
         return self._transition(state, action)
 
@@ -107,6 +109,22 @@ class PSIOA:
         if eta is None:
             return set()
         return {(state, action, target) for target in eta.support()}
+
+    # -- pickling ----------------------------------------------------------------
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Every attribute but the memo: an unpickled automaton starts cold."""
+        state = dict(getattr(self, "__dict__", {}))
+        for cls in type(self).__mro__:
+            for slot in cls.__dict__.get("__slots__", ()):
+                if slot != "_tmemo" and hasattr(self, slot):
+                    state[slot] = getattr(self, slot)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for slot, value in state.items():
+            object.__setattr__(self, slot, value)
+        self._tmemo = {}
 
     # -- identity ----------------------------------------------------------------
 

@@ -30,7 +30,6 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.obs.procinfo import peak_rss_bytes as _peak_rss_bytes
 from repro.perf import backends as _perf_backends
-from repro.perf import cache as _perf_cache
 
 __all__ = [
     "ExperimentReport",
@@ -240,10 +239,6 @@ def _guarded_child(
     """
     _metrics.reset()
     _trace.TRACER.clear()
-    # A fresh cache per experiment makes hit/miss counters a pure function
-    # of the experiment — independent of what ran before in the parent and
-    # of how many experiments run concurrently.
-    _perf_cache.clear()
     # An execution backend inherited through the fork may hold the parent's
     # live worker connections; adopt it (a pool:N keeps the parent's
     # workers, the shared file descriptors stay untouched) so this child's
@@ -370,12 +365,7 @@ def _attempt_inline(
 ) -> _Attempt:
     previous = _EXPERIMENT_SEED
     # Inline attempts share the process-global registry with the caller, so
-    # per-experiment counters and timers are a before/after diff, not a reset.  The
-    # perf cache *is* cleared (same rationale as the isolated child): cache
-    # warmth must not leak across experiments.  It is cleared again when the
-    # attempt ends, so the caller does not keep the tables alive and copy
-    # them into every process it forks later.
-    _perf_cache.clear()
+    # per-experiment counters and timers are a before/after diff, not a reset.
     before = _metrics.snapshot(include_zero=True)
     tracing_was_enabled = _trace.is_enabled()
     if trace_path is not None:
@@ -389,7 +379,12 @@ def _attempt_inline(
         report, status, error = None, "error", traceback.format_exc()
     finally:
         set_experiment_seed(previous)
-        _perf_cache.clear()
+        # The bit-encoding memos hold configurations, and through them
+        # automata: empty them, so the caller keeps none of this run's
+        # automata alive (nor copies them into every process it forks).
+        from repro.bounded.encoding import clear_memos
+
+        clear_memos()
     extras = _observability_extras(trace_path)
     after = _metrics.snapshot(include_zero=True)
     extras["metrics"]["counters"] = _metrics.subtract_counters(

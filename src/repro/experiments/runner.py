@@ -12,8 +12,8 @@ Usage::
 Performance (see ``docs/performance.md``)::
 
     python -m repro.experiments.runner --parallel 1    # one experiment at a time
-    python -m repro.experiments.runner --cache off     # disable memoization
-    python -m repro.experiments.runner --cache stats   # print cache statistics
+    python -m repro.experiments.runner --cache off     # no transition memo
+    python -m repro.experiments.runner --cache stats   # print memo hits/misses
     python -m repro.experiments.runner --cache-dir .cache/repro    # store directory
     python -m repro.experiments.runner --backend pool:3             # inner sweeps
     python -m repro.experiments.runner --backend socket:host:9001   # ... on remote workers
@@ -134,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("on", "off", "stats"),
         default=None,
         help=(
-            "memoization layer: on, off, or on + aggregated statistics "
-            "(default: REPRO_CACHE, else on)"
+            "per-automaton transition memo: on, off, or on + a hit/miss "
+            "line (default: REPRO_CACHE, else on)"
         ),
     )
     parser.add_argument(

@@ -256,8 +256,8 @@ def cache_summary(
     enabled: bool,
     persistent: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Sum the ``perf.cache.*`` / ``perf.intern.*`` / ``perf.parallel.*``
-    counters across per-experiment records.
+    """Sum the ``perf.cache.*`` / ``perf.parallel.*`` counters across
+    per-experiment records.
 
     ``persistent`` is the active :class:`repro.perf.store.PersistentStore`'s
     ``stats()`` block (directory, entry count, byte size); it appears only
@@ -265,9 +265,7 @@ def cache_summary(
     pre-store ones."""
     block: Dict[str, Any] = {
         "enabled": bool(enabled),
-        "counters": _counter_sums(
-            records, ("perf.cache.", "perf.intern.", "perf.parallel.")
-        ),
+        "counters": _counter_sums(records, ("perf.cache.", "perf.parallel.")),
     }
     if persistent is not None:
         block["persistent"] = dict(persistent)

@@ -1,16 +1,14 @@
-"""``repro.perf`` — the performance layer: memoization + parallel sweeps.
+"""``repro.perf`` — the performance layer: a transition memo + parallel sweeps.
 
 Two orthogonal tools, both contract-bound to change *nothing* about
 results (the differential suite ``tests/test_perf_differential.py`` is the
 enforcement arm):
 
-* :mod:`repro.perf.cache` — transparent memoization of transitions,
-  scheduler decisions and whole unfoldings, plus hash-consing (interning)
-  of :class:`~repro.core.executions.Fragment` and exact
-  :class:`~repro.probability.measures.DiscreteMeasure` objects.  Switched
-  by the run config's ``cache`` (default on).  Entries are keyed by object
-  identity.  ``cache_dir`` / ``--cache-dir`` names the directory of the
-  disk-backed :mod:`repro.perf.store`, which no run reads or writes yet.
+* :mod:`repro.perf.cache` — the switch of the transition memo each
+  automaton keeps (``PSIOA._tmemo``, Definition 2.1 makes ``eta_(A, q, a)``
+  a pure function of ``(q, a)``).  Switched by the run config's ``cache``
+  (default on).  ``cache_dir`` / ``--cache-dir`` names the directory of
+  the disk-backed :mod:`repro.perf.store`, which no run reads or writes yet.
 * :func:`parallel_map` over pluggable **execution backends**
   (:mod:`repro.perf.backends`): ``serial`` (in-process),
   ``socket:host:port,...`` (a TCP worker pool started with
@@ -45,15 +43,8 @@ from repro.perf.backends import (
     register_backend,
 )
 from repro.perf.cache import (
-    CACHE,
     cache_enabled,
-    cached_derived,
-    clear as clear_caches,
     configure as configure_cache,
-    intern_fragment,
-    intern_measure,
-    invalidate,
-    owner_key,
     stats as cache_stats,
 )
 # Importing the submodule binds ``repro.perf.fingerprint`` (the module) as a
@@ -77,14 +68,8 @@ from repro.perf.supervise import (
 )
 
 __all__ = [
-    "CACHE",
     "cache_enabled",
-    "cached_derived",
-    "clear_caches",
     "configure_cache",
-    "intern_fragment",
-    "intern_measure",
-    "invalidate",
     "cache_stats",
     "ParallelWorkerError",
     "parallel_map",
@@ -105,7 +90,6 @@ __all__ = [
     "fingerprint",
     "try_fingerprint",
     "Unfingerprintable",
-    "owner_key",
     "PersistentStore",
     "active_store",
 ]

@@ -66,7 +66,8 @@ the pool.  The wire protocol is deliberately small:
 
 Workers execute each chunk in a forked child
 (:func:`repro.perf.worker.run_chunk_in_fork`), giving every chunk a
-zeroed metrics registry, a cold cache, and crash isolation.
+zeroed metrics registry, automata unpickled with empty transition memos,
+and crash isolation.
 
 Security: frames are pickles — run workers only on hosts and networks you
 trust, and bind them to loopback or private interfaces.
@@ -539,7 +540,7 @@ class SocketBackend(ExecutionBackend):
         forked), so the settings ride the run frame; the worker installs
         them only in the chunk's forked child."""
         ctx: Dict[str, Any] = {
-            "cache": _perf_cache.CACHE.enabled,
+            "cache": _perf_cache.cache_enabled(),
             "trace": _trace.TRACER.enabled,
             "heartbeat_s": self._policy.heartbeat_s,
         }

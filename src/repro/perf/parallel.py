@@ -52,7 +52,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import progress as _progress
 from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
-from repro.perf import cache as _perf_cache
+from repro.perf import pickling
 from repro.perf.backends import (
     ExecutionBackend,
     get_backend,
@@ -134,18 +134,21 @@ def parallel_map(
             # quarantined a poison chunk): recompute the chunk here.  Its
             # payload (results + metrics + spans) is atomic and never
             # arrived, so merging nothing and recomputing counts each
-            # item's work exactly once.  The recompute runs on empty cache
-            # tables, as the executor did, so even the hit/miss split is
-            # the one the executor would have reported.
+            # item's work exactly once.  The recompute runs on pickled
+            # copies of the function and of the items, shipped apart as the
+            # executor ships them, so their automata start with empty
+            # transition memos and even the hit/miss split is the one the
+            # executor would have reported.
             _FALLBACKS.inc()
             _trace.instant(
                 "parallel.chunk_quarantined" if outcome.quarantined else "parallel.chunk_fallback",
                 chunk=chunk_index,
                 detail=outcome.detail,
             )
-            with _perf_cache.CACHE.chunk_scope():
-                for index, item in chunk:
-                    results[index] = fn(item)
+            cold_fn = pickling.loads(pickling.dumps(fn))
+            cold_chunk = pickling.loads(pickling.dumps(list(chunk)))
+            for index, item in cold_chunk:
+                results[index] = cold_fn(item)
             continue
         # The one merge of a chunk outcome: metrics (phase timers included),
         # then spans.

@@ -57,7 +57,6 @@ from repro.obs import log as _obs_log
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
-from repro.perf import cache as _perf_cache
 from repro.perf.backends import BackendSpecError, register_backend
 from repro.perf.backends.sockets import SocketBackend, _WorkerConnection
 
@@ -339,7 +338,7 @@ def _become_worker(announce_fd: int, log_fd: Optional[int]) -> None:
     """Body of a forked pool worker; never returns.
 
     Drops what a fresh interpreter would not have (the caller's descriptors,
-    stdio objects, signal handlers, perf cache, metrics, trace buffer and
+    stdio objects, signal handlers, metrics, trace buffer and
     correlation), reopens the caller's log sink by path (its descriptor is
     released with the rest), re-resolves the run settings
     (:func:`repro.perf.worker.settle`), announces the bound address on
@@ -367,7 +366,6 @@ def _become_worker(announce_fd: int, log_fd: Optional[int]) -> None:
         sys.stderr = open(2, "w", buffering=1, closefd=False)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.default_int_handler)
-        _perf_cache.clear()
         _metrics.reset()
         _trace.TRACER.clear()
         _obs_log.set_correlation(None)

@@ -13,9 +13,9 @@ The worker prints ``repro-perf-worker listening on HOST:PORT`` once bound
 (``--listen HOST:0`` picks a free port — parse the line to learn it), then
 serves forever: one thread per client connection, and **one forked child
 per chunk** (:func:`run_chunk_in_fork`), so every chunk runs with a zeroed
-metrics registry, a cold cache, and crash isolation — a chunk that
-segfaults kills its child, and the worker reports the chunk as lost
-instead of dying.  Multiple clients (e.g. several
+metrics registry, automata unpickled with empty transition memos, and
+crash isolation — a chunk that segfaults kills its child, and the worker
+reports the chunk as lost instead of dying.  Multiple clients (e.g. several
 crash-isolated experiment children of one ``--parallel`` runner) are served
 concurrently.
 

@@ -36,7 +36,6 @@ from repro.core.executions import Fragment
 from repro.core.psioa import PSIOA
 from repro.obs.metrics import counter as _counter, timer as _timer
 from repro.obs.trace import NULL_SPAN as _NULL_SPAN, TRACER as _TRACER, span as _span
-from repro.perf import cache as _perf_cache
 from repro.probability.measures import DiscreteMeasure
 from repro.semantics.scheduler import ActionSequenceScheduler, Scheduler
 
@@ -46,11 +45,10 @@ from repro.semantics.scheduler import ActionSequenceScheduler, Scheduler
 _UNFOLD_CALLS = _counter("measure.unfold.calls")
 _UNFOLD_FRAGMENTS = _counter("measure.unfold.fragments")
 _UNFOLD_TRANSITIONS = _counter("measure.unfold.transitions")
-_UNFOLD_MEMO_HITS = _counter("measure.unfold.memo_hits")
 #: Levels expanded: one per depth pass of an unfolding, and one per prefix
 #: tree child that extends its parent's leaves (see sequence_measures).
 _UNFOLD_STEPS = _counter("measure.unfold.steps")
-#: Phase clock: one call per unfolding asked for, memo hits included.
+#: Phase clock: one call per unfolding asked for.
 _UNFOLD_TIME = _timer("measure.unfold")
 
 __all__ = [
@@ -125,36 +123,14 @@ def _unfold(
     mass_epsilon: float,
 ) -> DiscreteMeasure:
     """The body of :func:`execution_measure` once the depth bound is known."""
-    # Whole-unfolding memo: epsilon_sigma is a pure function of the
-    # (automaton, scheduler) pair and the unfolding parameters, so repeated
-    # unfoldings of the same pair are served from the perf cache.  Keys are
-    # object identities (repro.perf.cache.owner_key); the scheduler object
-    # rides in the cache entry so the identity behind its key cannot be
-    # recycled while the entry lives.
-    cache = _perf_cache.CACHE if _perf_cache.CACHE.enabled else None
-    if cache is not None:
-        memo_key = (
-            _perf_cache.owner_key(scheduler),
-            bound,
-            bool(truncate),
-            repr(mass_epsilon),
-        )
-        memoized = _perf_cache.measure_cache_get(automaton, scheduler, memo_key)
-        if memoized is not None:
-            _UNFOLD_MEMO_HITS.inc()
-            return memoized
-
     _UNFOLD_CALLS.inc()
     fragments_expanded = 0
     transitions_expanded = 0
     levels = 0
 
-    initial = Fragment.initial(automaton.start)
-    if cache is not None:
-        initial = _perf_cache.intern_fragment(automaton, initial)
     completed: Dict[Fragment, object] = {}
     residual: Dict[Fragment, object] = {}
-    active: Dict[Fragment, object] = {initial: 1}
+    active: Dict[Fragment, object] = {Fragment.initial(automaton.start): 1}
 
     # Branch on the flag here (rather than inside _span) so span arguments —
     # the name stringification in particular — are never evaluated on the
@@ -181,7 +157,6 @@ def _unfold(
                 active,
                 completed,
                 residual if depth == bound else None,
-                cache,
                 mass_epsilon,
             )
             transitions_expanded += transitions
@@ -201,10 +176,7 @@ def _unfold(
         for fragment, mass in residual.items():
             completed[fragment] = completed.get(fragment, 0) + mass
 
-    result = DiscreteMeasure(completed, require_probability=not mass_epsilon)
-    if cache is not None:
-        _perf_cache.measure_cache_put(automaton, scheduler, memo_key, result)
-    return result
+    return DiscreteMeasure(completed, require_probability=not mass_epsilon)
 
 
 class _Node(NamedTuple):
@@ -294,7 +266,7 @@ def _extend_leaves(automaton: PSIOA, scheduler: Scheduler, parent: _Node, image)
     variations over the measure sum in the same order.
     """
     completed = dict(parent.halted)
-    leaves, transitions = _expand(automaton, scheduler, parent.leaves, completed, None, None, 0.0)
+    leaves, transitions = _expand(automaton, scheduler, parent.leaves, completed, None, 0.0)
     _UNFOLD_FRAGMENTS.inc(len(parent.leaves))
     _UNFOLD_TRANSITIONS.inc(transitions)
     _UNFOLD_STEPS.inc()
@@ -312,7 +284,6 @@ def _expand(
     active: Dict[Fragment, object],
     completed: Dict[Fragment, object],
     residual: Optional[Dict[Fragment, object]],
-    cache,
     mass_epsilon: float,
 ) -> Tuple[Dict[Fragment, object], int]:
     """Expand one level of an unfolding: ``active`` maps the level's
@@ -324,7 +295,10 @@ def _expand(
     depth-bound fragments are not re-decided in a separate residual pass
     (tests/test_perf_differential.py locks this invariant by counting
     ``decide_checked`` invocations).  Returns the next level and the number
-    of transitions expanded; fragments are interned when ``cache`` is set.
+    of transitions expanded.  Each transition goes through
+    ``automaton.transition``, so with the cache switch on it is memoized on
+    the automaton.  Nothing else is memoized: each fragment is decided once
+    per unfolding.
     """
     next_active: Dict[Fragment, object] = {}
     transitions = 0
@@ -348,8 +322,6 @@ def _expand(
             branch_mass = mass * action_weight
             for target, target_weight in eta.items():
                 extended = fragment.extend(action, target)
-                if cache is not None:
-                    extended = _perf_cache.intern_fragment(automaton, extended)
                 weight = branch_mass * target_weight
                 if mass_epsilon and weight <= mass_epsilon:
                     continue

@@ -1,9 +1,9 @@
 """Suite-wide fixtures.
 
-The observability registry and the perf cache are process-global; resetting
-both before every test keeps per-test counter assertions and cache-hit
-behaviour independent of execution order (instrument objects are zeroed in
-place, so module-level bindings stay valid — see :mod:`repro.obs.metrics`).
+The observability registry is process-global; resetting it before every
+test keeps per-test counter assertions independent of execution order
+(instrument objects are zeroed in place, so module-level bindings stay
+valid — see :mod:`repro.obs.metrics`).
 Every test then starts from the invoking shell's ``REPRO_*`` gates,
 resolved and applied the way every entry point does it, so the CI cache
 (on/off) and socket-backend matrices govern every test.
@@ -19,7 +19,6 @@ import pytest
 from repro.api import resolve_config
 from repro.obs import log as obs_log
 from repro.obs import metrics, trace
-from repro.perf import cache as perf_cache
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -66,7 +65,6 @@ def spawn_worker():
 def _clean_observability():
     metrics.reset()
     trace.TRACER.clear()
-    perf_cache.clear()
     resolve_config().apply()
     # The structured log sink and the job correlation id are process-global;
     # start every test with both cleared so records/tags never leak across

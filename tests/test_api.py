@@ -119,7 +119,7 @@ class TestRunConfigShape:
             seed=11, chunk_deadline=45.0, trace=True,
         ).apply()
         assert dict(os.environ) == before
-        assert not cache.CACHE.enabled
+        assert not cache.cache_enabled()
         assert store.active_store().base == os.path.abspath(store_dir)
         assert backends.current_spec() == "pool:2"
         policy = supervise.base_policy()
@@ -129,7 +129,7 @@ class TestRunConfigShape:
         # A default config resets every switch it does not ask for, so
         # nothing from a previous apply survives.
         resolve_config(env={}).apply()
-        assert cache.CACHE.enabled and store.active_store() is None
+        assert cache.cache_enabled() and store.active_store() is None
         assert backends.current_spec() == "serial"
         assert supervise.base_policy() == supervise.SupervisionPolicy()
         assert not trace.is_enabled()
@@ -220,16 +220,27 @@ class TestFacade:
             api.load_report(str(bad))
 
     def test_inline_run_leaves_no_cache_tables_behind(self):
-        # Each inline attempt clears the perf cache when it ends, so the
-        # caller keeps no experiment's tables alive (nor copies them into
-        # every process it forks later); the hit/miss counters stay.
+        # The transition memo lives on its automaton, and each inline
+        # attempt empties the bit-encoding memos (which hold configurations,
+        # and through them automata) when it ends, so the caller keeps none
+        # of the run's memos alive (nor copies them into every process it
+        # forks later); the hit/miss counters stay.
+        import gc
+
+        from repro.core.psioa import PSIOA
         from repro.perf import cache as perf_cache
 
+        def memoizing_automata():
+            return [o for o in gc.get_objects() if isinstance(o, PSIOA) and o._tmemo]
+
+        gc.collect()
+        before = {id(o) for o in memoizing_automata()}
         result = api.run_suite(config=RunConfig(isolated=False))
         assert result.ok
-        stats = perf_cache.stats()
-        assert {name: table["size"] for name, table in stats.items()} == dict.fromkeys(stats, 0)
-        assert stats["transition"]["hits"] > 0 and stats["transition"]["misses"] > 0
+        stats = perf_cache.stats()["transition"]
+        assert stats["hits"] > 0 and stats["misses"] > 0
+        gc.collect()
+        assert [o for o in memoizing_automata() if id(o) not in before] == []
 
     def test_list_experiments_matches_registry(self):
         from repro.experiments.common import ALL_EXPERIMENTS

@@ -633,9 +633,7 @@ class TestRunnerAcceptance:
         phases = payload["summary"]["phases"]["E15"]
         counters = record["counters"]
         assert counters.get("perf.parallel.socket.chunks", 0) > 0
-        assert phases["measure.unfold"]["calls"] == counters[
-            "measure.unfold.calls"
-        ] + counters.get("measure.unfold.memo_hits", 0)
+        assert phases["measure.unfold"]["calls"] == counters["measure.unfold.calls"]
         assert phases["scheduler.step"]["calls"] == counters["scheduler.steps"]
         assert phases["measure.unfold"]["s"] > 0
 

@@ -161,7 +161,6 @@ class TestPublicSurface:
             "BackendSpecError",
             "fingerprint",
             "try_fingerprint",
-            "owner_key",
             "active_store",
         ):
             assert hasattr(perf, name), name

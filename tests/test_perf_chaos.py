@@ -267,8 +267,8 @@ def _seed_killing_only_item_0(monkeypatch):
 
 class TestLostChunkCacheCounters:
     """A chunk recomputed in the caller after its worker was lost counts
-    the same cache and intern hits and misses as the worker would have:
-    cold, however warm the caller's own tables are."""
+    the same transition-memo hits and misses as the worker would have:
+    cold, however warm the caller's own automata are."""
 
     @pytest.mark.parametrize("transport", ["pool", "socket"])
     def test_one_lost_chunk_reports_the_fault_free_counters(
@@ -292,7 +292,7 @@ class TestLostChunkCacheCounters:
                 _, port = spawn_worker(**({"REPRO_CHAOS_FORK": chaos} if faulty else {}))
                 backend = make_backend(f"socket:127.0.0.1:{port},127.0.0.1:{port}")
             for item in items:
-                _unfold(item)  # the caller's own tables are warm
+                _unfold(item)  # the caller's own automata are warm
             metrics.reset()
             try:
                 results = parallel_map(_unfold, items, backend=backend)

@@ -77,10 +77,8 @@ class TestCachedVersusUncached:
     def test_experiment_identical_with_cache_on_and_off(self, experiment_id):
         set_experiment_seed(None)
         perf_cache.configure(enabled=True)
-        perf_cache.clear()
         cached = run_experiment(experiment_id)
         perf_cache.configure(enabled=False)
-        perf_cache.clear()
         uncached = run_experiment(experiment_id)
         assert _normalized(cached) == _normalized(uncached)
         assert cached.passed and uncached.passed
@@ -203,10 +201,8 @@ class TestInnerSweepParallelism:
     def test_fanned_sweeps_identical_to_serial(self, experiment_id):
         set_experiment_seed(None)
         perf_cache.configure(enabled=True)
-        perf_cache.clear()
         perf_backends.configure_backend("serial")
         serial = run_experiment(experiment_id)
-        perf_cache.clear()
         perf_backends.configure_backend("pool:2")
         try:
             fanned = run_experiment(experiment_id)
@@ -220,8 +216,9 @@ class TestPhaseTimersAcrossBackends:
     """Phase timers ride the chunk's metrics snapshot, so a sweep's phase
     call counts do not depend on where its chunks ran: E12 reports the same
     ones on serial, ``pool:2`` (a lost chunk included) and ``socket:``.
-    The cache is off: a chunk starts from cold cache tables, so with it on
-    ``measure.compose`` (like its counter) depends on the chunking."""
+    The cache is off: a chunk's automata start with cold transition memos,
+    so with it on ``measure.compose`` (like its counter) depends on the
+    chunking."""
 
     @staticmethod
     def _e12_phase_calls(backend):
@@ -250,9 +247,7 @@ class TestPhaseTimersAcrossBackends:
 
 
 class _CountingScheduler(Scheduler):
-    """Counts logical decisions per fragment (bypasses the decision cache)."""
-
-    cacheable = False
+    """Counts logical decisions per fragment."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -295,22 +290,9 @@ class TestDecideOnce:
         # depth 1, two at the depth bound.  5 fragments, 5 decisions — the
         # depth-bound fragments must NOT be re-decided by a residual pass.
         perf_cache.configure(enabled=False)
-        perf_cache.clear()
         scheduler = _CountingScheduler(ActionSequenceScheduler(["a", "b"]))
         measure = execution_measure(_branching_automaton(), scheduler)
         assert measure.total_mass == 1
         assert all(count == 1 for count in scheduler.calls.values()), scheduler.calls
         assert sum(scheduler.calls.values()) == 5
         assert metrics.counter("scheduler.steps").value == 5
-
-    def test_memoized_unfolding_adds_no_decisions(self):
-        perf_cache.configure(enabled=True)
-        perf_cache.clear()
-        scheduler = _CountingScheduler(ActionSequenceScheduler(["a", "b"]))
-        scheduler.cacheable = True
-        automaton = _branching_automaton()
-        execution_measure(automaton, scheduler)
-        first_round = sum(scheduler.calls.values())
-        assert first_round == 5
-        execution_measure(automaton, scheduler)
-        assert sum(scheduler.calls.values()) == first_round

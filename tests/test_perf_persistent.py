@@ -7,8 +7,8 @@ forked children, a live socket pool).  No run reads or writes the store:
 neither report carries a ``perf.cache.persistent.*`` or
 ``perf.cache.sweep.*`` counter, and ``summary.cache.persistent`` names
 the directory with no entries in it.  ``PersistentStore`` itself treats a
-corrupt entry as a miss, and mutating an automaton plus ``invalidate``
-never serves a stale in-memory entry.
+corrupt entry as a miss, and an automaton rebuilt with a changed table is
+never served its same-named predecessor's memoized transitions.
 """
 
 import json
@@ -139,9 +139,17 @@ class TestInvalidation:
         scheduler = ActionSequenceScheduler(["a"])
         before = execution_measure(automaton, scheduler)
         assert _support_lstates(before) == ["q1", "q2"]
-        automaton.transitions[("q0", "a")] = dirac("q1")
-        perf_cache.invalidate(automaton)
-        after = execution_measure(automaton, scheduler)
+        # Automata are not mutated in place: a changed table is a new
+        # automaton, equal to the old one (equality is by name) but with
+        # its own, empty memo.
+        changed = TablePSIOA(
+            automaton.name,
+            automaton.start,
+            automaton.signatures,
+            {**automaton.transitions, ("q0", "a"): dirac("q1")},
+        )
+        assert changed == automaton and not changed._tmemo
+        after = execution_measure(changed, scheduler)
         assert _support_lstates(after) == ["q1"]
 
     def test_store_survives_corrupt_entries(self, tmp_path):

@@ -29,7 +29,6 @@ import pytest
 from repro.api import RunConfig, resolve_config
 from repro.obs import log as obs_log
 from repro.obs import metrics, progress, trace
-from repro.perf import cache as perf_cache
 from repro.perf.backends import BackendSpecError, make_backend, normalize_spec
 from repro.perf.parallel import parallel_map
 from repro.perf.supervise import (
@@ -392,7 +391,6 @@ def _unfold_and_probe(p):
     The chunk child is forked from its worker, so what it finds is what the
     worker kept from the process that forked it."""
     started_from = (
-        sum(table["size"] for table in perf_cache.stats().values()),
         trace.TRACER.enabled,
         signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
         obs_log.correlation(),
@@ -400,7 +398,6 @@ def _unfold_and_probe(p):
     )
     scheduler = bound_scheduler(DeterministicScheduler.greedy(), 3)
     measure = execution_measure(coin_automaton("slate", p), scheduler)
-    perf_cache.clear()  # the next item of this chunk sees the worker's tables
     return started_from, sorted((repr(f), w) for f, w in measure.items())
 
 
@@ -487,8 +484,6 @@ class TestForkedWorkers:
         assert logged, "the worker wrote no record to the structured log"
 
     def test_worker_starts_from_a_fresh_slate(self):
-        # The premise is a warm cache, so the cache is on whatever the
-        # environment says (REPRO_CACHE=off would leave the tables empty).
         RunConfig(cache="on").apply()
 
         def sweep(backend):
@@ -507,11 +502,8 @@ class TestForkedWorkers:
         finally:
             cold.close()
 
-        # Warm the caller: cached tables, counters, tracing on, a job
-        # correlation id and a SIGTERM handler that would keep a worker up.
-        scheduler = bound_scheduler(DeterministicScheduler.greedy(), 3)
-        execution_measure(coin_automaton("warm", Fraction(1, 3)), scheduler)
-        assert sum(t["size"] for t in perf_cache.stats().values()) > 0
+        # Warm the caller: counters, tracing on, a job correlation id and a
+        # SIGTERM handler that would keep a worker up.
         metrics.counter("test.fresh_slate").inc(7)
         trace.TRACER.enable()
         trace.instant("test.fresh_slate")
@@ -524,7 +516,6 @@ class TestForkedWorkers:
             obs_log.set_correlation(None)
             trace.TRACER.disable()
             trace.TRACER.clear()
-            perf_cache.clear()
         try:
             warm_outcome = sweep(warm)
         finally:
@@ -533,7 +524,7 @@ class TestForkedWorkers:
             closed_in = time.monotonic() - started
         assert warm_outcome == cold_outcome
         results, counters = warm_outcome
-        assert [state for state, _ in results] == [(0, False, True, None, "1")] * len(PROBES)
+        assert [state for state, _ in results] == [(False, True, None, "1")] * len(PROBES)
         assert counters.get("perf.parallel.socket.chunks", 0) > 0
         assert "perf.parallel.chunk_fallbacks" not in counters
         # close() stopped every worker with SIGTERM, not the kill fallback.

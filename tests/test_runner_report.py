@@ -228,8 +228,7 @@ class TestRunnerCliReports:
 #: Each phase timer and the counters its calls mirror.
 def _mirrored_calls(counters):
     return {
-        "measure.unfold": counters.get("measure.unfold.calls", 0)
-        + counters.get("measure.unfold.memo_hits", 0),
+        "measure.unfold": counters.get("measure.unfold.calls", 0),
         "scheduler.step": counters.get("scheduler.steps", 0),
         "measure.compose": counters.get("measure.compose.calls", 0),
         "pca.transition": counters.get("pca.transitions.preserving", 0),

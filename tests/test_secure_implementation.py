@@ -320,7 +320,6 @@ class TestAgainstQuadraticReference:
     @pytest.fixture(params=["cache-on", "cache-off"])
     def cache(self, request):
         perf_cache.configure(enabled=request.param == "cache-on")
-        perf_cache.clear()
 
     @pytest.mark.parametrize("witness", [None, _reversed_witness], ids=["search", "witness"])
     @pytest.mark.parametrize("insight", [accept_insight(), trace_insight()], ids=["accept", "trace"])
@@ -403,7 +402,6 @@ class TestPruningAndMemo:
     @pytest.fixture(params=["cache-on", "cache-off"])
     def cache(self, request):
         perf_cache.configure(enabled=request.param == "cache-on")
-        perf_cache.clear()
 
     @pytest.mark.parametrize("insight", [accept_insight(), trace_insight()], ids=["accept", "trace"])
     def test_late_worst_sigma(self, cache, insight):
@@ -463,7 +461,6 @@ class TestPruningAndMemo:
     )
     def test_matches_reference_on_random_biases(self, biases, epsilon, trace, cache_on):
         perf_cache.configure(enabled=cache_on)
-        perf_cache.clear()
         first = two_coin("first", *biases[:2])
         second = two_coin("second", *biases[2:])
         insight = trace_insight() if trace else INSIGHT

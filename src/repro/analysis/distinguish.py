@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from repro.core.psioa import PSIOA
 from repro.probability.measures import total_variation
-from repro.semantics.insight import InsightFunction, f_dist
+from repro.semantics.insight import InsightFunction, compose_world, f_dists
 from repro.semantics.schema import SchedulerSchema
 
 __all__ = ["DistinguisherResult", "best_distinguisher"]
@@ -50,7 +50,6 @@ def estimated_perception_distance(
     """
     from repro.analysis.montecarlo import empirical_f_dist, hoeffding_radius
     from repro.probability.rng import Generator
-    from repro.semantics.insight import compose_world
 
     world_first = compose_world(env, first)
     world_second = compose_world(env, second)
@@ -92,45 +91,38 @@ def best_distinguisher(
     driven by its own schema enumeration and the *minimum* over it is taken
     (the implementation-relation reading).
 
-    The (environment, scheduler) grid is fanned across
-    :func:`repro.perf.parallel.parallel_map` on the configured execution
-    backend (else serial).
-    The winner is reduced **in enumeration order** with a
-    strictly-greater comparison, so the result — advantage, witnessing
-    environment and scheduler — is identical at every parallelism and on
-    every backend.
+    Each environment's worlds ``E||A`` and ``E||B`` are composed once and
+    perceived through :func:`~repro.semantics.insight.f_dists` (equal to
+    ``f_dist`` item for item), which unfolds an oblivious family along its
+    prefix tree; unpaired, the candidates' perceptions are taken once per
+    environment, not once per ``sigma``.  The winner is reduced **in
+    enumeration order** with a strictly-greater comparison, so the
+    witnessing environment and scheduler are the first to reach the
+    maximal advantage.
     """
-    from repro.perf.parallel import parallel_map
-    from repro.semantics.insight import compose_world
-
-    jobs = []
+    best: Optional[DistinguisherResult] = None
     for env in environments:
         world_first = compose_world(env, first)
-        for scheduler in schema(world_first, bound):
-            jobs.append((env, world_first, scheduler))
-    if not jobs:
-        raise ValueError("empty environment universe")
-
-    def evaluate(job):
-        env, world_first, scheduler = job
-        dist_first = f_dist(insight, env, first, scheduler, world=world_first)
+        world_second = compose_world(env, second)
+        schedulers = list(schema(world_first, bound))
+        perceived = f_dists(insight, env, schedulers, world=world_first)
         if paired:
-            dist_second = f_dist(insight, env, second, scheduler)
-            advantage = total_variation(dist_first, dist_second)
-        else:
-            world_second = compose_world(env, second)
-            candidates = list(schema(world_second, bound))
-            advantage = min(
-                total_variation(
-                    dist_first, f_dist(insight, env, second, c, world=world_second)
-                )
-                for c in candidates
+            theirs = f_dists(insight, env, schedulers, world=world_second)
+            scored = (
+                (scheduler, total_variation(dist, other))
+                for (scheduler, dist), (_same, other) in zip(perceived, theirs)
             )
-        # Only picklable data crosses the fork boundary back to the parent.
-        return (advantage, env.name, getattr(scheduler, "name", repr(scheduler)))
-
-    best: Optional[DistinguisherResult] = None
-    for advantage, env_name, scheduler_name in parallel_map(evaluate, jobs):
-        if best is None or advantage > best.advantage:
-            best = DistinguisherResult(advantage, env_name, scheduler_name)
+        else:
+            theirs = f_dists(insight, env, schema(world_second, bound), world=world_second)
+            candidates = [other for _candidate, other in theirs]
+            scored = (
+                (scheduler, min(total_variation(dist, other) for other in candidates))
+                for scheduler, dist in perceived
+            )
+        for scheduler, advantage in scored:
+            if best is None or advantage > best.advantage:
+                name = getattr(scheduler, "name", repr(scheduler))
+                best = DistinguisherResult(advantage, env.name, name)
+    if best is None:
+        raise ValueError("empty environment universe")
     return best

@@ -246,6 +246,7 @@ def _guarded_child(
     _perf_backends.adopt_inherited()
     if trace_path is not None:
         _trace.enable()
+        _trace.TRACER.name_caller_lane()
     try:
         set_experiment_seed(seed)
         report = run_experiment(experiment_id, fast=fast)
@@ -371,6 +372,7 @@ def _attempt_inline(
     if trace_path is not None:
         _trace.TRACER.clear()
         _trace.enable()
+        _trace.TRACER.name_caller_lane()
     try:
         set_experiment_seed(seed)
         report = run_experiment(experiment_id, fast=fast)

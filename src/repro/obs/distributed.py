@@ -88,20 +88,6 @@ def chunk_payload(lane: str, tracer: Optional[_trace.Tracer] = None) -> Optional
 # -- caller side: clock alignment and lane splicing ------------------------------
 
 
-def _lane_metadata(pid: int, name: str, job: Optional[str] = None) -> Dict[str, Any]:
-    args: Dict[str, Any] = {"name": name}
-    if job is not None:
-        args["job"] = job
-    return {
-        "name": "process_name",
-        "ph": "M",
-        "pid": pid,
-        "tid": 0,
-        "ts": 0,
-        "args": args,
-    }
-
-
 def absorb_chunk_trace(
     payload: Optional[Dict[str, Any]], tracer: Optional[_trace.Tracer] = None
 ) -> int:
@@ -131,11 +117,9 @@ def absorb_chunk_trace(
     if pid not in tracer.named_lanes:
         tracer.named_lanes.add(pid)
         aligned.append(
-            _lane_metadata(pid, f"{payload.get('lane', 'worker')} (pid {pid})", job)
+            _trace.lane_metadata(pid, f"{payload.get('lane', 'worker')} (pid {pid})", job)
         )
-        if os.getpid() not in tracer.named_lanes:
-            tracer.named_lanes.add(os.getpid())
-            aligned.append(_lane_metadata(os.getpid(), f"caller (pid {os.getpid()})", job))
+        tracer.name_caller_lane(job)
     for event in events:
         moved = dict(event)
         moved["pid"] = pid

@@ -103,6 +103,14 @@ class _Span:
         return False
 
 
+def lane_metadata(pid: int, name: str, job: Optional[str] = None) -> Dict[str, Any]:
+    """The ``process_name`` metadata event that labels lane ``pid``."""
+    args: Dict[str, Any] = {"name": name}
+    if job is not None:
+        args["job"] = job
+    return {"name": "process_name", "ph": "M", "pid": pid, "tid": 0, "ts": 0, "args": args}
+
+
 class Tracer:
     """A process-local span recorder emitting Chrome trace events.
 
@@ -117,8 +125,8 @@ class Tracer:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._epoch_ns = time.perf_counter_ns()
-        #: pids already given a process_name metadata event by the
-        #: distributed-trace merger (reset together with the buffer).
+        #: pids already given a process_name metadata event (reset
+        #: together with the buffer).
         self.named_lanes: set = set()
 
     # -- nesting depth (per thread) -------------------------------------------
@@ -194,6 +202,17 @@ class Tracer:
     def epoch_ns(self) -> int:
         """The ``perf_counter_ns`` value all event timestamps are relative to."""
         return self._epoch_ns
+
+    def name_caller_lane(self, job: Optional[str] = None) -> None:
+        """Label this process's lane ``caller (pid N)`` once per buffer
+        (``job`` defaults to the correlation id); a no-op when tracing is off."""
+        pid = os.getpid()
+        if not self.enabled or pid in self.named_lanes:
+            return
+        from repro.obs import log as _log  # deferred: keep the hot path import-free
+
+        self.named_lanes.add(pid)
+        self.append_events([lane_metadata(pid, f"caller (pid {pid})", job or _log.correlation())])
 
     def append_events(self, events: List[Dict[str, Any]]) -> None:
         """Append pre-built trace events verbatim (thread-safe).

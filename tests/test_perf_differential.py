@@ -214,33 +214,33 @@ class TestInnerSweepParallelism:
 
 class TestPhaseTimersAcrossBackends:
     """Phase timers ride the chunk's metrics snapshot, so a sweep's phase
-    call counts do not depend on where its chunks ran: E12 reports the same
+    call counts do not depend on where its chunks ran: E15 reports the same
     ones on serial, ``pool:2`` (a lost chunk included) and ``socket:``.
     The cache is off: a chunk's automata start with cold transition memos,
     so with it on ``measure.compose`` (like its counter) depends on the
     chunking."""
 
     @staticmethod
-    def _e12_phase_calls(backend):
+    def _e15_phase_calls(backend):
         from repro import api
 
         config = api.RunConfig(backend=backend, cache="off", parallel=1)
-        result = api.run_suite(["E12"], config=config)
+        result = api.run_suite(["E15"], config=config)
         assert result.ok
         (record,) = result.records
-        phases = result.report["summary"]["phases"]["E12"]
+        phases = result.report["summary"]["phases"]["E15"]
         return {phase: t["calls"] for phase, t in phases.items()}, record["counters"]
 
-    def test_e12_phase_calls_equal_on_every_backend(self, monkeypatch, spawn_worker):
-        serial, _ = self._e12_phase_calls("serial")
-        pooled, _ = self._e12_phase_calls("pool:2")
+    def test_e15_phase_calls_equal_on_every_backend(self, monkeypatch, spawn_worker):
+        serial, _ = self._e15_phase_calls("serial")
+        pooled, _ = self._e15_phase_calls("pool:2")
         _, p1 = spawn_worker()
         _, p2 = spawn_worker()
-        remote, _ = self._e12_phase_calls(f"socket:127.0.0.1:{p1},127.0.0.1:{p2}")
+        remote, _ = self._e15_phase_calls(f"socket:127.0.0.1:{p1},127.0.0.1:{p2}")
         # Read by the pool's chunk children: roughly half of the chunks
         # die mid-way and are recomputed in the experiment's own process.
         monkeypatch.setenv("REPRO_CHAOS_FORK", "seed=1,kill=0.5")
-        lossy, counters = self._e12_phase_calls("pool:2")
+        lossy, counters = self._e15_phase_calls("pool:2")
         assert counters.get("perf.parallel.chunk_fallbacks", 0) > 0
         assert {"measure.unfold", "scheduler.step", "measure.compose"} <= set(serial)
         assert serial == pooled == remote == lossy

@@ -665,25 +665,25 @@ def _run_script(script):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux subreaper")
 class TestPoolLifetime:
     @staticmethod
-    def run_e12(selection, config):
+    def run_sweep(selection, config):
         script = _WORKER_SURVIVORS.replace("SELECTION", repr(selection))
         return _run_script(script.replace("CONFIG", config)).split()
 
     def test_experiment_child_stops_its_pool_workers(self):
-        assert self.run_e12(["E12"], "isolated=True") == ["0", "2", "0"]
+        assert self.run_sweep(["E15"], "isolated=True") == ["0", "2", "0"]
 
     def test_inline_run_stops_its_pool_workers(self):
-        assert self.run_e12(["E12"], "isolated=False") == ["0", "2", "0"]
+        assert self.run_sweep(["E15"], "isolated=False") == ["0", "2", "0"]
 
     def test_parallel_children_share_one_pool(self):
-        assert self.run_e12(["E12", "E15"], "parallel=2") == ["0", "2", "0"]
+        assert self.run_sweep(["E15", "E15"], "parallel=2") == ["0", "2", "0"]
 
     def test_no_process_of_the_runs_session_outlives_the_runner(self):
         # Forked workers carry the runner's command line, so this looks for
         # any process left in the runner's own session instead of a name.
         root = Path(__file__).resolve().parents[1]
         runner = subprocess.Popen(
-            [sys.executable, "-m", "repro.experiments.runner", "E12", "--backend", "pool:2"],
+            [sys.executable, "-m", "repro.experiments.runner", "E15", "--backend", "pool:2"],
             stdout=subprocess.DEVNULL,
             env=subprocess_env(),
             cwd=root,

@@ -167,6 +167,17 @@ class TestRunnerCliReports:
             payload = json.loads((trace_dir / f"{experiment_id}.trace.json").read_text())
             assert payload["traceEvents"], experiment_id
 
+    @pytest.mark.parametrize("extra", [[], ["--no-isolation"]], ids=["child", "inline"])
+    def test_traced_lanes_are_named_without_a_sweep(self, tmp_path, capsys, extra):
+        # E4 ships no chunks, so no absorbed worker lane names its caller.
+        out_path = tmp_path / "report.json"
+        argv = ["E4", "--trace-dir", str(tmp_path / "traces"), "--metrics-out", str(out_path)]
+        assert main(argv + extra) == 0
+        processes = json.loads(out_path.read_text())["summary"]["trace"]["processes"]
+        assert processes
+        for lane in processes:
+            assert lane["name"] == f"E4: caller (pid {lane['pid']})"
+
     def test_report_flag_summarizes_existing_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         main(["E4", "--metrics-out", str(out_path)])
@@ -277,7 +288,7 @@ class TestPhaseTimers:
     def test_pool_run_reports_phases(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
         out_path = tmp_path / "report.json"
-        assert main(["E12", "--backend", "pool:2", "--metrics-out", str(out_path)]) == 0
+        assert main(["E15", "--backend", "pool:2", "--metrics-out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         self._assert_phases_mirror_counters(payload)
         assert payload["experiments"][0]["counters"]["perf.parallel.socket.chunks"] > 0

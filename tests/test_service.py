@@ -387,12 +387,12 @@ class TestWarmPool:
 
 
     def test_inline_sweep_does_not_stall_job_progress(self):
-        # E12 runs inline, so its sweep over the pool opens a progress phase
+        # E15 runs inline, so its sweep over the pool opens a progress phase
         # in the service process; the job's progress must still count it.
         service = JobService(pool=2)
         client = serve(service)
         try:
-            job = client.submit(["E4", "E12"], config={"isolated": False, "parallel": 1})
+            job = client.submit(["E4", "E15"], config={"isolated": False, "parallel": 1})
             final = client.wait(job["id"], timeout=300)
             assert final["state"] == "done" and final["exit_code"] == 0
             assert final["progress"] == {"done": 2, "total": 2}
@@ -403,7 +403,7 @@ class TestWarmPool:
             ]
             assert events == [
                 ("progress", 1), ("experiment", "E4"),
-                ("progress", 2), ("experiment", "E12"),
+                ("progress", 2), ("experiment", "E15"),
             ]
         finally:
             service.stop()

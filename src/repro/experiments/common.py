@@ -487,22 +487,13 @@ def coin_oblivious_schema(alphabet=("toss", "head", "tail", "acc")):
     """The oblivious (fixed-sequence, locally-controlled) schema over the
     coin alphabet — the workhorse schema of E4/E5/E6/E11/E12.
 
-    Members come in length order, so each member's parent ``seq[:-1]`` is
-    among the previous length's members: the implementation checker
-    unfolds the schema along this prefix tree
-    (:func:`repro.semantics.measure.sequence_measures`).
+    A sequence schema, so the implementation search without a witness walks
+    its prefix tree (:func:`repro.semantics.measure.prefix_tree_measures`)
+    and never lists the members below a node with no leaves.
     """
-    import itertools
+    from repro.semantics.schema import sequence_schema
 
-    from repro.semantics.schema import SchedulerSchema
-    from repro.semantics.scheduler import ActionSequenceScheduler
-
-    def members(automaton, bound):
-        for length in range(bound + 1):
-            for seq in itertools.product(alphabet, repeat=length):
-                yield ActionSequenceScheduler(seq, local_only=True)
-
-    return SchedulerSchema("coin-oblivious", members)
+    return sequence_schema("coin-oblivious", alphabet, local_only=True)
 
 
 def kind_priority_schema(kinds: List[str], plain: List[str] = (), orders=None):

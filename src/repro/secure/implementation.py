@@ -92,8 +92,8 @@ class _Perceptions:
     (along its prefix tree, :func:`f_dists`), and every later pass re-reads
     the perceptions already computed.  A candidate whose perception equals
     (:func:`_exact_key`) an earlier one's is dropped: it is at the same
-    distance from every ``sigma``.  A candidate no pass reaches (every pass
-    stopped early) is never unfolded.
+    distance from every ``sigma``, as is each member of a sequence schema
+    that the tree walk skips.  A candidate no pass reaches is never unfolded.
     """
 
     def __init__(self, insight, env, world, candidates):
@@ -158,16 +158,19 @@ def _worst_case(first, second, environments, *, schema, insight, q1, q2, witness
     Without a witness, the candidates' perceptions are shared by the whole
     ``sigma`` loop (:class:`_Perceptions`), and a ``sigma`` whose perception
     was already scanned reuses that scan's result.  The reused value is
-    exact, or at most a ``worst`` that has only risen since.
+    exact, or at most a ``worst`` that has only risen since.  So with no
+    witness (one depends on ``sigma``) a sequence schema's tree is walked: a
+    member below a leafless node has that node's perception and comes after it.
     """
     worst = 0
+    family = schema.tree if witness is None and schema.tree is not None else schema
     for env in environments:
         world_first = compose_world(env, first)
         world_second = compose_world(env, second)
         if witness is None:
-            shared = _Perceptions(insight, env, world_second, schema(world_second, q2))
+            shared = _Perceptions(insight, env, world_second, family(world_second, q2))
             scanned = {}
-        for scheduler, dist_first in f_dists(insight, env, schema(world_first, q1), world=world_first):
+        for scheduler, dist_first in f_dists(insight, env, family(world_first, q1), world=world_first):
             if witness is None:
                 key = _exact_key(dist_first)
                 if key in scanned:

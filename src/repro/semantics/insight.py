@@ -27,13 +27,14 @@ inequality on concrete systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.core.composition import ComposedPSIOA, compose
 from repro.core.executions import Fragment
 from repro.core.psioa import PSIOA
 from repro.probability.measures import DiscreteMeasure, total_variation
-from repro.semantics.measure import execution_measure, sequence_measures
+from repro.semantics.measure import execution_measure, prefix_tree_measures, sequence_measures
+from repro.semantics.schema import SequenceTree
 from repro.semantics.scheduler import Scheduler
 
 __all__ = [
@@ -144,7 +145,7 @@ def f_dist(
 def f_dists(
     insight: InsightFunction,
     env: PSIOA,
-    schedulers: Iterable[Scheduler],
+    schedulers: Union[Iterable[Scheduler], SequenceTree],
     *,
     world: ComposedPSIOA,
 ) -> Iterator[Tuple[Scheduler, DiscreteMeasure]]:
@@ -154,12 +155,16 @@ def f_dists(
     Each perception equals :func:`f_dist`'s item for item.  The measures
     come from :func:`~repro.semantics.measure.sequence_measures`, and each
     new one is mapped once: a scheduler whose measure object is reused gets
-    the same perception object back.
+    the same perception object back.  A :class:`SequenceTree` is walked
+    without the members below a node with no leaves
+    (:func:`~repro.semantics.measure.prefix_tree_measures`).
     """
 
     def perceive(measure: DiscreteMeasure) -> DiscreteMeasure:
         return measure.map(lambda execution: insight(env, world, execution))
 
+    if isinstance(schedulers, SequenceTree):
+        return prefix_tree_measures(world, schedulers, image=perceive)
     return sequence_measures(world, schedulers, image=perceive)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.psioa import PSIOA, reachable_states
 from repro.core.signature import Action
@@ -30,7 +30,9 @@ from repro.semantics.scheduler import (
 
 __all__ = [
     "SchedulerSchema",
+    "SequenceTree",
     "enumerate_action_sequences",
+    "sequence_schema",
     "oblivious_schema",
     "adaptive_schema",
     "singleton_schema",
@@ -45,11 +47,13 @@ class SchedulerSchema:
     the automaton, each ``bound``-time-bounded.  ``contains`` is the
     membership predicate, used when the checker is handed a candidate
     scheduler from elsewhere (e.g. a constructed ``Forward^s`` witness).
+    ``tree``, set by :func:`sequence_schema`, gives the members' prefix tree.
     """
 
     name: str
     members: Callable[[PSIOA, int], Iterator[Scheduler]]
     contains: Callable[[PSIOA, Scheduler], bool] = field(default=lambda _a, _s: True)
+    tree: Optional[Callable[[PSIOA, int], "SequenceTree"]] = None
 
     def __call__(self, automaton: PSIOA, bound: int) -> Iterator[Scheduler]:
         return self.members(automaton, bound)
@@ -63,6 +67,23 @@ def _automaton_actions(automaton: PSIOA, *, max_states: int = 10_000) -> List[Ac
     return sorted(actions, key=repr)
 
 
+@dataclass(frozen=True)
+class SequenceTree:
+    """Every action sequence over ``alphabet`` of at most ``bound`` actions:
+    a :func:`sequence_schema`'s prefix tree.  :meth:`members` lists them in
+    length order, the order :func:`~repro.semantics.measure.sequence_measures`
+    unfolds along."""
+
+    alphabet: Tuple[Action, ...]
+    bound: int
+    local_only: bool = False
+
+    def members(self) -> Iterator[ActionSequenceScheduler]:
+        for length in range(self.bound + 1):
+            for sequence in itertools.product(self.alphabet, repeat=length):
+                yield ActionSequenceScheduler(sequence, local_only=self.local_only)
+
+
 def enumerate_action_sequences(
     automaton: PSIOA,
     max_length: int,
@@ -71,20 +92,25 @@ def enumerate_action_sequences(
     max_states: int = 10_000,
 ) -> Iterator[ActionSequenceScheduler]:
     """All oblivious (fixed-sequence) schedulers over ``acts(A)`` up to a
-    length bound — the brute-force enumeration used for tiny systems.
+    length bound, in :class:`SequenceTree` order — the brute-force enumeration.
 
     The count grows as ``|acts|^length``; intended for systems with a
     handful of actions.
-
-    Members come in length order (all of length ``k`` before any of length
-    ``k + 1``), so each member's parent ``sequence[:-1]`` is among the
-    previous length's members: the order
-    :func:`~repro.semantics.measure.sequence_measures` unfolds along.
     """
-    alphabet = list(actions) if actions is not None else _automaton_actions(automaton, max_states=max_states)
-    for length in range(max_length + 1):
-        for sequence in itertools.product(alphabet, repeat=length):
-            yield ActionSequenceScheduler(sequence)
+    alphabet = actions if actions is not None else _automaton_actions(automaton, max_states=max_states)
+    return SequenceTree(tuple(alphabet), max_length).members()
+
+
+def sequence_schema(name: str, actions=None, *, local_only: bool = False) -> SchedulerSchema:
+    """The schema of every fixed action sequence over ``actions`` (default
+    ``acts(A)``) up to the bound: the members of its :class:`SequenceTree`."""
+
+    def tree(automaton: PSIOA, bound: int) -> SequenceTree:
+        alphabet = actions if actions is not None else _automaton_actions(automaton)
+        return SequenceTree(tuple(alphabet), bound, local_only)
+
+    contains = lambda _automaton, scheduler: isinstance(scheduler, ActionSequenceScheduler)
+    return SchedulerSchema(name, lambda automaton, q: tree(automaton, q).members(), contains, tree)
 
 
 def oblivious_schema(*, actions: Optional[Sequence[Action]] = None) -> SchedulerSchema:
@@ -95,14 +121,7 @@ def oblivious_schema(*, actions: Optional[Sequence[Action]] = None) -> Scheduler
     emulation correctness and creation-oblivious as required for
     monotonicity w.r.t. creation).
     """
-
-    def members(automaton: PSIOA, bound: int) -> Iterator[Scheduler]:
-        return enumerate_action_sequences(automaton, bound, actions=actions)
-
-    def contains(_automaton: PSIOA, scheduler: Scheduler) -> bool:
-        return isinstance(scheduler, ActionSequenceScheduler)
-
-    return SchedulerSchema("oblivious", members, contains)
+    return sequence_schema("oblivious", actions)
 
 
 def adaptive_schema() -> SchedulerSchema:

@@ -79,7 +79,7 @@ class TestAttribution:
         # Every scheduler step runs inside an unfolding.
         assert timers["scheduler.step"]["ns"] <= timers["measure.unfold"]["ns"]
 
-    def test_memo_hits_are_unfold_calls(self):
+    def test_repeat_unfolding_is_a_second_call(self):
         coin = coin_automaton("coin", Fraction(1, 2))
         scheduler = ActionSequenceScheduler(["toss", "head"])
         execution_measure(coin, scheduler)

@@ -197,7 +197,8 @@ class TestRunnerParallelism:
 
 
 class TestInnerSweepParallelism:
-    @pytest.mark.parametrize("experiment_id", ["E12", "E15"])
+    # E15 is the only experiment whose sweeps fan out.
+    @pytest.mark.parametrize("experiment_id", ["E15"])
     def test_fanned_sweeps_identical_to_serial(self, experiment_id):
         set_experiment_seed(None)
         perf_cache.configure(enabled=True)

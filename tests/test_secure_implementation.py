@@ -1,7 +1,6 @@
 """Tests for the approximate implementation relation (Def 4.12) and its
 composability/transitivity (Lemmas 4.13-4.14, Theorems 4.15-4.16)."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -24,7 +23,8 @@ from repro.secure.implementation import (
     neg_pt_implements,
 )
 from repro.semantics.insight import accept_insight, compose_world, f_dist, trace_insight
-from repro.semantics.schema import SchedulerSchema, oblivious_schema
+from repro.semantics.measure import execution_measure
+from repro.semantics.schema import SchedulerSchema, oblivious_schema, sequence_schema
 from repro.semantics.scheduler import ActionSequenceScheduler
 
 from tests.helpers import coin_automaton, listener, ticker
@@ -48,20 +48,8 @@ def observer(name="E", accept_on="head"):
     return TablePSIOA(name, "watch", signatures, transitions)
 
 
-def sequence_schema(name, alphabet):
-    """Oblivious schedulers over ``alphabet``, locally controlled, shortest
-    first."""
-
-    def members(automaton, bound):
-        for length in range(bound + 1):
-            for seq in itertools.product(alphabet, repeat=length):
-                yield ActionSequenceScheduler(seq, local_only=True)
-
-    return SchedulerSchema(name, members)
-
-
 ENVS = [observer()]
-SCHEMA = sequence_schema("coin-oblivious", ["toss", "head", "tail", "acc"])
+SCHEMA = sequence_schema("coin-oblivious", ["toss", "head", "tail", "acc"], local_only=True)
 INSIGHT = accept_insight()
 
 
@@ -381,7 +369,9 @@ def two_coin(name, p1, p2):
     return TablePSIOA(name, "q0", signatures, transitions)
 
 
-TWO_COIN_SCHEMA = sequence_schema("two-coin", ["toss1", "toss2", "head", "tail", "acc"])
+TWO_COIN_SCHEMA = sequence_schema(
+    "two-coin", ["toss1", "toss2", "head", "tail", "acc"], local_only=True
+)
 
 
 def distinct_perceptions(insight, env, automaton, bound, schema):
@@ -522,6 +512,45 @@ class TestUnfoldBudget:
         )
         assert d == Fraction(1, 4)
         assert unfolds.value - before <= n_first + n_second
+
+    @staticmethod
+    def _visited(world, schema, bound):
+        """The members of ``schema(world, bound)`` with no ancestor that
+        lacks leaves (executions as long as its sequence), found by
+        unfolding every prefix on its own."""
+
+        def has_leaves(sequence):
+            scheduler = ActionSequenceScheduler(sequence, local_only=True)
+            return any(len(f) == len(sequence) for f in execution_measure(world, scheduler))
+
+        members = [s.sequence for s in schema(world, bound)]
+        live = {sequence for sequence in members if has_leaves(sequence)}
+        return [s for s in members if all(s[:k] in live for k in range(len(s)))], members
+
+    def test_no_member_below_a_dead_node_is_unfolded(self):
+        biased = coin_automaton("biased", Fraction(3, 4))
+        fair = coin_automaton("fair", Fraction(1, 2))
+        env = observer()
+        visited_first, first = self._visited(compose_world(env, biased), SCHEMA, 3)
+        visited_second, second = self._visited(compose_world(env, fair), SCHEMA, 3)
+        assert len(visited_first) + len(visited_second) < (len(first) + len(second)) / 4
+        metrics.reset()
+        implementation_distance(
+            biased, fair, schema=SCHEMA, insight=INSIGHT, environments=[env], q1=3, q2=3
+        )
+        unfolds = metrics.counter("measure.unfold.calls").value
+        assert unfolds <= len(visited_first) + len(visited_second)
+
+    def test_inline_e11(self):
+        # E11 walks 208 prefix-tree nodes where the schema lists 6,248
+        # members; the decisions and the scores stay as they were.
+        from repro.experiments import e11_creation_monotonicity
+
+        assert e11_creation_monotonicity.run().passed
+        counters = metrics.snapshot()["counters"]
+        assert counters["measure.unfold.calls"] == 208
+        assert counters["scheduler.steps"] == 248
+        assert counters["secure.tv.calls"] == 12
 
 
 class TestEmptyCandidateSchema:

@@ -5,11 +5,10 @@ exactly one place (:func:`resolve_config`), by **one documented order**:
 
 1. **Explicit overrides** — CLI flags the user actually passed, or the
    fields of a service job submission.  A flag the user did *not* pass is
-   represented as ``None`` (or ``False`` for pure switches) and falls
+   represented as ``None`` (or ``False`` for the ``trace`` switch) and falls
    through to the next layer.
 2. **Environment gates** — ``REPRO_CACHE``, ``REPRO_CACHE_DIR``,
-   ``REPRO_BACKEND``, ``REPRO_CHUNK_DEADLINE``, ``REPRO_TRACE``,
-   ``REPRO_PROGRESS``.
+   ``REPRO_BACKEND``, ``REPRO_CHUNK_DEADLINE``, ``REPRO_TRACE``.
 3. **Defaults** — the dataclass field defaults below.
 
 The environment is read once, at the entry points, and nowhere else:
@@ -21,7 +20,7 @@ The environment is read once, at the entry points, and nowhere else:
   (its backend is always ``serial``).
 
 :meth:`RunConfig.apply` then sets each subsystem's in-process switch (cache,
-store directory, backend, base supervision policy, tracer, progress) and
+store directory, backend, base supervision policy, tracer) and
 writes nothing to ``os.environ``.  Forked experiment children inherit
 those switches through memory; socket and pool workers receive
 them per chunk in the run frame's ``ctx``.  So a
@@ -50,16 +49,11 @@ ENV_GATES = {
     "backend": "REPRO_BACKEND",
     "chunk_deadline": "REPRO_CHUNK_DEADLINE",
     "trace": "REPRO_TRACE",
-    "progress": "REPRO_PROGRESS",
 }
 
 
 class ConfigError(ValueError):
     """A run configuration that cannot be resolved (bad value or combination)."""
-
-
-def _switch(raw: str) -> bool:
-    return raw.strip().lower() in _ON_VALUES + ("plain",)
 
 
 @dataclass(frozen=True)
@@ -102,8 +96,6 @@ class RunConfig:
     trace: bool = False
     #: save one trace JSON per experiment into this directory
     trace_dir: Optional[str] = None
-    #: live stderr progress heartbeats
-    progress: bool = False
 
     def __post_init__(self) -> None:
         if self.cache not in ("on", "off", "stats"):
@@ -133,7 +125,7 @@ class RunConfig:
                 isinstance(value, bool) or not isinstance(value, (int, float))
             ):
                 raise ConfigError(f"{name} must be a number or null, got {value!r}")
-        for name in ("full", "isolated", "keep_going", "trace", "progress"):
+        for name in ("full", "isolated", "keep_going", "trace"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(
                     f"{name} must be a boolean, got {getattr(self, name)!r}"
@@ -177,7 +169,6 @@ class RunConfig:
         switches through memory, and socket workers get them per chunk
         from the run frame.
         """
-        from repro.obs import progress as obs_progress
         from repro.obs import trace as obs_trace
         from repro.perf import backends as perf_backends
         from repro.perf import cache as perf_cache
@@ -191,14 +182,10 @@ class RunConfig:
         if self.chunk_deadline is not None:
             policy = policy.with_options({"deadline": self.chunk_deadline})
         perf_supervise.configure_policy(policy)
-        for switch, on in (
-            (obs_trace, self.trace),
-            (obs_progress, self.progress),
-        ):
-            if on:
-                switch.enable()
-            else:
-                switch.disable()
+        if self.trace:
+            obs_trace.enable()
+        else:
+            obs_trace.disable()
 
 
 def resolve_config(
@@ -208,11 +195,10 @@ def resolve_config(
 
     ``overrides`` are the caller's explicit choices (CLI flags, a job
     submission's config fields).  ``None`` means "not specified" for every
-    value field, and ``False`` means "not specified" for the pure switches
-    (``trace``, ``progress``) — a switch flag
-    can only turn a feature *on*; turning one off against the environment
-    is done through the environment (matching the CLI's historic
-    semantics).  Unknown override names raise :class:`ConfigError`.
+    value field, and ``False`` means "not specified" for the ``trace``
+    switch — the flag can only turn tracing *on*; turning it off against
+    the environment is done through the environment (matching the CLI's
+    historic semantics).  Unknown override names raise :class:`ConfigError`.
 
     Values are normalized here, once: the backend spec is canonicalized
     (``" Pool:8 "`` -> ``"pool:8"``), ``cache_dir`` is made absolute, a
@@ -235,15 +221,6 @@ def resolve_config(
         raw = raw.strip()
         return raw or None
 
-    def pick(field: str, *, switch: bool = False) -> Any:
-        given = overrides.get(field)
-        if switch:
-            if given:
-                return True
-        elif given is not None:
-            return given
-        return None
-
     # Plain (non-env-gated) fields: explicit override or dataclass default.
     for name in ("full", "isolated", "keep_going"):
         if name in overrides and overrides[name] is not None:
@@ -254,7 +231,7 @@ def resolve_config(
 
     # cache: flag choice wins; else REPRO_CACHE (on/off only — "stats" is a
     # CLI/submission-level request, not an environment mode).
-    explicit_cache = pick("cache")
+    explicit_cache = overrides.get("cache")
     if explicit_cache is not None:
         values["cache"] = explicit_cache
     else:
@@ -262,7 +239,7 @@ def resolve_config(
         if raw is not None:
             values["cache"] = "off" if raw.lower() in _OFF_VALUES else "on"
 
-    explicit_dir = pick("cache_dir")
+    explicit_dir = overrides.get("cache_dir")
     if explicit_dir is not None:
         values["cache_dir"] = explicit_dir
     else:
@@ -270,7 +247,7 @@ def resolve_config(
         if raw is not None:
             values["cache_dir"] = raw
 
-    explicit_backend = pick("backend")
+    explicit_backend = overrides.get("backend")
     if explicit_backend is not None:
         values["backend"] = explicit_backend
     else:
@@ -278,7 +255,7 @@ def resolve_config(
         if raw is not None:
             values["backend"] = raw
 
-    explicit_deadline = pick("chunk_deadline")
+    explicit_deadline = overrides.get("chunk_deadline")
     if explicit_deadline is not None:
         values["chunk_deadline"] = explicit_deadline
     else:
@@ -291,13 +268,12 @@ def resolve_config(
                     f"REPRO_CHUNK_DEADLINE needs a number, got {raw!r}"
                 )
 
-    for switch_field in ("trace", "progress"):
-        if pick(switch_field, switch=True):
-            values[switch_field] = True
-        else:
-            raw = env_raw(switch_field)
-            if raw is not None:
-                values[switch_field] = _switch(raw)
+    if overrides.get("trace"):
+        values["trace"] = True
+    else:
+        raw = env_raw("trace")
+        if raw is not None:
+            values["trace"] = raw.lower() in _ON_VALUES
 
     # Layer 3 is the dataclass defaults; construct (validates) then normalize.
     try:

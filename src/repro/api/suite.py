@@ -27,7 +27,6 @@ from repro.experiments.common import (
 )
 from repro.obs import analyze as obs_analyze
 from repro.obs import distributed as obs_distributed
-from repro.obs import progress as obs_progress
 from repro.obs.report import (
     ReportSchemaError,
     build_report,
@@ -202,12 +201,10 @@ def run_suite(
         timers[experiment_id] = (outcome.metrics or {}).get("timers", {})
         say(format_record(record))
         say("")
-        obs_progress.advance()
         if on_record is not None:
             on_record(experiment_id, record, len(records), len(selected))
         return outcome.ok
 
-    obs_progress.begin("experiments", len(selected), "experiments")
     if config.isolated:
         import_experiments(selected)
 
@@ -236,7 +233,6 @@ def run_suite(
     finally:
         perf_backends.close_active()
 
-    obs_progress.finish()
     say(format_suite_summary(records))
 
     if isinstance(backend, perf_backends.LocalPoolBackend):

@@ -23,8 +23,8 @@ Observability (see ``docs/observability.md``)::
 
     python -m repro.experiments.runner --metrics-out report.json
     python -m repro.experiments.runner --trace-dir traces/
-    python -m repro.experiments.runner --progress
-    python -m repro.experiments.runner --report report.json   # summarize, don't run
+
+To summarize a saved report, use ``python -m repro.obs report FILE --summary``.
 
 This module is a thin CLI over :mod:`repro.api`: flags parse into one
 frozen :class:`repro.api.RunConfig` (explicit flags win over the
@@ -49,29 +49,15 @@ report are the same at every count.  All human output is rendered from
 the same per-experiment records the JSON report contains
 (:mod:`repro.obs.report`), so the two cannot drift.  The exit code is 1 as soon as any experiment did not pass, 2 for
 unknown experiment ids, an invalid configuration (``--parallel 0``,
-``--parallel 2 --no-isolation``, a bad ``--backend``) or an invalid
-``--report`` file, 0 otherwise.
+``--parallel 2 --no-isolation``, a bad ``--backend``), 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro import api
-
-
-def _summarize_existing_report(path: str) -> int:
-    from repro.obs.report import format_summary_table
-
-    try:
-        payload = api.load_report(path)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"invalid report {path}: {exc}")
-        return 2
-    print(format_summary_table(payload))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,23 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="save one Chrome-trace JSON per experiment into this directory",
     )
     parser.add_argument(
-        "--progress",
-        action="store_true",
-        help=(
-            "render a live progress line on stderr, heartbeats per experiment "
-            "(default: False)"
-        ),
-    )
-    parser.add_argument(
         "--metrics-out",
         default=None,
         help="write the machine-readable run report (JSON) to this path",
-    )
-    parser.add_argument(
-        "--report",
-        default=None,
-        metavar="FILE",
-        help="validate an existing --metrics-out file, print its summary table, exit",
     )
     parser.add_argument(
         "--list", action="store_true", help="list known experiments and exit"
@@ -201,9 +173,6 @@ def main(argv=None) -> int:
             print(f"{experiment_id:4s} {claim}")
         return 0
 
-    if args.report is not None:
-        return _summarize_existing_report(args.report)
-
     try:
         config = api.resolve_config(
             full=args.full,
@@ -218,7 +187,6 @@ def main(argv=None) -> int:
             backend=args.backend,
             chunk_deadline=args.chunk_deadline,
             trace_dir=args.trace_dir,
-            progress=args.progress,
         )
     except api.ConfigError as exc:
         if "backend" in str(exc):

@@ -21,9 +21,6 @@ ROADMAP's performance work builds on:
 * :mod:`repro.obs.analyze` — trace analytics (critical-path extraction,
   per-lane straggler/skew detection) and cross-run regression
   attribution (``python -m repro.obs compare A B``);
-* :mod:`repro.obs.progress` — live chunk/experiment heartbeats rendered as
-  a ``\\r``-rewritten stderr status line (off by default, the runner's
-  ``--progress``; plain newline mode on non-TTY streams);
 * :mod:`repro.obs.report` — the machine-readable run-report schema the
   experiment runner emits (``--metrics-out``), its validator, and the
   formatting helpers all human runner output flows through;
@@ -37,118 +34,6 @@ ROADMAP's performance work builds on:
 
 Nothing in this package imports from the rest of :mod:`repro`, so every
 layer — including :mod:`repro.probability.measures` at the very bottom —
-can be instrumented without import cycles.
+can be instrumented without import cycles.  The package itself exports
+nothing: import the submodule you need (``from repro.obs import trace``).
 """
-
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    REGISTRY,
-    Timer,
-    counter,
-    gauge,
-    histogram,
-    reset,
-    snapshot,
-    subtract_counters,
-    timer,
-)
-from repro.obs.distributed import (
-    absorb_chunk_trace,
-    check_trace,
-    chunk_payload,
-    merge_trace_files,
-    summarize_events,
-)
-from repro.obs.analyze import (
-    analyze_events,
-    compare_reports,
-    critical_path,
-    lane_analysis,
-)
-from repro.obs.expo import parse as parse_exposition
-from repro.obs.expo import render as render_exposition
-from repro.obs.log import configure as configure_log
-from repro.obs.log import correlation, get_logger, set_correlation
-from repro.obs.procinfo import peak_rss_bytes
-from repro.obs.report import (
-    REPORT_SCHEMA,
-    ReportSchemaError,
-    build_report,
-    format_record,
-    format_suite_summary,
-    format_summary_table,
-    outcome_record,
-    validate_report,
-)
-from repro.obs.trace import (
-    TRACER,
-    Tracer,
-    disable,
-    enable,
-    instant,
-    is_enabled,
-    span,
-    traced,
-)
-from repro.obs import progress
-
-__all__ = [
-    # trace
-    "Tracer",
-    "TRACER",
-    "span",
-    "traced",
-    "instant",
-    "enable",
-    "disable",
-    "is_enabled",
-    # distributed
-    "chunk_payload",
-    "absorb_chunk_trace",
-    "merge_trace_files",
-    "summarize_events",
-    "check_trace",
-    # analyze
-    "critical_path",
-    "lane_analysis",
-    "analyze_events",
-    "compare_reports",
-    # progress
-    "progress",
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Timer",
-    "MetricsRegistry",
-    "REGISTRY",
-    "counter",
-    "gauge",
-    "histogram",
-    "timer",
-    "snapshot",
-    "reset",
-    "subtract_counters",
-    # report
-    "REPORT_SCHEMA",
-    "ReportSchemaError",
-    "outcome_record",
-    "build_report",
-    "validate_report",
-    "format_record",
-    "format_suite_summary",
-    "format_summary_table",
-    # log
-    "configure_log",
-    "get_logger",
-    "correlation",
-    "set_correlation",
-    # expo
-    "render_exposition",
-    "parse_exposition",
-    # procinfo
-    "peak_rss_bytes",
-]

@@ -9,9 +9,6 @@ Four subcommands::
         [--slack-us N] [--json]
     python -m repro.obs compare <a.json> <b.json>          # what changed A -> B
         [--threshold PCT] [--top N] [--fail-on-regression]
-
-For backward compatibility a bare report path (no subcommand) still
-validates it, exactly like the original ``python -m repro.obs`` CLI.
 """
 
 import sys
@@ -19,23 +16,22 @@ import sys
 
 def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
-    if args and args[0] == "trace":
-        from repro.obs.distributed import main as trace_main
-
-        return trace_main(args[1:])
-    if args and args[0] == "analyze":
-        from repro.obs.analyze import main_analyze
-
-        return main_analyze(args[1:])
-    if args and args[0] == "compare":
-        from repro.obs.analyze import main_compare
-
-        return main_compare(args[1:])
-    if args and args[0] == "report":
-        args = args[1:]
-    from repro.obs.report import main as report_main
-
-    return report_main(args)
+    command = args[0] if args else None
+    if command == "report":
+        from repro.obs.report import main as run
+    elif command == "trace":
+        from repro.obs.distributed import main as run
+    elif command == "analyze":
+        from repro.obs.analyze import main_analyze as run
+    elif command == "compare":
+        from repro.obs.analyze import main_compare as run
+    else:
+        print(
+            "usage: python -m repro.obs {report,trace,analyze,compare} ...",
+            file=sys.stderr,
+        )
+        return 2
+    return run(args[1:])
 
 
 if __name__ == "__main__":

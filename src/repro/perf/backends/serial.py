@@ -12,7 +12,6 @@ from __future__ import annotations
 import traceback
 from typing import Any, Callable, List, Sequence
 
-from repro.obs import progress as _progress
 from repro.obs import trace as _trace
 from repro.perf.backends import Chunk, ChunkOutcome, ExecutionBackend, register_backend
 
@@ -48,7 +47,6 @@ class SerialBackend(ExecutionBackend):
                         results.append((index, traceback.format_exc(), None))
             # metrics=None: the work already counted in the caller's registry.
             outcomes.append(ChunkOutcome(results=results, metrics=None))
-            _progress.advance()
         return outcomes
 
 

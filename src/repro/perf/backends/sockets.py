@@ -85,7 +85,6 @@ import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import log as _obs_log
-from repro.obs import progress as _progress
 from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
 from repro.perf import cache as _perf_cache
@@ -634,7 +633,6 @@ class SocketBackend(ExecutionBackend):
 
         def run(index: int, chunk: Chunk) -> None:
             outcomes[index] = self._run_chunk(fn_blob, chunk, index)
-            _progress.advance()
 
         threads = [
             threading.Thread(target=run, args=(index, chunk), daemon=True)

@@ -17,13 +17,12 @@ regardless of whether chunks ran in-process or on a TCP worker pool:
   :mod:`repro.obs.metrics` registry and ship per-chunk snapshots back with
   the results; the parent folds them in, in chunk order, so per-experiment
   counters survive the fan-out.
-* **Span collection and heartbeats** — with tracing on, executors buffer
-  their spans and ship them in the same atomic payload; the caller
-  clock-aligns them into its own tracer as named per-worker process lanes
+* **Span collection** — with tracing on, executors buffer their spans and
+  ship them in the same atomic payload; the caller clock-aligns them into
+  its own tracer as named per-worker process lanes
   (:mod:`repro.obs.distributed`) and marks dispatch/retry/fallback/death
-  with instant events.  Each completed chunk also advances the live
-  progress line (:mod:`repro.obs.progress`); both facilities are off by
-  default with near-free disabled paths.
+  with instant events.  Tracing is off by default with a near-free
+  disabled path.
 * **Degradation, not failure** — a resolved parallelism of 1 on a local
   backend (the serial spec) runs the plain comprehension in the caller.  A
   chunk whose executor died without reporting (hard crash, dead
@@ -49,7 +48,6 @@ from typing import Any, Callable, Iterable, List, Tuple, Union
 
 from repro.obs import distributed as _distributed
 from repro.obs import metrics as _metrics
-from repro.obs import progress as _progress
 from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
 from repro.perf import pickling
@@ -114,14 +112,10 @@ def parallel_map(
         _trace.instant(
             "parallel.dispatch", backend=resolved.spec, chunks=len(chunks), items=len(work)
         )
-        _progress.begin(f"parallel map [{resolved.spec}]", len(chunks), "chunks")
-        try:
-            with _trace.span(
-                "parallel.map", backend=resolved.spec, chunks=len(chunks), items=len(work)
-            ):
-                outcomes = resolved.submit_chunks(fn, chunks)
-        finally:
-            _progress.finish()
+        with _trace.span(
+            "parallel.map", backend=resolved.spec, chunks=len(chunks), items=len(work)
+        ):
+            outcomes = resolved.submit_chunks(fn, chunks)
     finally:
         if owned:
             resolved.close()

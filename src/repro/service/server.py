@@ -284,10 +284,6 @@ class JobService:
             config = api.resolve_config(**overrides)
         except api.ConfigError as exc:
             raise ServiceError(400, f"invalid config: {exc}")
-        if config.progress:
-            # Heartbeat rendering belongs to interactive terminals; job
-            # progress is streamed through the registry's events instead.
-            config = api.RunConfig(**{**config.describe(), "progress": False})
 
         cache_key = try_fingerprint(
             (

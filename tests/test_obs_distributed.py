@@ -1,17 +1,16 @@
-"""Distributed tracing and live progress (:mod:`repro.obs.distributed` / ``.progress``).
+"""Distributed tracing (:mod:`repro.obs.distributed`).
 
 Covers the clock-alignment arithmetic (the receive-stamp offset), lane
 splicing and process-name metadata, offline merge/summarize/check tooling
 and its CLI, the pool and socket transports end to end (worker spans land
 clock-aligned in the caller's trace; a killed worker leaves retry/death
-instants), the ``REPRO_TRACE`` / ``REPRO_PROGRESS`` environment gates, the
+instants), the ``REPRO_TRACE`` environment gate, the
 runner acceptance bar (a traced E15 sweep on a two-worker ``socket:`` pool
 yields one merged Chrome trace with >= 3 process lanes and a validated
-``summary.trace`` block), and the disabled-path contracts (tracing and
-progress off leave no artifacts in payloads or reports).
+``summary.trace`` block), and the disabled-path contracts (tracing off
+leaves no artifacts in payloads or reports).
 """
 
-import io
 import json
 import os
 import signal
@@ -20,14 +19,13 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import distributed, progress, trace
+from repro.obs import distributed, trace
 from repro.obs.distributed import (
     absorb_chunk_trace,
     check_trace,
@@ -360,19 +358,6 @@ class TestEnvGates:
             )
             assert out.stdout.strip() == expected, (value, out.stdout)
 
-    def test_repro_progress_enables_fresh_process(self):
-        script = (
-            "from repro.obs import progress; assert not progress.is_enabled(); "
-            "from repro.api import resolve_config; resolve_config().apply(); "
-            "print('enabled' if progress.is_enabled() else 'disabled')"
-        )
-        env = _subprocess_env()
-        env["REPRO_PROGRESS"] = "1"
-        out = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
-        assert out.stdout.strip() == "enabled"
-
     def test_env_gated_socket_worker_traces_untraced_caller(self, spawn_worker, monkeypatch):
         # The caller does NOT trace; the pool was started under REPRO_TRACE.
         # The worker's chunks still record spans (shipped payloads are just
@@ -386,131 +371,14 @@ class TestEnvGates:
         assert trace.TRACER.events() == []
 
 
-# -- live progress ---------------------------------------------------------------
-
-
-class _TTYStringIO(io.StringIO):
-    def isatty(self):
-        return True
-
-
-class TestProgress:
-    def test_renders_done_total_rate_and_clears(self):
-        stream = io.StringIO()
-        p = progress.Progress(stream=stream)
-        p.enable()
-        p.begin("sweep", 4, "chunks")
-        p.MIN_REDRAW_S = 0.0
-        for _ in range(4):
-            p.advance()
-        p.finish("sweep done")
-        text = stream.getvalue()
-        assert "sweep: 4/4 chunks (100%)" in text
-        assert "/s" in text
-        assert text.rstrip().endswith("[repro] sweep done")
-
-    def test_tty_stream_gets_cr_rewrites(self):
-        stream = _TTYStringIO()
-        p = progress.Progress(stream=stream)
-        p.enable()
-        p.MIN_REDRAW_S = 0.0
-        p.begin("sweep", 2, "chunks")
-        p.advance(2)
-        p.finish("done")
-        text = stream.getvalue()
-        assert "\r\x1b[2K" in text
-        # One live line, rewritten in place: only the finish message ends
-        # with a newline.
-        assert text.count("\n") == 1
-
-    def test_non_tty_stream_gets_plain_newline_lines(self):
-        stream = io.StringIO()  # isatty() is False: piped/redirected stderr
-        p = progress.Progress(stream=stream)
-        p.enable()
-        p.MIN_REDRAW_S = 0.0
-        p.begin("sweep", 2, "chunks")
-        p.advance(2)
-        p.finish("done")
-        text = stream.getvalue()
-        assert "\r" not in text and "\x1b" not in text
-        lines = text.splitlines()
-        assert lines[-1] == "[repro] done"
-        assert any("sweep: 2/2 chunks (100%)" in line for line in lines)
-
-    def test_plain_mode_rate_limits_more_coarsely(self):
-        stream = io.StringIO()
-        p = progress.Progress(stream=stream)
-        p.enable()  # default MIN_REDRAW_S, so plain interval is 20x that
-        p.begin("sweep", 100, "items")
-        drawn_after_begin = stream.getvalue().count("\n")
-        p.advance(1)  # neither final nor past the plain redraw interval
-        assert stream.getvalue().count("\n") == drawn_after_begin
-        p.advance(99)  # the final advance always draws
-        assert stream.getvalue().count("\n") == drawn_after_begin + 1
-
-    def test_mode_override_forces_plain_on_a_tty(self):
-        stream = _TTYStringIO()
-        p = progress.Progress(stream=stream, mode="plain")
-        p.enable()
-        p.MIN_REDRAW_S = 0.0
-        p.begin("sweep", 1, "chunks")
-        p.advance()
-        p.finish()
-        assert "\r" not in stream.getvalue()
-
-    def test_plain_env_value_enables_and_forces_plain(self):
-        # The rendering mode is set at import; the switch at the entry point.
-        script = (
-            "from repro.obs import progress; mode = progress.PROGRESS.mode; "
-            "from repro.api import resolve_config; resolve_config().apply(); "
-            "print('enabled' if progress.is_enabled() else 'disabled', mode)"
-        )
-        env = _subprocess_env()
-        env["REPRO_PROGRESS"] = "plain"
-        out = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
-        assert out.stdout.strip() == "enabled plain"
-
-    def test_eta_appears_mid_phase(self):
-        stream = io.StringIO()
-        p = progress.Progress(stream=stream)
-        p.enable()
-        p.MIN_REDRAW_S = 0.0
-        p.begin("run", 100, "items")
-        time.sleep(0.01)
-        p.advance(10)
-        assert "eta" in stream.getvalue()
-
-    def test_disabled_is_inert_and_stateless(self):
-        stream = io.StringIO()
-        p = progress.Progress(stream=stream)
-        p.begin("x", 10)
-        p.advance()
-        p.finish()
-        assert stream.getvalue() == ""
-        assert p._label is None
-
-    def test_module_hooks_honour_global_switch(self):
-        # Mirrors the tracer's null-span contract: with the facility off,
-        # the module-level hooks fall through on a single flag test and
-        # mutate nothing.
-        assert not progress.is_enabled()
-        before = progress.PROGRESS.__dict__.copy()
-        progress.begin("sweep", 10)
-        progress.advance(3)
-        progress.finish()
-        assert progress.PROGRESS.__dict__ == before
-
-
-# -- disabled-path contracts (tracing/progress off must cost ~nothing) -----------
+# -- disabled-path contracts (tracing off must cost ~nothing) --------------------
 
 
 class TestDisabledOverhead:
     def test_disabled_sweep_adds_no_trace_artifacts(self):
         # Counter-based: the only per-chunk additions on the disabled path
-        # are flag tests — no spans buffered, no payloads built, no
-        # progress state touched, identical chunk counts.
+        # are flag tests — no spans buffered, no payloads built, identical
+        # chunk counts.
         from repro.obs.metrics import counter
 
         chunks = counter("perf.parallel.socket.chunks")
@@ -520,7 +388,6 @@ class TestDisabledOverhead:
         assert chunks.value == before + 2  # one round-trip per chunk, nothing extra
         assert trace.TRACER.events() == []
         assert trace.TRACER.named_lanes == set()
-        assert progress.PROGRESS._label is None
 
     def test_disabled_span_still_shared_noop_through_backends(self):
         # The serial backend's per-chunk span must be the shared null span

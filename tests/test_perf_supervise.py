@@ -28,7 +28,7 @@ import pytest
 
 from repro.api import RunConfig, resolve_config
 from repro.obs import log as obs_log
-from repro.obs import metrics, progress, trace
+from repro.obs import metrics, trace
 from repro.perf.backends import BackendSpecError, make_backend, normalize_spec
 from repro.perf.parallel import parallel_map
 from repro.perf.supervise import (
@@ -376,13 +376,11 @@ class TestLocalPoolBackend:
             backend.close()
 
 
-def _square_with_progress(x):
-    # With progress on (as in a REPRO_PROGRESS=1 worker) this takes the
-    # progress renderer's lock in the chunk child.
-    progress.begin("square", 1)
-    progress.advance()
-    progress.finish()
-    return x * x
+def _square_in_span(x):
+    # With tracing on (as in a REPRO_TRACE=1 worker) this takes the
+    # tracer's lock in the chunk child.
+    with trace.span("square"):
+        return x * x
 
 
 def _unfold_and_probe(p):
@@ -413,10 +411,10 @@ class TestForkedWorkers:
     ):
         # sys.stdout is in memory (as under pytest), sys.stderr is stuck in
         # another thread's write to a full pipe, and another thread holds
-        # the tracer and progress locks.  The worker (progress on, so its
-        # chunks take that lock) must still announce itself within 10 s,
-        # serve a sweep and log it to the structured sink.
-        monkeypatch.setenv("REPRO_PROGRESS", "1")
+        # the tracer's lock.  The worker (tracing on, so its chunks take
+        # that lock) must still announce itself within 10 s, serve a sweep
+        # and log it to the structured sink.
+        monkeypatch.setenv("REPRO_TRACE", "1")
         log_path = tmp_path / "log.jsonl"
         obs_log.configure(str(log_path))
         read_fd, write_fd = os.pipe()
@@ -425,7 +423,7 @@ class TestForkedWorkers:
         holding, release = threading.Event(), threading.Event()
 
         def hold():
-            with trace.TRACER._lock, progress.PROGRESS._lock:
+            with trace.TRACER._lock:
                 holding.set()
                 release.wait()
 
@@ -439,7 +437,7 @@ class TestForkedWorkers:
         box = []
         sweeper = threading.Thread(  # a daemon: a hung start fails the test, not the run
             target=lambda: box.append(
-                parallel_map(_square_with_progress, range(6), backend=backend)
+                parallel_map(_square_in_span, range(6), backend=backend)
             ),
             daemon=True,
         )

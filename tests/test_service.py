@@ -77,7 +77,6 @@ class TestLifecycle:
         job = client.submit(["E1", "E4"])
         assert job["state"] in ("queued", "running")
         assert job["experiments"] == ["E1", "E4"]
-        assert job["config"]["progress"] is False  # forced server-side
 
         states = []
         final = client.wait(
@@ -171,9 +170,9 @@ class TestErrorPaths:
         assert excinfo.value.status == 400
         assert "unknown backend 'fork' (known: pool, serial, socket" in str(excinfo.value)
 
-    def test_removed_profile_fields_rejected(self, live):
+    def test_removed_config_fields_rejected(self, live):
         _, client = live
-        for field in ("profile", "profile_dir"):
+        for field in ("profile", "profile_dir", "progress"):
             with pytest.raises(ServiceClientError) as excinfo:
                 client.submit(["E1"], config={field: True})
             assert excinfo.value.status == 400
@@ -387,8 +386,8 @@ class TestWarmPool:
 
 
     def test_inline_sweep_does_not_stall_job_progress(self):
-        # E15 runs inline, so its sweep over the pool opens a progress phase
-        # in the service process; the job's progress must still count it.
+        # E15 runs inline, so its sweep fans out over the pool from the
+        # service process itself; the job's progress must still count it.
         service = JobService(pool=2)
         client = serve(service)
         try:

@@ -104,3 +104,40 @@ def test_package_reexports_load_on_first_use():
     assert lines["dir-missing"] == ""
     assert lines["unresolved"] == ""
     assert lines["star-missing"] == ""
+
+
+OBS_PROBE = textwrap.dedent(
+    """
+    import importlib
+    import importlib.util
+    import sys
+
+    for name in ("metrics", "trace", "report", "log", "procinfo"):
+        importlib.import_module(f"repro.obs.{name}")
+    print("obs-loaded", *sorted(n for n in sys.modules if n.startswith("repro.")))
+    print("progress-spec", importlib.util.find_spec("repro.obs.progress"))
+    """
+)
+
+
+def test_obs_package_loads_only_the_submodules_asked_for():
+    # ``repro.obs`` re-exports nothing, so importing a submodule loads that
+    # submodule alone: not distributed, analyze, expo or the rest.
+    completed = subprocess.run(
+        [sys.executable, "-c", OBS_PROBE],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    lines = dict(line.partition(" ")[::2] for line in completed.stdout.splitlines())
+    assert lines["obs-loaded"].split() == [
+        "repro.obs",
+        "repro.obs.log",
+        "repro.obs.metrics",
+        "repro.obs.procinfo",
+        "repro.obs.report",
+        "repro.obs.trace",
+    ]
+    assert lines["progress-spec"] == "None"

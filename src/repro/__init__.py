@@ -30,9 +30,8 @@ Layer map (bottom-up):
   fault plans and the fault-injecting scheduler (see docs/fault_model.md);
 * :mod:`repro.analysis` — exploration, Monte-Carlo cross-checks,
   distinguisher search, reporting;
-* :mod:`repro.obs` — observability: span tracing (Chrome-trace output),
-  hot-path metrics, machine-readable run reports (see
-  docs/observability.md).
+* :mod:`repro.obs` — observability: hot-path metrics, phase timers,
+  machine-readable run reports (see docs/observability.md).
 
 Quickstart::
 

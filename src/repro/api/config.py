@@ -5,10 +5,9 @@ exactly one place (:func:`resolve_config`), by **one documented order**:
 
 1. **Explicit overrides** — CLI flags the user actually passed, or the
    fields of a service job submission.  A flag the user did *not* pass is
-   represented as ``None`` (or ``False`` for the ``trace`` switch) and falls
-   through to the next layer.
+   represented as ``None`` and falls through to the next layer.
 2. **Environment gates** — ``REPRO_CACHE``, ``REPRO_CACHE_DIR``,
-   ``REPRO_BACKEND``, ``REPRO_CHUNK_DEADLINE``, ``REPRO_TRACE``.
+   ``REPRO_BACKEND``, ``REPRO_CHUNK_DEADLINE``.
 3. **Defaults** — the dataclass field defaults below.
 
 The environment is read once, at the entry points, and nowhere else:
@@ -20,7 +19,7 @@ The environment is read once, at the entry points, and nowhere else:
   (its backend is always ``serial``).
 
 :meth:`RunConfig.apply` then sets each subsystem's in-process switch (cache,
-store directory, backend, base supervision policy, tracer) and
+store directory, backend, base supervision policy) and
 writes nothing to ``os.environ``.  Forked experiment children inherit
 those switches through memory; socket and pool workers receive
 them per chunk in the run frame's ``ctx``.  So a
@@ -39,7 +38,6 @@ from typing import Any, Dict, Mapping, Optional
 __all__ = ["ConfigError", "RunConfig", "resolve_config"]
 
 _OFF_VALUES = ("off", "0", "false", "no")
-_ON_VALUES = ("1", "on", "true", "yes")
 
 #: Fields whose value can come from an environment gate (layer 2) when the
 #: caller did not override them explicitly (layer 1).
@@ -48,7 +46,6 @@ ENV_GATES = {
     "cache_dir": "REPRO_CACHE_DIR",
     "backend": "REPRO_BACKEND",
     "chunk_deadline": "REPRO_CHUNK_DEADLINE",
-    "trace": "REPRO_TRACE",
 }
 
 
@@ -92,10 +89,6 @@ class RunConfig:
     backend: Optional[str] = None
     #: wall-clock bound per sweep chunk; ``None`` = policy default, ``0`` = off
     chunk_deadline: Optional[float] = None
-    #: record Chrome-trace spans
-    trace: bool = False
-    #: save one trace JSON per experiment into this directory
-    trace_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.cache not in ("on", "off", "stats"):
@@ -125,12 +118,12 @@ class RunConfig:
                 isinstance(value, bool) or not isinstance(value, (int, float))
             ):
                 raise ConfigError(f"{name} must be a number or null, got {value!r}")
-        for name in ("full", "isolated", "keep_going", "trace"):
+        for name in ("full", "isolated", "keep_going"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(
                     f"{name} must be a boolean, got {getattr(self, name)!r}"
                 )
-        for name in ("cache_dir", "backend", "trace_dir"):
+        for name in ("cache_dir", "backend"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"{name} must be a string or null, got {value!r}")
@@ -169,7 +162,6 @@ class RunConfig:
         switches through memory, and socket workers get them per chunk
         from the run frame.
         """
-        from repro.obs import trace as obs_trace
         from repro.perf import backends as perf_backends
         from repro.perf import cache as perf_cache
         from repro.perf import store as perf_store
@@ -182,10 +174,6 @@ class RunConfig:
         if self.chunk_deadline is not None:
             policy = policy.with_options({"deadline": self.chunk_deadline})
         perf_supervise.configure_policy(policy)
-        if self.trace:
-            obs_trace.enable()
-        else:
-            obs_trace.disable()
 
 
 def resolve_config(
@@ -195,10 +183,7 @@ def resolve_config(
 
     ``overrides`` are the caller's explicit choices (CLI flags, a job
     submission's config fields).  ``None`` means "not specified" for every
-    value field, and ``False`` means "not specified" for the ``trace``
-    switch — the flag can only turn tracing *on*; turning it off against
-    the environment is done through the environment (matching the CLI's
-    historic semantics).  Unknown override names raise :class:`ConfigError`.
+    field.  Unknown override names raise :class:`ConfigError`.
 
     Values are normalized here, once: the backend spec is canonicalized
     (``" Pool:8 "`` -> ``"pool:8"``), ``cache_dir`` is made absolute, a
@@ -225,7 +210,7 @@ def resolve_config(
     for name in ("full", "isolated", "keep_going"):
         if name in overrides and overrides[name] is not None:
             values[name] = bool(overrides[name])
-    for name in ("timeout", "retries", "seed", "parallel", "trace_dir"):
+    for name in ("timeout", "retries", "seed", "parallel"):
         if name in overrides and overrides[name] is not None:
             values[name] = overrides[name]
 
@@ -267,13 +252,6 @@ def resolve_config(
                 raise ConfigError(
                     f"REPRO_CHUNK_DEADLINE needs a number, got {raw!r}"
                 )
-
-    if overrides.get("trace"):
-        values["trace"] = True
-    else:
-        raw = env_raw("trace")
-        if raw is not None:
-            values["trace"] = raw.lower() in _ON_VALUES
 
     # Layer 3 is the dataclass defaults; construct (validates) then normalize.
     try:

@@ -25,18 +25,15 @@ from repro.experiments.common import (
     import_experiments,
     run_experiment_guarded,
 )
-from repro.obs import analyze as obs_analyze
-from repro.obs import distributed as obs_distributed
 from repro.obs.report import (
-    ReportSchemaError,
     build_report,
     cache_summary,
     format_record,
     format_suite_summary,
     outcome_record,
     phases_summary,
+    read_report as load_report,
     resilience_summary,
-    validate_report,
 )
 from repro.perf import backends as perf_backends
 from repro.perf import store as perf_store
@@ -77,19 +74,6 @@ def list_experiments() -> Dict[str, str]:
         experiment_id: claim
         for experiment_id, (_module, claim) in ALL_EXPERIMENTS.items()
     }
-
-
-def load_report(path: str) -> Dict[str, Any]:
-    """Read and validate a ``--metrics-out`` report file.
-
-    Raises :class:`repro.obs.report.ReportSchemaError` for schema
-    violations and ``OSError`` / ``json.JSONDecodeError`` for unreadable
-    files — callers that just want "valid or not" can catch ``ValueError``
-    plus ``OSError``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    validate_report(payload)
-    return payload
 
 
 @dataclass
@@ -164,11 +148,6 @@ def run_suite(
 
     suite_start = time.perf_counter()
 
-    def trace_path_for(experiment_id: str) -> Optional[str]:
-        if not config.trace_dir:
-            return None
-        return os.path.join(config.trace_dir, f"{experiment_id}.trace.json")
-
     # Set when --fail-fast stops the suite: children still running end now.
     stop = threading.Event()
 
@@ -181,7 +160,6 @@ def run_suite(
             retries=config.retries,
             seed=config.seed,
             isolated=config.isolated,
-            trace_path=trace_path_for(experiment_id),
             stop=stop,
         )
 
@@ -195,7 +173,6 @@ def run_suite(
             outcome,
             ALL_EXPERIMENTS[experiment_id][1],
             default_seed=DEFAULT_SEED,
-            trace_file=outcome.trace_path,
         )
         records.append(record)
         timers[experiment_id] = (outcome.metrics or {}).get("timers", {})
@@ -267,25 +244,6 @@ def run_suite(
             f"({len(counters)} perf counters; see summary.cache in --metrics-out)"
         )
 
-    # The trace summary exists only when tracing actually produced files,
-    # so untraced runs emit reports byte-identical to pre-tracing ones.
-    trace_block = None
-    analysis_block = None
-    trace_files = [
-        r["trace_file"]
-        for r in records
-        if r.get("trace_file") and os.path.exists(r["trace_file"])
-    ]
-    if trace_files:
-        try:
-            merged = obs_distributed.merge_trace_files(trace_files)
-            trace_block = obs_distributed.summarize_events(merged["traceEvents"])
-            trace_block["files"] = list(trace_files)
-            analysis_block = obs_analyze.analyze_events(merged["traceEvents"])
-        except (OSError, ValueError, json.JSONDecodeError):
-            trace_block = None  # a corrupt trace must not fail the run
-            analysis_block = None
-
     # The resilience block exists exactly when supervision can act: on a
     # remote backend.  Serial runs emit reports without it.
     resilience_block = None
@@ -301,10 +259,8 @@ def run_suite(
         wall_time_s=time.perf_counter() - suite_start,
         cache=cache_block,
         backend=backend_block,
-        trace=trace_block,
         resilience=resilience_block,
         phases=phases_summary(timers),
-        analysis=analysis_block,
         config=config.describe(),
     )
     if metrics_out:

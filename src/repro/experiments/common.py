@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.obs.procinfo import peak_rss_bytes as _peak_rss_bytes
 from repro.perf import backends as _perf_backends
 
@@ -128,12 +127,8 @@ def import_experiments(experiment_ids: Iterable[str]) -> None:
 
 def run_experiment(experiment_id: str, *, fast: bool = True) -> ExperimentReport:
     """Run one experiment by id (``"E1"`` .. ``"E15"``)."""
-    qualified = _module_path(experiment_id)
-    with _trace.span("experiment", id=experiment_id, fast=fast):
-        with _trace.span("experiment.import", module=qualified):
-            module = importlib.import_module(qualified)
-        with _trace.span("experiment.run", id=experiment_id):
-            return module.run(fast=fast)
+    module = importlib.import_module(_module_path(experiment_id))
+    return module.run(fast=fast)
 
 
 # -- the hardened (crash-isolated, timeout-guarded) runner ---------------------
@@ -151,9 +146,8 @@ class ExperimentOutcome:
     The observability fields describe the last attempt as well:
     ``metrics`` is the child's :func:`repro.obs.metrics.snapshot` (marshalled
     across the fork boundary; partial metrics survive a crashing child, a
-    hard-killed/timed-out child yields ``None``), ``peak_rss_bytes`` its
-    :func:`repro.obs.procinfo.peak_rss_bytes`, and ``trace_path`` the file
-    the child saved its Chrome trace to (when tracing was requested).
+    hard-killed/timed-out child yields ``None``) and ``peak_rss_bytes`` its
+    :func:`repro.obs.procinfo.peak_rss_bytes`.
     """
 
     experiment: str
@@ -165,7 +159,6 @@ class ExperimentOutcome:
     seed: Optional[int] = None
     metrics: Optional[Dict[str, Any]] = None
     peak_rss_bytes: Optional[int] = None
-    trace_path: Optional[str] = None
     #: Per-attempt outcomes (attempt index, seed, status, error class,
     #: duration) — ``--retries`` rotates seeds, and without this history a
     #: report only shows the last attempt, hiding *what* the retry survived.
@@ -207,20 +200,9 @@ def _attempt_error_class(status: str, error: Optional[str]) -> Optional[str]:
     return status
 
 
-def _observability_extras(trace_path: Optional[str]) -> Dict[str, Any]:
-    """The per-attempt observability payload (metrics, RSS, trace)."""
-    extras: Dict[str, Any] = {
-        "metrics": _metrics.snapshot(),
-        "peak_rss_bytes": _peak_rss_bytes(),
-        "trace_path": None,
-    }
-    if trace_path is not None:
-        try:
-            _trace.TRACER.save(trace_path)
-            extras["trace_path"] = str(trace_path)
-        except OSError:
-            pass
-    return extras
+def _observability_extras() -> Dict[str, Any]:
+    """The per-attempt observability payload (metrics, RSS)."""
+    return {"metrics": _metrics.snapshot(), "peak_rss_bytes": _peak_rss_bytes()}
 
 
 def _guarded_child(
@@ -228,25 +210,20 @@ def _guarded_child(
     experiment_id: str,
     fast: bool,
     seed: Optional[int],
-    trace_path: Optional[str],
 ) -> None:
     """Child-process entry point: run one experiment, ship the result back.
 
     The child starts from a clean observability slate (with the ``fork``
-    start method it inherits the parent's registry and trace buffer) and
+    start method it inherits the parent's registry) and
     always ships its metrics snapshot — a crashing experiment still reports
     the counters it accumulated before dying.
     """
     _metrics.reset()
-    _trace.TRACER.clear()
     # An execution backend inherited through the fork may hold the parent's
     # live worker connections; adopt it (a pool:N keeps the parent's
     # workers, the shared file descriptors stay untouched) so this child's
     # sweeps open their own connections.
     _perf_backends.adopt_inherited()
-    if trace_path is not None:
-        _trace.enable()
-        _trace.TRACER.name_caller_lane()
     try:
         set_experiment_seed(seed)
         report = run_experiment(experiment_id, fast=fast)
@@ -256,7 +233,7 @@ def _guarded_child(
     # Close this child's connections; workers a pool:N backend started here
     # (respawns) must not outlive it, the parent's are left running.
     _perf_backends.close_active()
-    extras = _observability_extras(trace_path)
+    extras = _observability_extras()
     try:
         conn.send(payload + (extras,))
     except Exception as exc:  # the report itself may be untransferable
@@ -306,7 +283,6 @@ def _attempt_isolated(
     fast: bool,
     timeout: Optional[float],
     seed: Optional[int],
-    trace_path: Optional[str],
     stop: Optional[threading.Event] = None,
 ) -> _Attempt:
     methods = multiprocessing.get_all_start_methods()
@@ -315,7 +291,7 @@ def _attempt_isolated(
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_guarded_child,
-            args=(child_conn, experiment_id, fast, seed, trace_path),
+            args=(child_conn, experiment_id, fast, seed),
             daemon=True,
         )
         process.start()
@@ -362,17 +338,11 @@ def _attempt_inline(
     experiment_id: str,
     fast: bool,
     seed: Optional[int],
-    trace_path: Optional[str],
 ) -> _Attempt:
     previous = _EXPERIMENT_SEED
     # Inline attempts share the process-global registry with the caller, so
     # per-experiment counters and timers are a before/after diff, not a reset.
     before = _metrics.snapshot(include_zero=True)
-    tracing_was_enabled = _trace.is_enabled()
-    if trace_path is not None:
-        _trace.TRACER.clear()
-        _trace.enable()
-        _trace.TRACER.name_caller_lane()
     try:
         set_experiment_seed(seed)
         report = run_experiment(experiment_id, fast=fast)
@@ -387,14 +357,12 @@ def _attempt_inline(
         from repro.bounded.encoding import clear_memos
 
         clear_memos()
-    extras = _observability_extras(trace_path)
+    extras = _observability_extras()
     after = _metrics.snapshot(include_zero=True)
     extras["metrics"]["counters"] = _metrics.subtract_counters(
         after["counters"], before["counters"]
     )
     extras["metrics"]["timers"] = _metrics.subtract_timers(after["timers"], before["timers"])
-    if trace_path is not None and not tracing_was_enabled:
-        _trace.disable()
     return status, report, error, extras
 
 
@@ -406,7 +374,6 @@ def run_experiment_guarded(
     retries: int = 0,
     seed: Optional[int] = None,
     isolated: bool = True,
-    trace_path: Optional[str] = None,
     stop: Optional[threading.Event] = None,
 ) -> ExperimentOutcome:
     """Run one experiment behind the isolation boundary.
@@ -427,10 +394,6 @@ def run_experiment_guarded(
     isolated:
         Run in a subprocess (default).  ``False`` runs inline — exceptions
         are still captured but hangs and hard crashes are not survivable.
-    trace_path:
-        When set, tracing is enabled for the attempt and the Chrome-trace
-        JSON is written there (each retry overwrites — the saved trace and
-        the reported metrics describe the *last* attempt).
     stop:
         When this event is set, an isolated attempt still running is
         terminated at once (status ``error``) and no retry follows; the
@@ -450,12 +413,10 @@ def run_experiment_guarded(
         attempt_start = time.perf_counter()
         if isolated:
             status, report, error, extras = _attempt_isolated(
-                experiment_id, fast, timeout, attempt_seed, trace_path, stop
+                experiment_id, fast, timeout, attempt_seed, stop
             )
         else:
-            status, report, error, extras = _attempt_inline(
-                experiment_id, fast, attempt_seed, trace_path
-            )
+            status, report, error, extras = _attempt_inline(experiment_id, fast, attempt_seed)
         attempt_history.append(
             {
                 "attempt": attempts,
@@ -478,7 +439,6 @@ def run_experiment_guarded(
         seed=attempt_seed,
         metrics=extras.get("metrics"),
         peak_rss_bytes=extras.get("peak_rss_bytes"),
-        trace_path=extras.get("trace_path"),
         attempt_history=attempt_history,
     )
 

@@ -22,7 +22,6 @@ Performance (see ``docs/performance.md``)::
 Observability (see ``docs/observability.md``)::
 
     python -m repro.experiments.runner --metrics-out report.json
-    python -m repro.experiments.runner --trace-dir traces/
 
 To summarize a saved report, use ``python -m repro.obs report FILE --summary``.
 
@@ -150,11 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock bound per sweep chunk on remote backends (0 disables)",
     )
     parser.add_argument(
-        "--trace-dir",
-        default=None,
-        help="save one Chrome-trace JSON per experiment into this directory",
-    )
-    parser.add_argument(
         "--metrics-out",
         default=None,
         help="write the machine-readable run report (JSON) to this path",
@@ -186,7 +180,6 @@ def main(argv=None) -> int:
             cache_dir=args.cache_dir,
             backend=args.backend,
             chunk_deadline=args.chunk_deadline,
-            trace_dir=args.trace_dir,
         )
     except api.ConfigError as exc:
         if "backend" in str(exc):

@@ -29,7 +29,6 @@ from repro.core.executions import Fragment
 from repro.core.psioa import PSIOA
 from repro.core.signature import Action
 from repro.obs.metrics import counter as _counter, histogram as _histogram
-from repro.obs.trace import TRACER as _TRACER
 from repro.probability.measures import SubDiscreteMeasure
 from repro.semantics.schema import SchedulerSchema
 from repro.semantics.scheduler import Scheduler
@@ -205,10 +204,6 @@ class FaultyScheduler(Scheduler):
             enabled = automaton.signature(fragment.lstate).all_actions
             if injected in enabled:
                 _FAULTS_INJECTED.inc()
-                if _TRACER.enabled:  # don't evaluate repr() on the disabled path
-                    _TRACER.instant(
-                        "fault.injected", step=len(fragment), action=repr(injected)
-                    )
                 return SubDiscreteMeasure({injected: 1})
         return self.base.decide(automaton, _strip_faults(fragment, self._alphabet))
 

@@ -1,29 +1,21 @@
-"""Observability substrate: execution tracing, hot-path metrics, run reports.
+"""Observability substrate: hot-path metrics, phase timers, run reports.
 
 The reproduction's constructions — Task-PIOA scheduling, dynamic PSIOA
 execution, exact measure unfolding — are deep recursive computations whose
 cost is otherwise invisible.  This package is the measurement substrate the
-ROADMAP's performance work builds on:
+ROADMAP's performance work builds on; every part of it is always on, so a
+run report says where the time went without a re-run:
 
-* :mod:`repro.obs.trace` — a zero-dependency span tracer (context-manager
-  and decorator API, monotonic clocks, nestable spans, off by default with
-  near-zero disabled overhead) emitting Chrome-trace-format JSON that loads
-  in ``chrome://tracing`` or Perfetto;
 * :mod:`repro.obs.metrics` — process-local counters / gauges / histograms
   / timers behind a global registry with a
-  :func:`~repro.obs.metrics.snapshot` export (always on: a counter bump is
-  one attribute increment, a phase timer one ``perf_counter_ns`` pair per
+  :func:`~repro.obs.metrics.snapshot` export (a counter bump is one
+  attribute increment, a phase timer one ``perf_counter_ns`` pair per
   call; the timers become every report's ``summary.phases``);
-* :mod:`repro.obs.distributed` — cross-process trace collection: executors
-  ship buffered spans back with their results, the caller clock-aligns
-  them into one merged Chrome trace with a named lane per worker (plus the
-  ``python -m repro.obs trace`` merge/summarize/check CLI);
-* :mod:`repro.obs.analyze` — trace analytics (critical-path extraction,
-  per-lane straggler/skew detection) and cross-run regression
-  attribution (``python -m repro.obs compare A B``);
+* :mod:`repro.obs.analyze` — cross-run regression attribution
+  (``python -m repro.obs compare A B``);
 * :mod:`repro.obs.report` — the machine-readable run-report schema the
-  experiment runner emits (``--metrics-out``), its validator, and the
-  formatting helpers all human runner output flows through;
+  experiment runner emits (``--metrics-out``), its reader and validator,
+  and the formatting helpers all human runner output flows through;
 * :mod:`repro.obs.log` — structured JSONL event logging with job
   correlation ids (``REPRO_LOG`` gated, atomic line appends; the service
   layer's access/admission/lifecycle records flow through it);
@@ -35,5 +27,5 @@ ROADMAP's performance work builds on:
 Nothing in this package imports from the rest of :mod:`repro`, so every
 layer — including :mod:`repro.probability.measures` at the very bottom —
 can be instrumented without import cycles.  The package itself exports
-nothing: import the submodule you need (``from repro.obs import trace``).
+nothing: import the submodule you need (``from repro.obs import metrics``).
 """

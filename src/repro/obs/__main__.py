@@ -1,12 +1,8 @@
 """``python -m repro.obs`` — observability command line.
 
-Four subcommands::
+Two subcommands::
 
     python -m repro.obs report <report.json> [--summary]   # validate a run report
-    python -m repro.obs trace <t1.json> [t2.json ...]      # merge/summarize traces
-        [--out merged.json] [--summary] [--check --min-lanes N]
-    python -m repro.obs analyze <t1.json> [...]            # critical path, stragglers
-        [--slack-us N] [--json]
     python -m repro.obs compare <a.json> <b.json>          # what changed A -> B
         [--threshold PCT] [--top N] [--fail-on-regression]
 """
@@ -19,17 +15,10 @@ def main(argv=None) -> int:
     command = args[0] if args else None
     if command == "report":
         from repro.obs.report import main as run
-    elif command == "trace":
-        from repro.obs.distributed import main as run
-    elif command == "analyze":
-        from repro.obs.analyze import main_analyze as run
     elif command == "compare":
         from repro.obs.analyze import main_compare as run
     else:
-        print(
-            "usage: python -m repro.obs {report,trace,analyze,compare} ...",
-            file=sys.stderr,
-        )
+        print("usage: python -m repro.obs {report,compare} ...", file=sys.stderr)
         return 2
     return run(args[1:])
 

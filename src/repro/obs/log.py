@@ -4,7 +4,7 @@ The service layer needs logs a machine can aggregate — "every admission
 decision, with tenant and reason" — not stderr prose.  This module is a
 zero-dependency structured logger in the spirit of the rest of
 :mod:`repro.obs`: **off by default**, one flag test on the disabled path,
-and JSON-lines output that pairs with the run-report/trace tooling.
+and JSON-lines output that pairs with the run-report tooling.
 
 Records are one JSON object per line::
 

@@ -40,8 +40,7 @@ accepts)::
                                   "samples": [7, 8]}
           },
           "table": "...",                     # null for error/timeout
-          "error": null,                      # traceback / diagnosis otherwise
-          "trace_file": "traces/E1.trace.json"  # null without --trace-dir
+          "error": null                       # traceback / diagnosis otherwise
         }, ...
       ],
       "summary": {
@@ -60,15 +59,6 @@ accepts)::
           "chunk_deadline_s": 600.0,                           # backends only;
           "counters": {"perf.supervise.respawns": 1, ...}      # health totals
         },
-        "trace": {                                             # optional:
-          "events": 128,                                       # only when
-          "files": ["traces/E15.trace.json"],                  # tracing ran
-          "processes": [{"pid": 1, "name": "caller (pid 1)", "spans": 9,
-                         "instants": 2, "busy_us": 5000.0, "idle_us": 10.0,
-                         "wall_us": 5010.0}, ...],
-          "slowest_spans": [{"name": "parallel.map", "pid": 1,
-                             "dur_us": 5400.0}, ...]
-        },
         "phases": {                                            # every run:
           "E15": {"measure.unfold": {"calls": 120, "s": 0.09}, # inclusive
                   "scheduler.step": {"calls": 900, "s": 0.03}, # seconds per
@@ -77,18 +67,6 @@ accepts)::
         "config": {                                            # optional:
           "full": false, "parallel": 2, "cache": "on",         # the resolved
           "backend": "pool:4", "chunk_deadline": 30.0, ...     # RunConfig
-        },
-        "analysis": {                                          # optional:
-          "critical_path": {"wall_us": 5400.0,                 # only when
-            "steps": [{"name": "parallel.map", "pid": 1,       # tracing ran
-                       "start_us": 0.0, "dur_us": 5400.0,
-                       "depth": 0}, ...]},
-          "lanes": [{"pid": 2, "name": "worker ...", "chunks": 4,
-                     "skew": 1.3, "utilization": 0.92,
-                     "idle_gaps": {"count": 3, "total_us": 400.0,
-                                   "max_us": 300.0, "p50_us": 50.0},
-                     "straggler": false, ...}, ...],
-          "stragglers": [{"pid": 2, "name": "...", "skew": 3.1}, ...]
         }
       }
     }
@@ -96,31 +74,30 @@ accepts)::
 Each summary block after ``wall_time_s`` has one builder, and
 :func:`build_report` takes the block by name: ``cache``
 (:func:`cache_summary`), ``backend`` (``ExecutionBackend.describe()``),
-``resilience`` (:func:`resilience_summary`), ``trace``
-(:func:`repro.obs.distributed.summarize_events` over the saved trace files,
-plus ``files``), ``phases`` (:func:`phases_summary` over the phase timers of
-:mod:`repro.obs.metrics`), ``analysis`` (:func:`repro.obs.analyze.analyze_events`
-over the merged trace) and ``config`` (:meth:`repro.api.RunConfig.describe`).
-``trace`` and ``analysis`` appear **only** when tracing ran, so untraced
-reports are byte-identical to pre-tracing ones.  ``phases`` is in every
+``resilience`` (:func:`resilience_summary`), ``phases``
+(:func:`phases_summary` over the phase timers of :mod:`repro.obs.metrics`)
+and ``config`` (:meth:`repro.api.RunConfig.describe`).  ``phases`` is in every
 report the suite writes: per experiment, the calls and inclusive seconds of
 each timed phase, chunks run on other processes included; the times are
 wall-clock figures, so they stay out of the records.
 
 The ``_FORMAT`` table states this format once, and :func:`validate_report`
 walks it.  Keys the table does not name pass, so reports written before a
-block existed (no ``phases``) or carrying one that has gone (``profile``)
-still validate.  A new block is one table entry plus its builder.
+block existed (no ``phases``) or carrying one that has gone (``profile``,
+``trace``, ``analysis``, a record's ``trace_file``) still validate.  A new
+block is one table entry plus its builder.
 
 ERROR/TIMEOUT outcomes are reproducible from the report alone: re-run the
 experiment with ``--seed <seed>`` (or no flag when ``seed`` is null — the
 recorded ``default_seed`` is what the experiment used), and any sampled
 fault plans are pinned by ``fault_seeds``.
 
-Validate a report file from the command line (CI does)::
+:func:`read_report` reads and validates a saved report; it is the one
+reader behind ``python -m repro.obs report`` (CI runs it) and
+:func:`repro.api.load_report`::
 
-    python -m repro.obs.report metrics_report.json            # schema check
-    python -m repro.obs.report metrics_report.json --summary  # + table
+    python -m repro.obs report metrics_report.json            # schema check
+    python -m repro.obs report metrics_report.json --summary  # + table
 """
 
 from __future__ import annotations
@@ -137,6 +114,7 @@ __all__ = [
     "cache_summary",
     "resilience_summary",
     "phases_summary",
+    "read_report",
     "validate_report",
     "format_record",
     "format_suite_summary",
@@ -155,7 +133,6 @@ def outcome_record(
     claim: str,
     *,
     default_seed: Optional[int] = None,
-    trace_file: Optional[str] = None,
 ) -> Dict[str, Any]:
     """The canonical per-experiment record for an ``ExperimentOutcome``.
 
@@ -194,7 +171,6 @@ def outcome_record(
         "histograms": {name: dict(export) for name, export in histograms.items()},
         "table": None if report is None else report.table,
         "error": getattr(outcome, "error", None),
-        "trace_file": trace_file,
     }
 
 
@@ -207,9 +183,7 @@ def build_report(
     cache: Optional[Dict[str, Any]] = None,
     backend: Optional[Dict[str, Any]] = None,
     resilience: Optional[Dict[str, Any]] = None,
-    trace: Optional[Dict[str, Any]] = None,
     phases: Optional[Dict[str, Any]] = None,
-    analysis: Optional[Dict[str, Any]] = None,
     config: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Wrap per-experiment records into a schema-valid run report.
@@ -234,8 +208,8 @@ def build_report(
         ),
     }
     blocks = {
-        "cache": cache, "backend": backend, "resilience": resilience, "trace": trace,
-        "phases": phases, "analysis": analysis, "config": config,
+        "cache": cache, "backend": backend, "resilience": resilience,
+        "phases": phases, "config": config,
     }
     summary.update((name, block) for name, block in blocks.items() if block is not None)
     payload = {
@@ -393,7 +367,6 @@ _RECORD = _obj({
     "histograms": _obj(values=_HISTOGRAM),
     "table": _val(str, null=True),
     "error": _val(str, null=True),
-    "trace_file": _val(str, null=True),
 })
 
 _SUMMARY = _obj({
@@ -416,42 +389,9 @@ _SUMMARY = _obj({
         "chunk_deadline_s": _val(int, float, gt=0, null=True, optional=True),
         "counters": _COUNTERS,
     }, optional=True),
-    "trace": _obj({
-        "events": _COUNT,
-        "files": _val(list, items=_STR, optional=True),
-        "processes": _val(list, items=_obj({
-            "pid": _INT,
-            "name": _val(str, null=True, optional=True),
-            "spans": _COUNT,
-            "instants": _COUNT,
-            "busy_us": _AMOUNT,
-            "idle_us": _AMOUNT,
-            "wall_us": _AMOUNT,
-        })),
-        "slowest_spans": _val(list, items=_obj({
-            "name": _STR, "pid": _INT, "dur_us": _AMOUNT,
-        })),
-    }, optional=True),
     "phases": _obj(
         values=_obj(values=_obj({"calls": _COUNT, "s": _AMOUNT})), optional=True
     ),
-    "analysis": _obj({
-        "critical_path": _obj({
-            "wall_us": _AMOUNT,
-            "steps": _val(list, items=_obj({
-                "name": _STR, "pid": _INT, "start_us": _NUM, "dur_us": _NUM,
-            })),
-        }),
-        "lanes": _val(list, items=_obj({
-            "pid": _INT,
-            "chunks": _COUNT,
-            "skew": _AMOUNT,
-            "utilization": _AMOUNT,
-            "idle_gaps": _obj(),
-            "straggler": _BOOL,
-        })),
-        "stragglers": _val(list),
-    }, optional=True),
     "config": _obj(values=_val(str, int, float, bool, null=True), optional=True),
 })
 
@@ -499,6 +439,18 @@ def _check(spec: _Spec, value: Any, path: str) -> None:
     if spec.items is not None:
         for index, item in enumerate(value):
             _check(spec.items, item, f"{path}[{index}]")
+
+
+def read_report(path: str) -> Dict[str, Any]:
+    """Read and validate a ``--metrics-out`` report file.
+
+    Raises :class:`ReportSchemaError` for schema violations and
+    ``OSError`` / ``json.JSONDecodeError`` for unreadable files; callers
+    that just want "valid or not" catch ``ValueError`` plus ``OSError``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    validate_report(payload)
+    return payload
 
 
 def validate_report(payload: Any) -> None:
@@ -611,12 +563,6 @@ def format_summary_table(payload: Dict[str, Any]) -> str:
     if histogram_lines:
         lines.append("histograms (nearest-rank over captured samples):")
         lines.extend(histogram_lines)
-    if "trace" in summary:
-        trace = summary["trace"]
-        lines.append(
-            f"trace: {trace.get('events')} events across "
-            f"{len(trace.get('processes', []))} process lane(s)"
-        )
     if summary.get("phases"):
         lines.append("phases (inclusive seconds/calls; nested phases overlap):")
         for experiment, timed in summary["phases"].items():
@@ -626,15 +572,6 @@ def format_summary_table(payload: Dict[str, Any]) -> str:
                 for phase, totals in ranked[:_TOP_PHASES]
             )
             lines.append(f"  {experiment}: {rendered or '-'}")
-    if "analysis" in summary:
-        steps = summary["analysis"].get("critical_path", {}).get("steps", [])
-        if steps:
-            lines.append(
-                "critical path: "
-                + " -> ".join(
-                    f"{step['name']} ({step['dur_us'] / 1000.0:.1f}ms)" for step in steps
-                )
-            )
     lines.append(
         f"{summary['passed']}/{summary['total']} passed, "
         f"wall time {summary['wall_time_s']:.2f}s"
@@ -643,11 +580,13 @@ def format_summary_table(payload: Dict[str, Any]) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI: validate a report file (exit 1 on schema violation)."""
+    """``python -m repro.obs report FILE [--summary]``: validate a report
+    file (exit 1 when it is missing or invalid)."""
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Validate (and optionally summarize) a repro run report."
+        prog="python -m repro.obs report",
+        description="Validate (and optionally summarize) a repro run report.",
     )
     parser.add_argument("report", help="path to a --metrics-out JSON file")
     parser.add_argument(
@@ -655,10 +594,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        with open(args.report, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        validate_report(payload)
-    except (OSError, json.JSONDecodeError, ReportSchemaError) as exc:
+        payload = read_report(args.report)
+    except (OSError, ValueError) as exc:
         print(f"invalid report {args.report}: {exc}")
         return 1
     summary = payload["summary"]
@@ -670,8 +607,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(format_summary_table(payload))
     return 0
 
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

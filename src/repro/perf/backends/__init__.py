@@ -75,46 +75,31 @@ class ChunkOutcome:
     """The one format of a chunk's result, from the process that computed
     it to :func:`repro.perf.parallel.parallel_map`, which alone merges it.
 
-    A worker's forked chunk child pickles it whole, the worker forwards it
-    unopened as ``("ok", outcome)``, and the client only stamps it
-    (:meth:`stamp`) with the facts the executor cannot know.  ``results`` holds
+    A worker's forked chunk child pickles it whole and the worker forwards
+    it unopened as ``("ok", outcome)``.  ``results`` holds
     ``(index, error_traceback_or_None, value)`` per item, or ``None`` when
-    the chunk was **lost** (its executor died without reporting) —
+    the chunk was **lost** (its executor died without reporting, or
+    supervision quarantined it as a poison chunk; ``detail`` says which) —
     ``parallel_map`` then recomputes the chunk in the caller.  ``metrics``
     is the executor's :func:`repro.obs.metrics.snapshot` delta (phase
-    timers included) and ``trace`` its span payload
-    (:func:`repro.obs.distributed.chunk_payload`); each is ``None``
-    when the work ran in the caller's own process, when that recording is
-    off, or when the chunk was lost.  Payloads are atomic: a lost chunk
+    timers included); it is ``None`` when the work ran in the caller's own
+    process, or when the chunk was lost.  Payloads are atomic: a lost chunk
     contributed *nothing*, so the caller-side recompute can never
-    double-count.  ``quarantined`` marks the lost case where supervision
-    ejected a **poison chunk** (one that killed several distinct workers).
+    double-count.
     """
 
     results: Optional[List[Tuple[int, Optional[str], Any]]]
     metrics: Optional[Dict[str, Any]] = None
     detail: Optional[str] = None
-    trace: Optional[Dict[str, Any]] = None
-    quarantined: bool = False
 
     @property
     def lost(self) -> bool:
         return self.results is None
 
-    def stamp(self, lane: str, recv_ns: int) -> "ChunkOutcome":
-        """Record the transport facts and return ``self``: the caller's
-        ``recv_ns`` receive stamp, which aligns the trace's clock (see
-        :mod:`repro.obs.distributed`), and the ``lane`` of the trace (a
-        worker's address is known only to the caller)."""
-        if self.trace is not None:
-            self.trace["recv_ns"] = recv_ns
-            self.trace["lane"] = lane
-        return self
-
     def covers(self, chunk: Chunk) -> bool:
         """True when this well-formed outcome answers ``chunk``: ``results``
         are ``(index, error, value)`` triples for exactly its indices, in
-        order, and the payloads are dicts or ``None``.  A socket client
+        order, and the metrics are a dict or ``None``.  A socket client
         accepts an ``ok`` reply only when this holds."""
         if not isinstance(self.results, list):
             return False
@@ -126,9 +111,8 @@ class ChunkOutcome:
             else None
             for entry in self.results
         ]
-        return indices == [index for index, _item in chunk] and all(
-            part is None or isinstance(part, dict)
-            for part in (self.metrics, self.trace)
+        return indices == [index for index, _item in chunk] and (
+            self.metrics is None or isinstance(self.metrics, dict)
         )
 
 

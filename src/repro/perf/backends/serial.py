@@ -12,7 +12,6 @@ from __future__ import annotations
 import traceback
 from typing import Any, Callable, List, Sequence
 
-from repro.obs import trace as _trace
 from repro.perf.backends import Chunk, ChunkOutcome, ExecutionBackend, register_backend
 
 __all__ = ["SerialBackend"]
@@ -37,14 +36,11 @@ class SerialBackend(ExecutionBackend):
         outcomes: List[ChunkOutcome] = []
         for chunk in chunks:
             results = []
-            # Spans land directly in the caller's tracer (no payload needed);
-            # the chunk span keeps serial traces shaped like remote ones.
-            with _trace.span("backend.chunk", lane="serial", items=len(chunk)):
-                for index, item in chunk:
-                    try:
-                        results.append((index, None, fn(item)))
-                    except Exception:  # noqa: BLE001 - shipped like a remote traceback
-                        results.append((index, traceback.format_exc(), None))
+            for index, item in chunk:
+                try:
+                    results.append((index, None, fn(item)))
+                except Exception:  # noqa: BLE001 - shipped like a remote traceback
+                    results.append((index, traceback.format_exc(), None))
             # metrics=None: the work already counted in the caller's registry.
             outcomes.append(ChunkOutcome(results=results, metrics=None))
         return outcomes

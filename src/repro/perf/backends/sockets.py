@@ -11,28 +11,18 @@ the pool.  The wire protocol is deliberately small:
 * **framing** — every message is an 8-byte big-endian length followed by a
   pickle of a tuple; requests are ``("ping",)`` and
   ``("run", fn_blob, chunk_blob, ctx)``.  ``ctx`` carries the caller's run
-  settings for that one chunk: ``cache`` (the cache switch), ``trace``
-  (whether to record spans), ``job`` (the
+  settings for that one chunk: ``cache`` (the cache switch), ``job`` (the
   correlation id, when one is set — see :mod:`repro.obs.log`) and
   ``heartbeat_s`` (the heartbeat cadence).  Replies are
   ``("pong", info)``, ``("ok", outcome)``, ``("lost", detail)``,
   ``("fatal", traceback)`` and ``("hb", seq)`` liveness frames interleaved
   while a chunk runs.  ``outcome`` is the
   :class:`~repro.perf.backends.ChunkOutcome` the worker's chunk child
-  pickled, forwarded unopened: results, metrics snapshot (phase timers
-  included) and trace payload ride in one frame, so a chunk's spans are
-  exactly as atomic as its results and metrics.  The client
-  accepts an ``ok`` only when the outcome :meth:`covers
-  <repro.perf.backends.ChunkOutcome.covers>` the chunk it sent; any other
-  reply is a protocol violation;
-* **stamping** — the client adds only what the worker cannot know: the
-  lane (``worker host:port``) and its receive time.  A worker's monotonic
-  clock is unrelated to the caller's, so the caller stamps its own clock
-  the moment the reply frame arrives (``recv_ns``); the merger
-  (:func:`repro.obs.distributed.absorb_chunk_trace`) then offsets worker
-  timestamps by ``recv_ns - now_ns``, accurate to one reply-transport
-  latency (each chunk has a dedicated receive thread, so the stamp is
-  prompt);
+  pickled, forwarded unopened: results and metrics snapshot (phase timers
+  included) ride in one frame, so a chunk's metrics are exactly as atomic
+  as its results.  The client accepts an ``ok`` only when the outcome
+  :meth:`covers <repro.perf.backends.ChunkOutcome.covers>` the chunk it
+  sent; any other reply is a protocol violation;
 * **handshake** — on connect the client pings and verifies the worker's
   protocol version (exactly :data:`PROTOCOL_VERSION`) and Python
   ``major.minor`` (marshal'd code objects are
@@ -85,7 +75,6 @@ import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import log as _obs_log
-from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
 from repro.perf import cache as _perf_cache
 from repro.perf import pickling
@@ -110,7 +99,7 @@ __all__ = [
     "worker_info",
 ]
 
-PROTOCOL_VERSION = 4  # v4: ("ok", ChunkOutcome) reply frames
+PROTOCOL_VERSION = 5  # v5: ChunkOutcome and the run frame carry no trace
 
 #: A frame longer than this is treated as garbage, not allocated.
 MAX_FRAME_BYTES = 1 << 30
@@ -350,11 +339,6 @@ class SocketBackend(ExecutionBackend):
         )
         if opened:
             _BREAKER_OPENS.inc()
-            _trace.instant(
-                "supervise.breaker_open",
-                worker="{}:{}".format(*conn.address),
-                failures=conn.breaker.failures,
-            )
             self._log.record(
                 "breaker_open",
                 worker=self._worker_key(conn),
@@ -368,9 +352,6 @@ class SocketBackend(ExecutionBackend):
             sock = socket.create_connection(conn.address, timeout=timeout)
         except OSError:
             _DEAD.inc()
-            _trace.instant(
-                "backend.worker_dead", worker="{}:{}".format(*conn.address), at="connect"
-            )
             self._note_failure(conn, at="connect")
             return False
         try:
@@ -380,9 +361,6 @@ class SocketBackend(ExecutionBackend):
         except (OSError, EOFError, FrameError):
             sock.close()
             _DEAD.inc()
-            _trace.instant(
-                "backend.worker_dead", worker="{}:{}".format(*conn.address), at="handshake"
-            )
             self._note_failure(conn, at="handshake")
             return False
         match reply:
@@ -421,9 +399,6 @@ class SocketBackend(ExecutionBackend):
             if conn.alive:
                 conn.alive = False
                 _DEAD.inc()
-                _trace.instant(
-                    "backend.worker_dead", worker="{}:{}".format(*conn.address), at=at
-                )
                 self._note_failure(conn, at=at)
             if conn.sock is not None:
                 # shutdown() before close(): close alone neither wakes a
@@ -491,15 +466,12 @@ class SocketBackend(ExecutionBackend):
                     revived = self._connect_one(conn, timeout)
                 if revived:
                     _RECONNECTS.inc()
-                    _trace.instant(
-                        "supervise.reconnect", worker="{}:{}".format(*conn.address)
-                    )
         with self._pool_lock:
             return any(c.alive for c in self._connections)
 
     # -- the submission path ---------------------------------------------------
 
-    def _receive_reply(self, conn: _WorkerConnection) -> Tuple[Any, int]:
+    def _receive_reply(self, conn: _WorkerConnection) -> Any:
         """Read frames until a non-heartbeat reply arrives, under both the
         per-frame silence window and the total chunk deadline."""
         deadline = self._policy.chunk_deadline_s
@@ -517,7 +489,6 @@ class SocketBackend(ExecutionBackend):
             conn.sock.settimeout(timeout)
             try:
                 reply = recv_frame(conn.sock)
-                recv_ns = time.perf_counter_ns()  # clock-alignment stamp
             except socket.timeout:
                 if timeout == frame_timeout and (deadline is None or timeout < deadline):
                     raise _DeadlineExceeded(
@@ -529,7 +500,7 @@ class SocketBackend(ExecutionBackend):
             if isinstance(reply, tuple) and reply and reply[0] == "hb":
                 _HEARTBEATS.inc()
                 continue
-            return reply, recv_ns
+            return reply
 
     def _run_ctx(self) -> Dict[str, Any]:
         """This process's run settings, shipped with every chunk.
@@ -540,7 +511,6 @@ class SocketBackend(ExecutionBackend):
         them only in the chunk's forked child."""
         ctx: Dict[str, Any] = {
             "cache": _perf_cache.cache_enabled(),
-            "trace": _trace.TRACER.enabled,
             "heartbeat_s": self._policy.heartbeat_s,
         }
         job = _obs_log.correlation()
@@ -551,9 +521,6 @@ class SocketBackend(ExecutionBackend):
     def _quarantine(self, chunk_index: int, killers: List[Tuple[str, int]]) -> ChunkOutcome:
         _QUARANTINED.inc()
         workers = sorted({"{}:{}".format(*address) for address in killers})
-        _trace.instant(
-            "supervise.quarantine", chunk=chunk_index, workers=", ".join(workers)
-        )
         self._log.record("quarantine", chunk=chunk_index, killed=len(killers))
         return ChunkOutcome(
             results=None,
@@ -561,7 +528,6 @@ class SocketBackend(ExecutionBackend):
                 f"poison chunk quarantined after {len(killers)} failed "
                 f"attempts ({', '.join(workers)})"
             ),
-            quarantined=True,
         )
 
     def _run_chunk(self, fn_blob: bytes, chunk: Chunk, chunk_index: int) -> ChunkOutcome:
@@ -582,15 +548,9 @@ class SocketBackend(ExecutionBackend):
                         continue  # died while we waited for the round-trip lock
                     sock.settimeout(self._policy.connect_timeout_s)  # bound the send
                     send_frame(sock, ("run", fn_blob, chunk_blob, ctx))
-                    reply, recv_ns = self._receive_reply(conn)
-            except _DeadlineExceeded as exc:
+                    reply = self._receive_reply(conn)
+            except _DeadlineExceeded:
                 _DEADLINE_MISSES.inc()
-                _trace.instant(
-                    "supervise.heartbeat_miss",
-                    chunk=chunk_index,
-                    worker="{}:{}".format(*conn.address),
-                    detail=str(exc),
-                )
                 why = "deadline"
             except FrameError:
                 why = "garbage"
@@ -599,7 +559,7 @@ class SocketBackend(ExecutionBackend):
             else:
                 match reply:
                     case ("ok", ChunkOutcome() as outcome) if outcome.covers(chunk):
-                        return outcome.stamp("worker {}:{}".format(*conn.address), recv_ns)
+                        return outcome
                     case ("lost" | "fatal", detail):
                         # The worker's chunk child died, or the worker could
                         # not load the chunk: parallel_map recomputes it here.
@@ -614,9 +574,6 @@ class SocketBackend(ExecutionBackend):
             killers.append(conn.address)
             self._mark_dead(conn, at=why)
             _RETRIES.inc()
-            _trace.instant(
-                "backend.retry", chunk=chunk_index, worker="{}:{}".format(*conn.address), why=why
-            )
             self._log.record("retry", worker=self._worker_key(conn), chunk=chunk_index, why=why)
             # A chunk that keeps failing is poison: quarantine it instead of
             # feeding it the rest of the pool, or redialing one endpoint

@@ -17,12 +17,6 @@ regardless of whether chunks ran in-process or on a TCP worker pool:
   :mod:`repro.obs.metrics` registry and ship per-chunk snapshots back with
   the results; the parent folds them in, in chunk order, so per-experiment
   counters survive the fan-out.
-* **Span collection** — with tracing on, executors buffer their spans and
-  ship them in the same atomic payload; the caller clock-aligns them into
-  its own tracer as named per-worker process lanes
-  (:mod:`repro.obs.distributed`) and marks dispatch/retry/fallback/death
-  with instant events.  Tracing is off by default with a near-free
-  disabled path.
 * **Degradation, not failure** — a resolved parallelism of 1 on a local
   backend (the serial spec) runs the plain comprehension in the caller.  A
   chunk whose executor died without reporting (hard crash, dead
@@ -46,9 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, List, Tuple, Union
 
-from repro.obs import distributed as _distributed
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
 from repro.perf import pickling
 from repro.perf.backends import (
@@ -109,24 +101,18 @@ def parallel_map(
         _ITEMS.inc(len(work))
         indexed = list(enumerate(work))
         chunks = [indexed[w::count] for w in range(count)]
-        _trace.instant(
-            "parallel.dispatch", backend=resolved.spec, chunks=len(chunks), items=len(work)
-        )
-        with _trace.span(
-            "parallel.map", backend=resolved.spec, chunks=len(chunks), items=len(work)
-        ):
-            outcomes = resolved.submit_chunks(fn, chunks)
+        outcomes = resolved.submit_chunks(fn, chunks)
     finally:
         if owned:
             resolved.close()
 
     results: List[Any] = [None] * len(work)
     failures: List[Tuple[int, str]] = []
-    for chunk_index, (chunk, outcome) in enumerate(zip(chunks, outcomes)):
+    for chunk, outcome in zip(chunks, outcomes):
         if outcome.lost:
             # The executor died without reporting (or supervision
             # quarantined a poison chunk): recompute the chunk here.  Its
-            # payload (results + metrics + spans) is atomic and never
+            # payload (results + metrics) is atomic and never
             # arrived, so merging nothing and recomputing counts each
             # item's work exactly once.  The recompute runs on pickled
             # copies of the function and of the items, shipped apart as the
@@ -134,21 +120,14 @@ def parallel_map(
             # transition memos and even the hit/miss split is the one the
             # executor would have reported.
             _FALLBACKS.inc()
-            _trace.instant(
-                "parallel.chunk_quarantined" if outcome.quarantined else "parallel.chunk_fallback",
-                chunk=chunk_index,
-                detail=outcome.detail,
-            )
             cold_fn = pickling.loads(pickling.dumps(fn))
             cold_chunk = pickling.loads(pickling.dumps(list(chunk)))
             for index, item in cold_chunk:
                 results[index] = cold_fn(item)
             continue
-        # The one merge of a chunk outcome: metrics (phase timers included),
-        # then spans.
+        # The one merge of a chunk outcome: its metrics, phase timers included.
         if outcome.metrics is not None:
             _metrics.merge_snapshot(outcome.metrics)
-        _distributed.absorb_chunk_trace(outcome.trace)
         for index, error, value in outcome.results:
             if error is not None:
                 failures.append((index, error))

@@ -34,10 +34,9 @@ Supervision is unconditional: every socket and pool backend runs under
 it, and a static ``socket:`` list differs from ``pool:N`` only in that
 it cannot respawn the workers it dials.
 
-Counters live under ``perf.supervise.*``; trace instants are
-``supervise.heartbeat_miss``, ``supervise.breaker_open``,
-``supervise.respawn``, ``supervise.reconnect`` and ``supervise.quarantine``
-(see ``docs/resilience.md`` for the full failure-mode table).
+Counters live under ``perf.supervise.*``, and every retry, backoff,
+breaker opening, respawn and quarantine is a :class:`SupervisionLog`
+record (see ``docs/resilience.md`` for the full failure-mode table).
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import log as _obs_log
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.obs.metrics import counter as _counter
 from repro.perf.backends import BackendSpecError, register_backend
 from repro.perf.backends.sockets import SocketBackend, _WorkerConnection
@@ -338,9 +336,9 @@ def _become_worker(announce_fd: int, log_fd: Optional[int]) -> None:
     """Body of a forked pool worker; never returns.
 
     Drops what a fresh interpreter would not have (the caller's descriptors,
-    stdio objects, signal handlers, metrics, trace buffer and
-    correlation), reopens the caller's log sink by path (its descriptor is
-    released with the rest), re-resolves the run settings
+    stdio objects, signal handlers, metrics and correlation), reopens the
+    caller's log sink by path (its descriptor is released with the rest),
+    re-resolves the run settings
     (:func:`repro.perf.worker.settle`), announces the bound address on
     ``announce_fd`` (its stdout) and serves until killed.
     """
@@ -367,7 +365,6 @@ def _become_worker(announce_fd: int, log_fd: Optional[int]) -> None:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.default_int_handler)
         _metrics.reset()
-        _trace.TRACER.clear()
         _obs_log.set_correlation(None)
         with contextlib.suppress(OSError, ValueError):  # a sink never stops a worker
             _obs_log.configure(log_path)
@@ -581,9 +578,6 @@ class LocalPoolBackend(SocketBackend):
         conn.address = address
         conn.breaker.record_success()  # a fresh process starts with a clean slate
         _RESPAWNS.inc()
-        _trace.instant(
-            "supervise.respawn", slot=conn.index, worker="{}:{}".format(*address)
-        )
         self.supervision_log.record(
             "respawn", slot=conn.index, respawn=self._respawns_by_slot[conn.index]
         )

@@ -49,10 +49,8 @@ from dataclasses import replace
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.config import ConfigError, resolve_config
-from repro.obs import distributed as _distributed
 from repro.obs import log as _obs_log
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.perf import cache as _perf_cache
 from repro.perf import pickling
 from repro.perf.backends import Chunk, ChunkOutcome
@@ -78,14 +76,11 @@ _LEN = struct.Struct(">Q")
 
 def _install_run_settings(ctx: Mapping[str, Any]) -> None:
     """Install a run frame's settings (see :mod:`repro.perf.backends.sockets`)
-    in this chunk child.  ``trace`` only switches recording on: a worker
-    started with its own tracing keeps tracing."""
+    in this chunk child."""
     if ctx.get("job") is not None:
         _obs_log.set_correlation(ctx["job"])
     if "cache" in ctx:
         _perf_cache.configure(enabled=ctx["cache"])
-    if ctx.get("trace"):
-        _trace.TRACER.enable()
 
 
 def _chunk_child(
@@ -96,15 +91,13 @@ def _chunk_child(
 
     Runs under ``os._exit`` discipline — no atexit hooks, no parent test
     harness teardown.  The caller's settings come from the run frame's
-    ``ctx``.  The inherited metrics registry is zeroed and the inherited
-    span buffer cleared so the shipped payloads are exactly this child's
-    contribution.
+    ``ctx``.  The inherited metrics registry is zeroed so the shipped
+    metrics are exactly this child's contribution.
     """
     exit_code = 0
     try:
         _install_run_settings(ctx)
         _metrics.reset()
-        _trace.TRACER.clear()  # buffered worker events are not this chunk's work
         # Chaos hook (tests/CI only): REPRO_CHAOS_FORK arms seeded mid-chunk
         # kill/hang/delay faults so the supervision layer's lost-chunk and
         # deadline paths can be driven deterministically.  Unset, this is
@@ -113,25 +106,14 @@ def _chunk_child(
 
         fault_plan = _chaos.fork_fault_plan(chunk)
         results: List[Tuple[int, Optional[str], Any]] = []
-        with _trace.span("backend.chunk", lane="worker", items=len(chunk)):
-            for position, (index, item) in enumerate(chunk):
-                if fault_plan is not None and position == fault_plan["at_item"]:
-                    _chaos.apply_fork_fault(fault_plan)  # kill/hang never return
-                item_span = (
-                    _trace.TRACER.span("backend.item", index=index)
-                    if _trace.TRACER.enabled
-                    else _trace.NULL_SPAN
-                )
-                try:
-                    with item_span:
-                        results.append((index, None, fn(item)))
-                except BaseException:  # noqa: BLE001 - shipped to the client verbatim
-                    results.append((index, traceback.format_exc(), None))
-        outcome = ChunkOutcome(
-            results=results,
-            metrics=_metrics.snapshot(),
-            trace=_distributed.chunk_payload("worker"),
-        )
+        for position, (index, item) in enumerate(chunk):
+            if fault_plan is not None and position == fault_plan["at_item"]:
+                _chaos.apply_fork_fault(fault_plan)  # kill/hang never return
+            try:
+                results.append((index, None, fn(item)))
+            except BaseException:  # noqa: BLE001 - shipped to the client verbatim
+                results.append((index, traceback.format_exc(), None))
+        outcome = ChunkOutcome(results=results, metrics=_metrics.snapshot())
         payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
         with open(write_fd, "wb") as pipe:
             pipe.write(_LEN.pack(len(payload)) + payload)
@@ -146,11 +128,10 @@ def run_chunk_in_fork(
 ) -> Optional[ChunkOutcome]:
     """Execute one chunk in a fresh forked child.
 
-    Returns the child's :class:`ChunkOutcome` — results, metrics snapshot
-    and trace payload, exactly as the child built them —
-    or ``None`` when the child died without reporting.  ``ctx`` holds run
-    settings to install in the child only.  The outcome is not stamped:
-    the client that receives it stamps the lane and its receive time.
+    Returns the child's :class:`ChunkOutcome` — results and metrics
+    snapshot, exactly as the child built them — or ``None`` when the child
+    died without reporting.  ``ctx`` holds run settings to install in the
+    child only.
     """
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -241,17 +222,15 @@ def _handle_run(
     _locked_send(conn, send_lock, ("ok", outcome))
     failed = sum(1 for _index, error, _value in outcome.results if error is not None)
     status = "ok" if not failed else f"ok with {failed} item error(s)"
-    traced = ", traced" if outcome.trace is not None else ""
     _WORKER_LOG.info(
         "worker.chunk",
         job=job,
         items=len(chunk),
         failed=failed or None,
         elapsed_s=round(elapsed, 3),
-        traced=True if outcome.trace is not None else None,
         heartbeats=beats or None,
     )
-    return f"{status} ({len(chunk)} items, {elapsed:.2f}s{traced}{beaten})"
+    return f"{status} ({len(chunk)} items, {elapsed:.2f}s{beaten})"
 
 
 def _serve_connection(conn: socket.socket, peer: Tuple[str, int]) -> None:

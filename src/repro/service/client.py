@@ -13,7 +13,6 @@ The module doubles as a tiny CLI for scripting and CI smoke tests::
     python -m repro.service.client --url ... status job-1-abc123
     python -m repro.service.client --url ... report job-1-abc123 --out report.json
     python -m repro.service.client --url ... metrics            # Prometheus text
-    python -m repro.service.client --url ... trace job-1-abc123 --out job.trace.json
 """
 
 from __future__ import annotations
@@ -95,10 +94,6 @@ class ServiceClient:
                 return response.read().decode("utf-8")
         except urllib.error.HTTPError as exc:
             raise ServiceClientError(exc.code, {"error": str(exc)}) from None
-
-    def trace(self, job_id: str) -> Dict[str, Any]:
-        """A finished traced job's merged Chrome trace (409/404 otherwise)."""
-        return self._request("GET", f"/jobs/{job_id}/trace")
 
     def submit(
         self,
@@ -204,10 +199,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     report.add_argument("job_id")
     report.add_argument("--out", default=None, help="write the report JSON here")
 
-    trace = sub.add_parser("trace", help="fetch a traced job's merged trace")
-    trace.add_argument("job_id")
-    trace.add_argument("--out", default=None, help="write the Chrome trace JSON here")
-
     cancel = sub.add_parser("cancel", help="cancel a queued job")
     cancel.add_argument("job_id")
 
@@ -255,17 +246,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"report written to {args.out}")
             else:
                 print(json.dumps(payload, indent=1))
-        elif args.command == "trace":
-            payload = client.trace(args.job_id)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle)
-                print(
-                    f"trace ({len(payload.get('traceEvents', []))} events) "
-                    f"written to {args.out}"
-                )
-            else:
-                print(json.dumps(payload))
         elif args.command == "cancel":
             job = client.cancel(args.job_id)
             print(f"{job['id']}: {job['state']}")

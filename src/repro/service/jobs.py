@@ -92,8 +92,6 @@ class Job:
     followers: List[str] = field(default_factory=list)
     #: job id whose finished report this job was served from (reuse)
     served_from: Optional[str] = None
-    #: directory the job's per-experiment trace files landed in (traced jobs)
-    trace_dir: Optional[str] = None
     #: monotonically numbered lifecycle/progress events (SSE source)
     events: List[Dict[str, Any]] = field(default_factory=list)
 

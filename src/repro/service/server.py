@@ -17,7 +17,7 @@ One :class:`JobService` owns four things:
   still completes,
 * a single **dispatcher thread** executing queued jobs strictly one at a
   time.  :meth:`repro.api.RunConfig.apply` sets this process's subsystem
-  switches (cache, store, backend, tracer, ...), so two concurrently
+  switches (cache, store, backend, supervision policy), so two concurrently
   applied configs would race; within one job, ``parallel``/backend
   fan-out still provides the concurrency.  Each job's config is resolved
   at submission from its own fields plus the service's start-up
@@ -42,7 +42,6 @@ The HTTP surface is versioned under ``/v1`` (JSON in/out; see
     GET    /v1/jobs[?tenant=]          list job snapshots
     GET    /v1/jobs/<id>               one job snapshot
     GET    /v1/jobs/<id>/report        the run report (409 until done)
-    GET    /v1/jobs/<id>/trace         merged job trace (409/404; traced jobs)
     GET    /v1/jobs/<id>/events        Server-Sent Events progress stream
     POST   /v1/jobs/<id>/cancel        cancel a queued job (409 otherwise)
 
@@ -51,26 +50,22 @@ respawn is mirrored into the structured JSONL log (:mod:`repro.obs.log`,
 enabled by ``--log-dir``/``REPRO_LOG``).  The dispatcher brackets each
 execution with the job's correlation id, which forked experiment
 children inherit through memory and socket workers get in the run-frame
-ctx — so the per-lane trace payloads, the saved trace files, and
-every log record written anywhere in the tree carry the job id, and
-``GET /v1/jobs/<id>/trace`` can hand back one merged, attributable trace.
+ctx — so every log record written anywhere in the tree carries the job
+id.
 """
 
 from __future__ import annotations
 
-import glob
 import json
-import os
-import tempfile
 import threading
 import time
 import traceback
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro import api
-from repro.obs import distributed as obs_distributed
 from repro.obs import expo as obs_expo
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
@@ -382,28 +377,12 @@ class JobService:
         """Run one job's suite in this process (the dispatcher's body)."""
         self.ensure_workers()
         config = job.config
-        overrides: Dict[str, Any] = {}
         if config.backend is None:
             spec = self.pool_spec()
             if spec is not None:
                 # Resolved at execution time: respawned workers bind fresh
                 # ports, so admission-time specs could point at the dead.
-                overrides["backend"] = spec
-        if config.trace and config.trace_dir is None:
-            # Traced jobs get a per-job trace directory so the merged trace
-            # stays retrievable via GET /v1/jobs/<id>/trace.  Injected at
-            # execution time — like the backend — so it never perturbs the
-            # submission's content fingerprint (coalescing/reuse).
-            root = (
-                os.path.join(self.log_dir, "traces")
-                if self.log_dir
-                else os.path.join(tempfile.gettempdir(), "repro-service-traces")
-            )
-            job.trace_dir = os.path.join(root, job.id)
-            os.makedirs(job.trace_dir, exist_ok=True)
-            overrides["trace_dir"] = job.trace_dir
-        if overrides:
-            config = api.RunConfig(**{**config.describe(), **overrides})
+                config = replace(config, backend=spec)
 
         def on_record(
             experiment_id: str, record: Dict[str, Any], done: int, total: int
@@ -415,7 +394,7 @@ class JobService:
 
         obs_metrics.counter("service.jobs.started").inc()
         # The correlation bracket: from here until the finally, every log
-        # record, trace lane and chunk payload produced anywhere in this
+        # record and chunk payload produced anywhere in this
         # job's process tree carries job.id (fork children inherit it
         # through memory, workers get it via the run-frame ctx).
         obs_log.set_correlation(job.id)
@@ -425,7 +404,6 @@ class JobService:
             tenant=job.tenant,
             backend=config.backend,
             experiments=len(job.experiments),
-            trace_dir=job.trace_dir,
         )
         try:
             result = api.run_suite(
@@ -508,41 +486,6 @@ class JobService:
     def metrics_text(self) -> str:
         """Prometheus text exposition of :meth:`metrics_snapshot`."""
         return obs_expo.render(self.metrics_snapshot())
-
-    def job_trace(self, job: Job) -> Dict[str, Any]:
-        """The merged Chrome trace behind ``GET /v1/jobs/<id>/trace``.
-
-        409 while the job is still queued/running, 404 when it was not
-        traced.  Followers and reuse-served jobs resolve through the job
-        that actually executed.  Every ``process_name`` lane in the merged
-        payload (and the payload itself) is stamped with the requested
-        job's id — the correlation contract the analyze tooling and tests
-        lean on."""
-        if job.state not in TERMINAL_STATES:
-            raise ServiceError(
-                409, f"job {job.id} has no trace yet (state: {job.state})",
-                state=job.state,
-            )
-        trace_dir = job.trace_dir
-        if trace_dir is None and job.served_from is not None:
-            source = self.registry.get(job.served_from)
-            if source is not None:
-                trace_dir = source.trace_dir
-        files = sorted(glob.glob(os.path.join(trace_dir, "*.trace.json"))) if trace_dir else []
-        if not files:
-            raise ServiceError(
-                404,
-                f"job {job.id} was not traced "
-                '(submit with config {"trace": true})',
-            )
-        merged = obs_distributed.merge_trace_files(files)
-        merged["job"] = job.id
-        for event in merged["traceEvents"]:
-            if event.get("ph") == "M" and event.get("name") == "process_name":
-                args = dict(event.get("args") or {})
-                args["job"] = job.id
-                event["args"] = args
-        return merged
 
 
 # -- the HTTP layer --------------------------------------------------------------
@@ -669,8 +612,6 @@ class _Handler(BaseHTTPRequestHandler):
                     state=job.state,
                 )
             self._send_json(200, {"job": job.id, "report": job.report})
-        elif method == "GET" and len(parts) == 3 and parts[:1] == ["jobs"] and parts[2] == "trace":
-            self._send_json(200, self.service.job_trace(self._job_or_404(parts[1])))
         elif method == "GET" and len(parts) == 3 and parts[:1] == ["jobs"] and parts[2] == "events":
             self._stream_events(self._job_or_404(parts[1]))
         elif method == "POST" and len(parts) == 3 and parts[:1] == ["jobs"] and parts[2] == "cancel":

@@ -18,7 +18,7 @@ import pytest
 
 from repro.api import resolve_config
 from repro.obs import log as obs_log
-from repro.obs import metrics, trace
+from repro.obs import metrics
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -64,7 +64,6 @@ def spawn_worker():
 @pytest.fixture(autouse=True)
 def _clean_observability():
     metrics.reset()
-    trace.TRACER.clear()
     resolve_config().apply()
     # The structured log sink and the job correlation id are process-global;
     # start every test with both cleared so records/tags never leak across

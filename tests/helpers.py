@@ -129,10 +129,10 @@ def driver(name, actions):
 
 #: What differs between any two runs of one suite, dropped at every
 #: comparison: when and how the run was started, wall-clock times (the
-#: phase timers included), peak memory and trace file paths.
+#: phase timers included) and peak memory.
 RUN_REPORT_KEYS = ("created_unix", "argv")
 RUN_SUMMARY_KEYS = ("wall_time_s", "phases")
-RUN_RECORD_KEYS = ("elapsed_s", "peak_rss_bytes", "trace_file")
+RUN_RECORD_KEYS = ("elapsed_s", "peak_rss_bytes")
 
 
 def scrub_record(record, drop=()):

@@ -26,7 +26,6 @@ class TestResolverPrecedence:
         config = resolve_config(env={})
         assert config == RunConfig()
         assert config.cache == "on" and config.backend is None
-        assert not config.trace
 
     def test_env_gates_fill_unspecified_fields(self, tmp_path):
         env = {
@@ -34,13 +33,11 @@ class TestResolverPrecedence:
             "REPRO_CACHE_DIR": str(tmp_path / "store"),
             "REPRO_BACKEND": "pool:2",
             "REPRO_CHUNK_DEADLINE": "30",
-            "REPRO_TRACE": "on",
         }
         config = resolve_config(env=env)
         assert config.cache == "off"
         assert config.cache_dir == os.path.abspath(str(tmp_path / "store"))
         assert config.backend == "pool:2"
-        assert config.trace
         assert config.chunk_deadline == 30.0
 
     def test_explicit_overrides_beat_env(self, tmp_path):
@@ -48,12 +45,6 @@ class TestResolverPrecedence:
         config = resolve_config(env=env, cache="on", backend="serial")
         assert config.cache == "on"
         assert config.backend == "serial"
-
-    def test_switch_false_falls_through_to_env(self):
-        # A store_true flag the user did not pass must not force-disable
-        # a feature the environment asked for.
-        config = resolve_config(env={"REPRO_TRACE": "on"}, trace=False)
-        assert config.trace
 
     def test_backend_spec_is_canonicalized(self):
         config = resolve_config(env={}, backend=" Pool:2;deadline=30 ")
@@ -87,13 +78,12 @@ class TestResolverPrecedence:
 class TestRemovedProgressSwitch:
     """``progress`` is no longer a run setting, in any layer."""
 
-    def test_env_gates_are_the_five_remaining_switches(self):
+    def test_env_gates_are_the_four_remaining_switches(self):
         assert ENV_GATES == {
             "cache": "REPRO_CACHE",
             "cache_dir": "REPRO_CACHE_DIR",
             "backend": "REPRO_BACKEND",
             "chunk_deadline": "REPRO_CHUNK_DEADLINE",
-            "trace": "REPRO_TRACE",
         }
         assert set(ENV_GATES) <= {f.name for f in fields(RunConfig)}
 
@@ -107,6 +97,27 @@ class TestRemovedProgressSwitch:
     def test_progress_on_the_wire_is_unknown(self):
         with pytest.raises(ConfigError, match="unknown config field.*'progress'"):
             RunConfig.from_dict({"progress": False})
+
+
+class TestRemovedTraceSwitch:
+    """``trace`` and ``trace_dir`` are no longer run settings, in any layer."""
+
+    def test_stale_trace_env_is_inert(self):
+        assert resolve_config(env={"REPRO_TRACE": "1"}) == RunConfig()
+
+    @pytest.mark.parametrize("name, value", [("trace", True), ("trace_dir", "traces")])
+    def test_trace_override_is_unknown(self, name, value):
+        with pytest.raises(ConfigError, match=f"unknown config field.*'{name}'"):
+            resolve_config(env={}, **{name: value})
+
+    @pytest.mark.parametrize("name, value", [("trace", False), ("trace_dir", None)])
+    def test_trace_on_the_wire_is_unknown(self, name, value):
+        with pytest.raises(ConfigError, match=f"unknown config field.*'{name}'"):
+            RunConfig.from_dict({name: value})
+
+    def test_run_config_has_eleven_fields(self):
+        assert len(fields(RunConfig)) == 11
+        assert {"trace", "trace_dir"}.isdisjoint(RunConfig().describe())
 
 
 class TestRunConfigShape:
@@ -133,14 +144,13 @@ class TestRunConfigShape:
             RunConfig(seed="lucky")
 
     def test_apply_configures_subsystems_without_exporting(self, tmp_path):
-        from repro.obs import trace
         from repro.perf import backends, cache, store, supervise
 
         before = dict(os.environ)
         store_dir = str(tmp_path / "store")
         resolve_config(
             env={}, cache="off", cache_dir=store_dir, backend="pool:2",
-            seed=11, chunk_deadline=45.0, trace=True,
+            seed=11, chunk_deadline=45.0,
         ).apply()
         assert dict(os.environ) == before
         assert not cache.cache_enabled()
@@ -149,14 +159,12 @@ class TestRunConfigShape:
         policy = supervise.base_policy()
         assert policy.seed == 11
         assert policy.chunk_deadline_s == 45.0
-        assert trace.is_enabled()
         # A default config resets every switch it does not ask for, so
         # nothing from a previous apply survives.
         resolve_config(env={}).apply()
         assert cache.cache_enabled() and store.active_store() is None
         assert backends.current_spec() == "serial"
         assert supervise.base_policy() == supervise.SupervisionPolicy()
-        assert not trace.is_enabled()
 
     def test_run_suite_leaves_environment_untouched(self, tmp_path):
         before = dict(os.environ)
@@ -164,7 +172,7 @@ class TestRunConfigShape:
             full=True, timeout=120.0, retries=1, seed=5, isolated=True,
             keep_going=False, parallel=2, cache="stats",
             cache_dir=str(tmp_path / "store"), backend="pool:2",
-            chunk_deadline=30.0, trace=True, trace_dir=str(tmp_path / "traces"),
+            chunk_deadline=30.0,
         )
         assert set(settings) == {f.name for f in fields(RunConfig)}
         result = api.run_suite(["E9"], config=RunConfig(**settings))
@@ -241,6 +249,19 @@ class TestFacade:
         bad.write_text('{"schema": "nope"}')
         with pytest.raises(ReportSchemaError):
             api.load_report(str(bad))
+
+    def test_load_report_is_the_one_reader(self, tmp_path):
+        # The CLI reader and the facade share one read-and-validate
+        # function, with the facade's exception types.
+        from repro.obs import report
+
+        assert api.load_report is report.read_report
+        with pytest.raises(OSError):
+            api.load_report(str(tmp_path / "absent.json"))
+        torn = tmp_path / "torn.json"
+        torn.write_text('{"schema": ')
+        with pytest.raises(json.JSONDecodeError):
+            api.load_report(str(torn))
 
     def test_inline_run_leaves_no_cache_tables_behind(self):
         # The transition memo lives on its automaton, and each inline

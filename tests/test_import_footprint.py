@@ -112,17 +112,18 @@ OBS_PROBE = textwrap.dedent(
     import importlib.util
     import sys
 
-    for name in ("metrics", "trace", "report", "log", "procinfo"):
+    for name in ("metrics", "report", "log", "procinfo"):
         importlib.import_module(f"repro.obs.{name}")
     print("obs-loaded", *sorted(n for n in sys.modules if n.startswith("repro.")))
-    print("progress-spec", importlib.util.find_spec("repro.obs.progress"))
+    for name in ("progress", "trace", "distributed"):
+        print(f"{name}-spec", importlib.util.find_spec(f"repro.obs.{name}"))
     """
 )
 
 
 def test_obs_package_loads_only_the_submodules_asked_for():
     # ``repro.obs`` re-exports nothing, so importing a submodule loads that
-    # submodule alone: not distributed, analyze, expo or the rest.
+    # submodule alone: not analyze, expo or the rest.
     completed = subprocess.run(
         [sys.executable, "-c", OBS_PROBE],
         capture_output=True,
@@ -138,6 +139,37 @@ def test_obs_package_loads_only_the_submodules_asked_for():
         "repro.obs.metrics",
         "repro.obs.procinfo",
         "repro.obs.report",
-        "repro.obs.trace",
     ]
     assert lines["progress-spec"] == "None"
+    assert lines["trace-spec"] == "None"
+    assert lines["distributed-spec"] == "None"
+
+
+API_PROBE = textwrap.dedent(
+    """
+    import sys
+
+    import repro.api
+
+    print("api-modules", *sorted(
+        name for name in sys.modules if name == "repro" or name.startswith("repro.")
+    ))
+    """
+)
+
+
+def test_api_loads_no_tracer_module():
+    # The run path no longer records, ships, merges or reads spans: a fresh
+    # ``import repro.api`` loads 21 ``repro`` modules, none of the tracer's.
+    completed = subprocess.run(
+        [sys.executable, "-c", API_PROBE],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    lines = dict(line.partition(" ")[::2] for line in completed.stdout.splitlines())
+    loaded = lines["api-modules"].split()
+    assert not {"repro.obs.trace", "repro.obs.distributed", "repro.obs.analyze"} & set(loaded)
+    assert len(loaded) == 21, loaded

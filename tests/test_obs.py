@@ -1,20 +1,18 @@
 """Unit tests for the observability substrate (:mod:`repro.obs`).
 
-Covers the tentpole API surface: span nesting and timing monotonicity,
-disabled-mode no-op behaviour, in-place registry reset (test isolation is
-provided by the suite-wide autouse fixture in ``tests/conftest.py``), the
-run-report schema round-trip, and the benchmark trajectory merger.
+Covers in-place registry reset (test isolation is provided by the
+suite-wide autouse fixture in ``tests/conftest.py``), the run-report schema
+round-trip, and the benchmark trajectory merger.
 """
 
 import importlib.util
 import json
 import pathlib
-import time
 from types import SimpleNamespace
 
 import pytest
 
-from repro.obs import metrics, trace
+from repro.obs import metrics
 from repro.obs.procinfo import peak_rss_bytes
 from repro.obs.report import (
     REPORT_SCHEMA,
@@ -26,106 +24,6 @@ from repro.obs.report import (
     outcome_record,
     validate_report,
 )
-from repro.obs.trace import Tracer, span, traced
-
-
-class TestTracer:
-    def test_span_records_complete_event(self):
-        tracer = Tracer()
-        tracer.enable()
-        with tracer.span("work", kind="unit"):
-            time.sleep(0.001)
-        (event,) = tracer.events()
-        assert event["name"] == "work"
-        assert event["ph"] == "X"
-        assert event["args"]["kind"] == "unit"
-        assert event["dur"] >= 1000.0  # microseconds
-        assert event["ts"] >= 0
-
-    def test_nesting_depth_and_containment(self):
-        tracer = Tracer()
-        tracer.enable()
-        with tracer.span("parent"):
-            with tracer.span("child"):
-                pass
-        child, parent = tracer.events()  # children close (and record) first
-        assert child["name"] == "child" and parent["name"] == "parent"
-        assert child["args"]["depth"] == parent["args"]["depth"] + 1
-        # The child's interval lies within the parent's.
-        assert parent["ts"] <= child["ts"]
-        assert child["ts"] + child["dur"] <= parent["ts"] + parent["dur"]
-
-    def test_sequential_spans_have_monotonic_timestamps(self):
-        tracer = Tracer()
-        tracer.enable()
-        for index in range(5):
-            with tracer.span(f"s{index}"):
-                pass
-        events = tracer.events()
-        starts = [e["ts"] for e in events]
-        assert starts == sorted(starts)
-        assert all(e["dur"] >= 0 for e in events)
-
-    def test_disabled_span_is_shared_noop(self):
-        tracer = Tracer()
-        first = tracer.span("a")
-        second = tracer.span("b")
-        assert first is second  # the shared null span: no allocation
-        with first:
-            pass
-        assert tracer.events() == []
-        # Module-level shorthand honours the global switch the same way.
-        assert trace.is_enabled() is False
-        assert span("x") is span("y")
-
-    def test_traced_decorator_disabled_passthrough_and_enabled_event(self):
-        calls = []
-
-        @traced("my.op")
-        def operation(value):
-            calls.append(value)
-            return value * 2
-
-        assert operation(21) == 42  # disabled: plain call, no event
-        assert trace.TRACER.events() == []
-        trace.enable()
-        try:
-            assert operation(2) == 4
-        finally:
-            trace.disable()
-        (event,) = trace.TRACER.events()
-        assert event["name"] == "my.op"
-        assert calls == [21, 2]
-
-    def test_span_annotates_exceptions(self):
-        tracer = Tracer()
-        tracer.enable()
-        with pytest.raises(ValueError):
-            with tracer.span("doomed"):
-                raise ValueError("boom")
-        (event,) = tracer.events()
-        assert event["args"]["exception"] == "ValueError"
-
-    def test_instant_events_and_save(self, tmp_path):
-        tracer = Tracer()
-        tracer.enable()
-        tracer.instant("mark", step=3)
-        with tracer.span("w"):
-            pass
-        target = tmp_path / "nested" / "out.trace.json"
-        tracer.save(target)
-        payload = json.loads(target.read_text())
-        assert payload["displayTimeUnit"] == "ms"
-        phases = sorted(e["ph"] for e in payload["traceEvents"])
-        assert phases == ["X", "i"]
-
-    def test_clear_discards_events(self):
-        tracer = Tracer()
-        tracer.enable()
-        with tracer.span("w"):
-            pass
-        tracer.clear()
-        assert tracer.events() == []
 
 
 class TestMetrics:
@@ -268,7 +166,6 @@ def _outcome(**overrides):
             },
         },
         peak_rss_bytes=48 * 1024 * 1024,
-        trace_path=None,
     )
     base.update(overrides)
     return SimpleNamespace(**base)
@@ -289,7 +186,6 @@ class TestReportSchema:
                 ),
                 "claim two",
                 default_seed=123,
-                trace_file="traces/E2.trace.json",
             ),
         ]
         payload = build_report(records, argv=["E1", "E2"], fast=True, wall_time_s=1.5)
@@ -377,58 +273,21 @@ class TestReportSchema:
         with pytest.raises(ReportSchemaError):
             validate_report(broken)
 
-    def test_trace_block_round_trips_and_is_validated(self):
-        trace_block = {
-            "events": 12,
-            "files": ["traces/E15.trace.json"],
-            "processes": [
-                {"pid": 1, "name": "caller (pid 1)", "spans": 4, "instants": 2,
-                 "busy_us": 100.0, "idle_us": 0.0, "wall_us": 100.0},
-                {"pid": 2, "name": "fork (pid 2)", "spans": 8, "instants": 0,
-                 "busy_us": 80.0, "idle_us": 5.0, "wall_us": 85.0},
-            ],
-            "slowest_spans": [{"name": "parallel.map", "pid": 1, "dur_us": 90.0}],
-        }
+    def test_stale_trace_blocks_still_validate(self):
+        # Reports written while the tracer existed carry summary.trace,
+        # summary.analysis and a record trace_file; the format no longer
+        # names them, so they pass and render nothing.
         payload = build_report(
-            [outcome_record(_outcome(), "claim", default_seed=1)],
-            fast=True,
-            trace=trace_block,
+            [outcome_record(_outcome(), "claim", default_seed=1)], fast=True
         )
-        restored = json.loads(json.dumps(payload))
-        validate_report(restored)
-        assert restored["summary"]["trace"]["events"] == 12
-        rendered = format_summary_table(restored)
-        assert "trace: 12 events across 2 process lane(s)" in rendered
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda t: t.update(events=-1),
-            lambda t: t.update(events="12"),
-            lambda t: t.update(files="not-a-list"),
-            lambda t: t["processes"][0].pop("busy_us"),
-            lambda t: t["processes"][0].update(spans=-2),
-            lambda t: t["slowest_spans"][0].update(dur_us=None),
-        ],
-    )
-    def test_validation_rejects_bad_trace_block(self, mutate):
-        payload = build_report(
-            [outcome_record(_outcome(), "claim", default_seed=1)],
-            fast=True,
-            trace={
-                "events": 1,
-                "files": [],
-                "processes": [
-                    {"pid": 1, "name": None, "spans": 1, "instants": 0,
-                     "busy_us": 1.0, "idle_us": 0.0, "wall_us": 1.0}
-                ],
-                "slowest_spans": [{"name": "s", "pid": 1, "dur_us": 1.0}],
-            },
-        )
-        corrupted = json.loads(json.dumps(payload))
-        mutate(corrupted["summary"]["trace"])
-        with pytest.raises(ReportSchemaError):
-            validate_report(corrupted)
+        stale = json.loads(json.dumps(payload))
+        stale["experiments"][0]["trace_file"] = "traces/E1.trace.json"
+        stale["summary"]["trace"] = {"events": 12, "processes": [], "slowest_spans": []}
+        stale["summary"]["analysis"] = {"critical_path": {"wall_us": 1.0, "steps": []}}
+        validate_report(stale)
+        rendered = format_summary_table(stale)
+        assert "trace:" not in rendered and "critical path" not in rendered
+        assert "trace_file" not in outcome_record(_outcome(), "claim")
 
     def test_backend_block_round_trips(self):
         payload = build_report(

@@ -1,10 +1,9 @@
-"""Phase timers and trace analytics (:mod:`repro.obs.metrics` / ``.analyze``).
+"""Phase timers and report comparison (:mod:`repro.obs.metrics` / ``.analyze``).
 
 Covers what the phase timers at the semantic entry points record on real
 work (calls, inclusive time, how the phases nest, one call per PCA
 transition), the ``summary.phases`` report block (round trip, rendering,
-validation, absence in reports that predate it), critical-path extraction
-and straggler detection over synthetic traces, and cross-run regression
+validation, absence in reports that predate it), and cross-run regression
 attribution (identical reports compare clean; an inflated phase ranks
 first; reports written with the removed ``summary.profile`` block still
 validate and compare).
@@ -17,14 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs import analyze, metrics
-from repro.obs.analyze import (
-    analyze_events,
-    compare_reports,
-    critical_path,
-    format_analysis,
-    format_comparison,
-    lane_analysis,
-)
+from repro.obs.analyze import compare_reports, format_comparison
 from repro.obs.report import (
     ReportSchemaError,
     build_report,
@@ -103,96 +95,38 @@ class TestAttribution:
         assert counters["pca.transitions.intrinsic"] == 1
 
 
-# -- critical path and stragglers --------------------------------------------------
+class TestPhasesAcrossTransport:
+    def test_socket_e15_sweep_reports_merged_phase_timers(
+        self, tmp_path, monkeypatch, spawn_worker
+    ):
+        # Phase timers are always on: a socket sweep reports them, merged
+        # over the chunks both workers ran.
+        monkeypatch.setenv("REPRO_CACHE", "on")
+        from repro.experiments import runner
 
+        _, p1 = spawn_worker()
+        _, p2 = spawn_worker()
+        monkeypatch.setenv("REPRO_BACKEND", f"socket:127.0.0.1:{p1},127.0.0.1:{p2}")
+        report_path = tmp_path / "report.json"
+        assert runner.main(["E15", "--metrics-out", str(report_path)]) == 0
 
-def _span(name, ts, dur, pid=1, tid=1, depth=0):
-    return {"name": name, "ph": "X", "cat": "repro", "ts": ts, "dur": dur,
-            "pid": pid, "tid": tid, "args": {"depth": depth}}
+        payload = json.loads(report_path.read_text())
+        validate_report(payload)
+        assert "trace" not in payload["summary"]
 
+        # Each phase's calls equal the counter it mirrors, which merges
+        # across the chunk transport the same way.
+        (record,) = payload["experiments"]
+        phases = payload["summary"]["phases"]["E15"]
+        counters = record["counters"]
+        assert counters.get("perf.parallel.socket.chunks", 0) > 0
+        assert phases["measure.unfold"]["calls"] == counters["measure.unfold.calls"]
+        assert phases["scheduler.step"]["calls"] == counters["scheduler.steps"]
+        assert phases["measure.unfold"]["s"] > 0
 
-class TestCriticalPath:
-    def test_empty_trace_has_no_path(self):
-        assert critical_path([]) == {"wall_us": 0.0, "steps": []}
-
-    def test_descends_into_the_blocking_child(self):
-        events = [
-            _span("experiment", 0.0, 100.0, depth=0),
-            _span("early", 0.0, 30.0, depth=1),
-            _span("blocking", 40.0, 55.0, depth=1),  # finishes last
-            _span("grandchild", 42.0, 10.0, depth=2),
-        ]
-        path = critical_path(events)
-        assert [s["name"] for s in path["steps"]] == [
-            "experiment", "blocking", "grandchild",
-        ]
-        assert path["wall_us"] == pytest.approx(100.0)
-
-    def test_crosses_lanes_with_slack(self):
-        events = [
-            _span("parallel.map", 0.0, 100.0, pid=1, depth=0),
-            # The worker's outermost chunk span sits in a foreign lane,
-            # aligned to within one reply latency.
-            _span("backend.chunk", 10.0, 85.0, pid=2, depth=0),
-            _span("backend.item", 12.0, 40.0, pid=2, depth=1),
-        ]
-        path = critical_path(events, slack_us=50.0)
-        assert [s["name"] for s in path["steps"]] == [
-            "parallel.map", "backend.chunk", "backend.item",
-        ]
-        assert [s["pid"] for s in path["steps"]] == [1, 2, 2]
-
-    def test_malformed_traces_cannot_loop(self):
-        # Two identical spans that would each pick the other forever.
-        events = [
-            _span("a", 0.0, 10.0, depth=0),
-            _span("b", 0.0, 10.0, pid=2, depth=0),
-        ]
-        path = critical_path(events, slack_us=1000.0)
-        assert len(path["steps"]) <= 2
-
-
-class TestLaneAnalysis:
-    def test_straggler_skew_and_idle_gaps(self):
-        events = [
-            {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "ts": 0,
-             "args": {"name": "worker a"}},
-            _span("backend.chunk", 0.0, 10.0, pid=1),
-            _span("backend.chunk", 20.0, 10.0, pid=1),   # 10us idle gap
-            _span("backend.chunk", 30.0, 50.0, pid=1),   # the straggling chunk
-            _span("backend.chunk", 0.0, 10.0, pid=2),
-            _span("backend.chunk", 10.0, 10.0, pid=2),
-        ]
-        lanes = {lane["pid"]: lane for lane in lane_analysis(events)}
-        straggler = lanes[1]
-        assert straggler["name"] == "worker a"
-        assert straggler["chunks"] == 3
-        assert straggler["skew"] == pytest.approx(5.0)  # 50 / median 10
-        assert straggler["straggler"] is True
-        assert straggler["idle_gaps"]["count"] == 1
-        assert straggler["idle_gaps"]["total_us"] == pytest.approx(10.0)
-        assert straggler["utilization"] == pytest.approx(70.0 / 80.0)
-        even = lanes[2]
-        assert even["skew"] == pytest.approx(1.0)
-        assert even["straggler"] is False
-        assert even["utilization"] == pytest.approx(1.0)
-
-    def test_single_chunk_lane_is_never_a_straggler(self):
-        lanes = lane_analysis([_span("backend.chunk", 0.0, 99.0, pid=1)])
-        assert lanes[0]["straggler"] is False
-
-    def test_analyze_events_and_formatting(self):
-        events = [
-            _span("parallel.map", 0.0, 100.0, pid=1, depth=0),
-            _span("backend.chunk", 0.0, 10.0, pid=2),
-            _span("backend.chunk", 10.0, 10.0, pid=2),
-            _span("backend.chunk", 20.0, 78.0, pid=2),
-        ]
-        analysis = analyze_events(events, slack_us=50.0)
-        assert analysis["critical_path"]["steps"]
-        assert analysis["stragglers"] and analysis["stragglers"][0]["pid"] == 2
-        text = format_analysis(analysis)
-        assert "critical path" in text and "straggler" in text
+        # The summary table ranks them; phase data never lands in records.
+        assert "  E15: " in format_summary_table(payload)
+        assert "phases" not in record and "profile" not in record
 
 
 # -- summary.phases schema ---------------------------------------------------------
@@ -210,7 +144,6 @@ def _outcome(**overrides):
         error=None,
         metrics={"counters": {"scheduler.steps": 42}, "gauges": {}, "histograms": {}},
         peak_rss_bytes=48 * 1024 * 1024,
-        trace_path=None,
     )
     base.update(overrides)
     return SimpleNamespace(**base)
@@ -388,14 +321,3 @@ class TestCompareReports:
         bad.write_text(json.dumps({"schema": "nope"}))
         assert analyze.main_compare([str(a), str(bad)]) == 1
         assert "invalid report" in capsys.readouterr().out
-
-    def test_cli_analyze_prints_critical_path(self, tmp_path, capsys):
-        events = [
-            _span("parallel.map", 0.0, 100.0, pid=1, depth=0),
-            _span("backend.chunk", 5.0, 90.0, pid=2),
-        ]
-        source = tmp_path / "one.trace.json"
-        source.write_text(json.dumps({"traceEvents": events}))
-        assert analyze.main_analyze([str(source)]) == 0
-        out = capsys.readouterr().out
-        assert "critical path" in out and "parallel.map" in out

@@ -18,6 +18,7 @@ import socket as socket_module
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -205,7 +206,15 @@ class TestChunkExecutor:
         pids = {outcome.results[0][2][1] for outcome in outcomes}
         assert parent not in pids and len(pids) == 2
         assert all(outcome.metrics is not None for outcome in outcomes)
-        assert all(outcome.trace is None for outcome in outcomes)  # untraced
+        # Results, metrics and why a chunk was lost: nothing else rides back.
+        assert [f.name for f in fields(ChunkOutcome)] == ["results", "metrics", "detail"]
+
+    def test_pool_sweep_is_one_round_trip_per_chunk(self):
+        chunks = metrics.counter("perf.parallel.socket.chunks")
+        before = chunks.value
+        out = parallel_map(lambda x: x + 7, list(range(6)), backend="pool:2")
+        assert out == [x + 7 for x in range(6)]
+        assert chunks.value == before + 2
 
     def test_hard_death_reports_lost_chunk(self):
         assert run_chunk_in_fork(lambda x: os._exit(3), [(0, None)], {}) is None
@@ -214,7 +223,7 @@ class TestChunkExecutor:
         backend = make_backend("pool:1")
         try:
             (outcome,) = backend.submit_chunks(lambda x: os._exit(3), [[(0, None)]])
-            assert outcome.lost and not outcome.quarantined
+            assert outcome.lost
             assert outcome.detail == "worker's chunk subprocess died without reporting"
             assert backend.submit_chunks(lambda x: x + 1, [[(0, 1)]])[0].results == [
                 (0, None, 2)
@@ -348,7 +357,7 @@ class TestSocketBackend:
             backend.close()
             server.close()
 
-    @pytest.mark.parametrize("protocol", [2, 3])
+    @pytest.mark.parametrize("protocol", [2, 3, 4])
     def test_protocol_v2_worker_refused(self, fake_worker, protocol):
         port = fake_worker(lambda conn: _handshake(conn, protocol=protocol))
         backend = make_backend(f"socket:127.0.0.1:{port}")

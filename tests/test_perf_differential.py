@@ -37,11 +37,10 @@ from tests.helpers import scrub_record, scrub_report
 #: Experiment ``data`` keys that carry wall-clock measurements.
 VOLATILE_DATA_KEYS = {"timings_ms"}
 #: Observability summary blocks scrubbed before byte comparison on top of
-#: the timing :func:`tests.helpers.scrub_report` always drops: trace blocks
-#: exist only on traced runs.  ``summary.config`` rides along: it records
-#: the resolved RunConfig, and differential runs intentionally vary knobs —
-#: provenance, like ``argv``.
-OPTIONAL_SUMMARY_BLOCKS = ("trace", "analysis", "config")
+#: the timing :func:`tests.helpers.scrub_report` always drops:
+#: ``summary.config`` records the resolved RunConfig, and differential runs
+#: intentionally vary knobs — provenance, like ``argv``.
+OPTIONAL_SUMMARY_BLOCKS = ("config",)
 #: Counters of transport recovery: retries, dead workers, caller fallbacks
 #: and supervision (reconnects, quarantines, heartbeats).  They count how
 #: the transport recovered from faults, so they differ between runs when a

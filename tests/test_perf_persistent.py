@@ -32,7 +32,7 @@ def _scrub(payload):
     # keep their interpreters warm between the two runs).
     return scrub_report(
         payload,
-        summary=("cache", "backend", "trace", "analysis", "resilience"),
+        summary=("cache", "backend", "resilience"),
         record=("counters", "histograms"),
     )
 

@@ -28,7 +28,7 @@ import pytest
 
 from repro.api import RunConfig, resolve_config
 from repro.obs import log as obs_log
-from repro.obs import metrics, trace
+from repro.obs import metrics
 from repro.perf.backends import BackendSpecError, make_backend, normalize_spec
 from repro.perf.parallel import parallel_map
 from repro.perf.supervise import (
@@ -376,11 +376,8 @@ class TestLocalPoolBackend:
             backend.close()
 
 
-def _square_in_span(x):
-    # With tracing on (as in a REPRO_TRACE=1 worker) this takes the
-    # tracer's lock in the chunk child.
-    with trace.span("square"):
-        return x * x
+def _square(x):
+    return x * x
 
 
 def _unfold_and_probe(p):
@@ -389,7 +386,6 @@ def _unfold_and_probe(p):
     The chunk child is forked from its worker, so what it finds is what the
     worker kept from the process that forked it."""
     started_from = (
-        trace.TRACER.enabled,
         signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
         obs_log.correlation(),
         os.environ.get("REPRO_PERF_WORKER"),
@@ -409,35 +405,26 @@ class TestForkedWorkers:
     def test_worker_announces_despite_foreign_stdio_and_held_locks(
         self, tmp_path, monkeypatch
     ):
-        # sys.stdout is in memory (as under pytest), sys.stderr is stuck in
-        # another thread's write to a full pipe, and another thread holds
-        # the tracer's lock.  The worker (tracing on, so its chunks take
-        # that lock) must still announce itself within 10 s, serve a sweep
-        # and log it to the structured sink.
-        monkeypatch.setenv("REPRO_TRACE", "1")
+        # sys.stdout is in memory (as under pytest) and sys.stderr is stuck
+        # in another thread's write to a full pipe, holding the stream's
+        # lock.  The worker must still announce itself within 10 s, serve a
+        # sweep and log it to the structured sink.
         log_path = tmp_path / "log.jsonl"
         obs_log.configure(str(log_path))
         read_fd, write_fd = os.pipe()
         stuck = open(write_fd, "w")
         saved = sys.stdout, sys.stderr
-        holding, release = threading.Event(), threading.Event()
-
-        def hold():
-            with trace.TRACER._lock:
-                holding.set()
-                release.wait()
 
         def flood():
             stuck.write("x" * (1 << 20))  # nobody reads yet: blocks holding the lock
             stuck.flush()
 
-        holder = threading.Thread(target=hold)
         flooder = threading.Thread(target=flood)
         backend = make_backend("pool:1")
         box = []
         sweeper = threading.Thread(  # a daemon: a hung start fails the test, not the run
             target=lambda: box.append(
-                parallel_map(_square_in_span, range(6), backend=backend)
+                parallel_map(_square, range(6), backend=backend)
             ),
             daemon=True,
         )
@@ -445,9 +432,7 @@ class TestForkedWorkers:
         before = sockets.value
         sys.stdout, sys.stderr = io.StringIO(), stuck
         try:
-            holder.start()
             flooder.start()
-            assert holding.wait(10)
             time.sleep(0.1)
             sweeper.start()
             sweeper.join(10)
@@ -463,7 +448,6 @@ class TestForkedWorkers:
                 )
         finally:
             sys.stdout, sys.stderr = saved
-            release.set()
             for proc in backend.worker_processes:
                 if proc.process is not None:  # a hung start reads EOF once killed
                     proc.process.kill()
@@ -472,8 +456,7 @@ class TestForkedWorkers:
             while flooder.is_alive() and time.monotonic() < drained_by:
                 if select.select([read_fd], [], [], 0.1)[0]:
                     os.read(read_fd, 1 << 16)
-            holder.join(10)
-            assert not flooder.is_alive() and not holder.is_alive()
+            assert not flooder.is_alive()
             stuck.close()
             os.close(read_fd)
             backend.close()
@@ -500,11 +483,9 @@ class TestForkedWorkers:
         finally:
             cold.close()
 
-        # Warm the caller: counters, tracing on, a job correlation id and a
-        # SIGTERM handler that would keep a worker up.
+        # Warm the caller: counters, a job correlation id and a SIGTERM
+        # handler that would keep a worker up.
         metrics.counter("test.fresh_slate").inc(7)
-        trace.TRACER.enable()
-        trace.instant("test.fresh_slate")
         obs_log.set_correlation("job-warm")
         previous = signal.signal(signal.SIGTERM, lambda *_: None)
         try:
@@ -512,8 +493,6 @@ class TestForkedWorkers:
         finally:
             signal.signal(signal.SIGTERM, previous)
             obs_log.set_correlation(None)
-            trace.TRACER.disable()
-            trace.TRACER.clear()
         try:
             warm_outcome = sweep(warm)
         finally:
@@ -522,7 +501,7 @@ class TestForkedWorkers:
             closed_in = time.monotonic() - started
         assert warm_outcome == cold_outcome
         results, counters = warm_outcome
-        assert [state for state, _ in results] == [(False, True, None, "1")] * len(PROBES)
+        assert [state for state, _ in results] == [(True, None, "1")] * len(PROBES)
         assert counters.get("perf.parallel.socket.chunks", 0) > 0
         assert "perf.parallel.chunk_fallbacks" not in counters
         # close() stopped every worker with SIGTERM, not the kill fallback.
@@ -573,27 +552,27 @@ backend = result.report["summary"]["backend"]
 print(result.exit_code, backend["workers_started"], survivors())
 """
 
-#: Kill one of the run's workers between E12 and E15: the parent must heal
-#: the pool before E15's child forks, so the two run one after the other.
+#: Kill one of the run's workers between a pool sweep and E15: the parent
+#: must heal the pool before E15's child forks, so the two run one after the
+#: other.
 _HEAL_BETWEEN_EXPERIMENTS = _SUBREAPER + """
-def kill_after_e12(experiment_id, record, done, total):
-    if experiment_id == "E12":
+common.ALL_EXPERIMENTS["EX-A"] = ("tests.faultyexp.pool_sweep", "sweep")
+
+def kill_after_sweep(experiment_id, record, done, total):
+    if experiment_id == "EX-A":
         victim = backends.get_backend().worker_processes[0]
         victim.process.kill()
         victim.process.wait()
 
 result = api.run_suite(
-    ["E12", "E15"],
+    ["EX-A", "E15"],
     config=api.RunConfig(backend="pool:2", parallel=1),
-    on_record=kill_after_e12,
+    on_record=kill_after_sweep,
 )
-reference = api.run_suite(
-    ["E12", "E15"], config=api.RunConfig(cache="off", isolated=False)
-)
+reference = api.run_suite(["E15"], config=api.RunConfig(cache="off", isolated=False))
 print(json.dumps({
     "exit_code": result.exit_code,
-    "tables_match": [r["table"] for r in result.records]
-    == [r["table"] for r in reference.records],
+    "tables_match": result.records[1]["table"] == reference.records[0]["table"],
     "e15_counters": result.records[1]["counters"],
     "workers_started": result.report["summary"]["backend"]["workers_started"],
     "survivors": survivors(),

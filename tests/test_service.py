@@ -34,7 +34,7 @@ def scrub(payload):
     # must include the resolved RunConfig.
     return scrub_report(
         payload,
-        summary=("cache", "backend", "trace", "analysis", "resilience"),
+        summary=("cache", "backend", "resilience"),
         record=("counters", "histograms"),
     )
 
@@ -103,20 +103,16 @@ class TestLifecycle:
             if r["experiment"] == "E4"
         )
 
-    def test_job_config_does_not_leak_into_the_next_job(
-        self, live, monkeypatch, tmp_path
-    ):
+    def test_job_config_does_not_leak_into_the_next_job(self, live, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        service, client = live
-        service.log_dir = str(tmp_path)  # job A's traces land here
-        first = client.submit(["E1"], config={"cache": "off", "trace": True})
+        _, client = live
+        first = client.submit(["E1"], config={"cache": "off"})
         assert client.wait(first["id"], timeout=120)["state"] == "done"
         second = client.submit(["E1"])
         assert client.wait(second["id"], timeout=120)["state"] == "done"
         config = client.report(second["id"])["summary"]["config"]
         assert config["cache"] == "on"
-        assert config["trace"] is False
+        assert "trace" not in config
 
     def test_event_stream_replays_whole_lifecycle(self, live):
         _, client = live
@@ -172,7 +168,7 @@ class TestErrorPaths:
 
     def test_removed_config_fields_rejected(self, live):
         _, client = live
-        for field in ("profile", "profile_dir", "progress"):
+        for field in ("profile", "profile_dir", "progress", "trace", "trace_dir"):
             with pytest.raises(ServiceClientError) as excinfo:
                 client.submit(["E1"], config={field: True})
             assert excinfo.value.status == 400
@@ -191,6 +187,16 @@ class TestErrorPaths:
             with pytest.raises(ServiceClientError) as excinfo:
                 probe("job-999-cafe00")
             assert excinfo.value.status == 404
+
+    def test_removed_trace_route_is_404(self, live):
+        _, client = live
+        job = client.submit(["E1"])
+        assert client.wait(job["id"], timeout=120)["state"] == "done"
+        with pytest.raises(ServiceClientError) as excinfo:
+            client._request("GET", f"/jobs/{job['id']}/trace")
+        assert excinfo.value.status == 404
+        assert "no route" in str(excinfo.value)
+        assert not hasattr(client, "trace")
 
     def test_report_before_done_is_409(self, parked):
         _, client = parked

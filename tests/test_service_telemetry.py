@@ -1,13 +1,12 @@
-"""Service telemetry: structured logs, /v1/metrics, job↔trace correlation.
+"""Service telemetry: structured logs, /v1/metrics, job↔log correlation.
 
 Everything here drives a real in-process service over HTTP (the
 ``serve``/fixture idiom of tests/test_service.py) and asserts the
-observability surface PR 10 added: the Prometheus exposition endpoint,
-the structured JSONL access/lifecycle log, correlation ids riding into
-worker trace lanes, the merged-trace endpoint feeding
-``python -m repro.obs analyze``, registry TTL/eviction, the SSE
-subscriber gauge surviving mid-stream disconnects, and ``/v1/health``
-gauges across a pool respawn.
+service's observability surface: the Prometheus exposition endpoint, the
+structured JSONL access/lifecycle log, correlation ids riding into the
+pool workers' log records, registry TTL/eviction, the SSE subscriber
+gauge surviving mid-stream disconnects, and ``/v1/health`` gauges across
+a pool respawn.
 """
 
 import json
@@ -20,8 +19,6 @@ import pytest
 from repro.obs import expo
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
-from repro.obs.analyze import main_analyze
-from repro.obs.distributed import check_trace
 from repro.service import JobService, ServiceClient, ServiceClientError
 from repro.service.jobs import JobRegistry
 from repro.service.top import render_frame
@@ -139,63 +136,22 @@ class TestStructuredLog:
             service.stop()
 
 
-class TestJobTraceEndpoint:
-    def test_trace_is_409_until_terminal_and_404_untraced(self):
-        service = JobService(auto_dispatch=False)
-        client = serve(service)
-        try:
-            queued = client.submit(["E1"])
-            with pytest.raises(ServiceClientError) as excinfo:
-                client.trace(queued["id"])
-            assert excinfo.value.status == 409
-        finally:
-            service.stop()
-
-    def test_untraced_done_job_is_404(self, live):
-        _, client = live
-        job = client.submit(["E1"])
-        assert client.wait(job["id"], timeout=120)["state"] == "done"
-        with pytest.raises(ServiceClientError) as excinfo:
-            client.trace(job["id"])
-        assert excinfo.value.status == 404
-        assert "trace" in excinfo.value.body["error"]
-
-
 class TestEndToEndCorrelation:
     """The issue's acceptance criterion, against a live 2-worker pool."""
 
-    def test_traced_pool_job_yields_correlated_trace_and_metrics(self, tmp_path):
+    def test_pool_job_yields_correlated_log_and_metrics(self, tmp_path):
         # The sink is configured before the pool forks (as __main__ does),
         # so the workers reopen it by path and append to the same file.
         log_path = obs_log.configure(str(tmp_path / "service.jsonl"))
         service = JobService(pool=2, log_dir=str(tmp_path))
         client = serve(service)
         try:
-            job = client.submit(["E15"], config={"trace": True})
+            job = client.submit(["E15"])
             assert client.wait(job["id"], timeout=300)["state"] == "done"
 
             # (a) the exposition parses and shows nonzero completions.
             families = expo.parse(client.metrics_text())
             assert families["service_jobs_completed"]["value"] >= 1
-
-            # (b) the merged trace has >= 3 pid lanes, every lane stamped
-            # with the job id, and analyze consumes it without error.
-            payload = client.trace(job["id"])
-            assert payload["job"] == job["id"]
-            events = payload["traceEvents"]
-            assert not check_trace(events, min_lanes=3)
-            lanes = [
-                e for e in events
-                if e.get("ph") == "M" and e.get("name") == "process_name"
-            ]
-            assert len(lanes) >= 3
-            assert all(e["args"]["job"] == job["id"] for e in lanes)
-            # Worker lanes specifically made it back (socket transport).
-            assert any("worker" in e["args"]["name"] for e in lanes)
-
-            trace_file = tmp_path / "job.trace.json"
-            trace_file.write_text(json.dumps(payload))
-            assert main_analyze([str(trace_file)]) == 0
 
             # Every job-scoped log record carries the correlation id —
             # including worker.chunk records appended by the pool workers

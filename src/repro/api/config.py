@@ -151,8 +151,6 @@ class RunConfig:
         """The JSON-safe rendering: job submissions and ``summary.config``."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    to_dict = describe
-
     # -- applying ----------------------------------------------------------------
 
     def apply(self) -> None:

@@ -131,8 +131,9 @@ def parse(text: str) -> Dict[str, Dict[str, Any]]:
     Each family is ``{"type": ..., "value": float}`` for counters/gauges
     and ``{"type": "summary", "quantiles": {...}, "sum": ..., "count": ...}``
     for summaries.  Raises :class:`ExpositionError` on malformed lines,
-    samples without a preceding ``# TYPE``, or non-numeric values — the
-    CI smoke job leans on this to validate a live scrape.
+    samples without a preceding ``# TYPE``, a second ``# TYPE`` for a
+    family already seen, or non-numeric values — the CI smoke job leans
+    on this to validate a live scrape.
     """
     families: Dict[str, Dict[str, Any]] = {}
     types: Dict[str, str] = {}
@@ -145,6 +146,8 @@ def parse(text: str) -> Dict[str, Dict[str, Any]]:
             if len(parts) >= 2 and parts[1] == "TYPE":
                 if len(parts) != 4 or parts[3] not in ("counter", "gauge", "summary"):
                     raise ExpositionError(f"line {lineno}: malformed TYPE comment {raw!r}")
+                if parts[2] in types:
+                    raise ExpositionError(f"line {lineno}: repeated TYPE for {parts[2]!r}")
                 types[parts[2]] = parts[3]
             continue  # other comments are legal and ignored
         match = _SAMPLE.match(line)

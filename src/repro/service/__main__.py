@@ -6,9 +6,6 @@ serves until SIGINT/SIGTERM.  With ``--log-dir``, the structured JSONL
 service log lands at ``<dir>/service.jsonl`` next to the per-worker pool
 logs (and the pool workers, forked from the service, append to the same
 file).
-
-``python -m repro.service top --url http://HOST:PORT`` runs the live
-dashboard over a service started elsewhere (see :mod:`repro.service.top`).
 """
 
 from __future__ import annotations
@@ -26,12 +23,6 @@ from repro.service.server import JobService
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] == "top":
-        from repro.service.top import main as top_main
-
-        return top_main(arguments[1:])
-    argv = arguments
     parser = argparse.ArgumentParser(
         description="Serve experiment/sweep submissions over HTTP.",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
@@ -43,11 +34,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--pool", type=int, default=0, metavar="N",
         help="spawn N long-lived warm workers; jobs without a pinned "
              "backend run their sweeps on this pool",
-    )
-    parser.add_argument(
-        "--backend", default=None, metavar="SPEC",
-        help="default backend spec for jobs that do not pin one "
-             "(mutually exclusive with --pool)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -82,7 +68,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     service = JobService(
         pool=args.pool,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         policy=AdmissionPolicy(
             max_active=args.max_active,

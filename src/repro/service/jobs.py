@@ -307,19 +307,6 @@ class JobRegistry:
 
     # -- waiting -----------------------------------------------------------------
 
-    def wait(self, job: Job, timeout: Optional[float] = None) -> str:
-        """Block until ``job`` reaches a terminal state; returns the state."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._changed:
-            while job.state not in TERMINAL_STATES:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                self._changed.wait(remaining if remaining is not None else 1.0)
-            return job.state
-
     def events_since(self, job: Job, after_seq: int) -> List[Dict[str, Any]]:
         with self._lock:
             return [e for e in job.events if e["seq"] > after_seq]

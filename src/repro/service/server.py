@@ -1,4 +1,4 @@
-"""Sweep-as-a-service: the long-lived job server over the repro.api facade.
+"""Sweep-as-a-service: the long-lived job server over :func:`repro.api.run_suite`.
 
 One :class:`JobService` owns four things:
 
@@ -109,7 +109,6 @@ class JobService:
         self,
         *,
         pool: int = 0,
-        backend: Optional[str] = None,
         cache_dir: Optional[str] = None,
         policy: Optional[AdmissionPolicy] = None,
         log_dir: Optional[str] = None,
@@ -118,12 +117,9 @@ class JobService:
         max_done: Optional[int] = 512,
         sse_keepalive_s: float = 5.0,
     ) -> None:
-        if pool and backend:
-            raise ValueError("pass either pool=N or backend=SPEC, not both")
         self.registry = JobRegistry(ttl_s=job_ttl_s, max_done=max_done)
         self.admission = AdmissionController(policy or AdmissionPolicy())
         self.pool_size = int(pool)
-        self.default_backend = backend
         self.default_cache_dir = cache_dir
         self.log_dir = log_dir
         #: seconds of SSE silence before a comment frame probes the client
@@ -269,12 +265,11 @@ class JobService:
         if not isinstance(config_payload, dict):
             raise ServiceError(400, "config must be an object")
         overrides = dict(config_payload)
-        # Service-wide defaults fill fields the submission left open; the
-        # submission's own values always win (spec > service > env gates).
+        # The service-wide store directory fills the field when the
+        # submission leaves it open; the submission's own value always wins
+        # (spec > service > env gates).
         if overrides.get("cache_dir") is None and self.default_cache_dir:
             overrides["cache_dir"] = self.default_cache_dir
-        if overrides.get("backend") is None and self.default_backend:
-            overrides["backend"] = self.default_backend
         try:
             config = api.resolve_config(**overrides)
         except api.ConfigError as exc:
@@ -318,7 +313,6 @@ class JobService:
         )
         if not decision.admitted:
             obs_metrics.counter("service.admission.rejected").inc()
-            obs_metrics.counter(f"service.admission.rejected.{tenant}").inc()
             _LOG.warning(
                 "service.admission.rejected",
                 tenant=tenant,
@@ -335,7 +329,6 @@ class JobService:
                 error.headers["Retry-After"] = str(int(decision.retry_after_s) or 1)
             raise error
         obs_metrics.counter("service.admission.admitted").inc()
-        obs_metrics.counter(f"service.admission.admitted.{tenant}").inc()
 
         # Coalesce onto an identical in-flight job: one execution, every
         # submitter gets the report.

@@ -1,11 +1,11 @@
-"""The ``repro.api`` facade: RunConfig resolution, precedence, wrappers.
+"""The ``repro.api`` surface: RunConfig resolution, precedence, run_suite.
 
 The resolver's contract is one documented precedence — explicit overrides
 > environment gates > defaults — applied in exactly one place.  The tests
 pin that order, the normalizations (spec canonicalization, abspath,
 non-positive timeouts), the historic precedence bug it
 fixes (``REPRO_CACHE=off`` used to be clobbered by the CLI flag default),
-the facade wrappers the CLI/service build on, and that applying a config
+the one suite runner the CLI/service build on, and that applying a config
 never touches the environment.
 """
 
@@ -120,6 +120,18 @@ class TestRemovedTraceSwitch:
         assert {"trace", "trace_dir"}.isdisjoint(RunConfig().describe())
 
 
+class TestOneWayIn:
+    """``run_suite`` is the only runner in ``repro.api``."""
+
+    @pytest.mark.parametrize("name", ["run_experiment", "run_sweep"])
+    def test_removed_runner_is_gone(self, name):
+        assert name not in api.__all__
+        assert not hasattr(api, name)
+
+    def test_run_config_has_no_to_dict_alias(self):
+        assert not hasattr(RunConfig, "to_dict")
+
+
 class TestRunConfigShape:
     def test_describe_round_trips_through_from_dict(self):
         config = resolve_config(env={}, parallel=2, cache="stats", seed=7)
@@ -206,17 +218,18 @@ class TestCacheEnvPrecedenceFix:
 
 
 class TestFacade:
-    def test_run_experiment_returns_outcome(self):
-        outcome = api.run_experiment("E1")
-        assert outcome.ok and outcome.experiment == "E1"
+    def test_run_suite_one_experiment_returns_its_record(self):
+        result = api.run_suite(["E1"], config=RunConfig())
+        assert result.ok
+        assert [(r["experiment"], r["status"]) for r in result.records] == [("E1", "pass")]
 
-    def test_run_experiment_unknown_id(self):
+    def test_run_suite_one_unknown_id(self):
         with pytest.raises(api.UnknownExperimentError):
-            api.run_experiment("E99")
+            api.run_suite(["E99"], config=RunConfig())
 
-    def test_run_sweep_returns_validated_report(self, tmp_path):
+    def test_run_suite_returns_validated_report(self, tmp_path):
         out = tmp_path / "report.json"
-        payload = api.run_sweep(["E1"], metrics_out=str(out))
+        payload = api.run_suite(["E1"], metrics_out=str(out)).report
         validate_report(payload)
         # One experiment: the auto worker count resolves to 1.
         assert payload["summary"]["config"]["parallel"] == 1
@@ -241,7 +254,7 @@ class TestFacade:
 
     def test_load_report_round_trip(self, tmp_path):
         out = tmp_path / "report.json"
-        payload = api.run_sweep(["E1"], metrics_out=str(out))
+        payload = api.run_suite(["E1"], metrics_out=str(out)).report
         assert api.load_report(str(out)) == json.loads(json.dumps(payload))
 
     def test_load_report_rejects_garbage(self, tmp_path):
@@ -426,8 +439,9 @@ class TestPreImport:
         assert [r["status"] for r in result.records] == ["fail", "pass"]
         assert self.MODULE in unloaded
 
-    def test_run_experiment_imports_in_the_parent(self, unloaded):
-        assert api.run_experiment("EX-FAIL").status == "fail"
+    def test_run_suite_alone_imports_in_the_parent(self, unloaded):
+        result = api.run_suite(["EX-FAIL"], config=RunConfig())
+        assert [r["status"] for r in result.records] == ["fail"]
         assert self.MODULE in unloaded
 
     def test_a_module_that_fails_to_import_is_reported_by_its_child(self, monkeypatch):

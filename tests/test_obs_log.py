@@ -185,6 +185,16 @@ class TestExposition:
         with pytest.raises(expo.ExpositionError):
             expo.parse('# TYPE x summary\nx{wrong="0.5"} 1\n')
 
+    def test_parse_rejects_a_repeated_family(self):
+        # Two registry names that sanitize alike render one family twice.
+        text = expo.render(
+            {"counters": {"service.admission.admitted.a-b": 1,
+                          "service.admission.admitted.a_b": 1}}
+        )
+        assert text.count("# TYPE service_admission_admitted_a_b counter") == 2
+        with pytest.raises(expo.ExpositionError, match="repeated TYPE"):
+            expo.parse(text)
+
     def test_render_accepts_explicit_snapshot(self):
         snapshot = {
             "counters": {"c.a": 2},

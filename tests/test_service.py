@@ -10,8 +10,11 @@ immediate warm resubmission must be answered from the shared persistent
 store rather than recomputed.
 """
 
+import importlib.util
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -25,6 +28,7 @@ from repro.service import (
     ServiceClient,
     ServiceClientError,
 )
+from tests.conftest import subprocess_env
 from tests.helpers import scrub_report
 
 
@@ -240,6 +244,32 @@ class TestErrorPaths:
             client.report(job_id)
         assert excinfo.value.status == 409
         assert obs_metrics.counter("service.jobs.failed").value == 1
+
+
+class TestRemovedSurfaces:
+    """The service has one way to place a job and no dashboard of its own."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["top", "--url", "http://127.0.0.1:1", "--frames", "1"], ["--backend", "serial"]],
+        ids=["top", "backend"],
+    )
+    def test_removed_cli_surface_exits_2(self, argv):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.service", *argv],
+            capture_output=True, text=True, timeout=60, env=subprocess_env(),
+        )
+        assert completed.returncode == 2
+        assert "unrecognized arguments" in completed.stderr
+        assert "listening" not in completed.stdout
+
+    def test_no_service_wide_backend(self):
+        with pytest.raises(TypeError):
+            JobService(backend="serial")
+        assert not hasattr(JobService(), "default_backend")
+
+    def test_dashboard_module_is_gone(self):
+        assert importlib.util.find_spec("repro.service.top") is None
 
 
 class TestAdmission:

@@ -19,9 +19,8 @@ import pytest
 from repro.obs import expo
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
-from repro.service import JobService, ServiceClient, ServiceClientError
+from repro.service import JobService, ServiceClient, ServiceClientError, ServiceError
 from repro.service.jobs import JobRegistry
-from repro.service.top import render_frame
 
 
 def serve(service):
@@ -52,12 +51,36 @@ class TestMetricsEndpoint:
         families = expo.parse(text)  # raises on malformed exposition
         assert families["service_jobs_completed"]["value"] >= 1
         assert families["service_admission_admitted"]["value"] >= 1
-        assert families["service_admission_admitted_default"]["value"] >= 1
         # The SLO histograms ship as summaries with quantiles.
         for name in ("service_jobs_queue_wait_s", "service_jobs_e2e_latency_s"):
             assert families[name]["type"] == "summary"
             assert families[name]["count"] >= 1
             assert set(families[name]["quantiles"]) == {"0.5", "0.9", "0.99"}
+
+    def test_tenants_add_no_counter_names(self):
+        # Admitted and rejected submissions from many tenants bump the two
+        # totals only; GET /v1/jobs?tenant= is the per-tenant view.
+        service = JobService(auto_dispatch=False)
+
+        def submit_as(tenants):
+            for tenant in tenants:
+                try:
+                    service.submit({"experiments": ["E1"], "tenant": tenant})
+                except ServiceError as exc:
+                    assert exc.status == 429
+
+        def counter_names():
+            return set(obs_metrics.snapshot(include_zero=True)["counters"])
+
+        submit_as([f"warm-{i}" for i in range(20)])
+        before = counter_names()
+        assert {"service.admission.admitted", "service.admission.rejected"} <= before
+        submit_as([f"tenant-{i}" for i in range(200)] + ["a-b", "a_b"])
+        assert counter_names() == before
+        counters = obs_metrics.snapshot()["counters"]
+        assert counters["service.admission.admitted"] == 16
+        assert counters["service.admission.rejected"] == 206
+        expo.parse(expo.render())  # one family per name
 
     def test_scrape_refreshes_point_in_time_gauges(self, live):
         service, client = live
@@ -287,57 +310,3 @@ class TestEviction:
 class FakeConfig:
     def describe(self):
         return {"fake": True}
-
-
-class TestTopDashboard:
-    def test_render_frame_is_pure_and_complete(self):
-        health = {
-            "started_unix": time.time() - 5,
-            "jobs": {"queued": 1, "running": 1, "done": 3},
-            "pool": {"workers": 2, "alive": 2},
-            "limits": {"max_active": 16, "max_active_per_tenant": 4},
-        }
-        metrics = {
-            "counters": {
-                "service.jobs.failed": 1,
-                "service.admission.admitted": 6,
-                "service.admission.rejected": 2,
-                "service.pool.respawns": 1,
-            },
-            "gauges": {"service.sse.subscribers": 1},
-            "histograms": {
-                "service.jobs.e2e_latency_s": {
-                    "count": 3, "p50": 0.2, "p90": 0.4, "p99": 0.4
-                }
-            },
-        }
-        frame = render_frame(health, metrics, url="http://x:1")
-        assert "queued 1" in frame and "running 1" in frame and "done 3" in frame
-        assert "alive 2/2" in frame and "respawns 1" in frame
-        assert "admitted 6" in frame and "rejected 2" in frame
-        assert "p50 0.200s" in frame and "p99 0.400s" in frame
-        assert "queue-wait  -" in frame  # empty histogram renders as a dash
-
-    def test_one_frame_against_a_live_service(self, live, capsys):
-        from repro.service.top import main as top_main
-
-        _, client = live
-        job = client.submit(["E1"])
-        client.wait(job["id"], timeout=120)
-        assert top_main(["--url", client.base_url, "--frames", "1", "--plain"]) == 0
-        out = capsys.readouterr().out
-        assert "repro-service" in out and "done 1" in out
-
-    def test_module_entrypoint_routes_top(self, live, capsys):
-        from repro.service.__main__ import main as service_main
-
-        _, client = live
-        assert service_main(["top", "--url", client.base_url, "--frames", "1",
-                             "--plain"]) == 0
-        assert "repro-service" in capsys.readouterr().out
-
-    def test_unreachable_service_fails_cleanly(self, capsys):
-        from repro.service.top import main as top_main
-
-        assert top_main(["--url", "http://127.0.0.1:1", "--frames", "1"]) == 1
-        assert "cannot reach" in capsys.readouterr().out
